@@ -45,8 +45,8 @@
 // power is a pure function of (weight, z-mask), so
 // core.Unit.EvaluateNoisy resolves 64 noisy threshold decisions per
 // word from a power table plus block Gaussian noise
-// (transient.Gaussian.Fill, Box–Muller over any
-// stochastic.NumberSource). transient.Simulator.EvaluateWords emits
+// (transient.Gaussian.Fill, Box–Muller over a
+// stochastic.SplitMix64). transient.Simulator.EvaluateWords emits
 // streams bit-identical to the serial Step loop;
 // transient.Simulator.EvaluateBatch and the dse.NoiseStudy
 // Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over

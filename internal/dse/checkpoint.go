@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/engine"
@@ -151,14 +152,38 @@ func (c *Checkpointer[T]) saveLocked() error {
 	if err != nil {
 		return fmt.Errorf("dse: marshaling checkpoint: %w", err)
 	}
-	tmp := c.Path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeAtomic(c.Path, data); err != nil {
 		return fmt.Errorf("dse: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, c.Path); err != nil {
-		return fmt.Errorf("dse: committing checkpoint: %w", err)
-	}
 	return nil
+}
+
+// writeAtomic commits data to path through a temp file of its own,
+// created beside path and renamed over it. Readers see one whole
+// snapshot or another, never a torn one; and because no two writes
+// share a temp name, concurrent writers of one path (two identical
+// in-flight studies) cannot rename each other's file away. The temp
+// file is removed when any step fails.
+func writeAtomic(path string, data []byte) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, os.Remove(f.Name()))
+		}
+	}()
+	if _, err := f.Write(data); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	if err := f.Chmod(0o644); err != nil {
+		return errors.Join(err, f.Close())
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // Run executes the sweep: point(i) for every i in [0, Key.N) that is

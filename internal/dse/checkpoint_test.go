@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -209,5 +210,54 @@ func TestYieldStudyCheckpointRoundTrip(t *testing.T) {
 	wrong.Seed++
 	if _, err := wrong.RunCheckpointed(context.Background(), engine.Serial, cp2); !errors.Is(err, ErrStaleCheckpoint) {
 		t.Errorf("wrong-key checkpointer accepted: %v", err)
+	}
+}
+
+// TestCheckpointersSaveSamePathConcurrently: two identical in-flight
+// studies snapshot one path at once. Each save writes its own temp
+// file, so neither rename finds its file taken by the other's; every
+// save succeeds, the snapshot loads whole, and no temp file is left.
+func TestCheckpointersSaveSamePathConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.json")
+	const n, saves = 64, 200
+	var cps [2]*Checkpointer[float64]
+	for k := range cps {
+		cps[k] = NewCheckpointer[float64](path, 1, numericKey(n))
+		if _, err := cps[k].Run(context.Background(), engine.Serial, numericPoint); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 2*saves)
+	var wg sync.WaitGroup
+	for _, cp := range cps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < saves; i++ {
+				errs <- cp.Save()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent save: %v", err)
+		}
+	}
+	if restored, err := NewCheckpointer[float64](path, 0, numericKey(n)).Load(); err != nil || restored != n {
+		t.Fatalf("Load after concurrent saves: restored=%d err=%v", restored, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Errorf("directory holds %v, want only ck.json", names)
 	}
 }

@@ -127,12 +127,8 @@ func MergeCheckpoints(outPath string, inputs []string) (MergeReport, error) {
 	if err != nil {
 		return MergeReport{}, fmt.Errorf("dse: marshaling merged checkpoint: %w", err)
 	}
-	tmp := outPath + ".tmp"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
+	if err := writeAtomic(outPath, out); err != nil {
 		return MergeReport{}, fmt.Errorf("dse: writing merged checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, outPath); err != nil {
-		return MergeReport{}, fmt.Errorf("dse: committing merged checkpoint: %w", err)
 	}
 	report.Key, report.N, report.Merged = key, key.N, key.N
 	return report, nil

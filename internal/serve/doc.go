@@ -23,7 +23,9 @@
 // either a synthetic generator ({"synth":"gradient|radial|checkerboard",
 // "width","height",...}) or an uploaded binary PGM ({"pgm_base64":...});
 // image responses are JSON (base64 PGM + PSNR/MAE vs the exact
-// operator) or raw PGM when format is "pgm".
+// operator) or raw PGM when format is "pgm". A result identical to the
+// exact operator has infinite PSNR, which JSON has no number for:
+// psnr_db is then null (and mae 0); finite values encode unchanged.
 //
 // # Error shape
 //

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 
@@ -44,14 +45,24 @@ type imageRequest struct {
 
 // imageBody is the format:"json" success response. PSNR and MAE
 // compare against the exact (float) operator applied to the same
-// source, mirroring the paper's quality metrics.
+// source, mirroring the paper's quality metrics. A result equal to the
+// exact operator has infinite PSNR, which JSON cannot carry: it
+// encodes as null (and MAE as 0).
 type imageBody struct {
-	Op        string  `json:"op"`
-	Width     int     `json:"width"`
-	Height    int     `json:"height"`
-	PGMBase64 string  `json:"pgm_base64"`
-	PSNR      float64 `json:"psnr_db"`
-	MAE       float64 `json:"mae"`
+	Op        string   `json:"op"`
+	Width     int      `json:"width"`
+	Height    int      `json:"height"`
+	PGMBase64 string   `json:"pgm_base64"`
+	PSNR      *float64 `json:"psnr_db"`
+	MAE       float64  `json:"mae"`
+}
+
+// finitePSNR is the psnr_db field: the value when finite, else null.
+func finitePSNR(db float64) *float64 {
+	if math.IsInf(db, 0) || math.IsNaN(db) {
+		return nil
+	}
+	return &db
 }
 
 // Image caps: interactive work, bounded so one request cannot pin a
@@ -123,7 +134,7 @@ func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 			Width:     out.W,
 			Height:    out.H,
 			PGMBase64: base64.StdEncoding.EncodeToString(pgm.Bytes()),
-			PSNR:      img.PSNR(exact, out),
+			PSNR:      finitePSNR(img.PSNR(exact, out)),
 			MAE:       img.MeanAbsoluteError(exact, out),
 		})
 	})

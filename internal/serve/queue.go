@@ -122,11 +122,14 @@ func (q *Queue) Do(ctx context.Context, run func(ctx context.Context) error) err
 		q.mu.Unlock()
 		return ErrDraining
 	}
+	// Count the job before the send: once it is on the channel a worker
+	// may finish it and call Done before this goroutine runs again.
+	q.jobWG.Add(1)
 	select {
 	case q.jobs <- j:
-		q.jobWG.Add(1)
 		q.mu.Unlock()
 	default:
+		q.jobWG.Done()
 		q.mu.Unlock()
 		return ErrQueueFull
 	}

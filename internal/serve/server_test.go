@@ -459,11 +459,29 @@ func TestImageGammaJSON(t *testing.T) {
 	if body.Op != "gamma" || body.Width != 24 || body.Height != 16 {
 		t.Errorf("body header = %+v", body)
 	}
-	if body.PSNR < 20 {
-		t.Errorf("PSNR vs exact = %.1f dB, want a faithful correction (>= 20)", body.PSNR)
+	if body.PSNR == nil || *body.PSNR < 20 {
+		t.Errorf("PSNR vs exact = %v dB, want a faithful correction (>= 20)", body.PSNR)
 	}
 	if body.PGMBase64 == "" {
 		t.Error("missing pgm_base64 payload")
+	}
+}
+
+// TestImageGammaExactPSNRIsNull: a small checkerboard whose stochastic
+// gamma correction lands on the exact operator at this seed has
+// infinite PSNR. It must answer 200 with psnr_db null and MAE 0, not a
+// 500 from the JSON encoder.
+func TestImageGammaExactPSNRIsNull(t *testing.T) {
+	s := New(Config{Engine: engine.Serial})
+	rec := post(s, "/v1/image/gamma", `{"source": {"synth": "checkerboard", "width": 8, "height": 8}, "stream_len": 1024, "seed": 73}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if !bytes.Contains(rec.Body.Bytes(), []byte(`"psnr_db":null`)) {
+		t.Errorf("body %s: want psnr_db null", rec.Body.String())
+	}
+	if body := decodeBody[imageBody](t, rec); body.PSNR != nil || body.MAE != 0 {
+		t.Errorf("PSNR %v, MAE %g: want null and 0 for an exact result", body.PSNR, body.MAE)
 	}
 }
 

@@ -21,6 +21,29 @@
 // generation the paper cites as future work [20], and an adapter for
 // math/rand.
 //
+// # Gaussian noise
+//
+// Gaussian is the Box–Muller sampler behind every noisy simulation
+// (detector noise in internal/transient, process variation in
+// internal/core). It draws from a concrete *SplitMix64, so the uniform
+// draws inline, and its per-sample (Next) and block (Fill, FillScaled)
+// forms produce bit-identical sequences, spare deviate included.
+//
+// Where the noise only feeds threshold decisions, ThresholdWord
+// returns 64 of them as one word, bit-identical to FillScaled plus
+// `level+noise > thr` and consuming the source identically. It screens
+// each Box–Muller pair by its radius r = √(−2 ln u1), which bounds both
+// deviates: when σ·r is safely below both slots' distance to the
+// threshold, both decisions equal level > thr. Since r < R ⇔
+// u1 > exp(−R²/2), the screen is one integer compare of the 53-bit u1
+// draw against a per-level cut from ScreenCut, and screened pairs skip
+// log, sqrt and sincos. The cut shrinks the distance by 2⁻⁴⁹ of the
+// operands' magnitude and scales R by 1 − 2⁻³⁰, enough to cover the
+// rounding of Log, Sqrt, Exp, the noise multiplies and the final add;
+// ScreenCut documents the bound term by term, and any input it cannot
+// bound (non-finite, σ ≤ 0 or subnormal, radius below 2⁻⁹·⁵) gets a
+// cut no draw exceeds, leaving the slot to the full arithmetic.
+//
 // # ReSC
 //
 // ReSC evaluates a Bernstein polynomial B(x) = Σ b_i B_{i,n}(x) by

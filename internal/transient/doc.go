@@ -33,6 +33,16 @@
 //	vals, err := sim.EvaluateBatch(xs, 4096)    // fanned over all cores
 //	ber, err := sim.MeasureWorstCaseBER(200_000)
 //
+// MeasureWorstCaseBER, behind /v1/ber, the waterfall figure and
+// internal/dse.NoiseStudy's BER, only needs each slot's decision, not
+// its analog value. It sends one alternating one/zero level block per
+// 64 slots through stochastic.Gaussian.ThresholdWord and counts errors
+// with two masked popcounts. The kernel skips the Box–Muller
+// transcendentals for every pair whose radius cannot cross the
+// threshold and is bit-identical to adding FillScaled noise to each
+// level, so the measured BER and the noise stream left behind are
+// those of the per-slot simulation.
+//
 // On top of the bit-level simulator the package provides the
 // throughput–accuracy trade-off study (§V.B): longer stochastic
 // streams average transmission errors away, letting a designer trade

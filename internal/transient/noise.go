@@ -11,7 +11,7 @@ import (
 // equal sources — see the type's documentation in internal/stochastic.
 type Gaussian = stochastic.Gaussian
 
-// NewGaussian wraps a uniform source.
-func NewGaussian(src stochastic.NumberSource) *Gaussian {
+// NewGaussian wraps a SplitMix64 uniform source.
+func NewGaussian(src *stochastic.SplitMix64) *Gaussian {
 	return stochastic.NewGaussian(src)
 }

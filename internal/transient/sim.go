@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -156,39 +157,44 @@ func (s *Simulator) worstCasePair() (oneLevel, zeroLevel, threshold float64) {
 // maximizing crosstalk). A non-positive slot count is an error, and
 // an odd count is rounded up so the two patterns are transmitted
 // equally often — an unbalanced split would bias the measurement
-// toward one pattern's error rate. Noise is drawn in blocks
-// (Gaussian.FillScaled), which consumes the stream exactly as the
-// serial per-slot draw would. The measurement converges to the
-// analytical Eq. (9) BER of the circuit.
-func (s *Simulator) MeasureWorstCaseBER(bits int) (float64, error) {
-	if bits <= 0 {
-		return 0, fmt.Errorf("transient: BER measurement needs bits >= 1, got %d", bits)
+// toward one pattern's error rate. The slots are decided 64 at a time
+// by Gaussian.ThresholdWord, which draws the noise stream exactly as
+// the serial per-slot draw would and returns the same decisions as
+// adding that noise to each level, so the count is bit-identical to
+// the per-slot simulation. The measurement converges to the analytical
+// Eq. (9) BER of the circuit.
+func (s *Simulator) MeasureWorstCaseBER(slots int) (float64, error) {
+	if slots <= 0 {
+		return 0, fmt.Errorf("transient: BER measurement needs bits >= 1, got %d", slots)
 	}
-	if bits%2 != 0 {
-		bits++ // balance the even/odd pattern split
+	if slots%2 != 0 {
+		slots++ // balance the even/odd pattern split
 	}
 	oneLevel, zeroLevel, threshold := s.worstCasePair()
+	sigma := s.SigmaMW
 
-	errors := 0
-	var noise [64]float64
-	for t := 0; t < bits; t += len(noise) {
-		nb := min(len(noise), bits-t)
-		s.noise.FillScaled(noise[:nb], s.SigmaMW)
-		for k := 0; k < nb; k++ {
-			level, want := oneLevel, 1
-			if (t+k)%2 != 0 {
-				level, want = zeroLevel, 0
-			}
-			got := 0
-			if level+noise[k] > threshold {
-				got = 1
-			}
-			if got != want {
-				errors++
-			}
+	// Every block starts on an even slot, so one alternating block of
+	// levels and screen cuts serves them all.
+	var levels [64]float64
+	var cuts [64]uint64
+	oneCut := stochastic.ScreenCut(oneLevel, threshold, sigma)
+	zeroCut := stochastic.ScreenCut(zeroLevel, threshold, sigma)
+	for k := range levels {
+		levels[k], cuts[k] = oneLevel, oneCut
+		if k%2 != 0 {
+			levels[k], cuts[k] = zeroLevel, zeroCut
 		}
 	}
-	return float64(errors) / float64(bits), nil
+	const sent = 0x5555555555555555 // the '1' pattern's slots
+
+	errors := 0
+	for t := 0; t < slots; t += len(levels) {
+		nb := min(len(levels), slots-t)
+		got := s.noise.ThresholdWord(levels[:nb], cuts[:nb], threshold, sigma)
+		valid := ^uint64(0) >> (64 - nb)
+		errors += bits.OnesCount64(^got&sent&valid) + bits.OnesCount64(got&^sent&valid)
+	}
+	return float64(errors) / float64(slots), nil
 }
 
 // AnalyticWorstCaseBER returns the Eq. (9) prediction for the same

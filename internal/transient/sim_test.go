@@ -62,6 +62,66 @@ func TestMeasuredBERMatchesAnalytic(t *testing.T) {
 	}
 }
 
+// fillWorstCaseBER is the block-noise MeasureWorstCaseBER the
+// ThresholdWord kernel replaced: FillScaled noise added to each
+// slot's level and compared with the threshold.
+func fillWorstCaseBER(s *Simulator, bits int) float64 {
+	if bits%2 != 0 {
+		bits++
+	}
+	oneLevel, zeroLevel, threshold := s.worstCasePair()
+	errors := 0
+	var noise [64]float64
+	for t := 0; t < bits; t += len(noise) {
+		nb := min(len(noise), bits-t)
+		s.noise.FillScaled(noise[:nb], s.SigmaMW)
+		for k := 0; k < nb; k++ {
+			level, want := oneLevel, true
+			if (t+k)%2 != 0 {
+				level, want = zeroLevel, false
+			}
+			if level+noise[k] > threshold != want {
+				errors++
+			}
+		}
+	}
+	return float64(errors) / float64(bits)
+}
+
+// TestMeasureWorstCaseBERThresholdWordMatchesFill pins the kernel swap
+// as bit-identical: across probe powers from a closed eye to a
+// vanishing BER, slot counts that end mid-block and mid-pair, and a
+// noise stream entered with and without a cached spare, the measured
+// BER and the noise stream left behind equal the FillScaled loop's.
+func TestMeasureWorstCaseBERThresholdWordMatchesFill(t *testing.T) {
+	p := core.PaperParams()
+	c := core.MustCircuit(p)
+	powers := []float64{c.MinProbePowerMW(0.3), c.MinProbePowerMW(1e-1), c.MinProbePowerMW(1e-4), c.MinProbePowerMW(1e-12), 1e-6}
+	for _, mw := range powers {
+		for _, bits := range []int{1, 2, 63, 64, 65, 130, 20_000} {
+			for _, spare := range []bool{false, true} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					got, want := newTestSim(t, mw, seed), newTestSim(t, mw, seed)
+					if spare {
+						got.Step(0.5)
+						want.Step(0.5)
+					}
+					g, err := got.MeasureWorstCaseBER(bits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w := fillWorstCaseBER(want, bits); g != w {
+						t.Fatalf("%.4g mW, %d bits, spare %v, seed %d: BER %g, FillScaled loop %g", mw, bits, spare, seed, g, w)
+					}
+					if g, w := got.noise.Next(), want.noise.Next(); g != w {
+						t.Fatalf("%.4g mW, %d bits, spare %v, seed %d: noise stream diverged (%g vs %g)", mw, bits, spare, seed, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAnalyticWorstCaseTracksCircuitBER(t *testing.T) {
 	// The pattern-pair BER and the circuit's Eq. (9) BER use slightly
 	// different crosstalk accounting (simultaneous vs summed one-hot

@@ -1,37 +1,45 @@
 package transient
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
 )
 
+// TestBERWaterfallTracksAnalytic is the statistical oracle for the
+// measured waterfall: every slot of the worst-case pattern pair errs
+// independently with the Eq. (9) probability p, so a point's error
+// count is Binomial(bits, p). At each point of the 1e-1 .. 1e-4
+// waterfall the seeded count must lie within 5 binomial standard
+// deviations of bits·p — the binomial error analysis of "Principles of
+// Stochastic Computing" (arXiv 2011.05153) applied to the link.
 func TestBERWaterfallTracksAnalytic(t *testing.T) {
 	base := core.PaperParams()
-	// Power range spanning BER ~1e-1 down to ~1e-4: measurable with
-	// 3e5 bits.
 	c := core.MustCircuit(base)
-	p1 := c.MinProbePowerMW(1e-1)
-	p4 := c.MinProbePowerMW(1e-4)
-	powers := []float64{p1, (p1 + p4) / 2, p4}
-	pts, err := BERWaterfall(base, powers, 300_000, 17)
+	targets := []float64{1e-1, 1e-2, 1e-3, 1e-4}
+	powers := make([]float64, len(targets))
+	for i, ber := range targets {
+		powers[i] = c.MinProbePowerMW(ber)
+	}
+	const bits = 300_000
+	pts, err := BERWaterfall(base, powers, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != len(targets) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for i, p := range pts {
-		if p.AnalyticBER <= 0 {
+		if p.AnalyticBER <= 0 || p.AnalyticBER >= 0.5 {
 			t.Fatalf("point %d: analytic %g", i, p.AnalyticBER)
 		}
-		// Measured within a factor 2 of analytic wherever statistics
-		// are meaningful (>= ~30 expected errors).
-		if p.AnalyticBER*300_000 > 30 {
-			ratio := p.MeasuredBER / p.AnalyticBER
-			if ratio < 0.5 || ratio > 2 {
-				t.Errorf("point %d (%.4f mW): measured %g vs analytic %g", i, p.ProbeMW, p.MeasuredBER, p.AnalyticBER)
-			}
+		errors := math.Round(p.MeasuredBER * bits)
+		mean := bits * p.AnalyticBER
+		sd := math.Sqrt(bits * p.AnalyticBER * (1 - p.AnalyticBER))
+		if z := (errors - mean) / sd; math.Abs(z) > 5 {
+			t.Errorf("point %d (%.4f mW, target %g): %.0f errors in %d bits, Eq. (9) expects %.1f ± %.1f (z = %.1f)",
+				i, p.ProbeMW, targets[i], errors, bits, mean, sd, z)
 		}
 		// More power, fewer errors.
 		if i > 0 && p.AnalyticBER >= pts[i-1].AnalyticBER {
