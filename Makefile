@@ -6,8 +6,9 @@ SHELL       := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 # The benchmarks tracked by CI's bench-delta job (cmd/benchdelta):
-# the engine-dispatched paths (one per package), serial engines
-# included so the dispatch overhead stays visible.
+# the engine-dispatched paths (one per package) on the word-parallel
+# engine. Serial twins are not tracked: the cross-engine suites
+# already prove them equal, and on a small runner they measure nothing.
 BENCH_PATTERN := Trace|BERWaterfall|AccuracyVsLength|OptimalSpacing|GammaVideo|SweepEngine|ServeFig
 BENCH_PKGS    := ./internal/transient ./internal/core ./internal/image ./internal/dse ./internal/serve
 # 10 iterations per count: at 3x, run-to-run scheduler jitter on a
@@ -20,8 +21,8 @@ test:
 	go build ./... && go test ./...
 
 # The repo-convention static analyzers (cmd/osclint): determinism,
-# oracle pairs, error propagation, map-iteration order, hot-loop
-# allocation. Fails on any unsuppressed finding — what CI's osclint
+# enginetest registration, error propagation, map-iteration order,
+# hot-loop allocation. Fails on any unsuppressed finding — what CI's osclint
 # job runs.
 lint:
 	go run ./cmd/osclint ./...

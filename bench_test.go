@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/engine"
 	img "repro/internal/image"
 	"repro/internal/netlist"
 	"repro/internal/photonic"
@@ -64,7 +66,10 @@ func BenchmarkFig5b(b *testing.B) {
 func BenchmarkFig5c(b *testing.B) {
 	var r dse.Fig5CResult
 	for i := 0; i < b.N; i++ {
-		r = dse.Fig5C()
+		var err error
+		if r, err = dse.Fig5C(context.Background(), engine.WordParallel); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(r.MaxZero, "max0_mW")
 	b.ReportMetric(r.MinOne, "min1_mW")
@@ -94,7 +99,10 @@ func BenchmarkMRRFirst(b *testing.B) {
 func BenchmarkFig6a(b *testing.B) {
 	var pts []dse.Fig6APoint
 	for i := 0; i < b.N; i++ {
-		pts = dse.Fig6A(4, 4)
+		var err error
+		if pts, err = dse.Fig6A(context.Background(), engine.WordParallel, 4, 4); err != nil {
+			b.Fatal(err)
+		}
 	}
 	// Report the worst corner (max probe power).
 	worst := 0.0
@@ -111,7 +119,7 @@ func BenchmarkFig6b(b *testing.B) {
 	var pts []dse.Fig6BPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = dse.Fig6B([]float64{1e-2, 1e-4, 1e-6})
+		pts, err = dse.Fig6B(context.Background(), engine.WordParallel, []float64{1e-2, 1e-4, 1e-6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +132,10 @@ func BenchmarkFig6b(b *testing.B) {
 func BenchmarkFig6c(b *testing.B) {
 	var pts []dse.Fig6CPoint
 	for i := 0; i < b.N; i++ {
-		pts = dse.Fig6C()
+		var err error
+		if pts, err = dse.Fig6C(context.Background(), engine.WordParallel); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, p := range pts {
 		if p.Err == nil {
@@ -138,7 +149,7 @@ func BenchmarkFig7a(b *testing.B) {
 	var series []dse.Fig7ASeries
 	var err error
 	for i := 0; i < b.N; i++ {
-		series, err = dse.Fig7A([]int{2}, 7)
+		series, err = dse.Fig7A(context.Background(), engine.WordParallel, []int{2}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +163,7 @@ func BenchmarkFig7b(b *testing.B) {
 	var rows []dse.Fig7BRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = dse.Fig7B([]int{2, 8})
+		rows, err = dse.Fig7B(context.Background(), engine.WordParallel, []int{2, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +180,7 @@ func BenchmarkEnergyPerBit(b *testing.B) {
 	var opt core.EnergyBreakdown
 	var err error
 	for i := 0; i < b.N; i++ {
-		opt, err = m.OptimalSpacing(0.1, 0.3)
+		opt, err = m.OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,14 +255,11 @@ func BenchmarkGammaReSC(b *testing.B) {
 	})
 }
 
-// BenchmarkRobertsCross contrasts the bit-serial Robert's-cross
-// oracle with the packed tiled engine at the paper-scale stream
-// length — the tentpole speedup (≥4× single-core, times the core
-// count from the tile pool). The two paths emit bit-identical images.
-// The checkerboard is the canonical edge test card, where the
-// engine's flat-window elision also kicks in (~17× single-core); the
-// dense radial image defeats the elision and isolates the fused
-// word-kernel gain alone.
+// BenchmarkRobertsCross measures the packed tiled edge engine at the
+// paper-scale stream length, on one core and on the tile pool. The
+// checkerboard is the canonical edge test card, where the engine's
+// flat-window elision kicks in; the dense radial image defeats the
+// elision and isolates the fused word-kernel cost alone.
 func BenchmarkRobertsCross(b *testing.B) {
 	const streamLen, seed = 4096, 7
 	run := func(name string, singleCore bool, src *img.Gray, f func(*img.Gray) (*img.Gray, error)) {
@@ -273,18 +281,13 @@ func BenchmarkRobertsCross(b *testing.B) {
 			b.ReportMetric(img.PSNR(exact, out), "PSNR_dB")
 		})
 	}
-	serial := func(src *img.Gray) (*img.Gray, error) {
-		return img.RobertsCrossSCSerial(src, streamLen, seed)
-	}
 	packed := func(src *img.Gray) (*img.Gray, error) {
-		return img.RobertsCrossSC(src, streamLen, seed)
+		return img.RobertsCrossSCOn(engine.WordParallel, src, streamLen, seed)
 	}
 	board := img.Checkerboard(64, 64, 8, 30, 220)
 	dense := img.Radial(64, 64)
-	run("serial", false, board, serial)
 	run("packed-1core", true, board, packed)
 	run("packed", false, board, packed)
-	run("dense-serial", false, dense, serial)
 	run("dense-packed-1core", true, dense, packed)
 }
 
@@ -450,7 +453,10 @@ func BenchmarkAblationAPD(b *testing.B) {
 func BenchmarkAblationRingLinewidth(b *testing.B) {
 	var rows []dse.RingSensitivityRow
 	for i := 0; i < b.N; i++ {
-		rows = dse.RingSensitivity([]float64{0.75, 1.0, 1.5})
+		var err error
+		if rows, err = dse.RingSensitivity(context.Background(), engine.WordParallel, []float64{0.75, 1.0, 1.5}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		if r.Feasible {
@@ -459,10 +465,9 @@ func BenchmarkAblationRingLinewidth(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncSweep contrasts the bit-serial pulse-synchronization
-// oracle (§V.D) with the word-parallel sweep: block Gaussian fills per
-// offset, offsets fanned over the pool with derived seeds. The two
-// paths return identical points.
+// BenchmarkSyncSweep measures the word-parallel pulse-synchronization
+// sweep (§V.D): block Gaussian fills per offset, offsets fanned over
+// the pool with derived seeds.
 func BenchmarkSyncSweep(b *testing.B) {
 	p := core.PaperParams()
 	c := core.MustCircuit(p)
@@ -472,7 +477,7 @@ func BenchmarkSyncSweep(b *testing.B) {
 	}
 	sim := transient.NewSimulator(u, 6)
 	const points, bits = 16, 10_000
-	run := func(name string, singleCore bool, sweep func(points, bits int) []transient.SyncPoint) {
+	run := func(name string, singleCore bool) {
 		b.Run(name, func(b *testing.B) {
 			if singleCore {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -480,20 +485,18 @@ func BenchmarkSyncSweep(b *testing.B) {
 			var pts []transient.SyncPoint
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pts = sweep(points, bits)
+				pts = sim.SyncSweepOn(engine.WordParallel, points, bits)
 			}
 			b.ReportMetric(transient.WorstInPulseBER(pts), "BER_gated")
 			b.ReportMetric(transient.WorstOutOfPulseBER(pts), "BER_ungated")
 		})
 	}
-	run("serial", false, sim.SyncSweepSerial)
-	run("words-1core", true, sim.SyncSweep)
-	run("words", false, sim.SyncSweep)
+	run("words-1core", true)
+	run("words", false)
 }
 
-// BenchmarkMeasureEye contrasts the Step-per-slot eye oracle with the
-// word-parallel measurement (core.Unit.Cycles + block noise); the two
-// accumulate identical statistics.
+// BenchmarkMeasureEye measures the word-parallel eye measurement
+// (core.Unit.Cycles + block noise).
 func BenchmarkMeasureEye(b *testing.B) {
 	c := core.MustCircuit(core.PaperParams())
 	u, err := core.NewUnit(c, stochastic.NewBernstein([]float64{0.25, 0.625, 0.75}), 5)
@@ -502,17 +505,10 @@ func BenchmarkMeasureEye(b *testing.B) {
 	}
 	sim := transient.NewSimulator(u, 6)
 	const bits = 20_000
-	b.Run("serial", func(b *testing.B) {
-		var e transient.EyeStats
-		for i := 0; i < b.N; i++ {
-			e = sim.MeasureEyeSerial(0.5, bits)
-		}
-		b.ReportMetric(e.OpeningMW, "opening_mW")
-	})
 	b.Run("words", func(b *testing.B) {
 		var e transient.EyeStats
 		for i := 0; i < b.N; i++ {
-			e = sim.MeasureEye(0.5, bits)
+			e = sim.MeasureEyeOn(engine.WordParallel, 0.5, bits)
 		}
 		b.ReportMetric(e.OpeningMW, "opening_mW")
 	})
@@ -531,7 +527,10 @@ func BenchmarkFig6aSweep(b *testing.B) {
 			var pts []dse.Fig6APoint
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pts = dse.Fig6A(6, 6)
+				var err error
+				if pts, err = dse.Fig6A(context.Background(), engine.WordParallel, 6, 6); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			worst := 0.0
@@ -559,7 +558,7 @@ func BenchmarkFig7aSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				series, err = dse.Fig7A([]int{2, 4, 6}, 11)
+				series, err = dse.Fig7A(context.Background(), engine.WordParallel, []int{2, 4, 6}, 11)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -584,7 +583,10 @@ func BenchmarkRingSensitivitySweep(b *testing.B) {
 			var rows []dse.RingSensitivityRow
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows = dse.RingSensitivity(scales)
+				var err error
+				if rows, err = dse.RingSensitivity(context.Background(), engine.WordParallel, scales); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			b.ReportMetric(rows[1].OptSpacingNM, "opt_nm@1x")
@@ -606,7 +608,7 @@ func BenchmarkYieldDie(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err = core.AnalyzeYield(p, core.VariationSpec{
+		r, err = core.AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, core.VariationSpec{
 			RingResonanceSigmaNM: 0.05,
 			Samples:              1,
 			Seed:                 7,
@@ -678,7 +680,7 @@ func BenchmarkYield(b *testing.B) {
 	var r core.YieldResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = core.AnalyzeYield(p, core.VariationSpec{
+		r, err = core.AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, core.VariationSpec{
 			RingResonanceSigmaNM: 0.05,
 			Samples:              100,
 			Seed:                 7,
@@ -738,7 +740,7 @@ func BenchmarkAblationSpacing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opt, err = m.OptimalSpacing(0.1, 0.3)
+		opt, err = m.OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			b.Fatal(err)
 		}

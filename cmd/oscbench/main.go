@@ -75,7 +75,7 @@ func main() {
 	gridN := flag.Int("grid", figures.Defaults().GridN, "grid resolution for Fig 6(a) (>= 2)")
 	sweepN := flag.Int("sweep", figures.Defaults().SweepN, "sweep points for Fig 7(a) (>= 2)")
 	workers := flag.Int("workers", 0, "cap the parallel worker pool (0 = all cores)")
-	engName := flag.String("engine", "", "evaluation engine for every sweep ("+strings.Join(engine.Names(), ", ")+"; default: "+engine.Default().Name()+")")
+	engName := flag.String("engine", engine.WordParallel.Name(), "evaluation engine for every sweep ("+strings.Join(engine.Names(), ", ")+")")
 	timing := flag.Bool("timing", false, "print per-figure wall time")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no deadline)")
 	samples := flag.Int("samples", figures.Defaults().Samples, "dies per sigma for -fig yield (>= 1)")
@@ -90,15 +90,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *engName != "" {
-		e, err := engine.Get(*engName)
-		if err == nil {
-			err = engine.SetDefault(e)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oscbench:", err)
-			os.Exit(1)
-		}
+	eng, err := engine.Get(*engName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "oscbench:", err)
+		os.Exit(1)
 	}
 
 	// SIGINT cancels the sweep context; conforming dispatch paths stop
@@ -120,6 +115,7 @@ func main() {
 		Resume:     *resume,
 		ShardK:     shardK,
 		ShardN:     shardN,
+		Engine:     eng,
 	}
 	if err := run(ctx, os.Stdout, *fig, cfg, *workers, *timing); err != nil {
 		fmt.Fprintln(os.Stderr, "oscbench:", err)

@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/engine"
 	"repro/internal/netlist"
 	"repro/internal/transient"
 )
@@ -80,7 +81,7 @@ func run(path string) error {
 		fmt.Printf("  B(%.4g) = %.5f  (analytic %.5f, %d bits)\n", deck.InputX, got, analytic, deck.Bits)
 		fmt.Printf("  worst-case BER: measured %.3e, analytic %.3e\n",
 			measured, sim.AnalyticWorstCaseBER())
-		fmt.Printf("  %v\n", sim.MeasureEye(deck.InputX, 20_000))
+		fmt.Printf("  %v\n", sim.MeasureEyeOn(engine.WordParallel, deck.InputX, 20_000))
 	} else {
 		got, _ := e.Unit.EvaluateWords(deck.InputX, deck.Bits)
 		fmt.Println("transient (noiseless):")

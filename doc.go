@@ -29,13 +29,15 @@
 // through a pluggable engine layer (internal/engine). An Engine says
 // how independent work items run — engine.Serial in index order on
 // the calling goroutine, engine.WordParallel over the
-// internal/parallel pool — and every sweep-shaped entry point has an
-// explicit-engine form (AccuracyVsLengthOn, RobertsCrossSCOn,
-// SweepOn, OptimalSpacingOn, ...): the bare name X runs on the
-// process-default engine (engine.Default, word-parallel; swap it with
-// engine.SetDefault or `oscbench -engine serial`), and each retained
-// XSerial oracle is a one-line shim on engine.Serial rather than a
-// parallel code copy. Cross-engine bit-equivalence and
+// internal/parallel pool — and every sweep-shaped path has exactly
+// one entry point, which takes its engine (and, when it can be
+// interrupted, its context) from the caller: AccuracyVsLengthCtx,
+// RobertsCrossSCOn, dse.SweepCtx, OptimalSpacingCtx, ...
+// (`oscbench -engine serial` selects the engine for a whole run). The
+// oracle is the same entry point on engine.Serial, not a parallel code
+// copy, and a study dispatches on its engine at one level only: fan-outs
+// nested inside a sweep item run on engine.Serial. Cross-engine
+// bit-equivalence and
 // GOMAXPROCS-independence are pinned by one generic suite,
 // internal/engine/enginetest: each package registers its engine entry
 // points as enginetest cases, replayed on every registered engine at
@@ -51,13 +53,13 @@
 // transient.Simulator.EvaluateBatch and the dse.NoiseStudy
 // Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over
 // the same worker pool. The transient measurements follow suit, each an
-// engine-dispatched entry point (TraceOn, MeasureEyeOn, SyncSweepOn,
-// BERWaterfallOn, AccuracyVsLengthOn): Trace and MeasureEye decode 64
-// cycles per word (core.Unit.Cycles) with block noise, and
-// SyncSweep, BERWaterfall (oscbench -fig waterfall) and
-// AccuracyVsLength fan their points and trials over the selected
-// engine with derived seeds — bit-identical across engines at any
-// GOMAXPROCS. Quickstart:
+// engine-dispatched entry point (TraceCtx, MeasureEyeOn, SyncSweepOn,
+// BERWaterfallCtx, AccuracyVsLengthCtx): the trace and the eye decode
+// 64 cycles per word (core.Unit.Cycles) with block noise, and the sync
+// sweep, the BER waterfall (oscbench -fig waterfall) and the
+// accuracy-vs-length study fan their points and trials over the
+// selected engine with derived seeds — bit-identical across engines at
+// any GOMAXPROCS. Quickstart:
 //
 //	sim := transient.NewSimulator(u, 2)
 //	val, _, err := sim.EvaluateWords(0.5, 4096)        // one noisy stream
@@ -67,29 +69,29 @@
 // Image workloads run word-parallel end to end. Gamma correction
 // builds its 256-level LUT through the batch engines — and because
 // the LUT is a pure function of its recipe, image.GammaLUTCache
-// memoizes it across frames and image.GammaVideo corrects whole frame
-// batches through one cached table (oscbench -fig video), frames
-// fanned over the pool; Robert's-cross
-// edge detection — per-pixel correlated streams, no LUT shortcut —
-// runs on a tiled multi-core engine (image.RobertsCrossSC) built from
+// memoizes it across frames and image.GammaVideoCtx corrects whole
+// frame batches through one cached table (oscbench -fig video), frames
+// fanned over the engine; Robert's-cross edge detection — per-pixel
+// correlated streams, no LUT shortcut — runs as a tiled kernel
+// (image.RobertsCrossSCOn) built from
 // word-level plane kernels: stochastic.FillCorrelatedPlanes draws one
 // shared uniform per clock against two thresholds so XOR computes
 // |a−b| exactly, stochastic.FillAbsDiffPlane fuses that pair with its
 // XOR, and Xor/Not/Mux plane combinators run on per-worker scratch
 // with zero per-pixel allocations. Per-pixel stochastic.DeriveSeed
-// seeding keeps the tiled output bit-identical to the bit-serial
-// oracle on any GOMAXPROCS; flat image regions elide their RNG draws
-// entirely. core.AnalyzeYield fans Monte-Carlo dies over the same
-// pool with per-die derived seeds, reproducible on any core count.
+// seeding keeps the tiled output bit-identical to an engine.Serial run
+// on any GOMAXPROCS; flat image regions elide their RNG draws
+// entirely. core.AnalyzeYieldCtx fans Monte-Carlo dies over the engine
+// with per-die derived seeds, reproducible on any core count.
 // Quickstart:
 //
-//	sc, err := image.RobertsCrossSC(src, 4096, seed)  // packed tiled engine
-//	oracle, err := image.RobertsCrossSCSerial(src, 4096, seed)  // identical bits
-//	rows, err := dse.EdgeStudy([]int{64, 256, 1024, 4096}, 7)   // oscbench -fig edge
+//	sc, err := image.RobertsCrossSCOn(engine.WordParallel, src, 4096, seed) // packed tiled engine
+//	oracle, err := image.RobertsCrossSCOn(engine.Serial, src, 4096, seed)   // identical bits
+//	rows, err := dse.EdgeStudy(ctx, e, []int{64, 256, 1024, 4096}, 7)        // oscbench -fig edge
 //
 // The figure/design-space layer runs on a deterministic parallel
 // sweep engine (internal/dse): every study is an index-ordered list of
-// independent points fanned over the worker pool, with any randomness
+// independent points fanned over the caller's engine, with any randomness
 // derived from the point index (stochastic.DeriveSeed) — so `oscbench
 // -fig all` and the dse APIs scale with cores yet return identical
 // tables at any GOMAXPROCS (cap the pool with `oscbench -workers N`,
@@ -99,27 +101,30 @@
 // power bands and the Eq. (8) margin — so design solves, yield dies
 // and the packed engines stop re-evaluating ring Lorentzians per
 // state. Even the golden-section spacing search
-// (core.EnergyModel.OptimalSpacing) fans its bracketing grid scan —
+// (core.EnergyModel.OptimalSpacingCtx) fans its bracketing grid scan —
 // the ~60 independent design solves that dominate it — over the
 // engine in contiguous chunks (engine.Chunked), so dispatch overhead
-// no longer eats the fan-out win, bit-identical to its serial shim. CI tracks the speed itself: the
+// no longer eats the fan-out win, bit-identical on engine.Serial. CI
+// tracks the speed itself: the
 // bench-delta job records the tentpole benchmarks as BENCH_PR5.json
 // and gates them against the committed BENCH_BASELINE.json (refresh
 // with `make bench-baseline`, see cmd/benchdelta). Quickstart:
 //
-//	pts := dse.Fig6A(12, 12)                          // parallel grid of MZIFirst solves
-//	rows := dse.Sweep(len(xs), func(i int) R { ... }) // custom sweep, index-ordered
-//	rows, err := dse.SweepSeededErr(n, seed, point)   // Monte-Carlo, per-point seeds
-//	pow := circuit.PowerTable()                       // shared (weight, zmask) -> mW
+//	pts, err := dse.Fig6A(ctx, e, 12, 12)                  // grid of MZIFirst solves
+//	rows, err := dse.SweepCtx(ctx, e, n, func(i int) (R, error) {
+//	    return point(stochastic.DeriveSeed(seed, i))       // Monte-Carlo, per-point seeds
+//	})
+//	pow := circuit.PowerTable()                            // shared (weight, zmask) -> mW
 //
 // The long-running sweeps are robust to interruption and faults. The
 // engine layer dispatches under a context (engine.CtxEngine,
 // engine.RunCtx): SIGINT, a deadline (`oscbench -timeout`), or a
 // worker panic stops the fan-out at an item boundary and surfaces a
 // typed *engine.Partial — which items completed, and why it stopped —
-// instead of crashing; the cancellable entry points (AnalyzeYieldCtx,
+// instead of crashing; the entry points (AnalyzeYieldCtx,
 // BERWaterfallCtx, AccuracyVsLengthCtx, GammaVideoCtx, dse.SweepCtx/
-// GridCtx) thread it through every layer. On top of that,
+// GridCtx, every dse figure generator) thread it through every layer.
+// On top of that,
 // dse.Checkpointer snapshots completed sweep points to disk (atomic
 // writes, fail-closed content-hash keys) so an interrupted run
 // resumes by re-running only the missing indices — bit-identical to
@@ -163,8 +168,8 @@
 // job dispatches on one shared engine.Limited (a slot-semaphore
 // engine, registered and enginetest-verified) so concurrent requests
 // never oversubscribe the machine, per-request deadlines thread into
-// the *Ctx entry points and surface engine.Partial progress in typed
-// 504 bodies, a panicking work item becomes a typed 500 naming the
+// the ctx-first entry points (every figure included) and surface
+// engine.Partial progress in typed 504 bodies, a panicking work item becomes a typed 500 naming the
 // faulting index while the server keeps serving, and SIGTERM drains
 // gracefully — in-flight sweeps checkpoint at an item boundary, and a
 // restarted server resumes a re-POSTed /v1/yield byte-identical to an
@@ -204,9 +209,9 @@
 //     cmd/osclint and CI's osclint job.
 //
 // The reproduction disciplines above — derived seeds instead of wall
-// clocks, sorted map iteration before rendering, pinned X/XSerial
-// oracle pairs, engine entry points registered in the cross-engine
-// enginetest suite, propagated errors, allocation-free worker bodies —
+// clocks, sorted map iteration before rendering, engine entry points
+// registered in the cross-engine enginetest suite, propagated errors,
+// allocation-free worker bodies —
 // are machine-enforced: `make lint` (cmd/osclint, stdlib-only go/ast +
 // go/types) fails CI on any unsuppressed violation, and intentional
 // exceptions carry //osclint:ignore annotations with reasons.

@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 )
 
@@ -41,20 +43,25 @@ func main() {
 		mzi.WLSpacingNM, mzi.Lambda(0), mzi.ProbePowerMW)
 
 	// Energy optimization across the spacing range (Fig. 7a).
+	ctx, e := context.Background(), engine.WordParallel
 	model := core.NewEnergyModel(2)
 	fmt.Println("energy vs spacing (n=2):")
-	for _, b := range model.Sweep(0.1, 0.3, 9) {
+	sweep, err := model.SweepCtx(ctx, e, 0.1, 0.3, 9)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, b := range sweep {
 		fmt.Printf("  %.3f nm: pump %6.2f + probe %6.2f = %6.2f pJ/bit\n",
 			b.WLSpacingNM, b.PumpPJ, b.ProbePJ, b.TotalPJ())
 	}
-	opt, err := model.OptimalSpacing(0.1, 0.3)
+	opt, err := model.OptimalSpacingCtx(ctx, e, 0.1, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("optimum: %.3f nm -> %.2f pJ/bit (paper: 0.165 nm, 20.1 pJ)\n",
 		opt.WLSpacingNM, opt.TotalPJ())
 
-	saving, fixed, _, err := model.EnergySavingVsFixed(1.0, 0.1, 0.3)
+	saving, fixed, _, err := model.EnergySavingVsFixed(ctx, e, 1.0, 0.1, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/engine"
 	img "repro/internal/image"
 )
 
@@ -21,14 +22,14 @@ func main() {
 	exact := img.RobertsCrossExact(src)
 
 	start := time.Now()
-	sc, err := img.RobertsCrossSC(src, stream, 7)
+	sc, err := img.RobertsCrossSCOn(engine.WordParallel, src, stream, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	packed := time.Since(start)
 
 	start = time.Now()
-	oracle, err := img.RobertsCrossSCSerial(src, stream, 7)
+	oracle, err := img.RobertsCrossSCOn(engine.Serial, src, stream, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

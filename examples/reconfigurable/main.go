@@ -6,17 +6,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
 func main() {
 	// Locate the optimal spacing for the smallest order; the paper's
 	// observation is that it serves the others too.
-	opt, err := core.NewEnergyModel(2).OptimalSpacing(0.1, 0.3)
+	ctx := context.Background()
+	opt, err := core.NewEnergyModel(2).OptimalSpacingCtx(ctx, engine.WordParallel, 0.1, 0.3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func main() {
 	energy := rc.EnergyByOrder()
 	for _, n := range rc.Orders() {
 		e := energy[n]
-		own, err := core.NewEnergyModel(n).OptimalSpacing(0.1, 0.3)
+		own, err := core.NewEnergyModel(n).OptimalSpacingCtx(ctx, engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,11 +5,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 	"repro/internal/transient"
 )
@@ -28,13 +30,14 @@ func main() {
 		log.Fatal(err)
 	}
 	sim := transient.NewSimulator(unit, 12)
+	ctx, e := context.Background(), engine.WordParallel
 
 	fmt.Printf("probe power: %.4f mW (sized for BER 1e-3); noise sigma %.4f mW\n\n",
 		params.ProbePowerMW, sim.SigmaMW)
 
 	// 1. Waveform: 8 bit slots, 16 samples each.
 	fmt.Println("pulse-gated waveform (x = received power, gated samples uppercase):")
-	trace, err := sim.Trace(0.5, 8, 16)
+	trace, err := sim.TraceCtx(ctx, e, 0.5, 8, 16)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func main() {
 	fmt.Println("(one 26 ps pump pulse per 1 ns slot; detection happens in the gated window)")
 
 	// 2. Eye statistics.
-	eye := sim.MeasureEye(0.5, 20000)
+	eye := sim.MeasureEyeOn(e, 0.5, 20000)
 	fmt.Printf("\n%v\n", eye)
 
 	// 3. BER: measured vs Eq. (9).
@@ -71,7 +74,7 @@ func main() {
 
 	// 4. Throughput-accuracy trade-off, word-parallel.
 	fmt.Println("\naccuracy vs stream length at x=0.5:")
-	pts, err := sim.AccuracyVsLength(0.5, []int{64, 256, 1024, 4096}, 40)
+	pts, err := sim.AccuracyVsLengthCtx(ctx, e, 0.5, []int{64, 256, 1024, 4096}, 40)
 	if err != nil {
 		log.Fatal(err)
 	}

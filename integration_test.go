@@ -3,6 +3,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/engine"
 	img "repro/internal/image"
 	"repro/internal/numeric"
 	"repro/internal/optics"
@@ -140,10 +142,15 @@ func TestFigureHarnessSmoke(t *testing.T) {
 	if err := dse.RenderFig5Case(&sb, dse.Fig5A()); err != nil {
 		t.Fatal(err)
 	}
-	if err := dse.RenderFig5C(&sb, dse.Fig5C()); err != nil {
+	ctx, e := context.Background(), engine.WordParallel
+	r, err := dse.Fig5C(ctx, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := dse.Summary()
+	if err := dse.RenderFig5C(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	s, err := dse.Summary(ctx, e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -102,37 +103,34 @@ func ParamsEnergy(p Params) EnergyBreakdown {
 	}
 }
 
-// SweepOn evaluates the breakdown across a spacing range, skipping
-// infeasible points (closed eye). It returns one row per feasible
-// spacing — the data series of Fig. 7(a). Every point is an
+// SweepCtx evaluates the breakdown across a spacing range on e under
+// ctx, skipping infeasible points (closed eye). It returns one row per
+// feasible spacing — the data series of Fig. 7(a). Every point is an
 // independent MRR-first solve dispatched on the given engine and
 // filtered back in index order — identical results on every
-// conforming engine at any GOMAXPROCS. A nil engine panics (this
-// entry point has no error return).
-func (m EnergyModel) SweepOn(e engine.Engine, loNM, hiNM float64, points int) []EnergyBreakdown {
-	engine.Use(e)
+// conforming engine at any GOMAXPROCS. A fired ctx stops the fan-out
+// at a point boundary and surfaces a *engine.Partial; a nil engine is
+// an error.
+func (m EnergyModel) SweepCtx(ctx context.Context, e engine.Engine, loNM, hiNM float64, points int) ([]EnergyBreakdown, error) {
 	if points < 2 {
 		points = 2
 	}
 	ws := numeric.Linspace(loNM, hiNM, points)
 	rows := make([]EnergyBreakdown, len(ws))
 	feasible := make([]bool, len(ws))
-	e.For(len(ws), func(i int) {
+	if err := engine.RunCtx(ctx, e, len(ws), nil, func(i int) {
 		b, err := m.Breakdown(ws[i])
 		rows[i], feasible[i] = b, err == nil
-	})
+	}); err != nil {
+		return nil, err
+	}
 	out := make([]EnergyBreakdown, 0, points)
 	for i, ok := range feasible {
 		if ok {
 			out = append(out, rows[i])
 		}
 	}
-	return out
-}
-
-// Sweep is SweepOn on the process-default engine.
-func (m EnergyModel) Sweep(loNM, hiNM float64, points int) []EnergyBreakdown {
-	return m.SweepOn(engine.Default(), loNM, hiNM, points)
+	return out, nil
 }
 
 // optimalGridN and optimalTolNM are the bracketing-scan resolution and
@@ -160,10 +158,11 @@ func (m EnergyModel) energyObjective(w float64) float64 {
 	return b.TotalPJ()
 }
 
-// OptimalSpacingOn minimizes the total laser energy over [loNM, hiNM]
-// and returns the optimum spacing with its breakdown. Infeasible
-// spacings are treated as infinitely expensive. It returns an error
-// if no spacing in the range is feasible, or if the engine is nil.
+// OptimalSpacingCtx minimizes the total laser energy over
+// [loNM, hiNM] and returns the optimum spacing with its breakdown.
+// Infeasible spacings are treated as infinitely expensive. It returns
+// an error if no spacing in the range is feasible, if the engine is
+// nil, or if ctx fires before the bracketing scan completes.
 //
 // The search runs in two stages. The bracketing pre-pass — the ~60
 // independent Breakdown solves that dominate the serial search — is
@@ -173,19 +172,18 @@ func (m EnergyModel) energyObjective(w float64) float64 {
 // golden-section refinement inside the winning bracket stays
 // sequential (each probe depends on the last), so the result is
 // bit-identical on every conforming engine at any GOMAXPROCS.
-func (m EnergyModel) OptimalSpacingOn(e engine.Engine, loNM, hiNM float64) (EnergyBreakdown, error) {
-	if err := engine.Check(e); err != nil {
-		return EnergyBreakdown{}, err
-	}
+func (m EnergyModel) OptimalSpacingCtx(ctx context.Context, e engine.Engine, loNM, hiNM float64) (EnergyBreakdown, error) {
 	gridX := func(i int) float64 {
 		return loNM + (hiNM-loNM)*float64(i)/float64(optimalGridN)
 	}
 	fs := make([]float64, optimalGridN+1)
-	engine.Chunked(e, len(fs), optimalChunkPts, func(lo, hi int) {
+	if err := engine.Chunked(ctx, e, len(fs), optimalChunkPts, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fs[i] = m.energyObjective(gridX(i))
 		}
-	})
+	}); err != nil {
+		return EnergyBreakdown{}, err
+	}
 	// Replay the precomputed samples through GridMinimize itself —
 	// it probes f at exactly these abscissas in index order — so the
 	// selection rule (and the returned abscissa) is literally the
@@ -203,29 +201,15 @@ func (m EnergyModel) OptimalSpacingOn(e engine.Engine, loNM, hiNM float64) (Ener
 	return b, nil
 }
 
-// OptimalSpacing is OptimalSpacingOn on the process-default engine.
-func (m EnergyModel) OptimalSpacing(loNM, hiNM float64) (EnergyBreakdown, error) {
-	return m.OptimalSpacingOn(engine.Default(), loNM, hiNM)
-}
-
-// OptimalSpacingSerial is the retained serial oracle for
-// OptimalSpacing: the same grid-then-golden-section search with every
-// Breakdown solve on the calling goroutine via engine.Serial
-// (equivalent to numeric.MinimizeUnimodal over the same grid and
-// tolerance).
-func (m EnergyModel) OptimalSpacingSerial(loNM, hiNM float64) (EnergyBreakdown, error) {
-	return m.OptimalSpacingOn(engine.Serial, loNM, hiNM)
-}
-
 // EnergySavingVsFixed returns the fractional energy saving of the
-// optimal spacing against a fixed reference spacing (the paper's
-// Fig. 7(b) reports ≈76.6 % against 1 nm).
-func (m EnergyModel) EnergySavingVsFixed(fixedNM, loNM, hiNM float64) (saving float64, fixed, opt EnergyBreakdown, err error) {
+// optimal spacing (searched on e under ctx) against a fixed reference
+// spacing (the paper's Fig. 7(b) reports ≈76.6 % against 1 nm).
+func (m EnergyModel) EnergySavingVsFixed(ctx context.Context, e engine.Engine, fixedNM, loNM, hiNM float64) (saving float64, fixed, opt EnergyBreakdown, err error) {
 	fixed, err = m.Breakdown(fixedNM)
 	if err != nil {
 		return 0, fixed, opt, err
 	}
-	opt, err = m.OptimalSpacing(loNM, hiNM)
+	opt, err = m.OptimalSpacingCtx(ctx, e, loNM, hiNM)
 	if err != nil {
 		return 0, fixed, opt, err
 	}

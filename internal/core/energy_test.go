@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestEnergyHeadline(t *testing.T) {
@@ -10,7 +13,7 @@ func TestEnergyHeadline(t *testing.T) {
 	// ≈20.1 pJ of laser energy per computed bit at the optimal
 	// spacing. Our calibrated model lands within 25 %.
 	m := NewEnergyModel(2)
-	opt, err := m.OptimalSpacing(0.1, 0.3)
+	opt, err := m.OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,10 @@ func TestEnergyOppositeTrends(t *testing.T) {
 	// Fig. 7(a): pump energy grows with spacing, probe energy
 	// shrinks.
 	m := NewEnergyModel(2)
-	sweep := m.Sweep(0.11, 0.3, 12)
+	sweep, err := m.SweepCtx(context.Background(), engine.WordParallel, 0.11, 0.3, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sweep) < 8 {
 		t.Fatalf("only %d feasible points", len(sweep))
 	}
@@ -54,7 +60,7 @@ func TestOptimalSpacingIndependentOfOrder(t *testing.T) {
 	// polynomial degree (paper: identical for n = 2, 4, 6).
 	var spacings []float64
 	for _, n := range []int{2, 4, 6} {
-		opt, err := NewEnergyModel(n).OptimalSpacing(0.1, 0.3)
+		opt, err := NewEnergyModel(n).OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -98,7 +104,7 @@ func TestFig7bEnergyVsOrder(t *testing.T) {
 }
 
 func TestEnergySavingVsFixed(t *testing.T) {
-	saving, fixed, opt, err := NewEnergyModel(2).EnergySavingVsFixed(1.0, 0.1, 0.3)
+	saving, fixed, opt, err := NewEnergyModel(2).EnergySavingVsFixed(context.Background(), engine.WordParallel, 1.0, 0.1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +163,20 @@ func TestCWPumpAblation(t *testing.T) {
 
 func TestEnergyModelInfeasibleRange(t *testing.T) {
 	m := NewEnergyModel(2)
-	if _, err := m.OptimalSpacing(0.005, 0.02); err == nil {
+	if _, err := m.OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.005, 0.02); err == nil {
 		t.Error("infeasible range accepted")
 	}
-	if _, _, _, err := m.EnergySavingVsFixed(0.01, 0.1, 0.3); err == nil {
+	if _, _, _, err := m.EnergySavingVsFixed(context.Background(), engine.WordParallel, 0.01, 0.1, 0.3); err == nil {
 		t.Error("infeasible fixed point accepted")
 	}
 }
 
 func TestSweepSkipsInfeasible(t *testing.T) {
 	m := NewEnergyModel(2)
-	rows := m.Sweep(0.02, 0.3, 30)
+	rows, err := m.SweepCtx(context.Background(), engine.WordParallel, 0.02, 0.3, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.WLSpacingNM < 0.05 {
 			t.Errorf("infeasible spacing %g present in sweep", r.WLSpacingNM)
@@ -176,18 +185,8 @@ func TestSweepSkipsInfeasible(t *testing.T) {
 	if len(rows) == 0 {
 		t.Error("sweep empty")
 	}
-	if got := m.Sweep(0.15, 0.16, 1); len(got) != 2 {
-		t.Errorf("degenerate point count handled: %d", len(got))
-	}
-}
-
-func BenchmarkOptimalSpacingSerial(b *testing.B) {
-	m := NewEnergyModel(2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.OptimalSpacingSerial(0.1, 0.3); err != nil {
-			b.Fatal(err)
-		}
+	if got, err := m.SweepCtx(context.Background(), engine.WordParallel, 0.15, 0.16, 1); err != nil || len(got) != 2 {
+		t.Errorf("degenerate point count handled: %d (%v)", len(got), err)
 	}
 }
 
@@ -195,7 +194,7 @@ func BenchmarkOptimalSpacing(b *testing.B) {
 	m := NewEnergyModel(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.OptimalSpacing(0.1, 0.3); err != nil {
+		if _, err := m.OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,105 +23,62 @@ func yieldSuiteSpec() VariationSpec {
 // TestEngineSuite registers the package's engine-accepting entry
 // points into the generic cross-engine equivalence and
 // GOMAXPROCS-determinism suite: the chunked bracketing pre-pass of
-// OptimalSpacingOn must land on the bit-identical optimum on every
-// engine, and SweepOn must filter feasible rows in index order.
+// OptimalSpacingCtx must land on the bit-identical optimum on every
+// engine, and SweepCtx must filter feasible rows in index order.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{
 		{
-			Name: "core.EnergyModel.OptimalSpacingOn/order2",
+			Name: "core.EnergyModel.OptimalSpacingCtx/order2",
 			Eval: func(e engine.Engine) (any, error) {
-				return NewEnergyModel(2).OptimalSpacingOn(e, 0.1, 0.3)
+				return NewEnergyModel(2).OptimalSpacingCtx(ctx, e, 0.1, 0.3)
 			},
 		},
 		{
-			Name: "core.EnergyModel.OptimalSpacingOn/order4",
+			Name: "core.EnergyModel.OptimalSpacingCtx/order4",
 			Eval: func(e engine.Engine) (any, error) {
-				return NewEnergyModel(4).OptimalSpacingOn(e, 0.1, 0.3)
+				return NewEnergyModel(4).OptimalSpacingCtx(ctx, e, 0.1, 0.3)
 			},
 		},
 		{
-			Name: "core.EnergyModel.SweepOn",
+			Name: "core.EnergyModel.SweepCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				// The range straddles the feasibility boundary, so the
 				// index-ordered filter is actually exercised.
-				return NewEnergyModel(2).SweepOn(e, 0.02, 0.3, 30), nil
+				return NewEnergyModel(2).SweepCtx(ctx, e, 0.02, 0.3, 30)
 			},
 		},
 		{
-			Name: "core.AnalyzeYieldOn",
+			Name: "core.EnergyModel.EnergySavingVsFixed",
 			Eval: func(e engine.Engine) (any, error) {
-				return AnalyzeYieldOn(e, PaperParams(), yieldSuiteSpec())
+				saving, fixed, opt, err := NewEnergyModel(2).EnergySavingVsFixed(ctx, e, 1.0, 0.1, 0.3)
+				return []any{saving, fixed, opt}, err
 			},
 		},
 		{
 			Name: "core.AnalyzeYieldCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return AnalyzeYieldCtx(context.Background(), e, PaperParams(), yieldSuiteSpec())
+				return AnalyzeYieldCtx(ctx, e, PaperParams(), yieldSuiteSpec())
 			},
 		},
 	})
 }
 
-// TestSerialShims pins the legacy names onto the engine layer: the
-// serial oracle OptimalSpacingSerial equals OptimalSpacing (and both
-// reject an infeasible range), Sweep equals SweepOn on the default.
-func TestSerialShims(t *testing.T) {
-	m := NewEnergyModel(2)
-	serial, err := m.OptimalSpacingSerial(0.1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := m.OptimalSpacing(0.1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != def {
-		t.Errorf("OptimalSpacingSerial %+v vs OptimalSpacing %+v", serial, def)
-	}
-	if _, err := m.OptimalSpacingSerial(0.005, 0.02); err == nil {
-		t.Error("serial shim accepted infeasible range")
-	}
-	rows := m.Sweep(0.11, 0.3, 8)
-	rowsOn := m.SweepOn(engine.Serial, 0.11, 0.3, 8)
-	if len(rows) != len(rowsOn) {
-		t.Fatalf("Sweep %d rows vs serial SweepOn %d", len(rows), len(rowsOn))
-	}
-	for i := range rows {
-		if rows[i] != rowsOn[i] {
-			t.Errorf("row %d: %+v vs %+v", i, rows[i], rowsOn[i])
-		}
-	}
-
-	ySerial, err := AnalyzeYieldSerial(PaperParams(), yieldSuiteSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := AnalyzeYield(PaperParams(), yieldSuiteSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ySerial != y {
-		t.Errorf("AnalyzeYieldSerial %+v vs AnalyzeYield %+v", ySerial, y)
-	}
-}
-
-// TestNilEngineMisuse: OptimalSpacingOn reports a nil engine as a
-// clean error; SweepOn (no error return) panics, matching engine.Use.
+// TestNilEngineMisuse: every engine-accepting entry point reports a
+// nil engine as a clean error.
 func TestNilEngineMisuse(t *testing.T) {
+	ctx := context.Background()
 	m := NewEnergyModel(2)
-	if _, err := m.OptimalSpacingOn(nil, 0.1, 0.3); err == nil {
-		t.Error("OptimalSpacingOn(nil) did not error")
+	if _, err := m.OptimalSpacingCtx(ctx, nil, 0.1, 0.3); err == nil {
+		t.Error("OptimalSpacingCtx(nil) did not error")
 	}
-	if _, err := AnalyzeYieldOn(nil, PaperParams(), yieldSuiteSpec()); err == nil {
-		t.Error("AnalyzeYieldOn(nil) did not error")
+	if _, err := m.SweepCtx(ctx, nil, 0.1, 0.3, 4); err == nil {
+		t.Error("SweepCtx(nil) did not error")
 	}
-	if _, err := AnalyzeYieldCtx(context.Background(), nil, PaperParams(), yieldSuiteSpec()); err == nil {
+	if _, _, _, err := m.EnergySavingVsFixed(ctx, nil, 1.0, 0.1, 0.3); err == nil {
+		t.Error("EnergySavingVsFixed(nil) did not error")
+	}
+	if _, err := AnalyzeYieldCtx(ctx, nil, PaperParams(), yieldSuiteSpec()); err == nil {
 		t.Error("AnalyzeYieldCtx(nil) did not error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SweepOn(nil engine) did not panic")
-		}
-	}()
-	m.SweepOn(nil, 0.1, 0.3, 4)
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -80,7 +82,7 @@ func TestReconfigurableEnergyByOrder(t *testing.T) {
 		t.Errorf("energy not increasing with order: %v", en)
 	}
 	for _, n := range []int{2, 4, 6} {
-		opt, err := NewEnergyModel(n).OptimalSpacing(0.1, 0.3)
+		opt, err := NewEnergyModel(n).OptimalSpacingCtx(context.Background(), engine.WordParallel, 0.1, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func MeasureDie(p Params, v VariationSpec, s int) DieOutcome {
 }
 
 // FoldYield aggregates per-die outcomes (in die order) into the
-// YieldResult AnalyzeYield reports — the deterministic reduce shared
+// YieldResult AnalyzeYieldCtx reports — the deterministic reduce shared
 // by the direct, checkpointed and resumed paths.
 func FoldYield(v VariationSpec, dies []DieOutcome) YieldResult {
 	res := YieldResult{Samples: len(dies)}
@@ -134,43 +134,17 @@ func checkYield(p Params, v VariationSpec) error {
 	return p.Validate()
 }
 
-// AnalyzeYieldOn fabricates `Samples` virtual dies of the design p
+// AnalyzeYieldCtx fabricates `Samples` virtual dies of the design p
 // with the given variation on the given engine and reports how many
 // still meet the BER target.
 //
 // Die s is MeasureDie(p, v, s) — Gaussians seeded from
 // stochastic.DeriveSeed(Seed, s) alone — and outcomes fold in index
 // order, so the result is identical on any conforming engine, core
-// count or scheduling. A nil engine is an error.
-func AnalyzeYieldOn(e engine.Engine, p Params, v VariationSpec) (YieldResult, error) {
-	if err := engine.Check(e); err != nil {
-		return YieldResult{}, err
-	}
-	if err := checkYield(p, v); err != nil {
-		return YieldResult{}, err
-	}
-	dies := make([]DieOutcome, v.Samples)
-	e.For(v.Samples, func(s int) {
-		dies[s] = MeasureDie(p, v, s)
-	})
-	return FoldYield(v, dies), nil
-}
-
-// AnalyzeYield is AnalyzeYieldOn on the process-default engine.
-func AnalyzeYield(p Params, v VariationSpec) (YieldResult, error) {
-	return AnalyzeYieldOn(engine.Default(), p, v)
-}
-
-// AnalyzeYieldSerial is the serial oracle: AnalyzeYieldOn on
-// engine.Serial.
-func AnalyzeYieldSerial(p Params, v VariationSpec) (YieldResult, error) {
-	return AnalyzeYieldOn(engine.Serial, p, v)
-}
-
-// AnalyzeYieldCtx is AnalyzeYieldOn with cooperative cancellation: a
-// fired ctx stops the die fan-out at a die boundary and surfaces a
-// *engine.Partial (wrapping the context error, or the
-// *parallel.PanicError of a faulting die) instead of a result.
+// count or scheduling. A nil engine is an error. A fired ctx stops the
+// die fan-out at a die boundary and surfaces a *engine.Partial
+// (wrapping the context error, or the *parallel.PanicError of a
+// faulting die) instead of a result.
 func AnalyzeYieldCtx(ctx context.Context, e engine.Engine, p Params, v VariationSpec) (YieldResult, error) {
 	if err := engine.Check(e); err != nil {
 		return YieldResult{}, err

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
 func TestYieldPerfectWithoutVariation(t *testing.T) {
 	p := PaperParams()
-	r, err := AnalyzeYield(p, VariationSpec{Samples: 20, Seed: 1, TargetBER: 1e-6})
+	r, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{Samples: 20, Seed: 1, TargetBER: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +26,14 @@ func TestYieldPerfectWithoutVariation(t *testing.T) {
 
 func TestYieldDegradesWithVariation(t *testing.T) {
 	p := PaperParams()
-	mild, err := AnalyzeYield(p, VariationSpec{
+	mild, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{
 		RingResonanceSigmaNM: 0.01,
 		Samples:              60, Seed: 2, TargetBER: 1e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	harsh, err := AnalyzeYield(p, VariationSpec{
+	harsh, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{
 		RingResonanceSigmaNM: 0.3, // untrimmed fab-level variation
 		CouplingSigma:        0.05,
 		MZIILSigmaDB:         1,
@@ -58,11 +60,11 @@ func TestYieldDegradesWithVariation(t *testing.T) {
 func TestYieldReproducible(t *testing.T) {
 	p := PaperParams()
 	spec := VariationSpec{RingResonanceSigmaNM: 0.05, Samples: 30, Seed: 7, TargetBER: 1e-6}
-	a, err := AnalyzeYield(p, spec)
+	a, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AnalyzeYield(p, spec)
+	b, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestYieldReproducible(t *testing.T) {
 		t.Errorf("same seed, different results: %v vs %v", a, b)
 	}
 	spec.Seed = 8
-	c, err := AnalyzeYield(p, spec)
+	c, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestYieldMatchesSerialOracle(t *testing.T) {
 		MZIERSigmaDB:         1,
 		Samples:              40, Seed: 5, TargetBER: 1e-6,
 	}
-	got, err := AnalyzeYield(p, v)
+	got, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +133,12 @@ func TestYieldGOMAXPROCSDeterminism(t *testing.T) {
 		CouplingSigma:        0.03,
 		Samples:              50, Seed: 17, TargetBER: 1e-6,
 	}
-	multi, err := AnalyzeYield(p, spec)
+	multi, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	single, err := AnalyzeYield(p, spec)
+	single, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +149,14 @@ func TestYieldGOMAXPROCSDeterminism(t *testing.T) {
 
 func TestYieldValidation(t *testing.T) {
 	p := PaperParams()
-	if _, err := AnalyzeYield(p, VariationSpec{Samples: 0, TargetBER: 1e-6}); err == nil {
+	if _, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{Samples: 0, TargetBER: 1e-6}); err == nil {
 		t.Error("zero samples accepted")
 	}
-	if _, err := AnalyzeYield(p, VariationSpec{Samples: 5, TargetBER: 0.7}); err == nil {
+	if _, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{Samples: 5, TargetBER: 0.7}); err == nil {
 		t.Error("bad BER target accepted")
 	}
 	p.Order = 0
-	if _, err := AnalyzeYield(p, VariationSpec{Samples: 5, TargetBER: 1e-6}); err == nil {
+	if _, err := AnalyzeYieldCtx(context.Background(), engine.WordParallel, p, VariationSpec{Samples: 5, TargetBER: 1e-6}); err == nil {
 		t.Error("invalid params accepted")
 	}
 }

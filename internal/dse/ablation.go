@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 	"repro/internal/stochastic"
 )
@@ -25,27 +27,32 @@ type RingSensitivityRow struct {
 	Feasible     bool
 }
 
-// RingSensitivity sweeps the filter-linewidth scale over the worker
-// pool (one energy-optimum search per scale). Scales are realized by
-// adjusting the symmetric coupling r so the analytic FWHM hits the
-// target.
-func RingSensitivity(scales []float64) []RingSensitivityRow {
+// RingSensitivity sweeps the filter-linewidth scale on e under ctx
+// (one energy-optimum search per scale, run on engine.Serial inside
+// its item). Scales are realized by adjusting the symmetric coupling r
+// so the analytic FWHM hits the target; an unrealizable or infeasible
+// scale is a row with Feasible false, not an error.
+func RingSensitivity(ctx context.Context, e engine.Engine, scales []float64) ([]RingSensitivityRow, error) {
 	base := core.DenseFilterShape()
 	baseFWHM := base.At(optics.CBandCenterNM).FWHMNM()
-	return Sweep(len(scales), func(i int) RingSensitivityRow {
+	return SweepCtx(ctx, e, len(scales), func(i int) (RingSensitivityRow, error) {
 		s := scales[i]
 		row := RingSensitivityRow{FWHMScale: s}
 		shape, err := filterShapeWithFWHM(base, baseFWHM*s)
 		if err == nil {
 			row.FilterFWHMNM = shape.At(optics.CBandCenterNM).FWHMNM()
 			m := core.EnergyModel{Spec: core.MRRFirstSpec{Order: 2, FilterShape: shape}}
-			if opt, err := m.OptimalSpacing(0.1, 0.4); err == nil {
+			opt, err := m.OptimalSpacingCtx(ctx, engine.Serial, 0.1, 0.4)
+			switch {
+			case err == nil:
 				row.OptSpacingNM = opt.WLSpacingNM
 				row.OptTotalPJ = opt.TotalPJ()
 				row.Feasible = true
+			case ctx.Err() != nil:
+				return row, err
 			}
 		}
-		return row
+		return row, nil
 	})
 }
 

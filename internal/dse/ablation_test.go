@@ -1,13 +1,19 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestRingSensitivityTrend(t *testing.T) {
-	rows := RingSensitivity([]float64{0.75, 1.0, 1.5})
+	rows, err := RingSensitivity(context.Background(), engine.WordParallel, []float64{0.75, 1.0, 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -34,7 +40,10 @@ func TestRingSensitivityTrend(t *testing.T) {
 }
 
 func TestRingSensitivityUnrealizable(t *testing.T) {
-	rows := RingSensitivity([]float64{-1})
+	rows, err := RingSensitivity(context.Background(), engine.WordParallel, []float64{-1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rows[0].Feasible {
 		t.Error("negative scale reported feasible")
 	}
@@ -81,7 +90,11 @@ func TestParallelScaling(t *testing.T) {
 
 func TestAblationRenderers(t *testing.T) {
 	var sb strings.Builder
-	if err := RenderRingSensitivity(&sb, RingSensitivity([]float64{1.0, -1})); err != nil {
+	ring, err := RingSensitivity(context.Background(), engine.WordParallel, []float64{1.0, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderRingSensitivity(&sb, ring); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := APDComparison(1e-6)

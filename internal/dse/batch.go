@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/numeric"
 	"repro/internal/stochastic"
 )
@@ -26,7 +28,7 @@ type StreamSweepRow struct {
 // core.Unit.EvaluateBatch). It is the noiseless companion of the
 // transient §V.B trade-off: only stochastic fluctuation remains, so
 // RMSE falls like 1/√L.
-func StreamLengthSweep(lengths []int, points int, seed uint64) ([]StreamSweepRow, error) {
+func StreamLengthSweep(ctx context.Context, e engine.Engine, lengths []int, points int, seed uint64) ([]StreamSweepRow, error) {
 	if points < 2 {
 		points = 2
 	}
@@ -57,11 +59,11 @@ func StreamLengthSweep(lengths []int, points int, seed uint64) ([]StreamSweepRow
 			return nil, fmt.Errorf("dse: stream length %d, need >= 1", l)
 		}
 	}
-	// Lengths fan out over the worker pool on top of the per-input
-	// fan-out inside the batch evaluators; every stream derives its
-	// seed from (seed, input index) alone, so the table is identical
-	// at any GOMAXPROCS.
-	return SweepErr(len(lengths), func(i int) (StreamSweepRow, error) {
+	// Lengths fan out on e under ctx on top of the per-input fan-out
+	// inside the batch evaluators (which use the worker pool directly,
+	// not an engine); every stream derives its seed from (seed, input
+	// index) alone, so the table is identical on every engine.
+	return SweepCtx(ctx, e, len(lengths), func(i int) (StreamSweepRow, error) {
 		l := lengths[i]
 		ele, err := stochastic.EvaluateBatch(poly, xs, l, seed)
 		if err != nil {

@@ -1,12 +1,14 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // RenderEnergyChartASCII draws the Fig. 7(a) curves — pump ('P'),
@@ -92,8 +94,8 @@ type ApplicationProfileRow struct {
 // ApplicationProfile sizes representative SC workloads at the optimal
 // spacing: a 2nd-order polynomial kernel, the paper's running
 // 3rd-order f1 (elevated to its degree), and 6th-order gamma
-// correction.
-func ApplicationProfile() ([]ApplicationProfileRow, error) {
+// correction. Each optimum search dispatches on e under ctx.
+func ApplicationProfile(ctx context.Context, e engine.Engine) ([]ApplicationProfileRow, error) {
 	apps := []struct {
 		name   string
 		order  int
@@ -106,7 +108,7 @@ func ApplicationProfile() ([]ApplicationProfileRow, error) {
 	out := make([]ApplicationProfileRow, 0, len(apps))
 	for _, a := range apps {
 		m := core.NewEnergyModel(a.order)
-		opt, err := m.OptimalSpacing(0.1, 0.3)
+		opt, err := m.OptimalSpacingCtx(ctx, e, 0.1, 0.3)
 		if err != nil {
 			return nil, fmt.Errorf("dse: profiling %s: %w", a.name, err)
 		}

@@ -1,15 +1,20 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestRenderEnergyChart(t *testing.T) {
 	m := core.NewEnergyModel(2)
-	pts := m.Sweep(0.11, 0.3, 15)
+	pts, err := m.SweepCtx(context.Background(), engine.WordParallel, 0.11, 0.3, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	if err := RenderEnergyChartASCII(&sb, pts, 80, 16, 0); err != nil {
 		t.Fatal(err)
@@ -31,7 +36,7 @@ func TestRenderEnergyChart(t *testing.T) {
 }
 
 func TestApplicationProfile(t *testing.T) {
-	rows, err := ApplicationProfile()
+	rows, err := ApplicationProfile(context.Background(), engine.WordParallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,11 +153,11 @@ func TestCheckpointerCorruptAndMissing(t *testing.T) {
 }
 
 // TestYieldStudyMatchesAnalyzeYield: a study row equals a standalone
-// core.AnalyzeYieldOn run exactly — the property that makes the
+// core.AnalyzeYieldCtx run exactly — the property that makes the
 // checkpointed yield figure trustworthy.
 func TestYieldStudyMatchesAnalyzeYield(t *testing.T) {
 	s := yieldStudyFixture()
-	points, err := s.RunOn(engine.Serial)
+	points, err := s.RunCtx(context.Background(), engine.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestYieldStudyMatchesAnalyzeYield(t *testing.T) {
 		t.Fatalf("%d points for %d sigmas", len(points), len(s.SigmasNM))
 	}
 	for r, pt := range points {
-		want, err := core.AnalyzeYieldOn(engine.Serial, s.Params, s.Variation(s.SigmasNM[r]))
+		want, err := core.AnalyzeYieldCtx(context.Background(), engine.Serial, s.Params, s.Variation(s.SigmasNM[r]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestYieldStudyMatchesAnalyzeYield(t *testing.T) {
 // wrong-key checkpointer is refused up front.
 func TestYieldStudyCheckpointRoundTrip(t *testing.T) {
 	s := yieldStudyFixture()
-	direct, err := s.RunOn(engine.Serial)
+	direct, err := s.RunCtx(context.Background(), engine.Serial)
 	if err != nil {
 		t.Fatal(err)
 	}

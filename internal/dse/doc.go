@@ -20,19 +20,21 @@
 //
 // # Parallel sweep engine
 //
-// Every study above runs on the generic sweep runners in sweep.go —
-// Sweep, SweepErr, SweepSeeded(Err) and Grid — which fan independent
-// points over the internal/parallel worker pool and return results in
-// index order. Randomness, where a study needs it, derives from the
-// base seed and the point index alone (stochastic.DeriveSeed), so
-// every sweep is bit-identical at any GOMAXPROCS and under any
-// scheduling; nested use is fine (a point function may itself call the
-// word-parallel batch evaluators, as NoiseStudy and StreamLengthSweep
-// do). Quickstart:
+// Every study above runs on the two generic sweep runners in sweep.go
+// — SweepCtx for a list of points and GridCtx for a row-major grid —
+// which dispatch independent points on the caller's evaluation engine
+// under the caller's context and return results in index order.
+// Randomness, where a study needs it, derives from the base seed and
+// the point index alone (stochastic.DeriveSeed at the call site), so
+// every sweep is bit-identical on every engine and at any GOMAXPROCS.
+// A study dispatches on its engine at one level only; fan-outs inside
+// a point run on engine.Serial (or, for NoiseStudy and
+// StreamLengthSweep, on the word-parallel batch evaluators).
+// Quickstart:
 //
-//	pts := dse.Fig6A(12, 12)        // 144 MZI-first solves over the pool
-//	rows := dse.Sweep(n, point)     // custom study: point(i) -> row, index-ordered
-//	rows, err := dse.SweepSeededErr(n, seed, func(i int, s uint64) (Row, error) {
-//	    ...                         // Monte-Carlo point with its own derived seed
+//	pts, err := dse.Fig6A(ctx, engine.WordParallel, 12, 12) // 144 MZI-first solves
+//	rows, err := dse.SweepCtx(ctx, e, n, func(i int) (Row, error) {
+//	    seed := stochastic.DeriveSeed(base, i) // Monte-Carlo point with its own seed
+//	    ...
 //	})
 package dse

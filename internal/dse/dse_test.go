@@ -1,9 +1,12 @@
 package dse
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestFig5ACase(t *testing.T) {
@@ -35,7 +38,10 @@ func TestFig5BCase(t *testing.T) {
 }
 
 func TestFig5CBandsAndRows(t *testing.T) {
-	r := Fig5C()
+	r, err := Fig5C(context.Background(), engine.WordParallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 3 weights × 8 patterns.
 	if len(r.Rows) != 24 {
 		t.Fatalf("%d rows", len(r.Rows))
@@ -56,7 +62,10 @@ func TestFig5CBandsAndRows(t *testing.T) {
 }
 
 func TestFig6AGridTrends(t *testing.T) {
-	pts := Fig6A(5, 5)
+	pts, err := Fig6A(context.Background(), engine.WordParallel, 5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 25 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -91,7 +100,7 @@ func TestFig6AGridTrends(t *testing.T) {
 }
 
 func TestFig6BAnchorsAndHalving(t *testing.T) {
-	pts, err := Fig6B([]float64{1e-2, 1e-4, 1e-6})
+	pts, err := Fig6B(context.Background(), engine.WordParallel, []float64{1e-2, 1e-4, 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,10 @@ func TestFig6BAnchorsAndHalving(t *testing.T) {
 }
 
 func TestFig6CDevices(t *testing.T) {
-	pts := Fig6C()
+	pts, err := Fig6C(context.Background(), engine.WordParallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 4 {
 		t.Fatalf("%d devices", len(pts))
 	}
@@ -124,7 +136,7 @@ func TestFig6CDevices(t *testing.T) {
 }
 
 func TestFig7ASeries(t *testing.T) {
-	series, err := Fig7A([]int{2, 4}, 9)
+	series, err := Fig7A(context.Background(), engine.WordParallel, []int{2, 4}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +159,7 @@ func TestFig7ASeries(t *testing.T) {
 }
 
 func TestFig7BRows(t *testing.T) {
-	rows, err := Fig7B([]int{2, 4, 8})
+	rows, err := Fig7B(context.Background(), engine.WordParallel, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +174,7 @@ func TestFig7BRows(t *testing.T) {
 }
 
 func TestSummaryAnchors(t *testing.T) {
-	s, err := Summary()
+	s, err := Summary(context.Background(), engine.WordParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,28 +197,40 @@ func TestRenderers(t *testing.T) {
 	if err := RenderFig5Case(&sb, Fig5A()); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderFig5C(&sb, Fig5C()); err != nil {
+	r5c, err := Fig5C(context.Background(), engine.WordParallel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderFig6A(&sb, Fig6A(3, 3)); err != nil {
+	if err := RenderFig5C(&sb, r5c); err != nil {
 		t.Fatal(err)
 	}
-	pts, _ := Fig6B([]float64{1e-2, 1e-6})
+	pts6a, err := Fig6A(context.Background(), engine.WordParallel, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderFig6A(&sb, pts6a); err != nil {
+		t.Fatal(err)
+	}
+	pts, _ := Fig6B(context.Background(), engine.WordParallel, []float64{1e-2, 1e-6})
 	if err := RenderFig6B(&sb, pts); err != nil {
 		t.Fatal(err)
 	}
-	if err := RenderFig6C(&sb, Fig6C()); err != nil {
+	pts6c, err := Fig6C(context.Background(), engine.WordParallel)
+	if err != nil {
 		t.Fatal(err)
 	}
-	series, _ := Fig7A([]int{2}, 5)
+	if err := RenderFig6C(&sb, pts6c); err != nil {
+		t.Fatal(err)
+	}
+	series, _ := Fig7A(context.Background(), engine.WordParallel, []int{2}, 5)
 	if err := RenderFig7A(&sb, series); err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := Fig7B([]int{2})
+	rows, _ := Fig7B(context.Background(), engine.WordParallel, []int{2})
 	if err := RenderFig7B(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := Summary()
+	s, _ := Summary(context.Background(), engine.WordParallel)
 	if err := RenderSummary(&sb, s); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +257,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestStreamLengthSweep(t *testing.T) {
-	rows, err := StreamLengthSweep([]int{64, 4096}, 9, 7)
+	rows, err := StreamLengthSweep(context.Background(), engine.WordParallel, []int{64, 4096}, 9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +279,7 @@ func TestStreamLengthSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "4096") {
 		t.Errorf("render missing rows:\n%s", sb.String())
 	}
-	if _, err := StreamLengthSweep([]int{0}, 9, 7); err == nil {
+	if _, err := StreamLengthSweep(context.Background(), engine.WordParallel, []int{0}, 9, 7); err == nil {
 		t.Error("zero stream length accepted")
 	}
 }

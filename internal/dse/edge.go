@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 
+	"repro/internal/engine"
 	img "repro/internal/image"
 )
 
@@ -23,17 +25,17 @@ type EdgeStudyRow struct {
 // quality-vs-latency trade-off that frames the paper's application
 // section: PSNR grows ~3 dB per stream-length doubling until
 // quantization saturates.
-// Stream lengths fan out over the worker pool (SweepErr); each
-// length's image engines keep their own per-pixel derived seeds, so
-// the table is identical at any GOMAXPROCS.
-func EdgeStudy(lengths []int, seed uint64) ([]EdgeStudyRow, error) {
+// Stream lengths fan out on e under ctx (SweepCtx); each length's edge
+// kernel runs on engine.Serial inside its item and keeps its own
+// per-pixel derived seeds, so the table is identical on every engine.
+func EdgeStudy(ctx context.Context, e engine.Engine, lengths []int, seed uint64) ([]EdgeStudyRow, error) {
 	edgeSrc := img.Checkerboard(64, 64, 8, 30, 220)
 	edgeExact := img.RobertsCrossExact(edgeSrc)
 	gammaSrc := img.Gradient(128, 4)
 	gammaExact := img.GammaExact(gammaSrc, 0.45)
-	return SweepErr(len(lengths), func(i int) (EdgeStudyRow, error) {
+	return SweepCtx(ctx, e, len(lengths), func(i int) (EdgeStudyRow, error) {
 		l := lengths[i]
-		edge, err := img.RobertsCrossSC(edgeSrc, l, seed)
+		edge, err := img.RobertsCrossSCOn(engine.Serial, edgeSrc, l, seed)
 		if err != nil {
 			return EdgeStudyRow{}, err
 		}

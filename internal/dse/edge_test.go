@@ -2,12 +2,15 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestEdgeStudyQualityGrowsWithLength(t *testing.T) {
-	rows, err := EdgeStudy([]int{64, 1024}, 7)
+	rows, err := EdgeStudy(context.Background(), engine.WordParallel, []int{64, 1024}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +34,13 @@ func TestEdgeStudyQualityGrowsWithLength(t *testing.T) {
 }
 
 func TestEdgeStudyErrors(t *testing.T) {
-	if _, err := EdgeStudy([]int{64, 0}, 1); err == nil {
+	if _, err := EdgeStudy(context.Background(), engine.WordParallel, []int{64, 0}, 1); err == nil {
 		t.Error("non-positive stream length accepted")
 	}
 }
 
 func TestRenderEdgeStudy(t *testing.T) {
-	rows, err := EdgeStudy([]int{128}, 3)
+	rows, err := EdgeStudy(context.Background(), engine.WordParallel, []int{128}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

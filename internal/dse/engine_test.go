@@ -11,73 +11,35 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
 	"repro/internal/numeric"
+	"repro/internal/stochastic"
 )
 
-// TestEngineSuite registers every sweep runner into the generic
-// cross-engine equivalence and GOMAXPROCS-determinism suite. The
-// figure generators all reduce to these runners, so pinning them here
-// carries every figure (their per-figure determinism tests in
-// sweep_test.go stay as integration coverage).
+// TestEngineSuite registers every engine-accepting entry point of the
+// package — the two sweep runners, the yield study and every figure
+// generator — into the generic cross-engine equivalence and
+// GOMAXPROCS-determinism suite. The registered "limited" engine has
+// two slots, so a generator that dispatched a nested fan-out on its
+// own engine would hang here instead of passing.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
+	spec := NoiseStudySpec{X: 0.5, Lengths: []int{64}, ProbeMW: []float64{1, 0.5}, Trials: 3, BERBits: 1_000, Seed: 21}
 	enginetest.Run(t, nil, []enginetest.Case{
-		{
-			Name: "dse.SweepOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return SweepOn(e, 100, func(i int) int { return i * i }), nil
-			},
-		},
-		{
-			Name: "dse.SweepErrOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return SweepErrOn(e, 50, func(i int) (int, error) { return i + 1, nil })
-			},
-		},
-		{
-			Name: "dse.SweepSeededOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return SweepSeededOn(e, 32, 42, func(_ int, seed uint64) uint64 { return seed }), nil
-			},
-		},
-		{
-			Name: "dse.SweepSeededErrOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return SweepSeededErrOn(e, 32, 42, func(i int, seed uint64) (uint64, error) { return seed ^ uint64(i), nil })
-			},
-		},
-		{
-			Name: "dse.GridOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return GridOn(e, 7, 5, func(r, c int) [2]int { return [2]int{r, c} }), nil
-			},
-		},
 		{
 			Name: "dse.SweepCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return SweepCtx(context.Background(), e, 64, func(i int) int { return i * 3 })
-			},
-		},
-		{
-			Name: "dse.SweepSeededCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return SweepSeededCtx(context.Background(), e, 32, 42, func(i int, seed uint64) uint64 { return seed ^ uint64(i) })
+				return SweepCtx(ctx, e, 64, func(i int) (uint64, error) { return stochastic.DeriveSeed(42, i) ^ uint64(i), nil })
 			},
 		},
 		{
 			Name: "dse.GridCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return GridCtx(context.Background(), e, 4, 6, func(r, c int) int { return r*100 + c })
-			},
-		},
-		{
-			Name: "dse.YieldStudy.RunOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return yieldStudyFixture().RunOn(e)
+				return GridCtx(ctx, e, 7, 5, func(r, c int) [2]int { return [2]int{r, c} })
 			},
 		},
 		{
 			Name: "dse.YieldStudy.RunCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return yieldStudyFixture().RunCtx(context.Background(), e)
+				return yieldStudyFixture().RunCtx(ctx, e)
 			},
 		},
 		{
@@ -93,9 +55,21 @@ func TestEngineSuite(t *testing.T) {
 				}
 				defer os.RemoveAll(dir)
 				cp := NewCheckpointer[core.DieOutcome](filepath.Join(dir, "ck.json"), 0, s.Key())
-				return s.RunCheckpointed(context.Background(), e, cp)
+				return s.RunCheckpointed(ctx, e, cp)
 			},
 		},
+		{Name: "dse.Fig5C", Eval: func(e engine.Engine) (any, error) { return Fig5C(ctx, e) }},
+		{Name: "dse.Fig6A", Eval: func(e engine.Engine) (any, error) { return Fig6A(ctx, e, 3, 3) }},
+		{Name: "dse.Fig6B", Eval: func(e engine.Engine) (any, error) { return Fig6B(ctx, e, []float64{1e-2, 1e-6}) }},
+		{Name: "dse.Fig6C", Eval: func(e engine.Engine) (any, error) { return Fig6C(ctx, e) }},
+		{Name: "dse.Fig7A", Eval: func(e engine.Engine) (any, error) { return Fig7A(ctx, e, []int{2, 4}, 5) }},
+		{Name: "dse.Fig7B", Eval: func(e engine.Engine) (any, error) { return Fig7B(ctx, e, []int{2, 4}) }},
+		{Name: "dse.Summary", Eval: func(e engine.Engine) (any, error) { return Summary(ctx, e) }},
+		{Name: "dse.ApplicationProfile", Eval: func(e engine.Engine) (any, error) { return ApplicationProfile(ctx, e) }},
+		{Name: "dse.RingSensitivity", Eval: func(e engine.Engine) (any, error) { return RingSensitivity(ctx, e, []float64{1.0, -1}) }},
+		{Name: "dse.NoiseStudy", Eval: func(e engine.Engine) (any, error) { return NoiseStudy(ctx, e, spec) }},
+		{Name: "dse.EdgeStudy", Eval: func(e engine.Engine) (any, error) { return EdgeStudy(ctx, e, []int{64, 128}, 7) }},
+		{Name: "dse.StreamLengthSweep", Eval: func(e engine.Engine) (any, error) { return StreamLengthSweep(ctx, e, []int{64, 128}, 5, 9) }},
 	})
 }
 
@@ -112,10 +86,10 @@ func yieldStudyFixture() YieldStudy {
 }
 
 // TestSweepErrOnLowestIndexError: the deterministic error choice holds
-// on an explicit engine too, and a nil engine is a clean error.
+// on every registered engine.
 func TestSweepErrOnLowestIndexError(t *testing.T) {
 	for _, e := range engine.All() {
-		_, err := SweepErrOn(e, 10, func(i int) (int, error) {
+		_, err := SweepCtx(context.Background(), e, 10, func(i int) (int, error) {
 			if i%3 == 2 { // fails at 2, 5, 8
 				return 0, fmt.Errorf("point %d", i)
 			}
@@ -127,46 +101,29 @@ func TestSweepErrOnLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestNilEngineMisuse: the error-returning runners reject a nil engine
-// cleanly; the value-returning ones panic, matching engine.Use.
+// TestNilEngineMisuse: both runners reject a nil engine cleanly.
 func TestNilEngineMisuse(t *testing.T) {
-	if _, err := SweepErrOn(nil, 4, func(i int) (int, error) { return i, nil }); err == nil {
-		t.Error("SweepErrOn(nil) did not error")
+	ctx := context.Background()
+	if _, err := SweepCtx(ctx, nil, 4, func(i int) (int, error) { return i, nil }); err == nil {
+		t.Error("SweepCtx(nil) did not error")
 	}
-	if _, err := SweepSeededErrOn(nil, 4, 1, func(i int, _ uint64) (int, error) { return i, nil }); err == nil {
-		t.Error("SweepSeededErrOn(nil) did not error")
+	if _, err := GridCtx(ctx, nil, 2, 2, func(r, c int) int { return r + c }); err == nil {
+		t.Error("GridCtx(nil) did not error")
 	}
-	mustPanic(t, "SweepOn", func() { SweepOn(nil, 4, func(i int) int { return i }) })
-	mustPanic(t, "SweepSeededOn", func() { SweepSeededOn(nil, 4, 1, func(i int, _ uint64) int { return i }) })
-	mustPanic(t, "GridOn", func() { GridOn(nil, 2, 2, func(r, c int) int { return r + c }) })
 }
 
-func mustPanic(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s(nil engine) did not panic", name)
-		}
-	}()
-	f()
-}
-
-// sweepEngineBench drives a representative engine-dispatched workload —
-// 64 independent MRR-first energy solves, the grain of the Fig. 7
-// sweeps — through SweepErrOn on the given engine.
-func sweepEngineBench(b *testing.B, e engine.Engine) {
+// BenchmarkSweepEngine drives a representative engine-dispatched
+// workload — 64 independent MRR-first energy solves, the grain of the
+// Fig. 7 sweeps — through SweepCtx on the word-parallel engine.
+func BenchmarkSweepEngine(b *testing.B) {
 	m := core.NewEnergyModel(2)
 	ws := numeric.Linspace(0.11, 0.3, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SweepErrOn(e, len(ws), func(k int) (core.EnergyBreakdown, error) {
+		if _, err := SweepCtx(context.Background(), engine.WordParallel, len(ws), func(k int) (core.EnergyBreakdown, error) {
 			return m.Breakdown(ws[k])
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkSweepEngineSerial(b *testing.B) { sweepEngineBench(b, engine.Serial) }
-
-func BenchmarkSweepEngine(b *testing.B) { sweepEngineBench(b, engine.WordParallel) }

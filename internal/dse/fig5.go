@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 )
 
@@ -114,13 +116,12 @@ type Fig5CResult struct {
 
 // Fig5C enumerates every (x-state, z-combination) of the paper
 // design, as plotted in Fig. 5(c). The enumeration is a weight ×
-// pattern grid evaluated over the worker pool; Grid returns rows in
+// pattern grid evaluated on e under ctx; GridCtx returns rows in
 // row-major order, so the table reads exactly as the serial loops did.
-func Fig5C() Fig5CResult {
+func Fig5C(ctx context.Context, e engine.Engine) (Fig5CResult, error) {
 	c := core.MustCircuit(core.PaperParams())
 	n := c.P.Order
-	var res Fig5CResult
-	res.Rows = Grid(n+1, 1<<(n+1), func(weight, pattern int) Fig5CRow {
+	rows, err := GridCtx(ctx, e, n+1, 1<<(n+1), func(weight, pattern int) Fig5CRow {
 		z := make([]int, n+1)
 		for b := range z {
 			z[b] = (pattern >> b) & 1
@@ -132,8 +133,12 @@ func Fig5C() Fig5CResult {
 			Bit:        z[c.SelectedChannel(weight)],
 		}
 	})
+	if err != nil {
+		return Fig5CResult{}, err
+	}
+	res := Fig5CResult{Rows: rows}
 	res.MinZero, res.MaxZero, res.MinOne, res.MaxOne = c.PowerBands()
-	return res
+	return res, nil
 }
 
 // RenderFig5C writes the enumeration table and the band summary.

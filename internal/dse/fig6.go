@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/optics"
 )
 
@@ -21,18 +23,18 @@ type Fig6APoint struct {
 
 // Fig6A sweeps the IL × ER grid of the paper's Fig. 6(a)
 // (IL 3–7.4 dB, ER 4–7.6 dB). Each cell is a full MZI-first design
-// solve; the grid fans out over the worker pool (Grid) and returns in
-// row-major (IL-major) order, identical at any GOMAXPROCS. Fewer than
+// solve; the grid fans out on e under ctx (GridCtx) and returns in
+// row-major (IL-major) order, identical on every engine. Fewer than
 // 2 points per axis are clamped to 2 (cmd/oscbench rejects such grids
 // up front instead).
-func Fig6A(ilPoints, erPoints int) []Fig6APoint {
+func Fig6A(ctx context.Context, e engine.Engine, ilPoints, erPoints int) ([]Fig6APoint, error) {
 	if ilPoints < 2 {
 		ilPoints = 2
 	}
 	if erPoints < 2 {
 		erPoints = 2
 	}
-	return Grid(ilPoints, erPoints, func(i, j int) Fig6APoint {
+	return GridCtx(ctx, e, ilPoints, erPoints, func(i, j int) Fig6APoint {
 		il := 3.0 + (7.4-3.0)*float64(i)/float64(ilPoints-1)
 		er := 4.0 + (7.6-4.0)*float64(j)/float64(erPoints-1)
 		pt := Fig6APoint{ILdB: il, ERdB: er}
@@ -114,9 +116,9 @@ type Fig6BPoint struct {
 
 // Fig6B sizes the anchor design for each BER target. The paper uses
 // {1e-2, 1e-4, 1e-6} and observes a 50 % probe-power reduction at
-// 1e-2 relative to 1e-6.
-func Fig6B(targets []float64) ([]Fig6BPoint, error) {
-	return SweepErr(len(targets), func(i int) (Fig6BPoint, error) {
+// 1e-2 relative to 1e-6. Targets fan out on e under ctx.
+func Fig6B(ctx context.Context, e engine.Engine, targets []float64) ([]Fig6BPoint, error) {
+	return SweepCtx(ctx, e, len(targets), func(i int) (Fig6BPoint, error) {
 		ber := targets[i]
 		p, err := core.MZIFirst(core.MZIFirstSpec{
 			Order:       2,
@@ -165,10 +167,12 @@ type Fig6CPoint struct {
 	Err     error
 }
 
-// Fig6C sizes the four library devices at 0.6 W pump and 1e-6 BER.
-func Fig6C() []Fig6CPoint {
+// Fig6C sizes the four library devices at 0.6 W pump and 1e-6 BER,
+// one device per item on e under ctx. A device that cannot be sized
+// is reported in its point's Err, not as the sweep's error.
+func Fig6C(ctx context.Context, e engine.Engine) ([]Fig6CPoint, error) {
 	lib := core.DeviceLibrary()
-	return Sweep(len(lib), func(i int) Fig6CPoint {
+	return SweepCtx(ctx, e, len(lib), func(i int) (Fig6CPoint, error) {
 		pt := Fig6CPoint{Device: lib[i]}
 		p, err := core.MZIFirst(core.MZIFirstSpec{
 			Order:       2,
@@ -181,7 +185,7 @@ func Fig6C() []Fig6CPoint {
 		} else {
 			pt.ProbeMW = p.ProbePowerMW
 		}
-		return pt
+		return pt, nil
 	})
 }
 

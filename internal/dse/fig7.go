@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Fig7ASeries is one polynomial order's energy-vs-spacing curve from
@@ -16,21 +18,23 @@ type Fig7ASeries struct {
 }
 
 // Fig7A sweeps the wavelength spacing over [0.1, 0.3] nm for each
-// order (the paper plots n = 2, 4, 6). Orders fan out over the worker
-// pool, and each order's spacing sweep is itself parallel
-// (core.EnergyModel.Sweep): every point re-sizes the design with
-// MRR-first, so the grid is a pile of independent solves.
-func Fig7A(orders []int, points int) ([]Fig7ASeries, error) {
-	return SweepErr(len(orders), func(i int) (Fig7ASeries, error) {
+// order (the paper plots n = 2, 4, 6). Orders fan out on e under ctx;
+// each order's spacing sweep and optimum search run on engine.Serial
+// inside its item (every point re-sizes the design with MRR-first, so
+// the grid is a pile of independent solves).
+func Fig7A(ctx context.Context, e engine.Engine, orders []int, points int) ([]Fig7ASeries, error) {
+	return SweepCtx(ctx, e, len(orders), func(i int) (Fig7ASeries, error) {
 		n := orders[i]
 		m := core.NewEnergyModel(n)
-		s := Fig7ASeries{Order: n, Points: m.Sweep(0.1, 0.3, points)}
-		opt, err := m.OptimalSpacing(0.1, 0.3)
+		pts, err := m.SweepCtx(ctx, engine.Serial, 0.1, 0.3, points)
+		if err != nil {
+			return Fig7ASeries{}, err
+		}
+		opt, err := m.OptimalSpacingCtx(ctx, engine.Serial, 0.1, 0.3)
 		if err != nil {
 			return Fig7ASeries{}, fmt.Errorf("dse: Fig7A order %d: %w", n, err)
 		}
-		s.Optimum = opt
-		return s, nil
+		return Fig7ASeries{Order: n, Points: pts, Optimum: opt}, nil
 	})
 }
 
@@ -73,16 +77,17 @@ type Fig7BRow struct {
 }
 
 // Fig7B evaluates the order sweep {2, 4, 8, 12, 16} with the wide-FSR
-// ring preset (the 1 nm × order-16 comb spans 16.1 nm).
-func Fig7B(orders []int) ([]Fig7BRow, error) {
-	return SweepErr(len(orders), func(i int) (Fig7BRow, error) {
+// ring preset (the 1 nm × order-16 comb spans 16.1 nm). Orders fan
+// out on e under ctx; each optimum search runs on engine.Serial.
+func Fig7B(ctx context.Context, e engine.Engine, orders []int) ([]Fig7BRow, error) {
+	return SweepCtx(ctx, e, len(orders), func(i int) (Fig7BRow, error) {
 		n := orders[i]
 		m := core.NewWideCombEnergyModel(n)
 		fixed, err := m.Breakdown(1.0)
 		if err != nil {
 			return Fig7BRow{}, fmt.Errorf("dse: Fig7B order %d at 1 nm: %w", n, err)
 		}
-		opt, err := m.OptimalSpacing(0.1, 0.3)
+		opt, err := m.OptimalSpacingCtx(ctx, engine.Serial, 0.1, 0.3)
 		if err != nil {
 			return Fig7BRow{}, fmt.Errorf("dse: Fig7B order %d optimum: %w", n, err)
 		}
@@ -127,15 +132,16 @@ type SummaryAnchors struct {
 	SpeedupVs100MHz  float64 // paper: 10
 }
 
-// Summary computes the anchor values from the calibrated models.
-func Summary() (SummaryAnchors, error) {
+// Summary computes the anchor values from the calibrated models, with
+// the optimum searches dispatched on e under ctx.
+func Summary(ctx context.Context, e engine.Engine) (SummaryAnchors, error) {
 	p := core.PaperParams()
 	m := core.NewEnergyModel(2)
-	opt, err := m.OptimalSpacing(0.1, 0.3)
+	opt, err := m.OptimalSpacingCtx(ctx, e, 0.1, 0.3)
 	if err != nil {
 		return SummaryAnchors{}, err
 	}
-	saving, _, _, err := m.EnergySavingVsFixed(1.0, 0.1, 0.3)
+	saving, _, _, err := m.EnergySavingVsFixed(ctx, e, 1.0, 0.1, 0.3)
 	if err != nil {
 		return SummaryAnchors{}, err
 	}

@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 	"repro/internal/transient"
 )
@@ -83,13 +85,13 @@ type NoiseRow struct {
 
 // NoiseStudy runs the Monte-Carlo accuracy/BER sweep on the paper's
 // order-2 reference polynomial. The (probe, sigma) combinations fan
-// out over the worker pool (SweepSeededErr, one derived seed per
-// combination): each rebuilds its circuit, measures the worst-case BER
-// in one batched run, then estimates the end-to-end RMSE at every
-// stream length from Trials independent noisy evaluations — themselves
-// fanned over the same pool. Results are row-ordered by (probe, sigma,
-// length) and identical at any GOMAXPROCS.
-func NoiseStudy(spec NoiseStudySpec) ([]NoiseRow, error) {
+// out on e under ctx (SweepCtx, one derived seed per combination):
+// each rebuilds its circuit, measures the worst-case BER in one
+// batched run, then estimates the end-to-end RMSE at every stream
+// length from Trials independent noisy evaluations — themselves
+// fanned over the worker pool by the batch evaluator. Results are
+// row-ordered by (probe, sigma, length) and identical on every engine.
+func NoiseStudy(ctx context.Context, e engine.Engine, spec NoiseStudySpec) ([]NoiseRow, error) {
 	if len(spec.Lengths) == 0 {
 		return nil, fmt.Errorf("dse: noise study needs stream lengths")
 	}
@@ -129,11 +131,12 @@ func NoiseStudy(spec NoiseStudySpec) ([]NoiseRow, error) {
 		}
 	}
 
-	// One sweep point per (probe, scale) combination, fanned over the
-	// worker pool with a per-combo derived seed; each point returns its
-	// stream-length rows, flattened back in combo order below.
+	// One sweep point per (probe, scale) combination with a per-combo
+	// derived seed; each point returns its stream-length rows,
+	// flattened back in combo order below.
 	combos := len(spec.ProbeMW) * len(scales)
-	groups, err := SweepSeededErr(combos, spec.Seed, func(combo int, comboSeed uint64) ([]NoiseRow, error) {
+	groups, err := SweepCtx(ctx, e, combos, func(combo int) ([]NoiseRow, error) {
+		comboSeed := stochastic.DeriveSeed(spec.Seed, combo)
 		probe := spec.ProbeMW[combo/len(scales)]
 		scale := scales[combo%len(scales)]
 		p := core.PaperParams()

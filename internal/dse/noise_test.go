@@ -1,10 +1,12 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func smallNoiseSpec(t *testing.T) NoiseStudySpec {
@@ -26,7 +28,7 @@ func smallNoiseSpec(t *testing.T) NoiseStudySpec {
 
 func TestNoiseStudyShape(t *testing.T) {
 	spec := smallNoiseSpec(t)
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(context.Background(), engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +66,11 @@ func TestNoiseStudyDeterministic(t *testing.T) {
 	spec := smallNoiseSpec(t)
 	spec.Trials = 8
 	spec.BERBits = 10_000
-	a, err := NoiseStudy(spec)
+	a, err := NoiseStudy(context.Background(), engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NoiseStudy(spec)
+	b, err := NoiseStudy(context.Background(), engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestNoiseStudyMeasuredTracksAnalytic(t *testing.T) {
 		BERBits: 50_000,
 		Seed:    11,
 	}
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(context.Background(), engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestNoiseStudyValidation(t *testing.T) {
 		{X: 0.5, Lengths: []int{64}, ProbeMW: []float64{1}, SigmaScale: []float64{0}}, // bad scale
 	}
 	for i, spec := range bad {
-		if _, err := NoiseStudy(spec); err == nil {
+		if _, err := NoiseStudy(context.Background(), engine.WordParallel, spec); err == nil {
 			t.Errorf("spec %d accepted", i)
 		}
 	}
@@ -126,7 +128,7 @@ func TestDefaultNoiseStudySpecRuns(t *testing.T) {
 	spec.Trials = 4
 	spec.BERBits = 5_000
 	spec.Lengths = []int{64, 256}
-	rows, err := NoiseStudy(spec)
+	rows, err := NoiseStudy(context.Background(), engine.WordParallel, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package dse
 
 import (
+	"context"
+	"errors"
+
 	"repro/internal/engine"
-	"repro/internal/stochastic"
 )
 
 // This file is the deterministic sweep layer the figure generators
@@ -10,42 +12,50 @@ import (
 // index-ordered list of independent points — a grid cell of Fig. 6(a),
 // one polynomial order of Fig. 7, one (probe, sigma) combination of
 // the noise study — so they all reduce to "evaluate point i"
-// dispatched on an evaluation engine (internal/engine; the ...On
-// variants take one explicitly, the rest use engine.Default()). The
-// runners keep results in index order and derive any randomness from
-// the point index alone (stochastic.DeriveSeed), so a sweep returns
+// dispatched on the caller's evaluation engine (internal/engine) under
+// the caller's context. The runners keep results in index order, and
+// Monte-Carlo points derive their randomness from the point index
+// alone (stochastic.DeriveSeed at the call site), so a sweep returns
 // identical results on every conforming engine, at any GOMAXPROCS and
 // under any scheduling — which carries every figure built on them
-// through the cross-engine equivalence suite for free. Nested
-// parallelism is fine: point functions may themselves call the batch
-// evaluators (which use the same pool primitive), as the noise and
-// stream-length studies do.
+// through the cross-engine equivalence suite for free.
+//
+// A study dispatches on its engine at exactly one level: a point that
+// fans out again (the per-order spacing scans of Fig. 7, the image
+// kernels of the edge study) runs that inner fan-out on engine.Serial.
+// A point therefore never waits for a slot of an engine.Limited it
+// already holds.
+//
+// Cancellation is cooperative: a fired context stops the sweep at a
+// point boundary and the runner returns a *engine.Partial (wrapping
+// the context error, or the *parallel.PanicError of a faulting point)
+// alongside the partially filled result slice. Entries at indices the
+// Partial's Done bitmap marks true completed without error and are
+// safe to persist — what the Checkpointer does on interruption.
 
-// SweepOn evaluates point(i) for every i in [0, n) on the given
-// engine and returns the results in index order. A nil engine panics
-// (this entry point has no error return).
-func SweepOn[T any](e engine.Engine, n int, point func(i int) T) []T {
-	out := make([]T, n)
-	engine.Use(e).For(n, func(i int) { out[i] = point(i) })
-	return out
-}
-
-// Sweep is SweepOn on the process-default engine.
-func Sweep[T any](n int, point func(i int) T) []T {
-	return SweepOn(engine.Default(), n, point)
-}
-
-// SweepErrOn is SweepOn for fallible points. Every point runs; if any
-// fail, the error of the lowest failing index is returned (a
-// deterministic choice) along with a nil slice. A nil engine is an
-// error.
-func SweepErrOn[T any](e engine.Engine, n int, point func(i int) (T, error)) ([]T, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
+// SweepCtx evaluates point(i) for every i in [0, n) on e under ctx and
+// returns the results in index order. Every point runs; if any fail,
+// the error of the lowest failing index is returned (a deterministic
+// choice) along with a nil slice. An interrupted sweep returns the
+// *engine.Partial described above instead. A nil engine is an error.
+func SweepCtx[T any](ctx context.Context, e engine.Engine, n int, point func(i int) (T, error)) ([]T, error) {
+	if n < 0 {
+		n = 0
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
-	e.For(n, func(i int) { out[i], errs[i] = point(i) })
+	if err := engine.RunCtx(ctx, e, n, nil, func(i int) { out[i], errs[i] = point(i) }); err != nil {
+		var p *engine.Partial
+		if errors.As(err, &p) {
+			for i, perr := range errs {
+				if perr != nil && p.Done[i] {
+					p.Done[i] = false
+					p.Completed--
+				}
+			}
+		}
+		return out, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -54,48 +64,16 @@ func SweepErrOn[T any](e engine.Engine, n int, point func(i int) (T, error)) ([]
 	return out, nil
 }
 
-// SweepErr is SweepErrOn on the process-default engine.
-func SweepErr[T any](n int, point func(i int) (T, error)) ([]T, error) {
-	return SweepErrOn(engine.Default(), n, point)
-}
-
-// SweepSeededOn is SweepOn with a per-point seed derived from the
-// base seed and the index alone — the hook Monte-Carlo sweeps use to
-// stay reproducible on any core count.
-func SweepSeededOn[T any](e engine.Engine, n int, seed uint64, point func(i int, pointSeed uint64) T) []T {
-	return SweepOn(e, n, func(i int) T { return point(i, stochastic.DeriveSeed(seed, i)) })
-}
-
-// SweepSeeded is SweepSeededOn on the process-default engine.
-func SweepSeeded[T any](n int, seed uint64, point func(i int, pointSeed uint64) T) []T {
-	return SweepSeededOn(engine.Default(), n, seed, point)
-}
-
-// SweepSeededErrOn is SweepErrOn with a derived per-point seed.
-func SweepSeededErrOn[T any](e engine.Engine, n int, seed uint64, point func(i int, pointSeed uint64) (T, error)) ([]T, error) {
-	return SweepErrOn(e, n, func(i int) (T, error) { return point(i, stochastic.DeriveSeed(seed, i)) })
-}
-
-// SweepSeededErr is SweepSeededErrOn on the process-default engine.
-func SweepSeededErr[T any](n int, seed uint64, point func(i int, pointSeed uint64) (T, error)) ([]T, error) {
-	return SweepSeededErrOn(engine.Default(), n, seed, point)
-}
-
-// GridOn evaluates point(r, c) for every cell of an rows × cols grid
-// on the given engine and returns the results in row-major order —
-// the shape of the Fig. 6(a) design-space study. A nil engine panics,
-// matching SweepOn.
-func GridOn[T any](e engine.Engine, rows, cols int, point func(r, c int) T) []T {
+// GridCtx evaluates point(r, c) for every cell of an rows × cols grid
+// on e under ctx and returns the results in row-major order — the
+// shape of the Fig. 6(a) design-space study. Interruption behaves as
+// in SweepCtx.
+func GridCtx[T any](ctx context.Context, e engine.Engine, rows, cols int, point func(r, c int) T) ([]T, error) {
 	if rows < 0 {
 		rows = 0
 	}
 	if cols < 0 {
 		cols = 0
 	}
-	return SweepOn(e, rows*cols, func(i int) T { return point(i/cols, i%cols) })
-}
-
-// Grid is GridOn on the process-default engine.
-func Grid[T any](rows, cols int, point func(r, c int) T) []T {
-	return GridOn(engine.Default(), rows, cols, point)
+	return SweepCtx(ctx, e, rows*cols, func(i int) (T, error) { return point(i/cols, i%cols), nil })
 }

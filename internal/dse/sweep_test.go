@@ -1,26 +1,34 @@
 package dse
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/stochastic"
 )
 
 func TestSweepOrdersResults(t *testing.T) {
-	got := Sweep(100, func(i int) int { return i * i })
+	got, err := SweepCtx(context.Background(), engine.WordParallel, 100, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("index %d: got %d", i, v)
 		}
 	}
-	if len(Sweep(0, func(int) int { return 1 })) != 0 {
-		t.Error("empty sweep not empty")
+	if got, err := SweepCtx(context.Background(), engine.WordParallel, 0, func(int) (int, error) { return 1, nil }); err != nil || len(got) != 0 {
+		t.Errorf("empty sweep = %v, %v", got, err)
 	}
 }
 
 func TestSweepErrReturnsLowestIndexError(t *testing.T) {
-	_, err := SweepErr(10, func(i int) (int, error) {
+	_, err := SweepCtx(context.Background(), engine.WordParallel, 10, func(i int) (int, error) {
 		if i%3 == 2 { // fails at 2, 5, 8
 			return 0, fmt.Errorf("point %d", i)
 		}
@@ -29,7 +37,7 @@ func TestSweepErrReturnsLowestIndexError(t *testing.T) {
 	if err == nil || err.Error() != "point 2" {
 		t.Fatalf("err = %v, want the lowest failing index", err)
 	}
-	got, err := SweepErr(4, func(i int) (int, error) { return i + 1, nil })
+	got, err := SweepCtx(context.Background(), engine.WordParallel, 4, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +46,40 @@ func TestSweepErrReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestSweepErrInterruptedUnmarksFailedPoints: a canceled sweep reports
+// the *engine.Partial, and a point that returned an error is never
+// marked done (its slot holds no valid result).
+func TestSweepErrInterruptedUnmarksFailedPoints(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := SweepCtx(ctx, engine.Serial, 6, func(i int) (int, error) {
+		if i == 2 {
+			cancel()
+			return 0, fmt.Errorf("point %d", i)
+		}
+		return i, nil
+	})
+	var p *engine.Partial
+	if !errors.As(err, &p) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a canceled *engine.Partial", err)
+	}
+	if want := []bool{true, true, false, false, false, false}; !reflect.DeepEqual(p.Done, want) || p.Completed != 2 {
+		t.Errorf("Done = %v (completed %d), want %v (2)", p.Done, p.Completed, want)
+	}
+}
+
+// seedPoint returns point i's seed derived from base the way the
+// Monte-Carlo studies derive theirs.
+func seedPoint(base uint64) func(i int) (uint64, error) {
+	return func(i int) (uint64, error) { return stochastic.DeriveSeed(base, i), nil }
+}
+
 func TestSweepSeededDerivesPerPointSeeds(t *testing.T) {
-	a := SweepSeeded(8, 42, func(_ int, seed uint64) uint64 { return seed })
-	b := SweepSeeded(8, 42, func(_ int, seed uint64) uint64 { return seed })
-	if !reflect.DeepEqual(a, b) {
-		t.Error("seeded sweep not reproducible")
+	ctx := context.Background()
+	a, errA := SweepCtx(ctx, engine.WordParallel, 8, seedPoint(42))
+	b, errB := SweepCtx(ctx, engine.WordParallel, 8, seedPoint(42))
+	if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+		t.Errorf("seeded sweep not reproducible: %v %v", errA, errB)
 	}
 	seen := map[uint64]bool{}
 	for _, s := range a {
@@ -51,24 +88,24 @@ func TestSweepSeededDerivesPerPointSeeds(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	c := SweepSeeded(8, 43, func(_ int, seed uint64) uint64 { return seed })
-	if reflect.DeepEqual(a, c) {
-		t.Error("different base seeds derived identical point seeds")
+	c, err := SweepCtx(ctx, engine.WordParallel, 8, seedPoint(43))
+	if err != nil || reflect.DeepEqual(a, c) {
+		t.Errorf("different base seeds derived identical point seeds (%v)", err)
 	}
 }
 
 func TestGridRowMajorOrder(t *testing.T) {
-	got := Grid(3, 4, func(r, c int) [2]int { return [2]int{r, c} })
-	if len(got) != 12 {
-		t.Fatalf("%d cells", len(got))
+	got, err := GridCtx(context.Background(), engine.WordParallel, 3, 4, func(r, c int) [2]int { return [2]int{r, c} })
+	if err != nil || len(got) != 12 {
+		t.Fatalf("%d cells (%v)", len(got), err)
 	}
 	for i, cell := range got {
 		if cell != [2]int{i / 4, i % 4} {
 			t.Fatalf("cell %d = %v", i, cell)
 		}
 	}
-	if len(Grid(0, 5, func(r, c int) int { return 0 })) != 0 {
-		t.Error("empty grid not empty")
+	if got, err := GridCtx(context.Background(), engine.WordParallel, 0, 5, func(r, c int) int { return 0 }); err != nil || len(got) != 0 {
+		t.Errorf("empty grid = %v, %v", got, err)
 	}
 }
 
@@ -101,42 +138,42 @@ func assertDeterministic[T any](t *testing.T, name string, gen func() (T, error)
 
 func TestFig6ADeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6A", func() ([]Fig6APoint, error) {
-		return Fig6A(4, 3), nil
+		return Fig6A(context.Background(), engine.WordParallel, 4, 3)
 	})
 }
 
 func TestFig6BDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6B", func() ([]Fig6BPoint, error) {
-		return Fig6B([]float64{1e-2, 1e-4, 1e-6})
+		return Fig6B(context.Background(), engine.WordParallel, []float64{1e-2, 1e-4, 1e-6})
 	})
 }
 
 func TestFig6CDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig6C", func() ([]Fig6CPoint, error) {
-		pts := Fig6C()
+		pts, err := Fig6C(context.Background(), engine.WordParallel)
 		// Errors carry unstable fmt pointers; compare the data fields.
 		for i := range pts {
 			pts[i].Err = nil
 		}
-		return pts, nil
+		return pts, err
 	})
 }
 
 func TestFig7ADeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig7A", func() ([]Fig7ASeries, error) {
-		return Fig7A([]int{2, 4}, 7)
+		return Fig7A(context.Background(), engine.WordParallel, []int{2, 4}, 7)
 	})
 }
 
 func TestFig7BDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "Fig7B", func() ([]Fig7BRow, error) {
-		return Fig7B([]int{2, 4})
+		return Fig7B(context.Background(), engine.WordParallel, []int{2, 4})
 	})
 }
 
 func TestRingSensitivityDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "RingSensitivity", func() ([]RingSensitivityRow, error) {
-		return RingSensitivity([]float64{0.75, 1.0, 1.25}), nil
+		return RingSensitivity(context.Background(), engine.WordParallel, []float64{0.75, 1.0, 1.25})
 	})
 }
 
@@ -150,18 +187,18 @@ func TestNoiseStudyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		Seed:    21,
 	}
 	assertDeterministic(t, "NoiseStudy", func() ([]NoiseRow, error) {
-		return NoiseStudy(spec)
+		return NoiseStudy(context.Background(), engine.WordParallel, spec)
 	})
 }
 
 func TestEdgeStudyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "EdgeStudy", func() ([]EdgeStudyRow, error) {
-		return EdgeStudy([]int{64, 128}, 7)
+		return EdgeStudy(context.Background(), engine.WordParallel, []int{64, 128}, 7)
 	})
 }
 
 func TestStreamLengthSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertDeterministic(t, "StreamLengthSweep", func() ([]StreamSweepRow, error) {
-		return StreamLengthSweep([]int{64, 128}, 5, 9)
+		return StreamLengthSweep(context.Background(), engine.WordParallel, []int{64, 128}, 5, 9)
 	})
 }

@@ -77,7 +77,7 @@ func (s YieldStudy) Die(i int) core.DieOutcome {
 
 // Fold turns the flat die results (index order, len N()) into one
 // YieldPoint per sigma, the same aggregation core.FoldYield performs
-// for core.AnalyzeYield — so a study row equals a standalone
+// for core.AnalyzeYieldCtx — so a study row equals a standalone
 // AnalyzeYield run bit for bit.
 func (s YieldStudy) Fold(dies []core.DieOutcome) ([]YieldPoint, error) {
 	if len(dies) != s.N() {
@@ -93,20 +93,8 @@ func (s YieldStudy) Fold(dies []core.DieOutcome) ([]YieldPoint, error) {
 	return points, nil
 }
 
-// RunOn runs the whole study on e without checkpointing.
-func (s YieldStudy) RunOn(e engine.Engine) ([]YieldPoint, error) {
-	if err := engine.Check(e); err != nil {
-		return nil, err
-	}
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	dies := SweepOn(e, s.N(), s.Die)
-	return s.Fold(dies)
-}
-
-// RunCtx is RunOn under cooperative cancellation: an interruption
-// surfaces the sweep layer's *engine.Partial.
+// RunCtx runs the whole study on e under ctx without checkpointing:
+// an interruption surfaces the sweep layer's *engine.Partial.
 func (s YieldStudy) RunCtx(ctx context.Context, e engine.Engine) ([]YieldPoint, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
@@ -114,7 +102,7 @@ func (s YieldStudy) RunCtx(ctx context.Context, e engine.Engine) ([]YieldPoint, 
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	dies, err := SweepCtx(ctx, e, s.N(), s.Die)
+	dies, err := SweepCtx(ctx, e, s.N(), func(i int) (core.DieOutcome, error) { return s.Die(i), nil })
 	if err != nil {
 		return nil, err
 	}

@@ -232,16 +232,18 @@ func TestRunCtxPartialOnPanic(t *testing.T) {
 func TestChunkedEdgeCases(t *testing.T) {
 	// n == 0 (and negative): no chunks at all.
 	for _, n := range []int{0, -3} {
-		Chunked(WordParallel, n, 8, func(lo, hi int) {
+		if err := Chunked(context.Background(), WordParallel, n, 8, func(lo, hi int) {
 			t.Errorf("Chunked(n=%d) ran chunk [%d, %d)", n, lo, hi)
-		})
+		}); err != nil {
+			t.Errorf("Chunked(n=%d) = %v", n, err)
+		}
 	}
 
 	check := func(name string, e Engine, n, minChunk, wantChunks int) {
 		t.Helper()
 		covered := make([]int32, n)
 		var chunks, single int32
-		Chunked(e, n, minChunk, func(lo, hi int) {
+		err := Chunked(context.Background(), e, n, minChunk, func(lo, hi int) {
 			atomic.AddInt32(&chunks, 1)
 			if hi-lo == 1 {
 				atomic.AddInt32(&single, 1)
@@ -258,6 +260,9 @@ func TestChunkedEdgeCases(t *testing.T) {
 				t.Errorf("%s: chunk [%d, %d) below minChunk %d", name, lo, hi, minChunk)
 			}
 		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for i := range covered {
 			if covered[i] != 1 {
 				t.Fatalf("%s: index %d covered %d times", name, i, covered[i])
@@ -278,12 +283,14 @@ func TestChunkedEdgeCases(t *testing.T) {
 	// serial engine it is one chunk of n.
 	if WordParallel.Workers(2) >= 2 {
 		covered := make([]int32, 2)
-		Chunked(WordParallel, 2, 1, func(lo, hi int) {
+		if err := Chunked(context.Background(), WordParallel, 2, 1, func(lo, hi int) {
 			atomic.AddInt32(&covered[lo], 1)
 			if hi-lo != 1 {
 				t.Errorf("chunk [%d, %d), want single-item", lo, hi)
 			}
-		})
+		}); err != nil {
+			t.Fatalf("single-item: %v", err)
+		}
 		for i := range covered {
 			if covered[i] != 1 {
 				t.Errorf("single-item: index %d covered %d times", i, covered[i])

@@ -3,10 +3,16 @@
 // every sweep, study and image batch in this repo dispatches through.
 // Two engines are built in — Serial, the in-order reference
 // implementation, and WordParallel, the internal/parallel worker pool
-// the word-parallel migration runs on — and callers select one per
-// call (the ...On entry points) or per process (SetDefault, oscbench's
-// -engine flag). Serial oracles are no longer parallel code copies:
-// XSerial is the same implementation run on engine.Serial.
+// the word-parallel migration runs on — and every entry point takes
+// its engine (and, when it dispatches under cancellation, its context)
+// from the caller:
+//
+//	pts, err := transient.BERWaterfallCtx(ctx, engine.WordParallel, base, powers, bits, seed)
+//	ref, err := transient.BERWaterfallCtx(ctx, engine.Serial, base, powers, bits, seed) // the oracle
+//
+// A study dispatches on its engine at one level only. A sweep item
+// that fans out again runs that inner fan-out on engine.Serial, so an
+// item never waits for a slot of a Limited engine it already holds.
 //
 // # The determinism contract
 //
@@ -41,7 +47,7 @@
 // engine-accepting entry point — replays each path on every registered
 // engine at GOMAXPROCS 1 and 4 against the Serial reference.
 //
-// Single-stream paths (transient.Simulator.TraceOn, MeasureEyeOn)
+// Single-stream paths (transient.Simulator.TraceCtx, MeasureEyeOn)
 // consume one sequential noise stream and cannot fan out; they run
 // their walk as a single work item, so every conforming engine emits
 // the identical waveform and the suite still catches engines that
@@ -49,9 +55,10 @@
 //
 // Chunked batches cheap per-item work into contiguous index ranges
 // (at most Workers ranges, each at least minChunk items) so paths
-// whose items are a few microseconds — the OptimalSpacing bracketing
-// scan — pay per-chunk rather than per-item dispatch overhead. With
-// one worker (or one chunk) it degrades to the pure serial walk.
+// whose items are a few microseconds — the OptimalSpacingCtx
+// bracketing scan — pay per-chunk rather than per-item dispatch
+// overhead. With one worker (or one chunk) it degrades to the pure
+// serial walk.
 //
 // # Cancellation, checkpointing, and fault injection
 //

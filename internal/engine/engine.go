@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -64,9 +65,10 @@ func (wordParallelEngine) ForWorker(n, workers int, fn func(worker, i int)) {
 	parallel.ForWorker(n, workers, fn)
 }
 
-// The built-in engines. Serial is the reference oracle every XSerial
-// shim runs on; WordParallel carries the word-parallel production
-// paths and is the process default.
+// The built-in engines. Serial is the reference oracle every
+// cross-engine suite compares against and what nested fan-outs run
+// on; WordParallel carries the word-parallel production paths and is
+// the process default.
 var (
 	Serial       Engine = serialEngine{}
 	WordParallel Engine = wordParallelEngine{}
@@ -146,14 +148,14 @@ func init() {
 }
 
 // Default returns the process-default engine (WordParallel unless
-// SetDefault changed it); the engine-less entry points (dse.Sweep,
-// transient.Trace, ...) all dispatch through it.
+// SetDefault changed it). Entry points never read it: they take their
+// engine from the caller, and only the nil-Engine fallbacks of the
+// figure and service configurations resolve to it.
 func Default() Engine {
 	return *defaultEngine.Load()
 }
 
-// SetDefault replaces the process-default engine — what oscbench's
-// -engine flag does. It rejects nil.
+// SetDefault replaces the process-default engine. It rejects nil.
 func SetDefault(e Engine) error {
 	if e == nil {
 		return fmt.Errorf("engine: SetDefault(nil)")
@@ -166,7 +168,7 @@ func SetDefault(e Engine) error {
 // points: nil is reported, anything else passes.
 func Check(e Engine) error {
 	if e == nil {
-		return fmt.Errorf("engine: nil engine (use engine.Serial, engine.WordParallel or engine.Default())")
+		return fmt.Errorf("engine: nil engine (use engine.Serial or engine.WordParallel)")
 	}
 	return nil
 }
@@ -176,32 +178,29 @@ func Check(e Engine) error {
 // set by core.Params.SpeedupVsElectronic) and returns e otherwise.
 func Use(e Engine) Engine {
 	if e == nil {
-		panic("engine: nil engine (use engine.Serial, engine.WordParallel or engine.Default())")
+		panic("engine: nil engine (use engine.Serial or engine.WordParallel)")
 	}
 	return e
 }
 
 // Chunked maps fn over the half-open ranges of a balanced partition
-// of [0, n): at most e.Workers(n) chunks, each at least minChunk
-// items (so cheap per-item work pays per-chunk dispatch overhead),
-// falling back to one inline chunk — the pure serial walk — when the
-// engine or the partition degenerates to a single range.
-func Chunked(e Engine, n, minChunk int, fn func(lo, hi int)) {
+// of [0, n), dispatched on e under ctx: at most e.Workers(n) chunks,
+// each at least minChunk items (so cheap per-item work pays per-chunk
+// dispatch overhead). When the engine or the partition degenerates to
+// a single range, that one chunk is the pure serial walk. Errors are
+// ForCtx's: a nil engine, the context's error, or a panicking chunk.
+func Chunked(ctx context.Context, e Engine, n, minChunk int, fn func(lo, hi int)) error {
+	if err := Check(e); err != nil {
+		return err
+	}
 	if n <= 0 {
-		return
+		return nil
 	}
 	if minChunk < 1 {
 		minChunk = 1
 	}
-	chunks := Use(e).Workers(n)
-	if max := (n + minChunk - 1) / minChunk; chunks > max {
-		chunks = max
-	}
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	e.For(chunks, func(c int) {
+	chunks := max(1, min(e.Workers(n), (n+minChunk-1)/minChunk))
+	return ForCtx(ctx, e, chunks, func(c int) {
 		fn(c*n/chunks, (c+1)*n/chunks)
 	})
 }

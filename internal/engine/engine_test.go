@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -200,7 +202,7 @@ func TestChunkedPartition(t *testing.T) {
 	} {
 		covered := make([]int, tc.n)
 		var chunks int32
-		Chunked(tc.e, tc.n, tc.minChunk, func(lo, hi int) {
+		if err := Chunked(context.Background(), tc.e, tc.n, tc.minChunk, func(lo, hi int) {
 			atomic.AddInt32(&chunks, 1)
 			if hi <= lo {
 				t.Errorf("empty chunk [%d, %d)", lo, hi)
@@ -208,7 +210,9 @@ func TestChunkedPartition(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				covered[i]++
 			}
-		})
+		}); err != nil {
+			t.Fatalf("e=%s n=%d minChunk=%d: %v", tc.e.Name(), tc.n, tc.minChunk, err)
+		}
 		for i, c := range covered {
 			if c != 1 {
 				t.Fatalf("e=%s n=%d minChunk=%d: index %d covered %d times", tc.e.Name(), tc.n, tc.minChunk, i, c)
@@ -221,5 +225,17 @@ func TestChunkedPartition(t *testing.T) {
 			t.Errorf("e=%s n=%d minChunk=%d: %d chunks, want exactly 1", tc.e.Name(), tc.n, tc.minChunk, chunks)
 		}
 	}
-	Chunked(Serial, 0, 8, func(lo, hi int) { t.Error("Chunked ran a chunk for n=0") })
+	if err := Chunked(context.Background(), Serial, 0, 8, func(lo, hi int) { t.Error("Chunked ran a chunk for n=0") }); err != nil {
+		t.Errorf("Chunked(n=0) = %v", err)
+	}
+	if err := Chunked(context.Background(), nil, 4, 1, func(lo, hi int) {}); err == nil {
+		t.Error("Chunked(nil engine) did not error")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range []Engine{Serial, WordParallel} {
+		if err := Chunked(ctx, e, 61, 1, func(lo, hi int) { t.Errorf("%s: canceled Chunked ran [%d, %d)", e.Name(), lo, hi) }); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: canceled Chunked = %v, want context.Canceled", e.Name(), err)
+		}
+	}
 }

@@ -41,8 +41,8 @@ type Config struct {
 	// Requires Checkpoint — a shard's output is its snapshot.
 	ShardK, ShardN int
 	// Engine dispatches every sweep a renderer runs; nil means
-	// engine.Default(). (Entry points without an engine parameter
-	// always use the process default.)
+	// engine.Default(). Renderers dispatch on it at one level only:
+	// fan-outs nested inside a sweep item run on engine.Serial.
 	Engine engine.Engine
 }
 
@@ -94,61 +94,71 @@ var registry = []Figure{
 	{"5b", "Fig 5(b)", func(_ context.Context, w io.Writer, _ Config) error {
 		return dse.RenderFig5Case(w, dse.Fig5B())
 	}},
-	{"5c", "Fig 5(c)", func(_ context.Context, w io.Writer, _ Config) error {
-		return dse.RenderFig5C(w, dse.Fig5C())
+	{"5c", "Fig 5(c)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		r, err := dse.Fig5C(ctx, cfg.engine())
+		if err != nil {
+			return err
+		}
+		return dse.RenderFig5C(w, r)
 	}},
-	{"6a", "Fig 6(a)", func(_ context.Context, w io.Writer, cfg Config) error {
-		return dse.RenderFig6A(w, dse.Fig6A(cfg.GridN, cfg.GridN))
+	{"6a", "Fig 6(a)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		pts, err := dse.Fig6A(ctx, cfg.engine(), cfg.GridN, cfg.GridN)
+		if err != nil {
+			return err
+		}
+		return dse.RenderFig6A(w, pts)
 	}},
-	{"6b", "Fig 6(b)", func(_ context.Context, w io.Writer, _ Config) error {
-		pts, err := dse.Fig6B([]float64{1e-2, 1e-4, 1e-6})
+	{"6b", "Fig 6(b)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		pts, err := dse.Fig6B(ctx, cfg.engine(), []float64{1e-2, 1e-4, 1e-6})
 		if err != nil {
 			return err
 		}
 		return dse.RenderFig6B(w, pts)
 	}},
-	{"6c", "Fig 6(c)", func(_ context.Context, w io.Writer, _ Config) error {
-		return dse.RenderFig6C(w, dse.Fig6C())
+	{"6c", "Fig 6(c)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		pts, err := dse.Fig6C(ctx, cfg.engine())
+		if err != nil {
+			return err
+		}
+		return dse.RenderFig6C(w, pts)
 	}},
 	{"7a", "Fig 7(a)", renderFig7A},
-	{"7b", "Fig 7(b)", func(_ context.Context, w io.Writer, _ Config) error {
-		rows, err := dse.Fig7B([]int{2, 4, 8, 12, 16})
+	{"7b", "Fig 7(b)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		rows, err := dse.Fig7B(ctx, cfg.engine(), []int{2, 4, 8, 12, 16})
 		if err != nil {
 			return err
 		}
 		return dse.RenderFig7B(w, rows)
 	}},
-	{"summary", "Summary", func(_ context.Context, w io.Writer, _ Config) error {
-		s, err := dse.Summary()
+	{"summary", "Summary", func(ctx context.Context, w io.Writer, cfg Config) error {
+		s, err := dse.Summary(ctx, cfg.engine())
 		if err != nil {
 			return err
 		}
 		return dse.RenderSummary(w, s)
 	}},
-	{"tradeoff", "Throughput-accuracy trade-off (§V.B extension)", func(_ context.Context, w io.Writer, _ Config) error {
-		return renderTradeoff(w)
-	}},
-	{"sweep", "Accuracy vs stream length (word-parallel batch engine)", func(_ context.Context, w io.Writer, _ Config) error {
+	{"tradeoff", "Throughput-accuracy trade-off (§V.B extension)", renderTradeoff},
+	{"sweep", "Accuracy vs stream length (word-parallel batch engine)", func(ctx context.Context, w io.Writer, cfg Config) error {
 		const sweepPoints = 17
-		rows, err := dse.StreamLengthSweep([]int{64, 256, 1024, 4096, 16384}, sweepPoints, 9)
+		rows, err := dse.StreamLengthSweep(ctx, cfg.engine(), []int{64, 256, 1024, 4096, 16384}, sweepPoints, 9)
 		if err != nil {
 			return err
 		}
 		return dse.RenderStreamLengthSweep(w, rows, sweepPoints)
 	}},
-	{"noise", "Monte-Carlo noise study (accuracy/BER vs length, probe power, sigma)", func(_ context.Context, w io.Writer, _ Config) error {
+	{"noise", "Monte-Carlo noise study (accuracy/BER vs length, probe power, sigma)", func(ctx context.Context, w io.Writer, cfg Config) error {
 		spec, err := dse.DefaultNoiseStudySpec()
 		if err != nil {
 			return err
 		}
-		rows, err := dse.NoiseStudy(spec)
+		rows, err := dse.NoiseStudy(ctx, cfg.engine(), spec)
 		if err != nil {
 			return err
 		}
 		return dse.RenderNoiseStudy(w, rows, spec)
 	}},
-	{"edge", "Image PSNR vs stream length (packed tiled engine)", func(_ context.Context, w io.Writer, _ Config) error {
-		rows, err := dse.EdgeStudy([]int{64, 256, 1024, 4096}, 7)
+	{"edge", "Image PSNR vs stream length (packed tiled engine)", func(ctx context.Context, w io.Writer, cfg Config) error {
+		rows, err := dse.EdgeStudy(ctx, cfg.engine(), []int{64, 256, 1024, 4096}, 7)
 		if err != nil {
 			return err
 		}
@@ -196,8 +206,8 @@ func SortedKeys() []string {
 	return keys
 }
 
-func renderFig7A(_ context.Context, w io.Writer, cfg Config) error {
-	series, err := dse.Fig7A([]int{2, 4, 6}, cfg.SweepN)
+func renderFig7A(ctx context.Context, w io.Writer, cfg Config) error {
+	series, err := dse.Fig7A(ctx, cfg.engine(), []int{2, 4, 6}, cfg.SweepN)
 	if err != nil {
 		return err
 	}
@@ -207,14 +217,17 @@ func renderFig7A(_ context.Context, w io.Writer, cfg Config) error {
 	if _, err := fmt.Fprintln(w, "\nn=2 curves (chart):"); err != nil {
 		return err
 	}
-	chartPts := core.NewEnergyModel(2).Sweep(0.11, 0.3, 48)
+	chartPts, err := core.NewEnergyModel(2).SweepCtx(ctx, cfg.engine(), 0.11, 0.3, 48)
+	if err != nil {
+		return err
+	}
 	if err := dse.RenderEnergyChartASCII(w, chartPts, 96, 18, 70); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err
 	}
-	profile, err := dse.ApplicationProfile()
+	profile, err := dse.ApplicationProfile(ctx, cfg.engine())
 	if err != nil {
 		return err
 	}
@@ -222,7 +235,11 @@ func renderFig7A(_ context.Context, w io.Writer, cfg Config) error {
 }
 
 func renderAblations(ctx context.Context, w io.Writer, cfg Config) error {
-	if err := dse.RenderRingSensitivity(w, dse.RingSensitivity([]float64{0.75, 1.0, 1.25, 1.5})); err != nil {
+	ring, err := dse.RingSensitivity(ctx, cfg.engine(), []float64{0.75, 1.0, 1.25, 1.5})
+	if err != nil {
+		return err
+	}
+	if err := dse.RenderRingSensitivity(w, ring); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
@@ -401,7 +418,7 @@ func renderWaterfall(ctx context.Context, w io.Writer, cfg Config) error {
 // the decision bit and the gated received-power peak. The trace runs
 // word-parallel (core.Unit.Cycles + block noise) and is single-stream,
 // so the table is identical at any worker count.
-func renderTrace(_ context.Context, w io.Writer, _ Config) error {
+func renderTrace(ctx context.Context, w io.Writer, cfg Config) error {
 	p := core.PaperParams()
 	p.ProbePowerMW = core.MustCircuit(p).MinProbePowerMW(1e-3)
 	c, err := core.NewCircuit(p)
@@ -414,7 +431,7 @@ func renderTrace(_ context.Context, w io.Writer, _ Config) error {
 	}
 	sim := transient.NewSimulator(u, 8)
 	const bits, spb = 16, 8
-	tr, err := sim.Trace(0.5, bits, spb)
+	tr, err := sim.TraceCtx(ctx, cfg.engine(), 0.5, bits, spb)
 	if err != nil {
 		return err
 	}
@@ -455,7 +472,7 @@ func renderVideo(ctx context.Context, w io.Writer, cfg Config) error {
 	return t.Render(w)
 }
 
-func renderTradeoff(w io.Writer) error {
+func renderTradeoff(ctx context.Context, w io.Writer, cfg Config) error {
 	// Size the paper circuit for a deliberately noisy 1e-2 link, then
 	// show RMSE vs stream length with the implied throughput.
 	p := core.PaperParams()
@@ -473,7 +490,7 @@ func renderTradeoff(w io.Writer) error {
 		p.ProbePowerMW, sim.AnalyticWorstCaseBER()); err != nil {
 		return err
 	}
-	pts, err := sim.AccuracyVsLength(0.5, []int{64, 256, 1024, 4096, 16384}, 30)
+	pts, err := sim.AccuracyVsLengthCtx(ctx, cfg.engine(), 0.5, []int{64, 256, 1024, 4096, 16384}, 30)
 	if err != nil {
 		return err
 	}

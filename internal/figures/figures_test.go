@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -101,5 +102,30 @@ func TestRenderEngineHonored(t *testing.T) {
 	}
 	if a.Len() == 0 {
 		t.Error("5a rendered empty output")
+	}
+}
+
+// TestRenderNoNestedDispatch renders every figure on a one-slot
+// Limited engine and requires the bytes of an engine.Serial render. A
+// renderer that dispatched a nested fan-out on its configured engine
+// would wait forever for the slot its own item holds; the deadline
+// turns that hang into a failure.
+func TestRenderNoNestedDispatch(t *testing.T) {
+	one := engine.NewLimited("one", engine.WordParallel, 1)
+	for _, f := range All() {
+		render := func(e engine.Engine) string {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			cfg := Defaults()
+			cfg.Engine = e
+			var out bytes.Buffer
+			if err := f.Render(ctx, &out, cfg); err != nil {
+				t.Fatalf("%s on %s: %v", f.Key, e.Name(), err)
+			}
+			return out.String()
+		}
+		if got, want := render(one), render(engine.Serial); got != want {
+			t.Errorf("%s: one-slot render differs from the serial render:\n%s\nwant:\n%s", f.Key, got, want)
+		}
 	}
 }

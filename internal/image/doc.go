@@ -14,27 +14,24 @@
 // derived — so video-style workloads amortize it across frames:
 // GammaLUTCache memoizes the coefficient fit, the circuit solve and
 // the quantized LUT per (gamma, degree, spacing, streamLen, seed),
-// and GammaVideo corrects a whole frame batch through one cached
-// table, fanning the per-frame LUT applications over the evaluation
-// engine (GammaVideoOn takes the engine explicitly; GammaVideoSerial
-// is the engine.Serial shim). Quickstart:
+// and GammaVideoCtx corrects a whole frame batch through one cached
+// table, fanning the per-frame LUT applications over the caller's
+// evaluation engine under the caller's context. Quickstart:
 //
 //	var cache image.GammaLUTCache
-//	out, err := image.GammaVideo(frames, 0.45, 6, 0.3, 1024, 9, &cache)
+//	out, err := image.GammaVideoCtx(ctx, engine.WordParallel, frames, 0.45, 6, 0.3, 1024, 9, &cache)
 //
 // Edge detection has no LUT shortcut — every pixel window needs its
-// own correlated streams — so RobertsCrossSC is a packed tiled
-// engine: row bands fan out over the evaluation engine
-// (RobertsCrossSCOn takes it explicitly), and each
-// worker streams its pixels through word-level plane kernels
+// own correlated streams — so RobertsCrossSCOn is a packed tiled
+// engine: row bands fan out over the caller's evaluation engine, and
+// each worker streams its pixels through word-level plane kernels
 // (stochastic.FillAbsDiffPlane, stochastic.MuxPlanes) on per-worker
 // scratch, with flat diagonal pairs eliding their RNG draws entirely.
 // Per-pixel seeds derive from the pixel index via
-// stochastic.DeriveSeed, so the output is bit-identical to the
-// bit-serial shim (RobertsCrossSCSerial) on any engine or core count.
-// Quickstart:
+// stochastic.DeriveSeed, so the output is bit-identical to an
+// engine.Serial run on any engine or core count. Quickstart:
 //
 //	src := image.Checkerboard(64, 64, 8, 30, 220)
-//	sc, err := image.RobertsCrossSC(src, 4096, 7)   // packed tiled engine
+//	sc, err := image.RobertsCrossSCOn(engine.WordParallel, src, 4096, 7) // packed tiled engine
 //	psnr := image.PSNR(image.RobertsCrossExact(src), sc)
 package image

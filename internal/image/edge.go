@@ -144,15 +144,3 @@ func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*
 	})
 	return out, nil
 }
-
-// RobertsCrossSC is RobertsCrossSCOn on the process-default engine.
-func RobertsCrossSC(src *Gray, streamLen int, seed uint64) (*Gray, error) {
-	return RobertsCrossSCOn(engine.Default(), src, streamLen, seed)
-}
-
-// RobertsCrossSCSerial is the retained serial oracle for
-// RobertsCrossSC: the same tiled kernel walked in order on the calling
-// goroutine via engine.Serial.
-func RobertsCrossSCSerial(src *Gray, streamLen int, seed uint64) (*Gray, error) {
-	return RobertsCrossSCOn(engine.Serial, src, streamLen, seed)
-}

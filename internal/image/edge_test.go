@@ -2,6 +2,8 @@ package image
 
 import (
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestRobertsCrossExactOnStep(t *testing.T) {
@@ -27,7 +29,7 @@ func TestRobertsCrossExactOnStep(t *testing.T) {
 func TestRobertsCrossSCMatchesExact(t *testing.T) {
 	src := Checkerboard(16, 16, 4, 40, 210)
 	exact := RobertsCrossExact(src)
-	sc, err := RobertsCrossSC(src, 2048, 9)
+	sc, err := RobertsCrossSCOn(engine.WordParallel, src, 2048, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestRobertsCrossSCEdgesFire(t *testing.T) {
 			img.Set(x, y, 255)
 		}
 	}
-	e, err := RobertsCrossSC(img, 1024, 3)
+	e, err := RobertsCrossSCOn(engine.WordParallel, img, 1024, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +76,11 @@ func TestRobertsCrossGradientQuiet(t *testing.T) {
 
 func TestRobertsCrossSCErrors(t *testing.T) {
 	src := Checkerboard(8, 8, 2, 0, 255)
-	if _, err := RobertsCrossSC(src, 0, 1); err == nil {
-		t.Error("packed: zero stream length accepted")
+	if _, err := RobertsCrossSCOn(engine.WordParallel, src, 0, 1); err == nil {
+		t.Error("zero stream length accepted")
 	}
-	if _, err := RobertsCrossSC(src, -5, 1); err == nil {
-		t.Error("packed: negative stream length accepted")
-	}
-	if _, err := RobertsCrossSCSerial(src, 0, 1); err == nil {
-		t.Error("serial: zero stream length accepted")
+	if _, err := RobertsCrossSCOn(engine.WordParallel, src, -5, 1); err == nil {
+		t.Error("negative stream length accepted")
 	}
 }
 
@@ -89,7 +88,7 @@ func TestRobertsCrossSCErrors(t *testing.T) {
 // window come back all dark without touching the engine.
 func TestRobertsCrossSCDegenerateDims(t *testing.T) {
 	for _, dims := range [][2]int{{1, 8}, {8, 1}, {1, 1}} {
-		out, err := RobertsCrossSC(NewGray(dims[0], dims[1]), 64, 1)
+		out, err := RobertsCrossSCOn(engine.WordParallel, NewGray(dims[0], dims[1]), 64, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +106,7 @@ func TestRobertsCrossSCDegenerateDims(t *testing.T) {
 // dB under the measured 47.4 dB (edge) and 39.3 dB (gamma).
 func TestImageQualityRegression(t *testing.T) {
 	edgeSrc := Checkerboard(64, 64, 8, 30, 220)
-	sc, err := RobertsCrossSC(edgeSrc, 2048, 7)
+	sc, err := RobertsCrossSCOn(engine.WordParallel, edgeSrc, 2048, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,6 @@ import (
 func TestEngineSuite(t *testing.T) {
 	cases := []enginetest.Case{
 		{
-			Name: "image.GammaVideoOn",
-			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoOn(e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
-			},
-		},
-		{
 			Name: "image.GammaVideoPerFrameOn",
 			Eval: func(e engine.Engine) (any, error) {
 				return GammaVideoPerFrameOn(e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
@@ -59,64 +53,6 @@ func TestEngineSuite(t *testing.T) {
 	enginetest.Run(t, nil, cases)
 }
 
-// TestSerialShims pins the X / XSerial surface onto the engine layer:
-// each XSerial is exactly XOn on engine.Serial, and each X is XOn on
-// the process default.
-func TestSerialShims(t *testing.T) {
-	src := Checkerboard(21, 13, 4, 40, 210)
-	edgeSerial, err := RobertsCrossSCSerial(src, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge, err := RobertsCrossSC(src, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range edgeSerial.Pix {
-		if edgeSerial.Pix[i] != edge.Pix[i] {
-			t.Fatalf("pixel %d: RobertsCrossSCSerial %d vs RobertsCrossSC %d", i, edgeSerial.Pix[i], edge.Pix[i])
-		}
-	}
-
-	frames := videoFrames()
-	vidSerial, err := GammaVideoSerial(frames, 0.45, 6, 0.3, 256, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vid, err := GammaVideo(frames, 0.45, 6, 0.3, 256, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFramesEqual(t, "GammaVideoSerial vs GammaVideo", vidSerial, vid)
-
-	pfSerial, err := GammaVideoPerFrameSerial(frames, 0.45, 6, 0.3, 256, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := GammaVideoPerFrame(frames, 0.45, 6, 0.3, 256, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFramesEqual(t, "GammaVideoPerFrameSerial vs GammaVideoPerFrame", pfSerial, pf)
-}
-
-func assertFramesEqual(t *testing.T, name string, want, got []*Gray) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d vs %d frames", name, len(want), len(got))
-	}
-	for f := range want {
-		if want[f].W != got[f].W || want[f].H != got[f].H {
-			t.Fatalf("%s: frame %d dimensions differ", name, f)
-		}
-		for i := range want[f].Pix {
-			if want[f].Pix[i] != got[f].Pix[i] {
-				t.Fatalf("%s: frame %d pixel %d: %d vs %d", name, f, i, want[f].Pix[i], got[f].Pix[i])
-			}
-		}
-	}
-}
-
 // TestNilEngineMisuse: all three entry points report a nil engine as a
 // clean error (they all have error returns).
 func TestNilEngineMisuse(t *testing.T) {
@@ -125,8 +61,8 @@ func TestNilEngineMisuse(t *testing.T) {
 		t.Error("RobertsCrossSCOn(nil) did not error")
 	}
 	frames := []*Gray{Gradient(8, 8)}
-	if _, err := GammaVideoOn(nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
-		t.Error("GammaVideoOn(nil) did not error")
+	if _, err := GammaVideoCtx(context.Background(), nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
+		t.Error("GammaVideoCtx(nil) did not error")
 	}
 	if _, err := GammaVideoPerFrameOn(nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
 		t.Error("GammaVideoPerFrameOn(nil) did not error")

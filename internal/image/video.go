@@ -93,7 +93,7 @@ func (c *GammaLUTCache) ReSCLUT(gamma float64, degree, streamLen int, seed uint6
 	})
 }
 
-// GammaVideoOn applies optical gamma correction to a batch of frames
+// GammaVideoCtx applies optical gamma correction to a batch of frames
 // — the video-style workload of the photonic-crystal follow-up — and
 // returns the corrected frames in order. The gamma state (coefficient
 // fit, circuit solve, 256-level LUT) is built once through the cache
@@ -106,14 +106,8 @@ func (c *GammaLUTCache) ReSCLUT(gamma float64, degree, streamLen int, seed uint6
 // A nil cache builds the state privately for this call; passing a
 // shared *GammaLUTCache amortizes it across calls (successive batches,
 // interleaved gammas). Frames must be non-nil; a nil engine is an
-// error.
-func GammaVideoOn(e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoCtx(context.Background(), e, frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoCtx is GammaVideoOn under cooperative cancellation: a
-// fired ctx stops the frame fan-out at a frame boundary and surfaces a
-// *engine.Partial (wrapping the context error, or the
+// error. A fired ctx stops the frame fan-out at a frame boundary and
+// surfaces a *engine.Partial (wrapping the context error, or the
 // *parallel.PanicError of a faulting frame) instead of frames.
 func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
 	if err := engine.Check(e); err != nil {
@@ -137,19 +131,7 @@ func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma f
 	return out, nil
 }
 
-// GammaVideo is GammaVideoOn on the process-default engine.
-func GammaVideo(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoOn(engine.Default(), frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoSerial is the retained serial oracle for GammaVideo: the
-// same cached build with frames walked in order on the calling
-// goroutine via engine.Serial.
-func GammaVideoSerial(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) ([]*Gray, error) {
-	return GammaVideoOn(engine.Serial, frames, gamma, degree, spacingNM, streamLen, seed, nil)
-}
-
-// GammaVideoPerFrameOn is GammaVideoOn with decorrelated stochastic noise
+// GammaVideoPerFrameOn is GammaVideoCtx with decorrelated stochastic noise
 // across frames: frame i evaluates its LUT under the derived seed
 // DeriveSeed(seed, i), so quantization error is independent frame to
 // frame instead of frozen into one batch-wide pattern (the temporal
@@ -163,7 +145,7 @@ func GammaVideoSerial(frames []*Gray, gamma float64, degree int, spacingNM float
 // replaying the batch (or a longer clip at the same base seed) hits
 // every LUT already built. Frames are dispatched on the given engine;
 // if any fail, the error of the lowest failing frame is returned — a
-// deterministic choice, matching dse.SweepErr. A nil engine is an
+// deterministic choice, matching dse.SweepCtx. A nil engine is an
 // error.
 func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
 	if err := engine.Check(e); err != nil {
@@ -195,17 +177,4 @@ func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree
 		}
 	}
 	return out, nil
-}
-
-// GammaVideoPerFrame is GammaVideoPerFrameOn on the process-default
-// engine.
-func GammaVideoPerFrame(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
-	return GammaVideoPerFrameOn(engine.Default(), frames, gamma, degree, spacingNM, streamLen, seed, cache)
-}
-
-// GammaVideoPerFrameSerial is the retained serial oracle for
-// GammaVideoPerFrame: the same cached per-frame-seed build with frames
-// walked in order on the calling goroutine via engine.Serial.
-func GammaVideoPerFrameSerial(frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) ([]*Gray, error) {
-	return GammaVideoPerFrameOn(engine.Serial, frames, gamma, degree, spacingNM, streamLen, seed, nil)
 }

@@ -1,8 +1,10 @@
 package image
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -20,7 +22,7 @@ func videoFrames() []*Gray {
 // applying the LUT.
 func TestGammaVideoDoesNotMutateInput(t *testing.T) {
 	frames := videoFrames()
-	if _, err := GammaVideo(frames, 0.45, 6, 0.3, 256, 9, nil); err != nil {
+	if _, err := GammaVideoCtx(context.Background(), engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, nil); err != nil {
 		t.Fatal(err)
 	}
 	if frames[0].Pix[5] != Gradient(32, 24).Pix[5] {
@@ -34,7 +36,7 @@ func TestGammaVideoDoesNotMutateInput(t *testing.T) {
 func TestGammaVideoPerFrameCacheReplay(t *testing.T) {
 	frames := videoFrames()
 	var cache GammaLUTCache
-	if _, err := GammaVideoPerFrame(frames, 0.45, 6, 0.3, 256, 9, &cache); err != nil {
+	if _, err := GammaVideoPerFrameOn(engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, &cache); err != nil {
 		t.Fatal(err)
 	}
 	l0, err := cache.OpticalLUT(0.45, 6, 0.3, 256, stochastic.DeriveSeed(9, 0))
@@ -58,7 +60,7 @@ func TestGammaVideoPerFrameDecorrelation(t *testing.T) {
 	// (deterministically) different quantization noise. A short stream
 	// keeps the noise large enough to observe.
 	twins := []*Gray{Gradient(32, 24), Gradient(32, 24)}
-	out, err := GammaVideoPerFrame(twins, 0.45, 6, 0.3, 32, 9, nil)
+	out, err := GammaVideoPerFrameOn(engine.WordParallel, twins, 0.45, 6, 0.3, 32, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +142,10 @@ func TestGammaLUTCacheReuse(t *testing.T) {
 
 func TestGammaVideoErrors(t *testing.T) {
 	frames := []*Gray{Gradient(8, 8)}
-	if _, err := GammaVideo(frames, 0.45, 6, 0.3, 0, 1, nil); err == nil {
+	if _, err := GammaVideoCtx(context.Background(), engine.WordParallel, frames, 0.45, 6, 0.3, 0, 1, nil); err == nil {
 		t.Error("zero stream length accepted")
 	}
-	if _, err := GammaVideo(frames, -1, 6, 0.3, 256, 1, nil); err == nil {
+	if _, err := GammaVideoCtx(context.Background(), engine.WordParallel, frames, -1, 6, 0.3, 256, 1, nil); err == nil {
 		t.Error("negative gamma accepted")
 	}
 	var cache GammaLUTCache
@@ -151,32 +153,21 @@ func TestGammaVideoErrors(t *testing.T) {
 		t.Error("negative stream length accepted by ReSCLUT")
 	}
 	// An empty batch is not an error — there is just nothing to do.
-	out, err := GammaVideo(nil, 0.45, 6, 0.3, 256, 1, nil)
+	out, err := GammaVideoCtx(context.Background(), engine.WordParallel, nil, 0.45, 6, 0.3, 256, 1, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty batch: %v, %d frames", err, len(out))
 	}
 }
 
-// BenchmarkGammaVideoSerial / BenchmarkGammaVideo measure the
-// cross-call amortization: the serial shim builds the gamma state in a
-// private per-call cache, while the shared-cache path builds it once
-// and replays the LUT across every iteration.
-func BenchmarkGammaVideoSerial(b *testing.B) {
-	frames := []*Gray{Gradient(64, 64), Radial(64, 64), Checkerboard(64, 64, 8, 30, 220), Gradient(64, 64)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := GammaVideoSerial(frames, 0.45, 6, 0.3, 1024, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkGammaVideo measures the cross-call amortization: the
+// shared cache builds the gamma state once and replays the LUT across
+// every iteration.
 func BenchmarkGammaVideo(b *testing.B) {
 	frames := []*Gray{Gradient(64, 64), Radial(64, 64), Checkerboard(64, 64, 8, 30, 220), Gradient(64, 64)}
 	var cache GammaLUTCache
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GammaVideo(frames, 0.45, 6, 0.3, 1024, 3, &cache); err != nil {
+		if _, err := GammaVideoCtx(context.Background(), engine.WordParallel, frames, 0.45, 6, 0.3, 1024, 3, &cache); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,13 +11,13 @@
 // Every parallel engine in the repo is deterministic by construction:
 // randomness derives from (seed, item index) via stochastic.DeriveSeed,
 // never from scheduling, wall clock, or shared generator state. Every
-// word-parallel engine X keeps a bit-serial sibling XSerial pinned by
-// an equivalence test. Output renderers must not leak Go's randomized
-// map iteration order, and errors must propagate instead of being
-// swallowed. All four conventions have been violated before — PR 5's
-// CI smoke diff caught map-iteration nondeterminism in
-// optics.RenderSpectrumASCII only at runtime, and PR 2 fixed oscspice
-// silently swallowing evaluation errors. This suite moves those bug
+// engine-accepting entry point is replayed on every registered engine
+// against the engine.Serial reference. Output renderers must not leak
+// Go's randomized map iteration order, and errors must propagate
+// instead of being swallowed. All four conventions have been violated
+// before: a CI smoke diff caught map-iteration nondeterminism in
+// optics.RenderSpectrumASCII only at runtime, and oscspice once
+// silently swallowed evaluation errors. This suite moves those bug
 // classes from runtime diffs to analysis time — and now that the
 // engine layer (internal/engine) multiplies the backends sharing each
 // entry point, the rules cover engine-dispatched worker bodies too.
@@ -45,16 +45,13 @@
 // idiom passes: appends are clean when the destination slice is handed
 // to a sort.* / slices.Sort* call later in the same block.
 //
-// oraclepair — equivalence pins, in two parts. Pairs: for every
-// exported X with an exported XSerial sibling in an internal/
-// package, some _test.go file in the package must reference both
-// identifiers; otherwise the pair is unpinned and the oracle is dead
-// weight. Suite registration: every exported function or method that
-// takes an engine.Engine parameter must be exercised by the
-// cross-engine suite — referenced from a _test.go file that imports
-// internal/engine/enginetest and calls its Run — otherwise the entry
-// point is never replayed across engines. internal/engine itself (and
-// its subpackages) is exempt, being the layer under test.
+// oraclepair — suite registration. Every exported function or method
+// in an internal/ package that takes an engine.Engine parameter must
+// be exercised by the cross-engine suite — referenced from a _test.go
+// file that imports internal/engine/enginetest and calls its Run —
+// otherwise the entry point is never replayed across engines against
+// the engine.Serial oracle. internal/engine itself (and its
+// subpackages) is exempt, being the layer under test.
 //
 // errprop — error propagation in cmd/ and internal/. Discarding an
 // error via `_ =` (including the error slot of a multi-assign) or a
@@ -65,7 +62,7 @@
 // (the same parallel / engine dispatchers as detrand), `make`,
 // growing `append`, and fmt.Sprint* run
 // once per item; the rule points at the per-worker scratch pattern
-// (O(workers) allocations, see image.RobertsCrossSC) backing the
+// (O(workers) allocations, see image.RobertsCrossSCOn) backing the
 // ROADMAP zero-alloc push.
 //
 // # Suppressions

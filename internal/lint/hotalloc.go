@@ -11,7 +11,7 @@ import (
 // included), per-item
 // `make` calls, growing `append`s, and fmt.Sprint* formatting multiply
 // allocations by the item count. The fix is the ForWorker per-worker
-// scratch pattern (O(workers) allocations, see image.RobertsCrossSC)
+// scratch pattern (O(workers) allocations, see image.RobertsCrossSCOn)
 // or hoisting the buffer outside the fan-out. Results that must be
 // written per item (`out[i] = ...`) are unaffected — only fresh
 // allocations inside the body are flagged.

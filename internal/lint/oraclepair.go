@@ -3,84 +3,31 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// OraclePair enforces the repo's oracle discipline, in two parts.
-//
-// Part one (the retained X/XSerial check): every exported
-// word-parallel engine X with a retained bit-serial sibling XSerial
-// must be pinned by a _test.go file in the same package that
-// references both identifiers — the equivalence test that keeps the
-// pair bit-identical. Without it a new engine can land "paired" with
-// an oracle nothing ever compares against.
-//
-// Part two (the suite-registration check): every exported entry point
-// that accepts an engine.Engine parameter must be registered in the
-// generic cross-engine equivalence suite — referenced from a _test.go
-// file in the same package that calls enginetest.Run. The suite is
-// what replays the entry point on every registered engine against the
-// engine.Serial reference; an unregistered entry point dispatches work
-// nothing ever cross-checks.
+// OraclePair enforces the repo's oracle discipline: every exported
+// entry point that accepts an engine.Engine parameter must be
+// registered in the generic cross-engine equivalence suite —
+// referenced from a _test.go file in the same package that calls
+// enginetest.Run. The suite is what replays the entry point on every
+// registered engine against the engine.Serial reference (the oracle);
+// an unregistered entry point dispatches work nothing ever
+// cross-checks.
 var OraclePair = &Analyzer{
 	Name: "oraclepair",
-	Doc:  "X/XSerial pairs need an equivalence test; engine-accepting entry points must register in the enginetest suite",
-	Run:  runOraclePair,
+	Doc:  "engine-accepting entry points must register in the enginetest suite",
+	Run:  runSuiteCheck,
 }
 
-func runOraclePair(p *Package) []Finding {
-	if !p.IsInternal() {
-		return nil
-	}
-	out := runPairCheck(p)
-	out = append(out, runSuiteCheck(p)...)
-	return out
-}
-
-func runPairCheck(p *Package) []Finding {
-	// Exported top-level functions and methods, by name.
-	decls := map[string]*ast.FuncDecl{}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				if _, seen := decls[fd.Name.Name]; !seen {
-					decls[fd.Name.Name] = fd
-				}
-			}
-		}
-	}
-	var out []Finding
-	names := make([]string, 0, len(decls))
-	for name := range decls {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic report order
-	for _, name := range names {
-		base, isSerial := strings.CutSuffix(name, "Serial")
-		if !isSerial || base == "" || !ast.IsExported(base) {
-			continue
-		}
-		if _, ok := decls[base]; !ok {
-			continue
-		}
-		if pairTested(p, base, name) {
-			continue
-		}
-		out = append(out, p.Findingf(decls[name].Name, "oraclepair",
-			"oracle pair %s/%s has no test referencing both; add an equivalence test pinning them bit-identical",
-			base, name))
-	}
-	return out
-}
-
-// runSuiteCheck is part two: exported functions and methods with an
-// engine.Engine parameter must appear in a test file that invokes
-// enginetest.Run. The engine layer itself (internal/engine and its
-// subpackages) is exempt — its Register/Get/Use plumbing takes Engine
-// values without dispatching domain work.
+// runSuiteCheck reports exported functions and methods in internal/
+// packages with an engine.Engine parameter that no test file invoking
+// enginetest.Run references. The engine layer itself (internal/engine
+// and its subpackages) is exempt — its Register/Get/Use plumbing takes
+// Engine values without dispatching domain work.
 func runSuiteCheck(p *Package) []Finding {
-	if strings.HasSuffix(p.Path, "/internal/engine") ||
+	if !p.IsInternal() ||
+		strings.HasSuffix(p.Path, "/internal/engine") ||
 		strings.Contains(p.Path, "/internal/engine/") {
 		return nil
 	}
@@ -210,17 +157,6 @@ func enginetestImportName(f *ast.File) string {
 func inSuite(suite []*ast.File, name string) bool {
 	for _, tf := range suite {
 		if referencesName(tf, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// pairTested reports whether a single test file references both
-// identifiers.
-func pairTested(p *Package, base, serial string) bool {
-	for _, tf := range p.TestFiles {
-		if referencesName(tf, base) && referencesName(tf, serial) {
 			return true
 		}
 	}

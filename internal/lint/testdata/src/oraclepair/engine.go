@@ -1,3 +1,6 @@
+// Package oraclepair is an analyzer fixture: engine-accepting entry
+// points registered in the cross-engine suite (clean) next to ones
+// nothing registers (flagged).
 package oraclepair
 
 import "repro/internal/engine"
@@ -19,7 +22,7 @@ func UnregisteredOn(e engine.Engine, n int) []int { // want oraclepair
 	return out
 }
 
-// MentionedOn is referenced from pair_test.go — but that file never
+// MentionedOn is referenced from mention_test.go — but that file never
 // calls enginetest.Run, so a bare mention does not satisfy the suite
 // check.
 func MentionedOn(e engine.Engine, n int) []int { // want oraclepair

@@ -2,16 +2,6 @@ package oraclepair
 
 import "testing"
 
-// TestPinnedMatchesSerial is the equivalence pin the oraclepair rule
-// requires: one test referencing both halves of the pair.
-func TestPinnedMatchesSerial(t *testing.T) {
-	for n := 0; n < 8; n++ {
-		if got, want := Pinned(n), PinnedSerial(n); got != want {
-			t.Fatalf("Pinned(%d) = %d, PinnedSerial = %d", n, got, want)
-		}
-	}
-}
-
 // TestMentionedOn references MentionedOn without calling
 // enginetest.Run — this file is not a suite file, so the reference
 // must not satisfy the suite-registration check.

@@ -280,7 +280,7 @@ func (s *Server) runYield(ctx context.Context, study dse.YieldStudy, key dse.Che
 func (s *Server) runYieldShard(ctx context.Context, study dse.YieldStudy, key dse.CheckpointKey, k, n int) ([]*core.DieOutcome, error) {
 	sh := engine.Shard{K: k, N: n, Inner: s.eng}
 	if s.cfg.CheckpointDir == "" {
-		dies, err := dse.SweepCtx(ctx, sh, key.N, study.Die)
+		dies, err := dse.SweepCtx(ctx, sh, key.N, func(i int) (core.DieOutcome, error) { return study.Die(i), nil })
 		out := make([]*core.DieOutcome, key.N)
 		var p *engine.Partial
 		switch {

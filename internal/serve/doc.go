@@ -53,8 +53,10 @@
 // oversubscribe the machine. A full queue answers 503 queue_full
 // immediately with Retry-After. The per-request deadline (timeout_ms,
 // capped by Config.MaxTimeout, defaulting to Config.DefaultTimeout) is
-// threaded into the *Ctx sweep entry points, which stop at work-item
-// boundaries and report engine.Partial progress in the 504 body.
+// threaded into the ctx-first sweep entry points, which stop at
+// work-item boundaries and report engine.Partial progress in the 504
+// body. Every figure that dispatches work honours it; only
+// /v1/image/edge, whose kernel takes no context, runs to completion.
 //
 // # Idempotency and retries
 //

@@ -274,19 +274,36 @@ func (s slowEngine) ForWorker(n, workers int, fn func(worker, i int)) {
 }
 
 // TestDeadline: an expired per-request deadline surfaces as 504 with
-// kind deadline, and the sweep stops at an item boundary.
+// kind deadline, and the sweep stops at an item boundary. Every figure
+// that dispatches work honours it too — only 5a and 5b, which dispatch
+// nothing, finish inside the deadline.
 func TestDeadline(t *testing.T) {
 	s := New(Config{Engine: slowEngine{inner: engine.Serial, delay: 2 * time.Millisecond}, Workers: 1})
-	rec := post(s, "/v1/yield", `{"sigmas_nm": [0.05, 0.1], "samples": 10, "timeout_ms": 1}`)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504: %s", rec.Code, rec.Body.String())
+	check := func(name, path, reqBody string, want int) {
+		t.Helper()
+		rec := post(s, path, reqBody)
+		if rec.Code != want {
+			t.Errorf("%s: status = %d, want %d: %s", name, rec.Code, want, rec.Body.String())
+			return
+		}
+		if want != http.StatusGatewayTimeout {
+			return
+		}
+		body := decodeBody[ErrorBody](t, rec)
+		if body.Kind != "deadline" {
+			t.Errorf("%s: kind = %q, want deadline", name, body.Kind)
+		}
+		if body.Completed > body.N {
+			t.Errorf("%s: completed %d > n %d", name, body.Completed, body.N)
+		}
 	}
-	body := decodeBody[ErrorBody](t, rec)
-	if body.Kind != "deadline" {
-		t.Errorf("kind = %q, want deadline", body.Kind)
-	}
-	if body.Completed > body.N {
-		t.Errorf("completed %d > n %d", body.Completed, body.N)
+	check("yield", "/v1/yield", `{"sigmas_nm": [0.05, 0.1], "samples": 10, "timeout_ms": 1}`, http.StatusGatewayTimeout)
+	for _, key := range figures.Keys() {
+		want := http.StatusGatewayTimeout
+		if key == "5a" || key == "5b" {
+			want = http.StatusOK
+		}
+		check("figure "+key, "/v1/figures/"+key, `{"grid": 2, "sweep": 2, "samples": 1, "timeout_ms": 1}`, want)
 	}
 }
 

@@ -51,25 +51,25 @@
 //
 // # Word-parallel measurements
 //
-// Every measurement on top of the simulator follows the same pattern:
-// an engine-dispatched entry point XOn(e engine.Engine, ...) whose
-// randomness derives from item indices, a bare X running on the
-// process-default engine, and an XSerial shim on engine.Serial — all
+// Every measurement on top of the simulator has one entry point that
+// takes its engine (and, when it can be interrupted, its context) from
+// the caller. Randomness derives from item indices, so each is
 // bit-identical across engines on any core count, pinned by this
-// package's internal/engine/enginetest suite.
+// package's internal/engine/enginetest suite; oracles run it on
+// engine.Serial.
 //
-//   - TraceOn (Trace / TraceSerial) — the pulse-gated waveform
-//     written over core.Unit.Cycles (64 decoded cycles per SNG word
-//     draw) with per-slot block noise fills.
-//   - MeasureEyeOn (MeasureEye / MeasureEyeSerial) — decision-instant
-//     statistics over the same decoded-cycle visitor.
-//   - SyncSweepOn (SyncSweep / SyncSweepSerial) — sampling offsets
-//     fanned over the engine with per-offset derived noise seeds.
-//   - BERWaterfallOn (BERWaterfall / BERWaterfallSerial) —
-//     probe-power points fanned over the engine, each rebuilding its
-//     circuit with per-point derived unit and simulator seeds.
-//   - AccuracyVsLengthOn (AccuracyVsLength / AccuracyVsLengthSerial)
-//     — (length, trial) pairs fanned over the engine with per-trial
-//     derived seeds; it does not advance the simulator's generators,
-//     so repeated calls return identical points.
+//   - TraceCtx — the pulse-gated waveform written over
+//     core.Unit.Cycles (64 decoded cycles per SNG word draw) with
+//     per-slot block noise fills.
+//   - MeasureEyeOn — decision-instant statistics over the same
+//     decoded-cycle visitor.
+//   - SyncSweepOn — sampling offsets fanned over the engine with
+//     per-offset derived noise seeds.
+//   - BERWaterfallCtx — probe-power points fanned over the engine,
+//     each rebuilding its circuit with per-point derived unit and
+//     simulator seeds.
+//   - AccuracyVsLengthCtx — (length, trial) pairs fanned over the
+//     engine with per-trial derived seeds; it does not advance the
+//     simulator's generators, so repeated calls return identical
+//     points.
 package transient

@@ -3,7 +3,6 @@ package transient
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -12,35 +11,35 @@ import (
 
 // TestEngineSuite registers every engine-accepting entry point of this
 // package into the generic cross-engine equivalence and
-// GOMAXPROCS-determinism suite. This one registration replaces the
-// former per-path MatchesSerialOracle / DeterministicAcrossGOMAXPROCS
-// tests: every engine in engine.All() — including ones registered
-// later — must reproduce the engine.Serial reference bit-identically.
+// GOMAXPROCS-determinism suite: every engine in engine.All() —
+// including ones registered later — must reproduce the engine.Serial
+// reference bit-identically.
 func TestEngineSuite(t *testing.T) {
 	base, powers := waterfallPowers(t)
+	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{
 		{
-			Name: "transient.AccuracyVsLengthOn",
+			Name: "transient.AccuracyVsLengthCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				s := newTestSim(t, 0, 80)
 				// Degenerate lengths (0, duplicates of word edges)
 				// exercise the valid-length filter.
-				return s.AccuracyVsLengthOn(e, 0.5, []int{1, 63, 64, 0, 65, 300}, 5)
+				return s.AccuracyVsLengthCtx(ctx, e, 0.5, []int{1, 63, 64, 0, 65, 300}, 5)
 			},
 		},
 		{
-			Name: "transient.BERWaterfallOn",
+			Name: "transient.BERWaterfallCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return BERWaterfallOn(e, base, powers, 20_000, 41)
+				return BERWaterfallCtx(ctx, e, base, powers, 20_000, 41)
 			},
 		},
 		{
-			Name: "transient.TraceOn",
+			Name: "transient.TraceCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				// Fresh simulator per call: the trace advances the
 				// unit SNGs and the noise stream.
 				s := newTestSim(t, 0, 75)
-				return s.TraceOn(e, 0.5, 65, 4)
+				return s.TraceCtx(ctx, e, 0.5, 65, 4)
 			},
 		},
 		{
@@ -57,19 +56,6 @@ func TestEngineSuite(t *testing.T) {
 				// counts exercise partial noise blocks.
 				s := newTestSim(t, 0.02, 93)
 				return s.SyncSweepOn(e, 13, 997), nil
-			},
-		},
-		{
-			Name: "transient.AccuracyVsLengthCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				s := newTestSim(t, 0, 80)
-				return s.AccuracyVsLengthCtx(context.Background(), e, 0.5, []int{64, 128}, 3)
-			},
-		},
-		{
-			Name: "transient.BERWaterfallCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return BERWaterfallCtx(context.Background(), e, base, powers, 10_000, 41)
 			},
 		},
 	})
@@ -91,77 +77,21 @@ func TestWaterfallCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSerialShims pins the X / XSerial surface onto the engine layer:
-// each XSerial is exactly XOn on engine.Serial, and each X is XOn on
-// the process default — so callers of the legacy names inherit the
-// suite's guarantees.
-func TestSerialShims(t *testing.T) {
-	base, powers := waterfallPowers(t)
-
-	sA, sB := newTestSim(t, 0, 80), newTestSim(t, 0, 80)
-	accSerial, err := sA.AccuracyVsLengthSerial(0.5, []int{64, 256}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := sB.AccuracyVsLength(0.5, []int{64, 256}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(accSerial, acc) {
-		t.Errorf("AccuracyVsLengthSerial %+v vs AccuracyVsLength %+v", accSerial, acc)
-	}
-
-	wfSerial, err := BERWaterfallSerial(base, powers, 5_000, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := BERWaterfall(base, powers, 5_000, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wfSerial, wf) {
-		t.Errorf("BERWaterfallSerial %+v vs BERWaterfall %+v", wfSerial, wf)
-	}
-
-	trSerial, err := newTestSim(t, 0, 75).TraceSerial(0.5, 65, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := newTestSim(t, 0, 75).Trace(0.5, 65, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trSerial, tr) {
-		t.Error("TraceSerial and Trace diverge")
-	}
-
-	eyeSerial := newTestSim(t, 0, 72).MeasureEyeSerial(0.5, 1000)
-	eye := newTestSim(t, 0, 72).MeasureEye(0.5, 1000)
-	if eyeSerial != eye {
-		t.Errorf("MeasureEyeSerial %+v vs MeasureEye %+v", eyeSerial, eye)
-	}
-
-	syncSerial := newTestSim(t, 0.02, 93).SyncSweepSerial(13, 997)
-	sync := newTestSim(t, 0.02, 93).SyncSweep(13, 997)
-	if !reflect.DeepEqual(syncSerial, sync) {
-		t.Error("SyncSweepSerial and SyncSweep diverge")
-	}
-}
-
 // TestNilEngineMisuse: error-returning entry points reject a nil
 // engine cleanly; value-returning ones panic with the engine package's
 // guidance, matching engine.Use.
 func TestNilEngineMisuse(t *testing.T) {
 	s := newTestSim(t, 0, 99)
-	if _, err := s.AccuracyVsLengthOn(nil, 0.5, []int{64}, 1); err == nil {
-		t.Error("AccuracyVsLengthOn(nil) did not error")
+	ctx := context.Background()
+	if _, err := s.AccuracyVsLengthCtx(ctx, nil, 0.5, []int{64}, 1); err == nil {
+		t.Error("AccuracyVsLengthCtx(nil) did not error")
 	}
 	base, powers := waterfallPowers(t)
-	if _, err := BERWaterfallOn(nil, base, powers, 100, 1); err == nil {
-		t.Error("BERWaterfallOn(nil) did not error")
+	if _, err := BERWaterfallCtx(ctx, nil, base, powers, 100, 1); err == nil {
+		t.Error("BERWaterfallCtx(nil) did not error")
 	}
-	if _, err := s.TraceOn(nil, 0.5, 4, 2); err == nil {
-		t.Error("TraceOn(nil) did not error")
+	if _, err := s.TraceCtx(ctx, nil, 0.5, 4, 2); err == nil {
+		t.Error("TraceCtx(nil) did not error")
 	}
 	mustPanic(t, "MeasureEyeOn", func() { s.MeasureEyeOn(nil, 0.5, 16) })
 	mustPanic(t, "SyncSweepOn", func() { s.SyncSweepOn(nil, 4, 16) })

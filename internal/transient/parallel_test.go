@@ -1,17 +1,19 @@
 package transient
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // Cross-engine equivalence and GOMAXPROCS determinism for the
 // fanned-out paths in this package live in engine_test.go, which
 // registers every engine-accepting entry point into the generic
 // enginetest suite. This file keeps the behavioral tests and the
-// benchmark pairs.
+// benchmarks.
 
 // waterfallPowers returns a small probe-power range spanning
 // measurable BERs for the paper circuit.
@@ -29,14 +31,14 @@ func waterfallPowers(t testing.TB) (core.Params, []float64) {
 // and interleaved evaluations are unaffected.
 func TestAccuracyVsLengthRepeatable(t *testing.T) {
 	s := newTestSim(t, 0, 82)
-	first, err := s.AccuracyVsLength(0.5, []int{64, 256}, 4)
+	first, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{64, 256}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.EvaluateWords(0.5, 128); err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.AccuracyVsLength(0.5, []int{64, 256}, 4)
+	second, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{64, 256}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,31 +47,11 @@ func TestAccuracyVsLengthRepeatable(t *testing.T) {
 	}
 }
 
-func BenchmarkTraceSerial(b *testing.B) {
-	s := hotSim(b, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.TraceSerial(0.5, 1024, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTrace(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Trace(0.5, 1024, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBERWaterfallSerial(b *testing.B) {
-	base, powers := waterfallPowers(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BERWaterfallSerial(base, powers, 20_000, 7); err != nil {
+		if _, err := s.TraceCtx(context.Background(), engine.WordParallel, 0.5, 1024, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,17 +61,7 @@ func BenchmarkBERWaterfall(b *testing.B) {
 	base, powers := waterfallPowers(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BERWaterfall(base, powers, 20_000, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAccuracyVsLengthSerial(b *testing.B) {
-	s := hotSim(b, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.AccuracyVsLengthSerial(0.5, []int{256, 1024}, 8); err != nil {
+		if _, err := BERWaterfallCtx(context.Background(), engine.WordParallel, base, powers, 20_000, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,7 +71,7 @@ func BenchmarkAccuracyVsLength(b *testing.B) {
 	s := hotSim(b, 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.AccuracyVsLength(0.5, []int{256, 1024}, 8); err != nil {
+		if _, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{256, 1024}, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

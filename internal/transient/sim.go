@@ -260,8 +260,8 @@ func (s *Simulator) accuracyReduce(valid []int, trials int, sq []float64) []Accu
 	return out
 }
 
-// AccuracyVsLengthOn measures the end-to-end RMSE at input x for each
-// stream length, averaging over trials runs — the §V.B trade-off:
+// AccuracyVsLengthCtx measures the end-to-end RMSE at input x for
+// each stream length, averaging over trials runs — the §V.B trade-off:
 // transmission errors and stochastic fluctuation both shrink as
 // streams lengthen, at proportional cost in throughput.
 //
@@ -273,15 +273,10 @@ func (s *Simulator) accuracyReduce(valid []int, trials int, sq []float64) []Accu
 // on any core count, and identical across repeated calls — it does not
 // advance the simulator's generators or its serial noise stream. A nil
 // engine is an error. If several trials fail, the error of the lowest
-// failing index is returned (a deterministic choice).
-func (s *Simulator) AccuracyVsLengthOn(e engine.Engine, x float64, lengths []int, trials int) ([]AccuracyPoint, error) {
-	return s.AccuracyVsLengthCtx(context.Background(), e, x, lengths, trials)
-}
-
-// AccuracyVsLengthCtx is AccuracyVsLengthOn under cooperative
-// cancellation: a fired ctx stops the trial fan-out at a trial
-// boundary and surfaces a *engine.Partial (wrapping the context error,
-// or the *parallel.PanicError of a faulting trial) instead of points.
+// failing index is returned (a deterministic choice). A fired ctx
+// stops the trial fan-out at a trial boundary and surfaces a
+// *engine.Partial (wrapping the context error, or the
+// *parallel.PanicError of a faulting trial) instead of points.
 func (s *Simulator) AccuracyVsLengthCtx(ctx context.Context, e engine.Engine, x float64, lengths []int, trials int) ([]AccuracyPoint, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
@@ -315,19 +310,6 @@ func (s *Simulator) AccuracyVsLengthCtx(ctx context.Context, e engine.Engine, x 
 		}
 	}
 	return s.accuracyReduce(valid, trials, sq), nil
-}
-
-// AccuracyVsLength is AccuracyVsLengthOn on the process-default
-// engine.
-func (s *Simulator) AccuracyVsLength(x float64, lengths []int, trials int) ([]AccuracyPoint, error) {
-	return s.AccuracyVsLengthOn(engine.Default(), x, lengths, trials)
-}
-
-// AccuracyVsLengthSerial is the retained serial oracle for
-// AccuracyVsLength: the same implementation on engine.Serial, trials
-// in index order on the calling goroutine.
-func (s *Simulator) AccuracyVsLengthSerial(x float64, lengths []int, trials int) ([]AccuracyPoint, error) {
-	return s.AccuracyVsLengthOn(engine.Serial, x, lengths, trials)
 }
 
 // String implements fmt.Stringer.

@@ -1,10 +1,12 @@
 package transient
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -163,7 +165,7 @@ func TestNoisyEvaluationStillConverges(t *testing.T) {
 
 func TestAccuracyVsLengthTradeoff(t *testing.T) {
 	s := newTestSim(t, 0, 33)
-	pts, err := s.AccuracyVsLength(0.5, []int{64, 256, 1024, 4096}, 40)
+	pts, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{64, 256, 1024, 4096}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestAccuracyVsLengthTradeoff(t *testing.T) {
 
 func TestAccuracyVsLengthDegenerate(t *testing.T) {
 	s := newTestSim(t, 0, 40)
-	pts, err := s.AccuracyVsLength(0.5, []int{0, -5, 16}, 0)
+	pts, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{0, -5, 16}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestNoiseDegradesAccuracy(t *testing.T) {
 	noisy.SigmaMW = 0.25 // comparable to the eye opening
 
 	rmse := func(s *Simulator) float64 {
-		pts, err := s.AccuracyVsLength(0.5, []int{512}, 60)
+		pts, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, 0.5, []int{512}, 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,18 +149,6 @@ func (s *Simulator) SyncSweepOn(e engine.Engine, points, bits int) []SyncPoint {
 	return out
 }
 
-// SyncSweep is SyncSweepOn on the process-default engine.
-func (s *Simulator) SyncSweep(points, bits int) []SyncPoint {
-	return s.SyncSweepOn(engine.Default(), points, bits)
-}
-
-// SyncSweepSerial is the retained serial oracle for SyncSweep: the
-// same per-offset derived noise generators, offsets walked in order
-// on the calling goroutine via engine.Serial.
-func (s *Simulator) SyncSweepSerial(points, bits int) []SyncPoint {
-	return s.SyncSweepOn(engine.Serial, points, bits)
-}
-
 // relaxedPower returns the received power with the filter at its
 // cold resonance (pump off).
 func (s *Simulator) relaxedPower(z []int) float64 {

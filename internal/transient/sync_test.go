@@ -3,6 +3,8 @@ package transient
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestSyncSweepGatingMatters(t *testing.T) {
@@ -10,7 +12,7 @@ func TestSyncSweepGatingMatters(t *testing.T) {
 	// Inside the pulse the link runs at its designed BER; outside it
 	// the filter has relaxed and the error rate collapses to ~0.5.
 	s := newTestSim(t, 0, 90)
-	pts := s.SyncSweep(24, 4000)
+	pts := s.SyncSweepOn(engine.WordParallel, 24, 4000)
 	if len(pts) != 24 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -35,7 +37,7 @@ func TestSyncSweepCWPumpHasNoWindow(t *testing.T) {
 	// With a CW pump every offset is usable.
 	s := newTestSim(t, 0, 91)
 	s.Unit.Circuit.P.PulseWidthS = 0
-	pts := s.SyncSweep(8, 2000)
+	pts := s.SyncSweepOn(engine.WordParallel, 8, 2000)
 	for _, p := range pts {
 		if !p.InPulse {
 			t.Fatalf("offset %g outside window despite CW pump", p.OffsetS)
@@ -51,7 +53,7 @@ func TestSyncSweepCWPumpHasNoWindow(t *testing.T) {
 
 func TestSyncSweepDegeneratePoints(t *testing.T) {
 	s := newTestSim(t, 0, 92)
-	if got := s.SyncSweep(1, 100); len(got) != 2 {
+	if got := s.SyncSweepOn(engine.WordParallel, 1, 100); len(got) != 2 {
 		t.Errorf("clamped points = %d", len(got))
 	}
 }
@@ -68,7 +70,7 @@ func TestSyncSweepLeavesSerialNoiseStreamUntouched(t *testing.T) {
 	if _, _, err := b.Evaluate(0.5, 100); err != nil {
 		t.Fatal(err)
 	}
-	a.SyncSweep(8, 200)
+	a.SyncSweepOn(engine.WordParallel, 8, 200)
 	va, _, err := a.Evaluate(0.5, 100)
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,8 @@ func waterfallSeeds(base uint64, i int) (unitSeed, simSeed uint64) {
 // waterfallPoint measures one probe power: rebuild the circuit at that
 // power, wire a fresh unit and simulator from the point's derived
 // seeds, and transmit `bits` worst-case pattern pairs. It is the unit
-// of work shared by the parallel waterfall and its serial oracle, so
-// the two emit identical points.
+// of work BERWaterfallCtx dispatches, so every engine emits identical
+// points.
 func waterfallPoint(base core.Params, poly stochastic.BernsteinPoly, powerMW float64, bits int, unitSeed, simSeed uint64) (WaterfallPoint, error) {
 	if powerMW <= 0 {
 		return WaterfallPoint{}, fmt.Errorf("transient: probe power %g not positive", powerMW)
@@ -60,7 +60,7 @@ func waterfallPoint(base core.Params, poly stochastic.BernsteinPoly, powerMW flo
 	}, nil
 }
 
-// BERWaterfallOn measures the worst-case bit-error rate at each probe
+// BERWaterfallCtx measures the worst-case bit-error rate at each probe
 // power and pairs it with the Eq. (9) prediction — the standard link
 // validation curve. Each point rebuilds the circuit at the given
 // power and transmits `bits` worst-case pattern pairs.
@@ -71,14 +71,8 @@ func waterfallPoint(base core.Params, poly stochastic.BernsteinPoly, powerMW flo
 // bit-identical on every conforming engine and deterministic on any
 // core count. A nil engine is an error. If several points fail, the
 // error of the lowest failing index is returned (a deterministic
-// choice).
-func BERWaterfallOn(e engine.Engine, base core.Params, powersMW []float64, bits int, seed uint64) ([]WaterfallPoint, error) {
-	return BERWaterfallCtx(context.Background(), e, base, powersMW, bits, seed)
-}
-
-// BERWaterfallCtx is BERWaterfallOn under cooperative cancellation: a
-// fired ctx stops the point fan-out at a point boundary and surfaces a
-// *engine.Partial (wrapping the context error, or the
+// choice). A fired ctx stops the point fan-out at a point boundary and
+// surfaces a *engine.Partial (wrapping the context error, or the
 // *parallel.PanicError of a faulting point) instead of a curve.
 func BERWaterfallCtx(ctx context.Context, e engine.Engine, base core.Params, powersMW []float64, bits int, seed uint64) ([]WaterfallPoint, error) {
 	if err := engine.Check(e); err != nil {
@@ -102,18 +96,6 @@ func BERWaterfallCtx(ctx context.Context, e engine.Engine, base core.Params, pow
 		}
 	}
 	return out, nil
-}
-
-// BERWaterfall is BERWaterfallOn on the process-default engine.
-func BERWaterfall(base core.Params, powersMW []float64, bits int, seed uint64) ([]WaterfallPoint, error) {
-	return BERWaterfallOn(engine.Default(), base, powersMW, bits, seed)
-}
-
-// BERWaterfallSerial is the retained serial oracle for BERWaterfall:
-// the same per-point derived seeds, points walked in order on the
-// calling goroutine via engine.Serial.
-func BERWaterfallSerial(base core.Params, powersMW []float64, bits int, seed uint64) ([]WaterfallPoint, error) {
-	return BERWaterfallOn(engine.Serial, base, powersMW, bits, seed)
 }
 
 // defaultPoly builds an arbitrary representable polynomial of the

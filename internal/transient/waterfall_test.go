@@ -1,10 +1,12 @@
 package transient
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // TestBERWaterfallTracksAnalytic is the statistical oracle for the
@@ -23,7 +25,7 @@ func TestBERWaterfallTracksAnalytic(t *testing.T) {
 		powers[i] = c.MinProbePowerMW(ber)
 	}
 	const bits = 300_000
-	pts, err := BERWaterfall(base, powers, bits, 17)
+	pts, err := BERWaterfallCtx(context.Background(), engine.WordParallel, base, powers, bits, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +55,15 @@ func TestBERWaterfallTracksAnalytic(t *testing.T) {
 
 func TestBERWaterfallErrors(t *testing.T) {
 	base := core.PaperParams()
-	if _, err := BERWaterfall(base, []float64{1}, 0, 1); err == nil {
+	if _, err := BERWaterfallCtx(context.Background(), engine.WordParallel, base, []float64{1}, 0, 1); err == nil {
 		t.Error("zero bits accepted")
 	}
-	if _, err := BERWaterfall(base, []float64{-1}, 100, 1); err == nil {
+	if _, err := BERWaterfallCtx(context.Background(), engine.WordParallel, base, []float64{-1}, 100, 1); err == nil {
 		t.Error("negative power accepted")
 	}
 	bad := base
 	bad.Order = 0
-	if _, err := BERWaterfall(bad, []float64{1}, 100, 1); err == nil {
+	if _, err := BERWaterfallCtx(context.Background(), engine.WordParallel, bad, []float64{1}, 100, 1); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -77,7 +79,7 @@ func TestBERWaterfallAgainstEq9RoundTrip(t *testing.T) {
 	c := core.MustCircuit(base)
 	target := 1e-2
 	power := c.MinProbePowerMW(target)
-	pts, err := BERWaterfall(base, []float64{power}, 400_000, 23)
+	pts, err := BERWaterfallCtx(context.Background(), engine.WordParallel, base, []float64{power}, 400_000, 23)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -25,9 +26,8 @@ type TracePoint struct {
 	Bit int
 }
 
-// traceGeom is the static slot geometry shared by the word-parallel
-// Trace and its serial oracle: bit and pulse windows, pump power and
-// the sample count per slot.
+// traceGeom is the static slot geometry of a trace: bit and pulse
+// windows, pump power and the sample count per slot.
 type traceGeom struct {
 	bitT, pulseT, pumpMW float64
 	samplesPerBit        int
@@ -49,9 +49,7 @@ func (s *Simulator) traceGeom(samplesPerBit int) traceGeom {
 
 // appendSlot writes one slot's samplesPerBit waveform samples: the
 // slot's decision bit, its noiseless received power, and one noise
-// sample per time sample (noise[k] for sample k). Both Trace paths
-// feed it the same values in slot order, so they emit identical
-// points.
+// sample per time sample (noise[k] for sample k).
 func (g traceGeom) appendSlot(out []TracePoint, slot, bit int, receivedMW float64, noise []float64) []TracePoint {
 	slotStart := float64(slot) * g.bitT
 	for k := 0; k < g.samplesPerBit; k++ {
@@ -107,7 +105,7 @@ func (s *Simulator) traceWalk(x float64, bits, samplesPerBit int) ([]TracePoint,
 	return out, nil
 }
 
-// TraceOn simulates `bits` slots at input probability x with
+// TraceCtx simulates `bits` slots at input probability x with
 // samplesPerBit time samples each and returns the waveform. The pump
 // fires at the start of each slot; detection is gated to the pulse
 // window, after which the filter relaxes and the received power is
@@ -116,12 +114,13 @@ func (s *Simulator) traceWalk(x float64, bits, samplesPerBit int) ([]TracePoint,
 //
 // The trace consumes the simulator's single sequential noise stream,
 // so it cannot fan out: the walk is dispatched as one work item on
-// the given engine, and every conforming engine emits the identical
-// waveform. A non-positive bit count is an error (an empty trace has
-// no waveform), matching the length <= 0 contract of the evaluation
-// entry points; samplesPerBit is clamped to at least 2; a nil engine
-// is an error.
-func (s *Simulator) TraceOn(e engine.Engine, x float64, bits, samplesPerBit int) ([]TracePoint, error) {
+// the given engine under ctx, and every conforming engine emits the
+// identical waveform. A non-positive bit count is an error (an empty
+// trace has no waveform), matching the length <= 0 contract of the
+// evaluation entry points; samplesPerBit is clamped to at least 2; a
+// nil engine is an error, and a ctx that fires before the walk starts
+// surfaces a *engine.Partial.
+func (s *Simulator) TraceCtx(ctx context.Context, e engine.Engine, x float64, bits, samplesPerBit int) ([]TracePoint, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
 	}
@@ -133,21 +132,12 @@ func (s *Simulator) TraceOn(e engine.Engine, x float64, bits, samplesPerBit int)
 	}
 	var out []TracePoint
 	var walkErr error
-	e.For(1, func(int) {
+	if err := engine.RunCtx(ctx, e, 1, nil, func(int) {
 		out, walkErr = s.traceWalk(x, bits, samplesPerBit)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return out, walkErr
-}
-
-// Trace is TraceOn on the process-default engine.
-func (s *Simulator) Trace(x float64, bits, samplesPerBit int) ([]TracePoint, error) {
-	return s.TraceOn(engine.Default(), x, bits, samplesPerBit)
-}
-
-// TraceSerial is the retained serial oracle for Trace: the same walk
-// on engine.Serial.
-func (s *Simulator) TraceSerial(x float64, bits, samplesPerBit int) ([]TracePoint, error) {
-	return s.TraceOn(engine.Serial, x, bits, samplesPerBit)
 }
 
 // EyeStats summarizes the gated received-power samples of a run,
@@ -163,10 +153,8 @@ type EyeStats struct {
 	OpeningMW float64
 }
 
-// eyeAccum carries the running decision-instant statistics shared by
-// the word-parallel MeasureEye and its serial oracle; both feed it one
-// noisy sample per cycle in cycle order, so the two paths accumulate
-// bit-identical sums.
+// eyeAccum carries MeasureEyeOn's running decision-instant
+// statistics, fed one noisy sample per cycle in cycle order.
 type eyeAccum struct {
 	e                    EyeStats
 	sum0, sum1, sq0, sq1 float64
@@ -238,7 +226,7 @@ func (s *Simulator) eyeWalk(x float64, bits int) EyeStats {
 }
 
 // MeasureEyeOn runs `bits` noisy slots at input probability x and
-// aggregates the decision-instant statistics. Like TraceOn, the
+// aggregates the decision-instant statistics. Like TraceCtx, the
 // measurement consumes the simulator's single sequential noise
 // stream, so the walk is dispatched as one work item on the given
 // engine and every conforming engine emits identical statistics. A
@@ -253,17 +241,6 @@ func (s *Simulator) MeasureEyeOn(e engine.Engine, x float64, bits int) EyeStats 
 		stats = s.eyeWalk(x, bits)
 	})
 	return stats
-}
-
-// MeasureEye is MeasureEyeOn on the process-default engine.
-func (s *Simulator) MeasureEye(x float64, bits int) EyeStats {
-	return s.MeasureEyeOn(engine.Default(), x, bits)
-}
-
-// MeasureEyeSerial is the retained serial oracle for MeasureEye: the
-// same walk on engine.Serial.
-func (s *Simulator) MeasureEyeSerial(x float64, bits int) EyeStats {
-	return s.MeasureEyeOn(engine.Serial, x, bits)
 }
 
 // String implements fmt.Stringer.

@@ -1,15 +1,18 @@
 package transient
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestTraceShapeAndGating(t *testing.T) {
 	s := newTestSim(t, 0, 60)
 	bits, spb := 8, 20
-	tr, err := s.Trace(0.5, bits, spb)
+	tr, err := s.TraceCtx(context.Background(), engine.WordParallel, 0.5, bits, spb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestTraceShapeAndGating(t *testing.T) {
 func TestTraceCWGatesWholeSlot(t *testing.T) {
 	s := newTestSim(t, 0, 61)
 	s.Unit.Circuit.P.PulseWidthS = 0 // CW pump
-	tr, err := s.Trace(0.5, 2, 10)
+	tr, err := s.TraceCtx(context.Background(), engine.WordParallel, 0.5, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestTraceCWGatesWholeSlot(t *testing.T) {
 
 func TestTraceSampleClamping(t *testing.T) {
 	s := newTestSim(t, 0, 62)
-	tr, err := s.Trace(0.5, 1, 1) // clamps to 2 samples per bit
+	tr, err := s.TraceCtx(context.Background(), engine.WordParallel, 0.5, 1, 1) // clamps to 2 samples per bit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,24 +78,21 @@ func TestTraceSampleClamping(t *testing.T) {
 }
 
 // TestTraceRejectsBadBits is the regression for the silent empty trace
-// a non-positive bit count used to produce: Trace must reject it with
+// a non-positive bit count used to produce: TraceCtx must reject it with
 // an error, matching the length <= 0 contract of the evaluation entry
 // points.
 func TestTraceRejectsBadBits(t *testing.T) {
 	s := newTestSim(t, 0, 64)
 	for _, bits := range []int{0, -3} {
-		if tr, err := s.Trace(0.5, bits, 8); err == nil {
-			t.Errorf("Trace(bits=%d) returned %d points, want error", bits, len(tr))
-		}
-		if tr, err := s.TraceSerial(0.5, bits, 8); err == nil {
-			t.Errorf("TraceSerial(bits=%d) returned %d points, want error", bits, len(tr))
+		if tr, err := s.TraceCtx(context.Background(), engine.WordParallel, 0.5, bits, 8); err == nil {
+			t.Errorf("TraceCtx(bits=%d) returned %d points, want error", bits, len(tr))
 		}
 	}
 }
 
 func TestMeasureEyeSeparation(t *testing.T) {
 	s := newTestSim(t, 0, 70)
-	e := s.MeasureEye(0.5, 20_000)
+	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 20_000)
 	if e.Count0 == 0 || e.Count1 == 0 {
 		t.Fatalf("eye counts %d/%d", e.Count0, e.Count1)
 	}
@@ -123,7 +123,7 @@ func TestMeasureEyeSeparation(t *testing.T) {
 
 func TestMeasureEyeDegenerateBits(t *testing.T) {
 	s := newTestSim(t, 0, 73)
-	e := s.MeasureEye(0.5, 0)
+	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 0)
 	if e.Count0 != 0 || e.Count1 != 0 {
 		t.Errorf("counts %d/%d for zero bits", e.Count0, e.Count1)
 	}
@@ -132,7 +132,7 @@ func TestMeasureEyeDegenerateBits(t *testing.T) {
 func TestMeasureEyeClosesUnderNoise(t *testing.T) {
 	s := newTestSim(t, 0, 71)
 	s.SigmaMW = 0.5 // noise comparable to the signal swing
-	e := s.MeasureEye(0.5, 5_000)
+	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 5_000)
 	if e.OpeningMW > 0.2 {
 		t.Errorf("eye unexpectedly open (%g) under heavy noise", e.OpeningMW)
 	}
