@@ -483,9 +483,12 @@ func BenchmarkSyncSweep(b *testing.B) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			}
 			var pts []transient.SyncPoint
+			var err error
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pts = sim.SyncSweepOn(engine.WordParallel, points, bits)
+				if pts, err = sim.SyncSweepCtx(context.Background(), engine.WordParallel, points, bits); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(transient.WorstInPulseBER(pts), "BER_gated")
 			b.ReportMetric(transient.WorstOutOfPulseBER(pts), "BER_ungated")
@@ -507,8 +510,11 @@ func BenchmarkMeasureEye(b *testing.B) {
 	const bits = 20_000
 	b.Run("words", func(b *testing.B) {
 		var e transient.EyeStats
+		var err error
 		for i := 0; i < b.N; i++ {
-			e = sim.MeasureEyeOn(engine.WordParallel, 0.5, bits)
+			if e, err = sim.MeasureEyeCtx(context.Background(), engine.WordParallel, 0.5, bits); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportMetric(e.OpeningMW, "opening_mW")
 	})

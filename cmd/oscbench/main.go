@@ -75,7 +75,7 @@ func main() {
 	gridN := flag.Int("grid", figures.Defaults().GridN, "grid resolution for Fig 6(a) (>= 2)")
 	sweepN := flag.Int("sweep", figures.Defaults().SweepN, "sweep points for Fig 7(a) (>= 2)")
 	workers := flag.Int("workers", 0, "cap the parallel worker pool (0 = all cores)")
-	engName := flag.String("engine", engine.WordParallel.Name(), "evaluation engine for every sweep ("+strings.Join(engine.Names(), ", ")+")")
+	engName := flag.String("engine", engine.WordParallel.Name(), "evaluation engine for every sweep (serial or parallel)")
 	timing := flag.Bool("timing", false, "print per-figure wall time")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0 = no deadline)")
 	samples := flag.Int("samples", figures.Defaults().Samples, "dies per sigma for -fig yield (>= 1)")

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,8 +37,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("oscserve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8765", "listen address")
-		engName  = fs.String("engine", "", "evaluation engine (default: process default; see -list-engines)")
-		list     = fs.Bool("list-engines", false, "list registered engines and exit")
+		engName  = fs.String("engine", engine.WordParallel.Name(), "evaluation engine (serial or parallel)")
 		workers  = fs.Int("workers", 0, "concurrent jobs (default 2)")
 		queue    = fs.Int("queue", 0, "queued jobs beyond workers before 503 (default 8)")
 		slots    = fs.Int("slots", 0, "concurrent work items across all jobs (default GOMAXPROCS)")
@@ -53,17 +51,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *list {
-		fmt.Fprintln(os.Stdout, strings.Join(engine.Names(), "\n"))
-		return nil
-	}
-	eng := engine.Default()
-	if *engName != "" {
-		e, err := engine.Get(*engName)
-		if err != nil {
-			return err
-		}
-		eng = e
+	eng, err := engine.Get(*engName)
+	if err != nil {
+		return err
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {

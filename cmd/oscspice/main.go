@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -81,7 +82,11 @@ func run(path string) error {
 		fmt.Printf("  B(%.4g) = %.5f  (analytic %.5f, %d bits)\n", deck.InputX, got, analytic, deck.Bits)
 		fmt.Printf("  worst-case BER: measured %.3e, analytic %.3e\n",
 			measured, sim.AnalyticWorstCaseBER())
-		fmt.Printf("  %v\n", sim.MeasureEyeOn(engine.WordParallel, deck.InputX, 20_000))
+		eye, err := sim.MeasureEyeCtx(context.Background(), engine.WordParallel, deck.InputX, 20_000)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %v\n", eye)
 	} else {
 		got, _ := e.Unit.EvaluateWords(deck.InputX, deck.Bits)
 		fmt.Println("transient (noiseless):")

@@ -40,8 +40,10 @@
 // bit-equivalence and
 // GOMAXPROCS-independence are pinned by one generic suite,
 // internal/engine/enginetest: each package registers its engine entry
-// points as enginetest cases, replayed on every registered engine at
-// GOMAXPROCS 1 and 4 against the engine.Serial reference.
+// points as enginetest cases, replayed on every engine of
+// enginetest.Engines() at GOMAXPROCS 1 and 4 against the engine.Serial
+// reference. An engine implements one dispatch method, ForWorkerCtx;
+// engine.ForCtx, RunCtx and Chunked are built on it.
 //
 // The noise-aware transient path is word-parallel too: the received
 // power is a pure function of (weight, z-mask), so
@@ -53,7 +55,7 @@
 // transient.Simulator.EvaluateBatch and the dse.NoiseStudy
 // Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over
 // the same worker pool. The transient measurements follow suit, each an
-// engine-dispatched entry point (TraceCtx, MeasureEyeOn, SyncSweepOn,
+// engine-dispatched entry point (TraceCtx, MeasureEyeCtx, SyncSweepCtx,
 // BERWaterfallCtx, AccuracyVsLengthCtx): the trace and the eye decode
 // 64 cycles per word (core.Unit.Cycles) with block noise, and the sync
 // sweep, the BER waterfall (oscbench -fig waterfall) and the
@@ -116,8 +118,8 @@
 //	})
 //	pow := circuit.PowerTable()                            // shared (weight, zmask) -> mW
 //
-// The long-running sweeps are robust to interruption and faults. The
-// engine layer dispatches under a context (engine.CtxEngine,
+// The long-running sweeps are robust to interruption and faults. Every
+// engine dispatches under a context (Engine.ForWorkerCtx,
 // engine.RunCtx): SIGINT, a deadline (`oscbench -timeout`), or a
 // worker panic stops the fan-out at an item boundary and surfaces a
 // typed *engine.Partial — which items completed, and why it stopped —
@@ -132,10 +134,10 @@
 // alone. `oscbench -fig yield -checkpoint y.json`, ^C, then `-resume`
 // demonstrates the round trip; CI replays it as a smoke test. The
 // failure paths themselves are tested by deterministic fault
-// injection: engine.Chaos wraps any engine to drop-then-retry, delay,
-// or panic on chosen items, and the enginetest.RunChaos suite asserts
-// every entry point either recovers bit-identically or fails with a
-// typed error naming the faulting index.
+// injection: enginetest.Chaos wraps any engine to drop-then-retry,
+// delay, or panic on chosen items, and the enginetest.RunChaos suite
+// asserts every entry point either recovers bit-identically or fails
+// with a typed error naming the faulting index.
 //
 // # Sharding and merge
 //

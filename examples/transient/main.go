@@ -61,7 +61,10 @@ func main() {
 	fmt.Println("(one 26 ps pump pulse per 1 ns slot; detection happens in the gated window)")
 
 	// 2. Eye statistics.
-	eye := sim.MeasureEyeOn(e, 0.5, 20000)
+	eye, err := sim.MeasureEyeCtx(context.Background(), e, 0.5, 20000)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%v\n", eye)
 
 	// 3. BER: measured vs Eq. (9).

@@ -54,8 +54,3 @@ func (fu *FunctionUnit) Evaluate(x float64, length int) float64 {
 	v, _ := fu.Unit.Evaluate(x, length)
 	return v
 }
-
-// EvaluateSweep evaluates across xs.
-func (fu *FunctionUnit) EvaluateSweep(xs []float64, length int) []float64 {
-	return fu.Unit.EvaluateSweep(xs, length)
-}

@@ -126,7 +126,7 @@ func TestFunctionUnitSquareRoot(t *testing.T) {
 		}
 	}
 	xs := numeric.Linspace(0, 1, 5)
-	if got := fu.EvaluateSweep(xs, 2048); len(got) != 5 {
+	if got := fu.Unit.EvaluateBatch(xs, 2048); len(got) != 5 {
 		t.Errorf("sweep length %d", len(got))
 	}
 }

@@ -128,12 +128,3 @@ func (u *Unit) Evaluate(x float64, length int) (float64, *stochastic.Bitstream) 
 	}
 	return out.Value(), out
 }
-
-// EvaluateSweep evaluates the unit across xs, one fresh `length`-bit
-// stream per point. It is EvaluateBatch: randomness derives from the
-// unit's seed and the point index (not from the unit's own advancing
-// generators), so repeated sweeps on one unit return identical
-// results; interleave Evaluate calls for independent repetitions.
-func (u *Unit) EvaluateSweep(xs []float64, length int) []float64 {
-	return u.EvaluateBatch(xs, length)
-}

@@ -111,7 +111,7 @@ func TestUnitNoiseFlipsBits(t *testing.T) {
 func TestUnitSweepAccuracy(t *testing.T) {
 	u := paperUnit(t, 77)
 	xs := numeric.Linspace(0, 1, 9)
-	got := u.EvaluateSweep(xs, 1<<13)
+	got := u.EvaluateBatch(xs, 1<<13)
 	want := make([]float64, len(xs))
 	for i, x := range xs {
 		want[i] = u.Poly.Eval(x)

@@ -86,9 +86,9 @@ func yieldStudyFixture() YieldStudy {
 }
 
 // TestSweepErrOnLowestIndexError: the deterministic error choice holds
-// on every registered engine.
+// on every engine the suites replay on.
 func TestSweepErrOnLowestIndexError(t *testing.T) {
-	for _, e := range engine.All() {
+	for _, e := range enginetest.Engines() {
 		_, err := SweepCtx(context.Background(), e, 10, func(i int) (int, error) {
 			if i%3 == 2 { // fails at 2, 5, 8
 				return 0, fmt.Errorf("point %d", i)

@@ -3,139 +3,17 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-
-	"repro/internal/parallel"
 )
 
-// CtxEngine is the optional context-aware face of an Engine. Both
-// built-ins implement it; engines that do not are still usable through
-// the package-level ForCtx/ForWorkerCtx adapters, which poll the
-// context at item boundaries around the engine's plain dispatch.
-//
-// The contract extends the Engine one: on a nil error every index in
-// [0, n) ran exactly once; on a non-nil error no item was interrupted
-// mid-run (cancellation is only observed between items), undispatched
-// items were skipped, and the error is either the context's error or a
-// *parallel.PanicError attributing a panicking item.
-type CtxEngine interface {
-	Engine
-	// ForCtx is For with cooperative cancellation and panic-to-error
-	// conversion.
-	ForCtx(ctx context.Context, n int, fn func(i int)) error
-	// ForWorkerCtx is ForWorker with the same semantics.
-	ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error
-}
-
-func (serialEngine) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	return serialEngine{}.ForWorkerCtx(ctx, n, 1, func(_, i int) { fn(i) })
-}
-
-func (serialEngine) ForWorkerCtx(ctx context.Context, n, _ int, fn func(worker, i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if pe := parallel.Capture(0, i, func() { fn(0, i) }); pe != nil {
-			return pe
-		}
-	}
-	return nil
-}
-
-func (wordParallelEngine) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	return parallel.ForCtx(ctx, n, fn)
-}
-
-func (wordParallelEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	return parallel.ForWorkerCtx(ctx, n, workers, fn)
-}
-
-// ForCtx dispatches fn over [0, n) on e under ctx: engines that
-// implement CtxEngine cancel through their own handout; any other
-// engine is adapted by polling ctx at item boundaries around its plain
-// For, with panics captured into the returned error. A nil engine is
-// an error; a nil ctx means context.Background().
+// ForCtx dispatches fn over [0, n) on e under ctx through the engine's
+// ForWorkerCtx, sized by e.Workers(n), for callers that need no worker
+// identity. A nil engine is an error; a nil ctx means
+// context.Background().
 func ForCtx(ctx context.Context, e Engine, n int, fn func(i int)) error {
 	if err := Check(e); err != nil {
 		return err
 	}
-	if ce, ok := e.(CtxEngine); ok {
-		return ce.ForCtx(ctx, n, fn)
-	}
-	return adaptCtx(ctx, n, func(w, i int) { fn(i) }, func(run func(w, i int)) {
-		e.For(n, func(i int) { run(0, i) })
-	})
-}
-
-// ForWorkerCtx is ForCtx with the ForWorker scratch contract.
-func ForWorkerCtx(ctx context.Context, e Engine, n, workers int, fn func(worker, i int)) error {
-	if err := Check(e); err != nil {
-		return err
-	}
-	if ce, ok := e.(CtxEngine); ok {
-		return ce.ForWorkerCtx(ctx, n, workers, fn)
-	}
-	return adaptCtx(ctx, n, fn, func(run func(w, i int)) {
-		e.ForWorker(n, workers, run)
-	})
-}
-
-// adaptCtx bolts item-boundary cancellation and panic capture onto a
-// plain Engine dispatch for engines that do not implement CtxEngine.
-// dispatch runs the engine's own For/ForWorker with the wrapped work
-// function; the wrapper skips items once ctx has fired (the engine
-// still walks the remaining indices — a plain Engine has no early
-// exit — but no further user work runs) and converts panics into a
-// *parallel.PanicError re-raised through the engine, which must
-// propagate work-function panics per the Engine contract.
-func adaptCtx(ctx context.Context, n int, fn func(worker, i int), dispatch func(run func(w, i int))) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	inner := func(run func(w, i int)) (pe *parallel.PanicError) {
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if p, ok := r.(*parallel.PanicError); ok {
-				pe = p
-				return
-			}
-			// A plain panic that crossed the engine: attribute what is
-			// known (the dispatch, not a worker identity).
-			pe = &parallel.PanicError{Worker: -1, Index: -1, Value: r}
-		}()
-		dispatch(run)
-		return nil
-	}
-	var skipped atomic.Bool
-	pe := inner(func(w, i int) {
-		if ctx.Err() != nil {
-			skipped.Store(true)
-			return
-		}
-		if pe := parallel.Capture(w, i, func() { fn(w, i) }); pe != nil {
-			panic(pe)
-		}
-	})
-	if pe != nil {
-		return pe
-	}
-	if skipped.Load() {
-		return ctx.Err()
-	}
-	return nil
+	return e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) { fn(i) })
 }
 
 // Partial is the typed error an interrupted sweep returns: which

@@ -9,21 +9,48 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestBuiltinsImplementCtxEngine: both built-ins expose native ctx
-// dispatch, so the package adapters never fall back to polling for
-// them.
+// TestBuiltinsImplementCtxEngine: WordParallel keeps the CtxEngine
+// face the benchmark module's tracing engine asserts, and each of its
+// three extra methods covers every index once; Serial has none of it.
 func TestBuiltinsImplementCtxEngine(t *testing.T) {
-	for _, e := range []Engine{Serial, WordParallel} {
-		if _, ok := e.(CtxEngine); !ok {
-			t.Errorf("%s does not implement CtxEngine", e.Name())
+	if _, ok := Serial.(CtxEngine); ok {
+		t.Error("Serial implements CtxEngine; only WordParallel should")
+	}
+	ce, ok := WordParallel.(CtxEngine)
+	if !ok {
+		t.Fatal("WordParallel does not implement CtxEngine")
+	}
+	const n = 41
+	for name, dispatch := range map[string]func(visit func(i int)){
+		"For":       func(visit func(int)) { ce.For(n, visit) },
+		"ForWorker": func(visit func(int)) { ce.ForWorker(n, ce.Workers(n), func(_, i int) { visit(i) }) },
+		"ForCtx": func(visit func(int)) {
+			if err := ce.ForCtx(context.Background(), n, visit); err != nil {
+				t.Errorf("ForCtx: %v", err)
+			}
+		},
+	} {
+		visits := make([]int32, n)
+		dispatch(func(i int) { atomic.AddInt32(&visits[i], 1) })
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("%s visited index %d %d times", name, i, v)
+			}
 		}
 	}
 }
 
+// ctxEngines are the production engines the package-level ctx tests
+// replay on; the test-only engines are covered by enginetest's own
+// suites.
+func ctxEngines() []Engine {
+	return []Engine{Serial, WordParallel, NewLimited("limited-test", WordParallel, 2), Shard{K: 0, N: 1, Inner: WordParallel}}
+}
+
 // TestForCtxCompletes: with a live context every index runs exactly
-// once on every registered engine, and the error is nil.
+// once on every engine, and the error is nil.
 func TestForCtxCompletes(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range ctxEngines() {
 		const n = 97
 		visits := make([]int32, n)
 		if err := ForCtx(context.Background(), e, n, func(i int) {
@@ -40,11 +67,11 @@ func TestForCtxCompletes(t *testing.T) {
 }
 
 // TestForCtxPreCanceled: a dead-on-arrival context runs nothing and
-// surfaces context.Canceled from every registered engine.
+// surfaces context.Canceled from every engine.
 func TestForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, e := range All() {
+	for _, e := range ctxEngines() {
 		err := ForCtx(ctx, e, 50, func(i int) {
 			t.Errorf("%s ran item %d under a canceled ctx", e.Name(), i)
 		})
@@ -75,79 +102,14 @@ func TestForCtxCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestForCtxNilEngine: the adapters report a nil engine instead of
-// panicking, matching Check.
+// TestForCtxNilEngine: the package functions report a nil engine
+// instead of panicking, matching Check.
 func TestForCtxNilEngine(t *testing.T) {
 	if err := ForCtx(context.Background(), nil, 4, func(int) {}); err == nil {
 		t.Error("ForCtx(nil engine) accepted")
 	}
-	if err := ForWorkerCtx(context.Background(), nil, 4, 1, func(_, _ int) {}); err == nil {
-		t.Error("ForWorkerCtx(nil engine) accepted")
-	}
-}
-
-// plainEngine deliberately does not implement CtxEngine, forcing the
-// package adapters down the polling path.
-type plainEngine struct{}
-
-func (plainEngine) Name() string    { return "plain-test" }
-func (plainEngine) Workers(int) int { return 1 }
-func (plainEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-func (plainEngine) ForWorker(n, _ int, fn func(worker, i int)) {
-	for i := 0; i < n; i++ {
-		fn(0, i)
-	}
-}
-
-// TestAdapterOnPlainEngine: an engine without ctx support still honors
-// cancellation at item boundaries and converts panics to typed errors
-// through the generic adapter.
-func TestAdapterOnPlainEngine(t *testing.T) {
-	if _, ok := Engine(plainEngine{}).(CtxEngine); ok {
-		t.Fatal("fixture engine unexpectedly implements CtxEngine")
-	}
-
-	// Completion.
-	var ran int32
-	if err := ForCtx(context.Background(), plainEngine{}, 20, func(i int) {
-		atomic.AddInt32(&ran, 1)
-	}); err != nil || ran != 20 {
-		t.Fatalf("complete: err=%v ran=%d", err, ran)
-	}
-
-	// Cancellation mid-sweep skips the tail.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ran = 0
-	err := ForCtx(ctx, plainEngine{}, 100, func(i int) {
-		atomic.AddInt32(&ran, 1)
-		if i == 5 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel: err = %v", err)
-	}
-	if ran != 6 {
-		t.Errorf("adapter ran %d items after cancel at 5, want 6", ran)
-	}
-
-	// Panic conversion with index attribution.
-	err = ForWorkerCtx(context.Background(), plainEngine{}, 10, 1, func(w, i int) {
-		if i == 7 {
-			panic("adapter fault")
-		}
-	})
-	var pe *parallel.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("panic: err = %v (%T), want *parallel.PanicError", err, err)
-	}
-	if pe.Index != 7 {
-		t.Errorf("panic attributed to index %d, want 7", pe.Index)
+	if err := RunCtx(context.Background(), nil, 4, nil, func(int) {}); err == nil {
+		t.Error("RunCtx(nil engine) accepted")
 	}
 }
 

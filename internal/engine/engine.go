@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -14,20 +12,20 @@ import (
 // package comment for the determinism contract every implementation
 // must satisfy; conforming engines are interchangeable bit-for-bit.
 type Engine interface {
-	// Name identifies the engine in registries, flags and test output
-	// (the built-ins are "serial" and "parallel").
+	// Name identifies the engine in flags and test output (the
+	// built-ins are "serial" and "parallel").
 	Name() string
 	// Workers reports the pool size the engine will use for n items
 	// (at least 1 for n > 0), so callers can size per-worker scratch
-	// before fanning out and pass the same count to ForWorker.
+	// before fanning out and pass the same count to ForWorkerCtx.
 	Workers(n int) int
-	// For runs fn(i) for every i in [0, n) exactly once and returns
-	// after all calls complete.
-	For(n int, fn func(i int))
-	// ForWorker is For with a stable worker identity in [0, workers)
-	// for lock-free per-worker scratch; workers should come from
-	// Workers(n).
-	ForWorker(n, workers int, fn func(worker, i int))
+	// ForWorkerCtx runs fn(worker, i) for every i in [0, n) under ctx,
+	// with a stable worker identity in [0, workers) for lock-free
+	// per-worker scratch; workers should come from Workers(n). On a
+	// nil error every index ran exactly once. Cancellation is observed
+	// only between items, and a panicking item comes back as a
+	// *parallel.PanicError. A nil ctx means context.Background().
+	ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error
 }
 
 // serialEngine is the in-order reference implementation: one
@@ -37,16 +35,19 @@ type serialEngine struct{}
 func (serialEngine) Name() string    { return "serial" }
 func (serialEngine) Workers(int) int { return 1 }
 
-func (serialEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
+func (serialEngine) ForWorkerCtx(ctx context.Context, n, _ int, fn func(worker, i int)) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-}
-
-func (serialEngine) ForWorker(n, _ int, fn func(worker, i int)) {
 	for i := 0; i < n; i++ {
-		fn(0, i)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if pe := parallel.Capture(0, i, func() { fn(0, i) }); pe != nil {
+			return pe
+		}
 	}
+	return nil
 }
 
 // wordParallelEngine dispatches onto the internal/parallel worker
@@ -57,12 +58,30 @@ type wordParallelEngine struct{}
 func (wordParallelEngine) Name() string      { return "parallel" }
 func (wordParallelEngine) Workers(n int) int { return parallel.Workers(n) }
 
-func (wordParallelEngine) For(n int, fn func(i int)) {
-	parallel.For(n, fn)
+func (wordParallelEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return parallel.ForWorkerCtx(ctx, n, workers, fn)
 }
+
+// CtxEngine exists for the benchmark module (bench/) alone, whose
+// tracing engine wraps WordParallel through it and calls all four of
+// its dispatch methods. Only WordParallel implements it, by delegating
+// to internal/parallel; nothing else in this module names it or calls
+// the three extra methods.
+type CtxEngine interface {
+	Engine
+	For(n int, fn func(i int))
+	ForWorker(n, workers int, fn func(worker, i int))
+	ForCtx(ctx context.Context, n int, fn func(i int)) error
+}
+
+func (wordParallelEngine) For(n int, fn func(i int)) { parallel.For(n, fn) }
 
 func (wordParallelEngine) ForWorker(n, workers int, fn func(worker, i int)) {
 	parallel.ForWorker(n, workers, fn)
+}
+
+func (wordParallelEngine) ForCtx(ctx context.Context, n int, fn func(i int)) error {
+	return parallel.ForCtx(ctx, n, fn)
 }
 
 // The built-in engines. Serial is the reference oracle every
@@ -74,69 +93,16 @@ var (
 	WordParallel Engine = wordParallelEngine{}
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Engine{
-		Serial.Name():       Serial,
-		WordParallel.Name(): WordParallel,
-	}
-)
-
-// Register adds an engine to the process registry under e.Name() so
-// Get can resolve it and enginetest.Run exercises it via All. It
-// rejects nil engines, empty names and duplicates.
-func Register(e Engine) error {
-	if e == nil {
-		return fmt.Errorf("engine: Register(nil)")
-	}
-	name := e.Name()
-	if name == "" {
-		return fmt.Errorf("engine: Register: empty engine name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("engine: Register: %q already registered", name)
-	}
-	registry[name] = e
-	return nil
-}
-
-// Get resolves a registered engine by name; unknown or empty names
-// error with the available choices.
+// Get resolves a command-line engine name: "serial" or "parallel".
+// Anything else errors with the choices.
 func Get(name string) (Engine, error) {
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
+	switch name {
+	case Serial.Name():
+		return Serial, nil
+	case WordParallel.Name():
+		return WordParallel, nil
 	}
-	return e, nil
-}
-
-// Names lists the registered engine names, sorted.
-func Names() []string {
-	regMu.RLock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	regMu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// All returns every registered engine, sorted by name — the set the
-// generic equivalence suite replays each path on.
-func All() []Engine {
-	names := Names()
-	engines := make([]Engine, 0, len(names))
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, name := range names {
-		engines = append(engines, registry[name])
-	}
-	return engines
+	return nil, fmt.Errorf("engine: unknown engine %q (have %s, %s)", name, Serial.Name(), WordParallel.Name())
 }
 
 // defaultEngine holds the process default behind a pointer so
@@ -173,7 +139,7 @@ func Check(e Engine) error {
 	return nil
 }
 
-// Use validates an engine selection for entry points with no error
+// Use validates an engine selection for constructors with no error
 // return: it panics on nil with an actionable message (the precedent
 // set by core.Params.SpeedupVsElectronic) and returns e otherwise.
 func Use(e Engine) Engine {

@@ -12,24 +12,21 @@ import (
 // ascending order, inline, with worker identity 0 throughout.
 func TestSerialEngineOrdering(t *testing.T) {
 	var order []int
-	Serial.For(5, func(i int) { order = append(order, i) })
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("For order %v", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("For ran %d of 5 items", len(order))
-	}
-	order = order[:0]
-	Serial.ForWorker(4, Serial.Workers(4), func(w, i int) {
+	if err := Serial.ForWorkerCtx(context.Background(), 5, Serial.Workers(5), func(w, i int) {
 		if w != 0 {
 			t.Fatalf("serial worker identity %d", w)
 		}
 		order = append(order, i)
-	})
-	if len(order) != 4 || order[0] != 0 || order[3] != 3 {
-		t.Fatalf("ForWorker order %v", order)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("ForWorkerCtx order %v", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("ForWorkerCtx ran %d of 5 items", len(order))
 	}
 	if Serial.Workers(100) != 1 {
 		t.Fatalf("serial Workers(100) = %d", Serial.Workers(100))
@@ -45,10 +42,12 @@ func TestSerialEngineOrdering(t *testing.T) {
 func TestWordParallelEngineCoversAllIndices(t *testing.T) {
 	const n = 257
 	visits := make([]int32, n)
-	WordParallel.For(n, func(i int) { atomic.AddInt32(&visits[i], 1) })
+	if err := ForCtx(context.Background(), WordParallel, n, func(i int) { atomic.AddInt32(&visits[i], 1) }); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range visits {
 		if v != 1 {
-			t.Fatalf("For visited index %d %d times", i, v)
+			t.Fatalf("ForCtx visited index %d %d times", i, v)
 		}
 	}
 	workers := WordParallel.Workers(n)
@@ -56,21 +55,24 @@ func TestWordParallelEngineCoversAllIndices(t *testing.T) {
 		t.Fatalf("Workers(%d) = %d out of range", n, workers)
 	}
 	visits = make([]int32, n)
-	WordParallel.ForWorker(n, workers, func(w, i int) {
+	if err := WordParallel.ForWorkerCtx(context.Background(), n, workers, func(w, i int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker %d outside [0, %d)", w, workers)
 		}
 		atomic.AddInt32(&visits[i], 1)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range visits {
 		if v != 1 {
-			t.Fatalf("ForWorker visited index %d %d times", i, v)
+			t.Fatalf("ForWorkerCtx visited index %d %d times", i, v)
 		}
 	}
 }
 
-// TestRegistryResolution: the built-ins resolve by name; unknown and
-// empty names error cleanly, naming the available engines.
+// TestRegistryResolution: the command-line names resolve to the two
+// built-ins; anything else — the test-only engine names included —
+// errors cleanly, naming the choices.
 func TestRegistryResolution(t *testing.T) {
 	for _, want := range []Engine{Serial, WordParallel} {
 		got, err := Get(want.Name())
@@ -78,60 +80,12 @@ func TestRegistryResolution(t *testing.T) {
 			t.Fatalf("Get(%q) = %v, %v", want.Name(), got, err)
 		}
 	}
-	for _, bogus := range []string{"bogus", ""} {
+	for _, bogus := range []string{"bogus", "", "limited", "chaos", "sharded"} {
 		if _, err := Get(bogus); err == nil {
 			t.Errorf("Get(%q) accepted", bogus)
 		} else if !strings.Contains(err.Error(), "serial") || !strings.Contains(err.Error(), "parallel") {
 			t.Errorf("Get(%q) error does not name the choices: %v", bogus, err)
 		}
-	}
-	names := Names()
-	if len(names) < 2 || names[0] > names[1] {
-		t.Fatalf("Names() = %v (want sorted, >= 2 entries)", names)
-	}
-	all := All()
-	if len(all) != len(names) {
-		t.Fatalf("All() has %d engines for %d names", len(all), len(names))
-	}
-	for i, e := range all {
-		if e.Name() != names[i] {
-			t.Fatalf("All()[%d] = %q, want %q", i, e.Name(), names[i])
-		}
-	}
-}
-
-// namedEngine wraps Serial under another name for registry tests.
-type namedEngine struct {
-	Engine
-	name string
-}
-
-func (e namedEngine) Name() string { return e.name }
-
-// TestRegisterValidation: nil engines, empty names and duplicates are
-// rejected; a valid registration becomes Get/All-visible.
-func TestRegisterValidation(t *testing.T) {
-	if err := Register(nil); err == nil {
-		t.Error("Register(nil) accepted")
-	}
-	if err := Register(namedEngine{Serial, ""}); err == nil {
-		t.Error("Register with empty name accepted")
-	}
-	if err := Register(namedEngine{Serial, "serial"}); err == nil {
-		t.Error("Register with duplicate name accepted")
-	}
-	e := namedEngine{Serial, "test-registered"}
-	if err := Register(e); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	defer func() {
-		regMu.Lock()
-		delete(registry, e.name)
-		regMu.Unlock()
-	}()
-	got, err := Get(e.name)
-	if err != nil || got.(namedEngine) != e {
-		t.Fatalf("Get after Register = %v, %v", got, err)
 	}
 }
 

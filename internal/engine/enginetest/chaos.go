@@ -1,10 +1,11 @@
-package engine
+package enginetest
 
 import (
 	"context"
 	"fmt"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/parallel"
 	"repro/internal/stochastic"
 )
@@ -45,33 +46,34 @@ type ChaosPanic struct {
 
 // Error implements error.
 func (c ChaosPanic) Error() string {
-	return fmt.Sprintf("engine: chaos: injected panic at item %d", c.Index)
+	return fmt.Sprintf("enginetest: chaos: injected panic at item %d", c.Index)
 }
 
 // Chaos is a fault-injecting wrapper engine: it dispatches on an inner
 // engine but reorders dropped-then-retried items, delays some, and
 // optionally panics at a chosen index, per its ChaosSpec. With a
 // benign spec (no Panic) it satisfies the full determinism contract —
-// every index runs exactly once — so it can sit in the registry and
-// pass the generic equivalence suite while stressing scheduling,
-// ordering and recovery assumptions in every dispatch.
+// every index runs exactly once — so it sits in Engines() and passes
+// the generic equivalence suite while stressing scheduling, ordering
+// and recovery assumptions in every dispatch.
 type Chaos struct {
 	name  string
-	inner Engine
+	inner engine.Engine
 	seed  uint64
 	spec  ChaosSpec
 }
 
 // NewChaos wraps inner in a fault injector named name, drawing its
-// per-index fault decisions from seed. A nil inner panics (Use).
-func NewChaos(name string, inner Engine, seed uint64, spec ChaosSpec) *Chaos {
-	return &Chaos{name: name, inner: Use(inner), seed: seed, spec: spec}
+// per-index fault decisions from seed. A nil inner panics
+// (engine.Use).
+func NewChaos(name string, inner engine.Engine, seed uint64, spec ChaosSpec) *Chaos {
+	return &Chaos{name: name, inner: engine.Use(inner), seed: seed, spec: spec}
 }
 
-// Name implements Engine.
+// Name implements engine.Engine.
 func (c *Chaos) Name() string { return c.name }
 
-// Workers implements Engine by deferring to the inner engine.
+// Workers implements engine.Engine by deferring to the inner engine.
 func (c *Chaos) Workers(n int) int { return c.inner.Workers(n) }
 
 // Spec returns the fault plan the engine was built with.
@@ -115,92 +117,32 @@ func (c *Chaos) panicAt(n int) int {
 	return at
 }
 
-// exec runs dispatch position j of an n-item plan: it remaps j to the
-// planned item index and re-attributes any panic to that real index
-// (the inner engine only sees the dispatch position, which the
-// drop-then-retry reorder divorces from the item). The re-raised
-// *parallel.PanicError passes through the inner engine's own capture
-// unchanged, so the caller sees the failing item, not its slot.
-func (c *Chaos) exec(w, j, panicAt int, order []int, delayed []bool, fn func(i int)) {
-	i := order[j]
-	pe := parallel.Capture(w, i, func() {
-		if i == panicAt {
-			panic(ChaosPanic{Index: i})
-		}
-		if delayed[i] {
-			time.Sleep(c.spec.Delay)
-		}
-		fn(i)
-	})
-	if pe != nil {
-		panic(pe)
-	}
-}
-
-// For implements Engine.
-func (c *Chaos) For(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	order, delayed := c.plan(n)
-	at := c.panicAt(n)
-	c.inner.For(n, func(j int) {
-		c.exec(0, j, at, order, delayed, fn)
-	})
-}
-
-// ForWorker implements Engine.
-func (c *Chaos) ForWorker(n, workers int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	order, delayed := c.plan(n)
-	at := c.panicAt(n)
-	c.inner.ForWorker(n, workers, func(w, j int) {
-		c.exec(w, j, at, order, delayed, func(i int) { fn(w, i) })
-	})
-}
-
-// ForCtx implements CtxEngine, threading cancellation through the
-// inner engine (or the generic adapter when it has no ctx support).
-func (c *Chaos) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ForCtx(ctx, c.inner, n, fn)
-	}
-	order, delayed := c.plan(n)
-	at := c.panicAt(n)
-	return ForCtx(ctx, c.inner, n, func(j int) {
-		c.exec(0, j, at, order, delayed, fn)
-	})
-}
-
-// ForWorkerCtx implements CtxEngine.
+// ForWorkerCtx implements engine.Engine: dispatch position j of the
+// inner engine's handout runs the planned item order[j], and a panic is
+// re-attributed to that real index (the inner engine only sees the
+// dispatch position, which the drop-then-retry reorder divorces from
+// the item). The re-raised *parallel.PanicError passes through the
+// inner engine's own capture unchanged, so the caller sees the failing
+// item, not its slot.
 func (c *Chaos) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if n <= 0 {
-		return ForWorkerCtx(ctx, c.inner, n, workers, fn)
+		return c.inner.ForWorkerCtx(ctx, n, workers, fn)
 	}
 	order, delayed := c.plan(n)
 	at := c.panicAt(n)
-	return ForWorkerCtx(ctx, c.inner, n, workers, func(w, j int) {
-		c.exec(w, j, at, order, delayed, func(i int) { fn(w, i) })
+	return c.inner.ForWorkerCtx(ctx, n, workers, func(w, j int) {
+		i := order[j]
+		pe := parallel.Capture(w, i, func() {
+			if i == at {
+				panic(ChaosPanic{Index: i})
+			}
+			if delayed[i] {
+				time.Sleep(c.spec.Delay)
+			}
+			fn(w, i)
+		})
+		if pe != nil {
+			panic(pe)
+		}
 	})
-}
-
-// chaosSeed seeds the registered instance; fixed so every process
-// stresses the same schedule.
-const chaosSeed = 0x9E3779B97F4A7C15
-
-func init() {
-	// The registered chaos engine injects only recoverable faults —
-	// drop-then-retry reordering on a quarter of the items plus rare
-	// tiny delays — so it honors the determinism contract and every
-	// package's enginetest suite replays on it. Panic injection is for
-	// purpose-built instances (enginetest.RunChaos).
-	if err := Register(NewChaos("chaos", WordParallel, chaosSeed, ChaosSpec{
-		DropProb:  0.25,
-		DelayProb: 0.02,
-		Delay:     50 * time.Microsecond,
-	})); err != nil {
-		panic(err)
-	}
 }

@@ -1,13 +1,18 @@
 // Package enginetest is the single generic cross-engine equivalence
-// and GOMAXPROCS-determinism suite. Each package with engine-accepting
-// entry points registers one Case per entry point and calls Run once;
-// the suite replays every case on every registered engine (engine.All)
-// at GOMAXPROCS 1 and 4 and requires results deeply equal to the
-// engine.Serial reference. A new engine therefore inherits the full
-// equivalence battery by calling engine.Register — no per-path oracle
-// tests to re-write. The osclint oraclepair rule enforces the
-// registration side: every engine-accepting entry point must appear in
-// a test file that invokes Run.
+// and GOMAXPROCS-determinism suite, and the home of the test-only
+// engines it replays on. Each package with engine-accepting entry
+// points registers one Case per entry point and calls Run once; the
+// suite replays every case on every engine of Engines() at GOMAXPROCS
+// 1 and 4 and requires results deeply equal to the engine.Serial
+// reference. A new engine therefore inherits the full equivalence
+// battery by joining Engines() — no per-path oracle tests to re-write.
+// The osclint oraclepair rule enforces the registration side: every
+// engine-accepting entry point must appear in a test file that invokes
+// Run.
+//
+// Besides the production engines, Engines() carries two test-only
+// ones defined here: Chaos, a deterministic fault injector, and
+// ShardUnion, the in-process reassembly of a shard family.
 //
 // The package deliberately does not import testing, so Run can also be
 // driven by a recording TB — that is how its own teeth are proven:
@@ -17,6 +22,7 @@
 package enginetest
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"runtime"
@@ -44,18 +50,49 @@ type Case struct {
 	Eval func(e engine.Engine) (any, error)
 }
 
+// The shared test-only members of Engines(). Each is one instance for
+// the whole process, so concurrent dispatches share its state as they
+// would in a service (the 2-slot cap applies to their union).
+var (
+	// limited is a deliberately tight slot cap, so every suite replays
+	// on a slot-starved dispatch — proof that admission limiting never
+	// changes results.
+	limited = engine.NewLimited("limited", engine.WordParallel, 2)
+	// chaos injects only recoverable faults — drop-then-retry
+	// reordering on a quarter of the items plus rare tiny delays — so
+	// it honors the determinism contract. Panic injection is for
+	// purpose-built instances (RunChaos).
+	chaos = NewChaos("chaos", engine.WordParallel, 0x9E3779B97F4A7C15, ChaosSpec{
+		DropProb:  0.25,
+		DelayProb: 0.02,
+		Delay:     50 * time.Microsecond,
+	})
+	// sharded is a complete 3-way round-robin family over the
+	// word-parallel engine, pinning the scale-out story's core claim:
+	// K shards reassemble bit-identically to the Serial reference.
+	sharded = mustUnion("sharded", ShardsOf(engine.WordParallel, 3)...)
+)
+
+// Engines returns the engines every suite replays on: the two
+// built-ins, a 2-slot Limited, a recoverable Chaos and a 3-way
+// ShardUnion. Run and RunChaos use it when their engines argument is
+// nil.
+func Engines() []engine.Engine {
+	return []engine.Engine{engine.Serial, engine.WordParallel, limited, chaos, sharded}
+}
+
 // gomaxprocsLevels are the scheduler widths every (case, engine) pair
 // replays under: the degenerate single-proc pool and a contended one.
 var gomaxprocsLevels = []int{1, 4}
 
 // Run replays every case on every engine at each GOMAXPROCS level and
 // reports divergence from the engine.Serial reference through t. A
-// nil engines slice means engine.All() — the standard call, so future
-// registered engines are picked up automatically.
+// nil engines slice means Engines() — the standard call, so engines
+// added there are picked up automatically.
 func Run(t TB, engines []engine.Engine, cases []Case) {
 	t.Helper()
 	if engines == nil {
-		engines = engine.All()
+		engines = Engines()
 	}
 	for _, c := range cases {
 		if c.Name == "" || c.Eval == nil {
@@ -95,9 +132,8 @@ func evalAt(procs int, e engine.Engine, eval func(engine.Engine) (any, error)) (
 const chaosSuiteSeed = 0xA24BAED4963EE407
 
 // RunChaos is the adversarial counterpart of Run: it replays every
-// case on every engine wrapped in fault-injecting engine.Chaos
-// instances and asserts the repo's two robustness invariants hold
-// under attack.
+// case on every engine wrapped in fault-injecting Chaos instances and
+// asserts the repo's two robustness invariants hold under attack.
 //
 //  1. Recovery: with recoverable faults only (half the items dropped
 //     and retried, some delayed), results must stay bit-identical to
@@ -106,16 +142,16 @@ const chaosSuiteSeed = 0xA24BAED4963EE407
 //  2. Typed failure: with a panic injected at item 0, the case must
 //     fail loudly and typed — either a panic carrying a
 //     *parallel.PanicError or a returned error wrapping one, with the
-//     injected engine.ChaosPanic reachable via errors.As. An engine
+//     injected ChaosPanic reachable via errors.As. An engine
 //     (or entry point) that swallows the fault and returns a result
 //     anyway fails the suite.
 //
-// A nil engines slice means engine.All(). Like Run, it takes the TB
+// A nil engines slice means Engines(). Like Run, it takes the TB
 // surface so a recording TB can prove the suite's own teeth.
 func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 	t.Helper()
 	if engines == nil {
-		engines = engine.All()
+		engines = Engines()
 	}
 	for _, c := range cases {
 		if c.Name == "" || c.Eval == nil {
@@ -128,7 +164,7 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 			continue
 		}
 		for _, e := range engines {
-			recov := engine.NewChaos("chaos-recover("+e.Name()+")", e, chaosSuiteSeed, engine.ChaosSpec{
+			recov := NewChaos("chaos-recover("+e.Name()+")", e, chaosSuiteSeed, ChaosSpec{
 				DropProb:  0.5,
 				DelayProb: 0.02,
 				Delay:     20 * time.Microsecond,
@@ -142,7 +178,7 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 					c.Name, e.Name(), got, ref)
 			}
 
-			boom := engine.NewChaos("chaos-panic("+e.Name()+")", e, chaosSuiteSeed, engine.ChaosSpec{
+			boom := NewChaos("chaos-panic("+e.Name()+")", e, chaosSuiteSeed, ChaosSpec{
 				DropProb: 0.25,
 				Panic:    true,
 				PanicAt:  0,
@@ -154,11 +190,11 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 				if !ok {
 					t.Errorf("enginetest: %s: engine %q re-raised an untyped panic %v (%T), want *parallel.PanicError",
 						c.Name, e.Name(), recovered, recovered)
-				} else if !errors.As(pe, new(engine.ChaosPanic)) {
+				} else if !errors.As(pe, new(ChaosPanic)) {
 					t.Errorf("enginetest: %s: engine %q lost the injected fault under the panic: %v", c.Name, e.Name(), pe)
 				}
 			case err != nil:
-				if !errors.As(err, new(engine.ChaosPanic)) {
+				if !errors.As(err, new(ChaosPanic)) {
 					t.Errorf("enginetest: %s: engine %q returned an error not wrapping the injected fault: %v",
 						c.Name, e.Name(), err)
 				}
@@ -181,7 +217,7 @@ func probe(e engine.Engine, eval func(engine.Engine) (any, error)) (err error, r
 // Lossy is a deliberately broken Engine: it drops the final index of
 // every fan-out — the deterministic stand-in for the work a racy
 // engine loses. It exists so tests can prove Run has teeth (see
-// TestSuiteCatchesLossyEngine) and is not in the registry.
+// TestSuiteCatchesLossyEngine) and is not in Engines().
 var Lossy engine.Engine = lossyEngine{}
 
 type lossyEngine struct{}
@@ -189,22 +225,17 @@ type lossyEngine struct{}
 func (lossyEngine) Name() string    { return "lossy" }
 func (lossyEngine) Workers(int) int { return 1 }
 
-func (lossyEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n-1; i++ {
-		fn(i)
-	}
-}
-
-func (lossyEngine) ForWorker(n, _ int, fn func(worker, i int)) {
+func (lossyEngine) ForWorkerCtx(_ context.Context, n, _ int, fn func(worker, i int)) error {
 	for i := 0; i < n-1; i++ {
 		fn(0, i)
 	}
+	return nil
 }
 
-// mustUnion builds a shard union for the fixture engines below; the
-// specs are static, so a constructor error is a programming bug.
-func mustUnion(name string, shards ...engine.Shard) engine.Engine {
-	u, err := engine.NewShardUnion(name, shards...)
+// mustUnion builds a shard union for the package's engines; the specs
+// are static, so a constructor error is a programming bug.
+func mustUnion(name string, shards ...engine.Shard) *ShardUnion {
+	u, err := NewShardUnion(name, shards...)
 	if err != nil {
 		panic(err)
 	}
@@ -216,7 +247,7 @@ func mustUnion(name string, shards ...engine.Shard) engine.Engine {
 // that never ran (or a merge that accepted a gap). Indices owned by
 // the missing shard stay zero-valued, so Run must flag it — the same
 // divergence oscmerge's missing-index check fails closed on. Not in
-// the registry; see TestSuiteCatchesGappedShards.
+// Engines(); see TestSuiteCatchesGappedShards.
 var GappedShards engine.Engine = mustUnion("gapped-shards",
 	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
 	engine.Shard{K: 2, N: 3, Inner: engine.Serial},
@@ -226,7 +257,7 @@ var GappedShards engine.Engine = mustUnion("gapped-shards",
 // appears twice, so its indices run twice — the double-execution a
 // merge of overlapping-but-disagreeing checkpoints would paper over.
 // Any case that accumulates (the worker-scratch pattern) diverges, so
-// Run must flag it. Not in the registry; see
+// Run must flag it. Not in Engines(); see
 // TestSuiteCatchesOverlappingShards.
 var OverlapShards engine.Engine = mustUnion("overlap-shards",
 	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
@@ -239,7 +270,7 @@ var OverlapShards engine.Engine = mustUnion("overlap-shards",
 // discards any panic a work item raises, then carries on — the
 // anti-pattern the panic-propagation contract forbids (a fault
 // silently becomes missing work). RunChaos must flag it (see
-// TestChaosSuiteCatchesSwallowedPanics); it is not in the registry.
+// TestChaosSuiteCatchesSwallowedPanics); it is not in Engines().
 var Swallow engine.Engine = swallowEngine{}
 
 type swallowEngine struct{}
@@ -247,16 +278,11 @@ type swallowEngine struct{}
 func (swallowEngine) Name() string    { return "swallow" }
 func (swallowEngine) Workers(int) int { return 1 }
 
-func (swallowEngine) For(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		swallowOne(func() { fn(i) })
-	}
-}
-
-func (swallowEngine) ForWorker(n, _ int, fn func(worker, i int)) {
+func (swallowEngine) ForWorkerCtx(_ context.Context, n, _ int, fn func(worker, i int)) error {
 	for i := 0; i < n; i++ {
 		swallowOne(func() { fn(0, i) })
 	}
+	return nil
 }
 
 func swallowOne(fn func()) {

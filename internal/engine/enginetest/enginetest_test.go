@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,17 +12,18 @@ import (
 
 // suiteCases is a miniature but representative workload: an indexed
 // fan-out with per-index derived seeds and index-ordered aggregation,
-// via both For and ForWorker.
+// with and without worker identity. Like a real entry point, each
+// case propagates its dispatch error (and so a captured panic).
 func suiteCases() []Case {
 	return []Case{
 		{
 			Name: "derived-seed-sweep",
 			Eval: func(e engine.Engine) (any, error) {
 				out := make([]uint64, 9)
-				e.For(len(out), func(i int) {
+				err := engine.ForCtx(context.Background(), e, len(out), func(i int) {
 					out[i] = stochastic.DeriveSeed(7, i)
 				})
-				return out, nil
+				return out, err
 			},
 		},
 		{
@@ -30,14 +32,14 @@ func suiteCases() []Case {
 				const n = 33
 				workers := e.Workers(n)
 				partial := make([]float64, workers)
-				e.ForWorker(n, workers, func(w, i int) {
+				err := e.ForWorkerCtx(context.Background(), n, workers, func(w, i int) {
 					partial[w] += float64(i * i)
 				})
 				var sum float64
 				for _, p := range partial {
 					sum += p
 				}
-				return sum, nil
+				return sum, err
 			},
 		},
 	}
@@ -57,11 +59,47 @@ func (r *recorder) Errorf(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
 }
 
-// TestBuiltinEnginesPassSuite: both registered engines reproduce the
-// serial reference on the miniature workload — the suite run every
+// TestBuiltinEnginesPassSuite: every engine of Engines() reproduces
+// the serial reference on the miniature workload — the suite run every
 // evaluated package repeats with its real entry points.
 func TestBuiltinEnginesPassSuite(t *testing.T) {
 	Run(t, nil, suiteCases())
+}
+
+// TestEnginesPinsSuiteBreadth pins what every suite replays on, so its
+// breadth cannot shrink silently: the two built-ins, a 2-slot Limited,
+// a recoverable Chaos that does reorder, and a complete 3-way shard
+// family.
+func TestEnginesPinsSuiteBreadth(t *testing.T) {
+	var names []string
+	for _, e := range Engines() {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "serial parallel limited chaos sharded"; got != want {
+		t.Fatalf("Engines() = %s, want %s", got, want)
+	}
+	es := Engines()
+	if es[0] != engine.Serial || es[1] != engine.WordParallel {
+		t.Errorf("built-ins are %v, %v; want engine.Serial, engine.WordParallel", es[0], es[1])
+	}
+	if l, ok := es[2].(*engine.Limited); !ok || l.Slots() != 2 {
+		t.Errorf("limited is %T, want a 2-slot *engine.Limited", es[2])
+	}
+	if c, ok := es[3].(*Chaos); !ok || c.spec.Panic || !(c.spec.DropProb > 0) {
+		t.Errorf("chaos is %T %+v, want a *Chaos that drops items and never panics", es[3], es[3])
+	}
+	u, ok := es[4].(*ShardUnion)
+	if !ok {
+		t.Fatalf("sharded is %T, want *ShardUnion", es[4])
+	}
+	if len(u.shards) != 3 {
+		t.Fatalf("sharded has %d shards, want 3", len(u.shards))
+	}
+	for k, sh := range u.shards {
+		if sh.K != k || sh.N != 3 || sh.Contiguous || sh.Inner != engine.WordParallel {
+			t.Errorf("shard %d is %s, want round-robin %d/3 over parallel", k, sh.Name(), k)
+		}
+	}
 }
 
 // TestSuiteCatchesLossyEngine proves the suite has teeth: an engine
@@ -127,9 +165,9 @@ func TestSuiteCatchesOverlappingShards(t *testing.T) {
 	}
 }
 
-// TestRegisteredEnginesPassChaosSuite: every registered engine (the
-// built-ins plus the registered chaos wrapper) recovers bit-identically
-// from drop/delay faults and fails typed under injected panics.
+// TestRegisteredEnginesPassChaosSuite: every engine of Engines()
+// recovers bit-identically from drop/delay faults and fails typed
+// under injected panics.
 func TestRegisteredEnginesPassChaosSuite(t *testing.T) {
 	RunChaos(t, nil, suiteCases())
 }

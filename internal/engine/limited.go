@@ -52,73 +52,31 @@ func (l *Limited) Slots() int { return cap(l.slots) }
 // service health endpoint surfaces as dispatch load.
 func (l *Limited) InFlight() int { return len(l.slots) }
 
-// run executes one item inside a slot, releasing it even when the
-// item panics so a fault never leaks semaphore capacity.
-func (l *Limited) run(fn func()) {
-	l.slots <- struct{}{}
-	defer func() { <-l.slots }()
-	fn()
-}
-
-// For implements Engine.
-func (l *Limited) For(n int, fn func(i int)) {
-	l.inner.For(n, func(i int) { l.run(func() { fn(i) }) })
-}
-
-// ForWorker implements Engine.
-func (l *Limited) ForWorker(n, workers int, fn func(worker, i int)) {
-	l.inner.ForWorker(n, workers, func(w, i int) { l.run(func() { fn(w, i) }) })
-}
-
-// ForCtx implements CtxEngine. Cancellation is observed both by the
-// inner engine's own handout and while waiting for a slot, so a
-// saturated semaphore cannot outlive the caller's deadline. An item
-// skipped at the slot wait is reported through the returned error —
-// the inner dispatch may have walked past it, but ForCtx never
-// returns nil with work undone.
-func (l *Limited) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	var skipped atomic.Bool
-	err := ForCtx(ctx, l.inner, n, func(i int) { l.runCtx(ctx, &skipped, func() { fn(i) }) })
-	if err == nil && skipped.Load() {
-		err = ctx.Err()
-	}
-	return err
-}
-
-// ForWorkerCtx implements CtxEngine.
+// ForWorkerCtx implements Engine: each item runs inside a slot, which
+// it releases even when it panics, so a fault never leaks semaphore
+// capacity. Cancellation is observed both by the inner engine's own
+// handout and while waiting for a slot, so a saturated semaphore
+// cannot outlive the caller's deadline. An item skipped at the slot
+// wait is reported through the returned error — the inner dispatch may
+// have walked past it, but ForWorkerCtx never returns nil with work
+// undone.
 func (l *Limited) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var skipped atomic.Bool
-	err := ForWorkerCtx(ctx, l.inner, n, workers, func(w, i int) { l.runCtx(ctx, &skipped, func() { fn(w, i) }) })
+	err := l.inner.ForWorkerCtx(ctx, n, workers, func(w, i int) {
+		select {
+		case l.slots <- struct{}{}:
+		case <-ctx.Done():
+			skipped.Store(true)
+			return
+		}
+		defer func() { <-l.slots }()
+		fn(w, i)
+	})
 	if err == nil && skipped.Load() {
 		err = ctx.Err()
 	}
 	return err
-}
-
-func init() {
-	// A shared registered instance with a deliberately tight cap, so
-	// every package's enginetest suite replays on a slot-starved
-	// dispatch — proof that admission limiting never changes results.
-	if err := Register(NewLimited("limited", WordParallel, 2)); err != nil {
-		panic(err)
-	}
-}
-
-// runCtx is run with a cancellable slot acquisition: when the context
-// fires before a slot frees, the item is skipped and flagged so the
-// dispatch reports the cancellation instead of success — a skipped
-// item is never silently treated as done.
-func (l *Limited) runCtx(ctx context.Context, skipped *atomic.Bool, fn func()) {
-	if ctx == nil {
-		l.run(fn)
-		return
-	}
-	select {
-	case l.slots <- struct{}{}:
-	case <-ctx.Done():
-		skipped.Store(true)
-		return
-	}
-	defer func() { <-l.slots }()
-	fn()
 }

@@ -5,26 +5,33 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestLimitedRunsEveryIndexOnce: the semaphore changes scheduling
-// only — every index still runs exactly once, on both dispatch faces.
+// only — every index still runs exactly once, with and without worker
+// identity.
 func TestLimitedRunsEveryIndexOnce(t *testing.T) {
 	l := NewLimited("t", WordParallel, 2)
 	const n = 64
 	var counts [n]atomic.Int32
-	l.For(n, func(i int) { counts[i].Add(1) })
+	if err := ForCtx(context.Background(), l, n, func(i int) { counts[i].Add(1) }); err != nil {
+		t.Fatal(err)
+	}
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("For: index %d ran %d times, want 1", i, got)
+			t.Fatalf("ForCtx: index %d ran %d times, want 1", i, got)
 		}
 		counts[i].Store(0)
 	}
 	w := l.Workers(n)
-	l.ForWorker(n, w, func(_, i int) { counts[i].Add(1) })
+	if err := l.ForWorkerCtx(context.Background(), n, w, func(_, i int) { counts[i].Add(1) }); err != nil {
+		t.Fatal(err)
+	}
 	for i := range counts {
 		if got := counts[i].Load(); got != 1 {
-			t.Fatalf("ForWorker: index %d ran %d times, want 1", i, got)
+			t.Fatalf("ForWorkerCtx: index %d ran %d times, want 1", i, got)
 		}
 	}
 }
@@ -35,7 +42,9 @@ func TestLimitedCapsConcurrency(t *testing.T) {
 	const slots = 2
 	l := NewLimited("t", WordParallel, slots)
 	var cur, peak atomic.Int32
-	l.For(128, func(int) {
+	// Dispatch wider than the slot count, as a service's concurrent
+	// jobs would, so the semaphore and not the pool does the capping.
+	if err := l.ForWorkerCtx(context.Background(), 128, WordParallel.Workers(128), func(_, _ int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -44,7 +53,9 @@ func TestLimitedCapsConcurrency(t *testing.T) {
 			}
 		}
 		cur.Add(-1)
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if p := peak.Load(); p > slots {
 		t.Fatalf("peak concurrency %d exceeds the %d-slot cap", p, slots)
 	}
@@ -66,25 +77,21 @@ func TestLimitedWorkersCappedBySlots(t *testing.T) {
 }
 
 // TestLimitedReleasesSlotOnPanic: a panicking item must not leak
-// semaphore capacity; the panic itself still propagates typed.
+// semaphore capacity; the panic itself still comes back typed.
 func TestLimitedReleasesSlotOnPanic(t *testing.T) {
 	l := NewLimited("t", Serial, 1)
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("panic did not propagate through Limited")
-			}
-		}()
-		l.For(1, func(int) { panic("boom") })
-	}()
+	err := ForCtx(context.Background(), l, 1, func(int) { panic("boom") })
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panicking item through Limited = %v, want *parallel.PanicError", err)
+	}
 	if in := l.InFlight(); in != 0 {
 		t.Fatalf("InFlight() = %d after a panic, want 0 (leaked slot)", in)
 	}
 	// The freed slot must still be usable.
 	ran := false
-	l.For(1, func(int) { ran = true })
-	if !ran {
-		t.Fatal("dispatch after a panic did not run")
+	if err := ForCtx(context.Background(), l, 1, func(int) { ran = true }); err != nil || !ran {
+		t.Fatalf("dispatch after a panic: ran=%v err=%v", ran, err)
 	}
 }
 
@@ -98,7 +105,9 @@ func TestLimitedCtxCancelWhileSaturated(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		l.For(1, func(int) { close(started); <-block })
+		if err := ForCtx(context.Background(), l, 1, func(int) { close(started); <-block }); err != nil {
+			t.Error(err)
+		}
 	}()
 	<-started
 
@@ -106,12 +115,12 @@ func TestLimitedCtxCancelWhileSaturated(t *testing.T) {
 	errCh := make(chan error, 1)
 	ran := make(chan struct{}, 1)
 	go func() {
-		errCh <- l.ForCtx(ctx, 1, func(int) { ran <- struct{}{} })
+		errCh <- l.ForWorkerCtx(ctx, 1, 1, func(int, int) { ran <- struct{}{} })
 	}()
 	cancel()
 	err := <-errCh
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx under a held slot returned %v, want context.Canceled", err)
+		t.Fatalf("ForWorkerCtx under a held slot returned %v, want context.Canceled", err)
 	}
 	select {
 	case <-ran:
@@ -137,24 +146,5 @@ func TestLimitedMisuse(t *testing.T) {
 			}()
 			build()
 		}()
-	}
-}
-
-// TestLimitedRegistered: the shared "limited" instance is in the
-// registry, so every package's enginetest suite replays on it.
-func TestLimitedRegistered(t *testing.T) {
-	e, err := Get("limited")
-	if err != nil {
-		t.Fatalf("Get(limited): %v", err)
-	}
-	l, ok := e.(*Limited)
-	if !ok {
-		t.Fatalf("registered limited engine is %T, want *Limited", e)
-	}
-	if l.Slots() < 1 {
-		t.Fatalf("registered limited engine has %d slots", l.Slots())
-	}
-	if _, ok := e.(CtxEngine); !ok {
-		t.Fatal("*Limited does not implement CtxEngine")
 	}
 }

@@ -22,8 +22,9 @@ var ErrShardRemainder = errors.New("engine: shard dispatch complete; non-owned i
 // semantics of every item it runs. Because the sweeps in this repo
 // derive all per-item randomness from the item index
 // (stochastic.DeriveSeed), any index subset computes the same values it
-// would in a full run — which is what makes every XOn entry point
-// shardable across processes or machines with no per-path code.
+// would in a full run — which is what makes every engine-accepting
+// entry point shardable across processes or machines with no per-path
+// code.
 //
 // Ownership is round-robin by default (i % N == K, which balances any
 // sweep shape) or a contiguous block partition when Contiguous is set
@@ -33,14 +34,13 @@ var ErrShardRemainder = errors.New("engine: shard dispatch complete; non-owned i
 // once.
 //
 // A Shard deliberately breaks the "every index runs exactly once"
-// engine contract for the indices it does not own: plain For/ForWorker
-// leave them untouched (zero-valued results), and the ctx dispatch
-// reports them through ErrShardRemainder so RunCtx-based sweeps surface
-// a *Partial with the owned indices marked Done. A bare Shard therefore
-// does not register in the engine registry; the registered "sharded"
-// engine is a ShardUnion of a full shard family, which restores the
-// contract and proves reassembly equals the Serial reference through
-// the enginetest suite.
+// engine contract for the indices it does not own: it leaves them
+// untouched (zero-valued results) and reports them through
+// ErrShardRemainder, so RunCtx-based sweeps surface a *Partial with
+// the owned indices marked Done. A bare Shard therefore cannot pass
+// the enginetest suite; its "sharded" engine is a union of a full
+// shard family, which restores the contract and proves reassembly
+// equals the Serial reference.
 type Shard struct {
 	// K is this shard's id in [0, N); N is the total shard count.
 	K, N int
@@ -65,14 +65,6 @@ func (s Shard) Validate() error {
 		return fmt.Errorf("engine: shard %d/%d has no inner engine", s.K, s.N)
 	}
 	return nil
-}
-
-// mustValidate panics on a malformed spec — For/ForWorker have no error
-// return, matching Use's precedent for engine misuse.
-func (s Shard) mustValidate() {
-	if err := s.Validate(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // Name implements Engine.
@@ -122,57 +114,27 @@ func (s Shard) owned(n int) []int {
 }
 
 // Workers implements Engine: the inner pool size for the owned item
-// count (at least 1 for n > 0, per the contract, even when this shard
-// owns nothing).
+// count (at least 1, per the contract, even when this shard owns
+// nothing). A malformed spec reports 1 and leaves the error to
+// ForWorkerCtx.
 func (s Shard) Workers(n int) int {
-	s.mustValidate()
-	w := s.Inner.Workers(len(s.owned(n)))
-	if w < 1 && n > 0 {
-		w = 1
+	if s.Validate() != nil {
+		return 1
 	}
-	return w
+	return max(1, s.Inner.Workers(len(s.owned(n))))
 }
 
-// For implements Engine for the owned indices; non-owned indices are
-// skipped (their results stay zero-valued).
-func (s Shard) For(n int, fn func(i int)) {
-	s.mustValidate()
-	owned := s.owned(n)
-	s.Inner.For(len(owned), func(j int) { fn(owned[j]) })
-}
-
-// ForWorker implements Engine for the owned indices.
-func (s Shard) ForWorker(n, workers int, fn func(worker, i int)) {
-	s.mustValidate()
-	owned := s.owned(n)
-	s.Inner.ForWorker(len(owned), workers, func(w, j int) { fn(w, owned[j]) })
-}
-
-// ForCtx implements CtxEngine: the owned indices dispatch on the inner
-// engine under ctx, and a run that finishes them all while skipping
-// non-owned ones returns ErrShardRemainder — which RunCtx turns into a
-// *Partial whose Done bitmap marks exactly the owned indices.
-func (s Shard) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	owned := s.owned(n)
-	if err := ForCtx(ctx, s.Inner, len(owned), func(j int) { fn(owned[j]) }); err != nil {
-		return err
-	}
-	if len(owned) < n {
-		return ErrShardRemainder
-	}
-	return nil
-}
-
-// ForWorkerCtx implements CtxEngine with the same remainder semantics.
+// ForWorkerCtx implements Engine for the owned indices: they dispatch
+// on the inner engine under ctx, and a run that finishes them all
+// while skipping non-owned ones returns ErrShardRemainder — which
+// RunCtx turns into a *Partial whose Done bitmap marks exactly the
+// owned indices. A malformed spec returns its Validate error.
 func (s Shard) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
 	owned := s.owned(n)
-	if err := ForWorkerCtx(ctx, s.Inner, len(owned), workers, func(w, j int) { fn(w, owned[j]) }); err != nil {
+	if err := s.Inner.ForWorkerCtx(ctx, len(owned), workers, func(w, j int) { fn(w, owned[j]) }); err != nil {
 		return err
 	}
 	if len(owned) < n {
@@ -195,112 +157,4 @@ func AsShard(e Engine) (Shard, bool) {
 		}
 	}
 	return Shard{}, false
-}
-
-// ShardsOf builds the complete round-robin shard family over inner:
-// n shards whose ownership partitions any index range exactly. The
-// family's union (ShardUnion) satisfies the full engine contract.
-func ShardsOf(inner Engine, n int) []Shard {
-	inner = Use(inner)
-	if n < 1 {
-		panic(fmt.Sprintf("engine: ShardsOf needs n >= 1 shards, got %d", n))
-	}
-	out := make([]Shard, n)
-	for k := range out {
-		out[k] = Shard{K: k, N: n, Inner: inner}
-	}
-	return out
-}
-
-// ShardUnion dispatches every one of its shards in order — the
-// in-process composition of a distributed run, and the proof obligation
-// behind it: when the shards are a complete family (ShardsOf), every
-// index runs exactly once and the union satisfies the full determinism
-// contract, so the registered "sharded" instance passes the generic
-// enginetest suite. The constructor deliberately does not check
-// coverage: a union over a gapped or overlapping shard list is exactly
-// the broken composition the enginetest teeth fixtures (and oscmerge's
-// fail-closed merge) must catch.
-type ShardUnion struct {
-	name   string
-	shards []Shard
-}
-
-// NewShardUnion builds a union over the given shards. Each shard must
-// validate individually; the list must be non-empty.
-func NewShardUnion(name string, shards ...Shard) (*ShardUnion, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("engine: NewShardUnion %q: no shards", name)
-	}
-	for _, sh := range shards {
-		if err := sh.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: NewShardUnion %q: %w", name, err)
-		}
-	}
-	return &ShardUnion{name: name, shards: shards}, nil
-}
-
-// Name implements Engine.
-func (u *ShardUnion) Name() string { return u.name }
-
-// Workers implements Engine: the widest pool any member shard uses.
-func (u *ShardUnion) Workers(n int) int {
-	w := 1
-	for _, sh := range u.shards {
-		if sw := sh.Workers(n); sw > w {
-			w = sw
-		}
-	}
-	return w
-}
-
-// For implements Engine by running each shard's slice in turn.
-func (u *ShardUnion) For(n int, fn func(i int)) {
-	for _, sh := range u.shards {
-		sh.For(n, fn)
-	}
-}
-
-// ForWorker implements Engine.
-func (u *ShardUnion) ForWorker(n, workers int, fn func(worker, i int)) {
-	for _, sh := range u.shards {
-		sh.ForWorker(n, workers, fn)
-	}
-}
-
-// ForCtx implements CtxEngine. Each member shard's ErrShardRemainder
-// is its normal completion — the union is responsible for the whole
-// range only through the family it was built from, and a gap a partial
-// family leaves is the enginetest suite's (or merge layer's) to catch.
-func (u *ShardUnion) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	for _, sh := range u.shards {
-		if err := sh.ForCtx(ctx, n, fn); err != nil && !errors.Is(err, ErrShardRemainder) {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForWorkerCtx implements CtxEngine.
-func (u *ShardUnion) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	for _, sh := range u.shards {
-		if err := sh.ForWorkerCtx(ctx, n, workers, fn); err != nil && !errors.Is(err, ErrShardRemainder) {
-			return err
-		}
-	}
-	return nil
-}
-
-func init() {
-	// The registered sharded composition: a complete 3-way round-robin
-	// family over the word-parallel engine. Every package's enginetest
-	// suite replays on it, pinning the scale-out story's core claim —
-	// K shards reassemble bit-identically to the Serial reference.
-	u, err := NewShardUnion("sharded", ShardsOf(WordParallel, 3)...)
-	if err == nil {
-		err = Register(u)
-	}
-	if err != nil {
-		panic(err)
-	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -54,34 +55,31 @@ func TestShardOwnsRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestShardForRunsOwnedIndicesOnce: For and ForWorker run exactly the
-// owned indices, exactly once, and leave the rest untouched.
+// TestShardForRunsOwnedIndicesOnce: dispatch runs exactly the owned
+// indices, exactly once, with and without worker identity, leaves the
+// rest untouched and reports them as ErrShardRemainder.
 func TestShardForRunsOwnedIndicesOnce(t *testing.T) {
 	const n = 20
 	for _, contiguous := range []bool{false, true} {
 		sh := Shard{K: 1, N: 3, Contiguous: contiguous, Inner: WordParallel}
-		counts := make([]int, n)
-		sh.For(n, func(i int) { counts[i]++ })
-		for i, c := range counts {
-			want := 0
-			if sh.Owns(i, n) {
-				want = 1
+		for name, dispatch := range map[string]func(visit func(i int)) error{
+			"ForCtx": func(visit func(int)) error { return ForCtx(context.Background(), sh, n, visit) },
+			"ForWorkerCtx": func(visit func(int)) error {
+				return sh.ForWorkerCtx(context.Background(), n, sh.Workers(n), func(_, i int) { visit(i) })
+			},
+		} {
+			counts := make([]int32, n)
+			if err := dispatch(func(i int) { atomic.AddInt32(&counts[i], 1) }); !errors.Is(err, ErrShardRemainder) {
+				t.Errorf("contiguous=%v %s: err = %v, want ErrShardRemainder", contiguous, name, err)
 			}
-			if c != want {
-				t.Errorf("contiguous=%v For: index %d ran %d times, want %d", contiguous, i, c, want)
-			}
-		}
-
-		counts = make([]int, n)
-		w := sh.Workers(n)
-		sh.ForWorker(n, w, func(_, i int) { counts[i]++ })
-		for i, c := range counts {
-			want := 0
-			if sh.Owns(i, n) {
-				want = 1
-			}
-			if c != want {
-				t.Errorf("contiguous=%v ForWorker: index %d ran %d times, want %d", contiguous, i, c, want)
+			for i, c := range counts {
+				want := int32(0)
+				if sh.Owns(i, n) {
+					want = 1
+				}
+				if c != want {
+					t.Errorf("contiguous=%v %s: index %d ran %d times, want %d", contiguous, name, i, c, want)
+				}
 			}
 		}
 	}
@@ -110,17 +108,6 @@ func TestShardValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = nil, want error", c.name)
 		}
 	}
-}
-
-// TestShardForPanicsOnInvalidSpec: the no-error dispatch faces treat a
-// malformed spec as misuse, like Use does for a nil engine.
-func TestShardForPanicsOnInvalidSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("For on an invalid shard did not panic")
-		}
-	}()
-	Shard{K: 3, N: 3, Inner: Serial}.For(4, func(int) {})
 }
 
 // TestShardForCtxReportsRemainderAsPartial: the ctx face reports the
@@ -165,7 +152,7 @@ func TestShardForCtxReportsRemainderAsPartial(t *testing.T) {
 func TestShardForCtxFullCoverageSucceeds(t *testing.T) {
 	sh := Shard{K: 0, N: 1, Inner: Serial}
 	ran := 0
-	if err := sh.ForCtx(context.Background(), 5, func(int) { ran++ }); err != nil {
+	if err := ForCtx(context.Background(), sh, 5, func(int) { ran++ }); err != nil {
 		t.Fatalf("ForCtx = %v, want nil", err)
 	}
 	if ran != 5 {
@@ -179,7 +166,7 @@ func TestShardForCtxPropagatesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sh := Shard{K: 0, N: 2, Inner: Serial}
-	err := sh.ForCtx(ctx, 8, func(int) {})
+	err := ForCtx(ctx, sh, 8, func(int) {})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
@@ -188,12 +175,32 @@ func TestShardForCtxPropagatesCancellation(t *testing.T) {
 	}
 }
 
-// TestShardForCtxInvalidSpecReturnsError: the ctx faces return the
-// validation error instead of panicking, so the CLI path fails typed.
+// TestShardForCtxInvalidSpecReturnsError: a malformed spec (K >= N,
+// negative K, no inner engine) dispatched through ForCtx or RunCtx
+// returns its Validate error, runs nothing and never panics — Workers
+// included — so the CLI path fails typed.
 func TestShardForCtxInvalidSpecReturnsError(t *testing.T) {
-	sh := Shard{K: -1, N: 2, Inner: Serial}
-	if err := sh.ForCtx(context.Background(), 4, func(int) {}); err == nil {
-		t.Fatal("ForCtx on an invalid shard returned nil error")
+	for _, sh := range []Shard{
+		{K: 3, N: 3, Inner: Serial},
+		{K: -1, N: 2, Inner: Serial},
+		{K: 0, N: 2},
+	} {
+		want := sh.Validate()
+		if want == nil {
+			t.Fatalf("%+v validates", sh)
+		}
+		if w := sh.Workers(4); w < 1 {
+			t.Errorf("%s: Workers(4) = %d, want >= 1", sh.Name(), w)
+		}
+		ran := func(i int) { t.Errorf("%s ran item %d", sh.Name(), i) }
+		if err := ForCtx(context.Background(), sh, 4, ran); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: ForCtx = %v, want %v", sh.Name(), err, want)
+		}
+		err := RunCtx(context.Background(), sh, 4, nil, ran)
+		var p *Partial
+		if !errors.As(err, &p) || p.Completed != 0 || p.Cause.Error() != want.Error() {
+			t.Errorf("%s: RunCtx = %v, want a *Partial with no completions caused by %v", sh.Name(), err, want)
+		}
 	}
 }
 
@@ -211,50 +218,6 @@ func TestAsShard(t *testing.T) {
 	}
 	if _, ok := AsShard((*Shard)(nil)); ok {
 		t.Error("AsShard(nil *Shard) = true, want false")
-	}
-}
-
-// TestShardsOfUnionCoversExactlyOnce: the complete family's union runs
-// every index exactly once — the reassembly identity the registered
-// "sharded" engine carries into every package's enginetest suite.
-func TestShardsOfUnionCoversExactlyOnce(t *testing.T) {
-	u, err := NewShardUnion("t", ShardsOf(Serial, 4)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 21
-	counts := make([]int, n)
-	u.For(n, func(i int) { counts[i]++ })
-	for i, c := range counts {
-		if c != 1 {
-			t.Errorf("For: index %d ran %d times, want 1", i, c)
-		}
-	}
-	if err := u.ForCtx(context.Background(), n, func(int) {}); err != nil {
-		t.Errorf("complete-family ForCtx = %v, want nil (remainders are internal)", err)
-	}
-}
-
-// TestNewShardUnionFailsClosed: empty lists and invalid members are
-// rejected at construction.
-func TestNewShardUnionFailsClosed(t *testing.T) {
-	if _, err := NewShardUnion("t"); err == nil {
-		t.Error("empty union accepted")
-	}
-	if _, err := NewShardUnion("t", Shard{K: 2, N: 2, Inner: Serial}); err == nil {
-		t.Error("invalid member shard accepted")
-	}
-}
-
-// TestShardedEngineRegistered: the "sharded" composition is in the
-// registry, so every enginetest suite replays on it automatically.
-func TestShardedEngineRegistered(t *testing.T) {
-	e, err := Get("sharded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.(*ShardUnion); !ok {
-		t.Fatalf("registered sharded engine is %T, want *ShardUnion", e)
 	}
 }
 

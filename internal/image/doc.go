@@ -1,7 +1,8 @@
 // Package image provides the error-tolerant image-processing
 // applications the paper motivates stochastic computing with (§V.C):
-// a minimal grayscale image type with PGM I/O, synthetic test-image
-// generators, and the two canonical SC workloads — gamma correction
+// a minimal grayscale image type with PGM I/O (ReadPGM sizes its pixel
+// buffer from the bytes it reads, never from the header, so it is safe
+// on untrusted uploads), synthetic test-image generators, and the two canonical SC workloads — gamma correction
 // and Robert's-cross edge detection — each computed exactly and
 // stochastically, with PSNR against the exact result as the quality
 // metric.
@@ -16,7 +17,8 @@
 // the quantized LUT per (gamma, degree, spacing, streamLen, seed),
 // and GammaVideoCtx corrects a whole frame batch through one cached
 // table, fanning the per-frame LUT applications over the caller's
-// evaluation engine under the caller's context. Quickstart:
+// evaluation engine under the caller's context (GammaVideoPerFrameCtx
+// gives each frame its own derived seed). Quickstart:
 //
 //	var cache image.GammaLUTCache
 //	out, err := image.GammaVideoCtx(ctx, engine.WordParallel, frames, 0.45, 6, 0.3, 1024, 9, &cache)

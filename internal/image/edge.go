@@ -1,6 +1,7 @@
 package image
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -101,8 +102,9 @@ func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, stream
 // so the output is bit-identical on every conforming engine and
 // deterministic on any GOMAXPROCS. A non-positive stream length is an
 // error (it would silently produce a garbage image), as is a nil
-// engine. The word-level kernels themselves are pinned against their
-// bit-serial definitions by the stochastic package's plane tests.
+// engine; a panicking tile comes back as its *parallel.PanicError. The
+// word-level kernels themselves are pinned against their bit-serial
+// definitions by the stochastic package's plane tests.
 func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*Gray, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
@@ -121,7 +123,9 @@ func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*
 	tiles := (rows + edgeRowsPerTile - 1) / edgeRowsPerTile
 	workers := e.Workers(tiles)
 	scratch := make([]*edgeScratch, workers)
-	e.ForWorker(tiles, workers, func(worker, t int) {
+	// The signature takes no context yet (the benchmark pins it), so
+	// the tiles run to completion.
+	if err := e.ForWorkerCtx(context.TODO(), tiles, workers, func(worker, t int) {
 		s := scratch[worker]
 		if s == nil {
 			s = newEdgeScratch(words)
@@ -141,6 +145,8 @@ func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*
 				out.Set(x, y, quantize(float64(ones)/float64(streamLen)))
 			}
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

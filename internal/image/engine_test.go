@@ -18,9 +18,9 @@ import (
 func TestEngineSuite(t *testing.T) {
 	cases := []enginetest.Case{
 		{
-			Name: "image.GammaVideoPerFrameOn",
+			Name: "image.GammaVideoPerFrameCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoPerFrameOn(e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
+				return GammaVideoPerFrameCtx(context.Background(), e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
 			},
 		},
 		{
@@ -64,7 +64,7 @@ func TestNilEngineMisuse(t *testing.T) {
 	if _, err := GammaVideoCtx(context.Background(), nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
 		t.Error("GammaVideoCtx(nil) did not error")
 	}
-	if _, err := GammaVideoPerFrameOn(nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
-		t.Error("GammaVideoPerFrameOn(nil) did not error")
+	if _, err := GammaVideoPerFrameCtx(context.Background(), nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
+		t.Error("GammaVideoPerFrameCtx(nil) did not error")
 	}
 }

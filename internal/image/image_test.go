@@ -103,6 +103,41 @@ func TestPGMErrors(t *testing.T) {
 	}
 }
 
+// TestReadPGMHostileHeaders: a header claiming more pixels than the
+// input carries is an error, not an allocation sized by the claim —
+// a terabyte slice, a negative length from an overflowing product, or
+// a product that wraps to zero and passes any pixel cap.
+func TestReadPGMHostileHeaders(t *testing.T) {
+	for _, tc := range []struct{ name, header string }{
+		{"1TB", "P5 1000000 1000000 255\n"},
+		{"product-overflows-negative", "P5 3037000500 3037000500 255\n"},
+		{"product-wraps-to-zero", "P5 4294967296 4294967296 255\n"},
+		{"ascii-1TB", "P2 1000000 1000000 255\n0 1 2\n"},
+	} {
+		g, err := ReadPGM(strings.NewReader(tc.header))
+		if err == nil {
+			t.Errorf("%s: accepted as %dx%d with %d pixels", tc.name, g.W, g.H, len(g.Pix))
+		}
+	}
+}
+
+// FuzzReadPGM: whatever the input, ReadPGM never panics, and an image
+// it accepts holds exactly W*H pixels, no more than the input has
+// bytes — the header alone can never size an allocation. The seed
+// corpus (testdata/fuzz/FuzzReadPGM) holds the hostile headers of
+// TestReadPGMHostileHeaders and one valid image of each format.
+func FuzzReadPGM(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadPGM(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if g.W < 1 || g.H < 1 || g.H > math.MaxInt/g.W || len(g.Pix) != g.W*g.H || len(g.Pix) > len(data) {
+			t.Fatalf("accepted %dx%d with %d pixels from %d input bytes", g.W, g.H, len(g.Pix), len(data))
+		}
+	})
+}
+
 func TestSynthGenerators(t *testing.T) {
 	g := Gradient(256, 2)
 	if g.At(0, 0) != 0 || g.At(255, 0) != 255 {

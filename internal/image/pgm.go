@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -81,7 +82,11 @@ func (g *Gray) WritePGMASCII(w io.Writer) error {
 	return nil
 }
 
-// ReadPGM decodes a P2 or P5 PGM stream with maxval <= 255.
+// ReadPGM decodes a P2 or P5 PGM stream with maxval <= 255. The pixel
+// buffer grows with the bytes actually read, never from the header's
+// claim, so a hostile header cannot allocate beyond the input: a P5
+// raster must deliver exactly width*height bytes, a P2 one exactly
+// width*height values.
 func ReadPGM(r io.Reader) (*Gray, error) {
 	br := bufio.NewReader(r)
 	magic, err := pgmToken(br)
@@ -107,25 +112,33 @@ func ReadPGM(r io.Reader) (*Gray, error) {
 	if maxval <= 0 || maxval > 255 {
 		return nil, fmt.Errorf("image: unsupported maxval %d", maxval)
 	}
-	img := NewGray(w, h)
+	if h > math.MaxInt/w {
+		return nil, fmt.Errorf("image: dimensions %dx%d overflow", w, h)
+	}
+	n := w * h
 	if magic == "P5" {
-		if _, err := io.ReadFull(br, img.Pix); err != nil {
+		pix, err := io.ReadAll(io.LimitReader(br, int64(n)))
+		if err != nil {
 			return nil, fmt.Errorf("image: reading raster: %w", err)
 		}
-		return img, nil
+		if len(pix) != n {
+			return nil, fmt.Errorf("image: raster has %d of %d bytes: %w", len(pix), n, io.ErrUnexpectedEOF)
+		}
+		return &Gray{W: w, H: h, Pix: pix}, nil
 	}
-	for i := range img.Pix {
+	var pix []uint8
+	for len(pix) < n {
 		tok, err := pgmToken(br)
 		if err != nil {
-			return nil, fmt.Errorf("image: reading pixel %d: %w", i, err)
+			return nil, fmt.Errorf("image: reading pixel %d: %w", len(pix), err)
 		}
 		var v int
 		if _, err := fmt.Sscan(tok, &v); err != nil || v < 0 || v > maxval {
 			return nil, fmt.Errorf("image: bad pixel %q", tok)
 		}
-		img.Pix[i] = uint8(v)
+		pix = append(pix, uint8(v))
 	}
-	return img, nil
+	return &Gray{W: w, H: h, Pix: pix}, nil
 }
 
 // pgmToken reads the next whitespace-delimited token, skipping

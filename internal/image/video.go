@@ -131,8 +131,8 @@ func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma f
 	return out, nil
 }
 
-// GammaVideoPerFrameOn is GammaVideoCtx with decorrelated stochastic noise
-// across frames: frame i evaluates its LUT under the derived seed
+// GammaVideoPerFrameCtx is GammaVideoCtx with decorrelated stochastic
+// noise across frames: frame i evaluates its LUT under the derived seed
 // DeriveSeed(seed, i), so quantization error is independent frame to
 // frame instead of frozen into one batch-wide pattern (the temporal
 // analogue of the per-pixel decorrelation study). The output for a
@@ -143,11 +143,12 @@ func GammaVideoCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma f
 // cache's GammaCoefCache, so the expensive fit happens once per batch;
 // each distinct frame index then memoizes its own 256-level table, so
 // replaying the batch (or a longer clip at the same base seed) hits
-// every LUT already built. Frames are dispatched on the given engine;
-// if any fail, the error of the lowest failing frame is returned — a
-// deterministic choice, matching dse.SweepCtx. A nil engine is an
-// error.
-func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
+// every LUT already built. Frames are dispatched on the given engine
+// under ctx; if any fail, the error of the lowest failing frame is
+// returned — a deterministic choice, matching dse.SweepCtx. A nil
+// engine is an error, and a fired ctx (or a faulting frame) surfaces a
+// *engine.Partial instead of frames.
+func GammaVideoPerFrameCtx(ctx context.Context, e engine.Engine, frames []*Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64, cache *GammaLUTCache) ([]*Gray, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
 	}
@@ -161,7 +162,7 @@ func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree
 	}
 	out := make([]*Gray, len(frames))
 	errs := make([]error, len(frames))
-	e.For(len(frames), func(i int) {
+	if err := engine.RunCtx(ctx, e, len(frames), nil, func(i int) {
 		lut, err := cache.OpticalLUT(gamma, degree, spacingNM, streamLen, stochastic.DeriveSeed(seed, i))
 		if err != nil {
 			errs[i] = err
@@ -170,7 +171,9 @@ func GammaVideoPerFrameOn(e engine.Engine, frames []*Gray, gamma float64, degree
 		f := frames[i].Clone()
 		applyLUT(f, lut)
 		out[i] = f
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -36,7 +36,7 @@ func TestGammaVideoDoesNotMutateInput(t *testing.T) {
 func TestGammaVideoPerFrameCacheReplay(t *testing.T) {
 	frames := videoFrames()
 	var cache GammaLUTCache
-	if _, err := GammaVideoPerFrameOn(engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, &cache); err != nil {
+	if _, err := GammaVideoPerFrameCtx(context.Background(), engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, &cache); err != nil {
 		t.Fatal(err)
 	}
 	l0, err := cache.OpticalLUT(0.45, 6, 0.3, 256, stochastic.DeriveSeed(9, 0))
@@ -60,7 +60,7 @@ func TestGammaVideoPerFrameDecorrelation(t *testing.T) {
 	// (deterministically) different quantization noise. A short stream
 	// keeps the noise large enough to observe.
 	twins := []*Gray{Gradient(32, 24), Gradient(32, 24)}
-	out, err := GammaVideoPerFrameOn(engine.WordParallel, twins, 0.45, 6, 0.3, 32, 9, nil)
+	out, err := GammaVideoPerFrameCtx(context.Background(), engine.WordParallel, twins, 0.45, 6, 0.3, 32, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

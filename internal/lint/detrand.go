@@ -11,12 +11,11 @@ import (
 //   - no time.Now and no global math/rand state in internal/ — every
 //     result must replay bit-identically from explicit seeds;
 //   - any worker closure passed to parallel.For/ForWorker/Run (or
-//     their ctx variants) or to an evaluation engine's For/ForWorker
-//     (internal/engine; engine.Chunked and the cancellable
-//     ForCtx/ForWorkerCtx/RunCtx included) that constructs an RNG
-//     must derive its
-//     seed through stochastic.DeriveSeed (directly, or via a
-//     same-package seed helper such as trialSeeds), so results are
+//     their ctx variants) or to the engine layer's dispatch
+//     (internal/engine: an Engine's ForWorkerCtx, engine.ForCtx,
+//     engine.RunCtx and engine.Chunked) that constructs an RNG must
+//     derive its seed through stochastic.DeriveSeed (directly, or via
+//     a same-package seed helper such as trialSeeds), so results are
 //     identical at any GOMAXPROCS and under any scheduling.
 var DetRand = &Analyzer{
 	Name: "detrand",
@@ -53,10 +52,10 @@ func isStochasticFunc(obj *types.Func, name string) bool {
 // dispatchesWorkers reports whether the call hands worker closures to
 // a fan-out primitive: internal/parallel's For/ForWorker/Run and
 // their context-aware ForCtx/ForWorkerCtx, or the engine layer's
-// Engine.For/ForWorker, engine.Chunked and the cancellable
-// ForCtx/ForWorkerCtx/RunCtx — the worker closures both analyzers
-// inspect. The ctx variants stop early but never re-run an item, so
-// the same determinism and allocation rules apply to their closures.
+// Engine.ForWorkerCtx, engine.ForCtx, engine.RunCtx and
+// engine.Chunked — the worker closures both analyzers inspect. The
+// ctx variants stop early but never re-run an item, so the same
+// determinism and allocation rules apply to their closures.
 func dispatchesWorkers(p *Package, call *ast.CallExpr) bool {
 	callee := p.Callee(call)
 	if callee == nil {
@@ -70,7 +69,7 @@ func dispatchesWorkers(p *Package, call *ast.CallExpr) bool {
 		}
 	case pkgSuffixIs(callee, "internal/engine"):
 		switch callee.Name() {
-		case "For", "ForWorker", "Chunked", "ForCtx", "ForWorkerCtx", "RunCtx":
+		case "ForWorkerCtx", "ForCtx", "RunCtx", "Chunked":
 			return true
 		}
 	}

@@ -11,8 +11,8 @@
 // Every parallel engine in the repo is deterministic by construction:
 // randomness derives from (seed, item index) via stochastic.DeriveSeed,
 // never from scheduling, wall clock, or shared generator state. Every
-// engine-accepting entry point is replayed on every registered engine
-// against the engine.Serial reference. Output renderers must not leak
+// engine-accepting entry point is replayed on every engine of
+// enginetest.Engines() against the engine.Serial reference. Output renderers must not leak
 // Go's randomized map iteration order, and errors must propagate
 // instead of being swallowed. All four conventions have been violated
 // before: a CI smoke diff caught map-iteration nondeterminism in
@@ -28,9 +28,8 @@
 // and the global math/rand functions are banned outright: results must
 // replay bit-identically from explicit seeds. Everywhere, a closure
 // passed to a worker dispatcher — parallel.For / ForWorker / Run /
-// ForCtx / ForWorkerCtx, or an Engine's For / ForWorker,
-// engine.Chunked and the cancellable engine.ForCtx / ForWorkerCtx /
-// RunCtx — that constructs an RNG
+// ForCtx / ForWorkerCtx, or an Engine's ForWorkerCtx, engine.ForCtx,
+// engine.RunCtx and engine.Chunked — that constructs an RNG
 // (stochastic.NewSplitMix64, NewLFSR, NewChaoticSource,
 // NewChaoticLaserSNG, NewReSCWithSeeds, or a math/rand constructor)
 // must reference stochastic.DeriveSeed — directly in the body, or

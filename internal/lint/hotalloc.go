@@ -6,11 +6,10 @@ import (
 
 // HotAlloc supports the ROADMAP zero-alloc push: inside a closure
 // handed to parallel.For/ForWorker/Run (or their ctx variants) or to
-// an evaluation engine's For/ForWorker (internal/engine;
-// engine.Chunked and the cancellable ForCtx/ForWorkerCtx/RunCtx
-// included), per-item
-// `make` calls, growing `append`s, and fmt.Sprint* formatting multiply
-// allocations by the item count. The fix is the ForWorker per-worker
+// the engine layer's dispatch (internal/engine: an Engine's
+// ForWorkerCtx, engine.ForCtx, engine.RunCtx and engine.Chunked),
+// per-item `make` calls, growing `append`s, and fmt.Sprint* formatting
+// multiply allocations by the item count. The fix is the per-worker
 // scratch pattern (O(workers) allocations, see image.RobertsCrossSCOn)
 // or hoisting the buffer outside the fan-out. Results that must be
 // written per item (`out[i] = ...`) are unaffected — only fresh

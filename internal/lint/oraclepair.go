@@ -11,7 +11,8 @@ import (
 // registered in the generic cross-engine equivalence suite —
 // referenced from a _test.go file in the same package that calls
 // enginetest.Run. The suite is what replays the entry point on every
-// registered engine against the engine.Serial reference (the oracle);
+// engine of enginetest.Engines() against the engine.Serial reference
+// (the oracle);
 // an unregistered entry point dispatches work nothing ever
 // cross-checks.
 var OraclePair = &Analyzer{
@@ -53,7 +54,7 @@ func runSuiteCheck(p *Package) []Finding {
 // hasEngineParam reports whether the declaration takes a parameter
 // that dispatches on the engine layer: the Engine interface itself or
 // any concrete internal/engine type implementing it (engine.Shard,
-// *engine.Chaos, ...). Concrete wrappers count because an entry point
+// *engine.Limited). Concrete wrappers count because an entry point
 // taking one fans work out exactly like an interface-typed one — its
 // closures are worker bodies the suite must cross-check.
 func hasEngineParam(p *Package, fd *ast.FuncDecl) bool {

@@ -67,53 +67,54 @@ func GoodHelper(n int, seed uint64) []float64 {
 }
 
 // BadEngineSeed constructs an underived per-item RNG inside an
-// engine-dispatched worker body: Engine.For is a fan-out exactly like
-// parallel.For, so the same discipline applies.
-func BadEngineSeed(e engine.Engine, n int, seed uint64) []float64 {
+// engine-dispatched worker body: Engine.ForWorkerCtx is a fan-out
+// exactly like parallel.ForWorker, so the same discipline applies.
+func BadEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	e.For(n, func(i int) {
+	err := e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // GoodEngineSeed derives per-item seeds on the engine dispatch path.
-func GoodEngineSeed(e engine.Engine, n int, seed uint64) []float64 {
+func GoodEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	e.For(n, func(i int) {
+	err := e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadShardSeed constructs an underived per-item RNG inside a
-// shard-filtered dispatch: engine.Shard.For only narrows which indices
+// shard-filtered dispatch: engine.Shard only narrows which indices
 // run, so its closures are worker bodies under the same discipline.
-func BadShardSeed(e engine.Engine, n int, seed uint64) []float64 {
+func BadShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	engine.Shard{K: 0, N: 2, Inner: e}.For(n, func(i int) {
+	err := engine.ForCtx(ctx, engine.Shard{K: 0, N: 2, Inner: e}, n, func(i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // GoodShardSeed derives per-item seeds on the sharded dispatch path —
 // the property that makes shard outputs reassemble bit-identically.
-func GoodShardSeed(e engine.Engine, n int, seed uint64) []float64 {
+func GoodShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	engine.Shard{K: 0, N: 2, Inner: e}.For(n, func(i int) {
+	err := engine.ForCtx(ctx, engine.Shard{K: 0, N: 2, Inner: e}, n, func(i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadCtxSeed constructs an underived per-item RNG inside a
 // cancellable dispatch: engine.RunCtx stops early but never re-runs
-// an item, so its closures obey the same discipline as Engine.For.
+// an item, so its closures obey the same discipline as
+// Engine.ForWorkerCtx.
 func BadCtxSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
 	err := engine.RunCtx(ctx, e, n, nil, func(i int) {

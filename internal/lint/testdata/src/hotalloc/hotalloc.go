@@ -25,20 +25,20 @@ func BadPerItem(n int) []string {
 }
 
 // BadEnginePerItem allocates per item inside an engine-dispatched
-// worker body: Engine.For is a fan-out exactly like parallel.For.
-func BadEnginePerItem(e engine.Engine, n int) []string {
+// worker body: engine.ForCtx is a fan-out exactly like parallel.For.
+func BadEnginePerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
-	e.For(n, func(i int) {
+	err := engine.ForCtx(ctx, e, n, func(i int) {
 		buf := make([]byte, 8) // want hotalloc
 		buf[0] = byte(i)
 		out[i] = string(buf[:1])
 	})
-	return out
+	return out, err
 }
 
 // BadCtxPerItem allocates per item inside a cancellable dispatch:
-// engine.RunCtx fans out exactly like Engine.For, so its closures are
-// just as hot.
+// engine.RunCtx fans out exactly like engine.ForCtx, so its closures
+// are just as hot.
 func BadCtxPerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
 	err := engine.RunCtx(ctx, e, n, nil, func(i int) {
@@ -49,19 +49,19 @@ func BadCtxPerItem(ctx context.Context, e engine.Engine, n int) ([]string, error
 
 // GoodEngineScratch hoists per-worker scratch ahead of the engine
 // fan-out, mirroring the parallel.ForWorker pattern.
-func GoodEngineScratch(e engine.Engine, n int) []int {
+func GoodEngineScratch(ctx context.Context, e engine.Engine, n int) ([]int, error) {
 	workers := e.Workers(n)
 	scratch := make([][]byte, workers)
 	for w := range scratch {
 		scratch[w] = make([]byte, 8)
 	}
 	out := make([]int, n)
-	e.ForWorker(n, workers, func(worker, i int) {
+	err := e.ForWorkerCtx(ctx, n, workers, func(worker, i int) {
 		buf := scratch[worker]
 		buf[0] = byte(i)
 		out[i] = int(buf[0])
 	})
-	return out
+	return out, err
 }
 
 // GoodScratch is the ForWorker pattern: one scratch buffer per

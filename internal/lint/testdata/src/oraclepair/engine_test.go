@@ -13,11 +13,11 @@ import (
 func TestEngineSuite(t *testing.T) {
 	enginetest.Run(t, nil, []enginetest.Case{{
 		Name: "oraclepair.RegisteredOn",
-		Eval: func(e engine.Engine) (any, error) { return RegisteredOn(e, 8), nil },
+		Eval: func(e engine.Engine) (any, error) { return RegisteredOn(e, 8) },
 	}, {
 		Name: "oraclepair.RegisteredShardedOn",
 		Eval: func(e engine.Engine) (any, error) {
-			return RegisteredShardedOn(engine.Shard{K: 0, N: 1, Inner: e}, 8), nil
+			return RegisteredShardedOn(engine.Shard{K: 0, N: 1, Inner: e}, 8)
 		},
 	}})
 }

@@ -6,7 +6,7 @@ import "testing"
 // enginetest.Run — this file is not a suite file, so the reference
 // must not satisfy the suite-registration check.
 func TestMentionedOn(t *testing.T) {
-	if got := MentionedOn(nil, 0); len(got) != 0 {
-		t.Fatalf("MentionedOn = %v", got)
+	if got, err := MentionedOn(nil, 0); err == nil || len(got) != 0 {
+		t.Fatalf("MentionedOn(nil) = %v, %v", got, err)
 	}
 }

@@ -35,8 +35,8 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes a panic value that is itself an error (the chaos
-// engine's injected engine.ChaosPanic, a re-raised runtime error) to
-// errors.Is/As chains.
+// engine's injected enginetest.ChaosPanic, a re-raised runtime error)
+// to errors.Is/As chains.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err

@@ -21,7 +21,9 @@
 // Every POST body is optional JSON: an empty body runs the endpoint's
 // documented defaults, unknown fields are rejected. Image sources are
 // either a synthetic generator ({"synth":"gradient|radial|checkerboard",
-// "width","height",...}) or an uploaded binary PGM ({"pgm_base64":...});
+// "width","height",...}) or an uploaded binary PGM ({"pgm_base64":...},
+// parsed with its allocation bounded by the upload, so a header that
+// claims more pixels than it carries is a 400, never an allocation);
 // image responses are JSON (base64 PGM + PSNR/MAE vs the exact
 // operator) or raw PGM when format is "pgm". A result identical to the
 // exact operator has infinite PSNR, which JSON has no number for:

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,10 +12,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/engine/enginetest"
 	"repro/internal/figures"
 	img "repro/internal/image"
 )
@@ -163,7 +166,7 @@ func TestBERWaterfall(t *testing.T) {
 // on a fault-injecting engine (drops, delays) must answer every request
 // with bytes identical to a server on engine.Serial.
 func TestChaosByteIdentity(t *testing.T) {
-	chaos := engine.NewChaos("serve-chaos", engine.WordParallel, 42, engine.ChaosSpec{
+	chaos := enginetest.NewChaos("serve-chaos", engine.WordParallel, 42, enginetest.ChaosSpec{
 		DropProb:  0.4,
 		DelayProb: 0.3,
 		Delay:     100 * time.Microsecond,
@@ -213,11 +216,8 @@ func (f *flipEngine) pick() engine.Engine {
 
 func (f *flipEngine) Name() string      { return "flip" }
 func (f *flipEngine) Workers(n int) int { return 1 }
-func (f *flipEngine) For(n int, fn func(i int)) {
-	f.pick().For(n, fn)
-}
-func (f *flipEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	f.pick().ForWorker(n, workers, fn)
+func (f *flipEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return f.pick().ForWorkerCtx(ctx, n, workers, fn)
 }
 
 // TestPanicIsolation: a panicking work item turns into a typed 500
@@ -225,7 +225,7 @@ func (f *flipEngine) ForWorker(n, workers int, fn func(worker, i int)) {
 func TestPanicIsolation(t *testing.T) {
 	const panicAt = 1
 	flip := &flipEngine{
-		first: engine.NewChaos("boom", engine.Serial, 1, engine.ChaosSpec{Panic: true, PanicAt: panicAt}),
+		first: enginetest.NewChaos("boom", engine.Serial, 1, enginetest.ChaosSpec{Panic: true, PanicAt: panicAt}),
 		rest:  engine.Serial,
 	}
 	s := New(Config{Engine: flip})
@@ -255,10 +255,11 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// slowEngine stretches every work item so short deadlines reliably
-// expire mid-sweep. It deliberately does NOT implement CtxEngine: the
-// package-level adapters poll the context at item boundaries around
-// its plain dispatch, which is the path third-party engines take.
+// slowEngine stretches the handout of every work item so short
+// deadlines reliably expire mid-sweep, even for a one-item dispatch:
+// after each delay it checks the context at the item boundary and
+// skips the item once the context has fired, reporting the skip as
+// the context's error.
 type slowEngine struct {
 	inner engine.Engine
 	delay time.Duration
@@ -266,11 +267,20 @@ type slowEngine struct {
 
 func (s slowEngine) Name() string      { return "slow" }
 func (s slowEngine) Workers(n int) int { return s.inner.Workers(n) }
-func (s slowEngine) For(n int, fn func(i int)) {
-	s.inner.For(n, func(i int) { time.Sleep(s.delay); fn(i) })
-}
-func (s slowEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	s.inner.ForWorker(n, workers, func(w, i int) { time.Sleep(s.delay); fn(w, i) })
+func (s slowEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	var skipped atomic.Bool
+	err := s.inner.ForWorkerCtx(ctx, n, workers, func(w, i int) {
+		time.Sleep(s.delay)
+		if ctx.Err() != nil {
+			skipped.Store(true)
+			return
+		}
+		fn(w, i)
+	})
+	if err == nil && skipped.Load() {
+		err = ctx.Err()
+	}
+	return err
 }
 
 // TestDeadline: an expired per-request deadline surfaces as 504 with
@@ -466,6 +476,25 @@ func TestImageEdgePGMFormat(t *testing.T) {
 	}
 }
 
+// TestImageHostilePGMHeader: an upload whose 23-byte header claims a
+// terabyte raster is a 400 bad_request, not an allocation that takes
+// the process down, and the server answers the next request.
+func TestImageHostilePGMHeader(t *testing.T) {
+	s := New(Config{Engine: engine.Serial})
+	upload := base64.StdEncoding.EncodeToString([]byte("P5 1000000 1000000 255\n"))
+	rec := post(s, "/v1/image/edge", `{"source": {"pgm_base64": "`+upload+`"}, "stream_len": 64}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("hostile header = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if body := decodeBody[ErrorBody](t, rec); body.Kind != "bad_request" {
+		t.Errorf("kind = %q, want bad_request", body.Kind)
+	}
+	rec = post(s, "/v1/image/edge", `{"source": {"synth": "checkerboard", "width": 24, "height": 16}, "stream_len": 64}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request after the hostile upload = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestImageGammaJSON(t *testing.T) {
 	s := New(Config{Engine: engine.Serial})
 	rec := post(s, "/v1/image/gamma", `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 512}`)
@@ -552,7 +581,7 @@ func TestErrorStatusMapping(t *testing.T) {
 // chaosPanicError produces a real *parallel.PanicError the way a
 // dispatch would: by capturing an injected panic.
 func chaosPanicError(index int) error {
-	chaos := engine.NewChaos("one-panic", engine.Serial, 1, engine.ChaosSpec{Panic: true, PanicAt: index})
+	chaos := enginetest.NewChaos("one-panic", engine.Serial, 1, enginetest.ChaosSpec{Panic: true, PanicAt: index})
 	err := engine.ForCtx(context.Background(), chaos, index+1, func(i int) {})
 	if err == nil {
 		panic("chaos did not panic")

@@ -143,17 +143,3 @@ func EvaluateStreams(data []*Bitstream, coef []*Bitstream) (*Bitstream, []int, e
 	out := MuxN(sel, coef...)
 	return out, sel, nil
 }
-
-// EvaluateSweep evaluates the unit at each x in xs with fresh
-// `length`-bit streams and returns the estimates. It is the workload
-// behind accuracy-vs-stream-length studies; each point runs through
-// the packed word-parallel evaluator on the unit's own advancing
-// sources, so repeated sweeps give independent estimates (unlike
-// core.Unit.EvaluateSweep, whose randomness is seed+index-derived).
-func (r *ReSC) EvaluateSweep(xs []float64, length int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i], _ = r.EvaluateWords(x, length)
-	}
-	return out
-}

@@ -61,9 +61,9 @@
 //   - TraceCtx — the pulse-gated waveform written over
 //     core.Unit.Cycles (64 decoded cycles per SNG word draw) with
 //     per-slot block noise fills.
-//   - MeasureEyeOn — decision-instant statistics over the same
+//   - MeasureEyeCtx — decision-instant statistics over the same
 //     decoded-cycle visitor.
-//   - SyncSweepOn — sampling offsets fanned over the engine with
+//   - SyncSweepCtx — sampling offsets fanned over the engine with
 //     per-offset derived noise seeds.
 //   - BERWaterfallCtx — probe-power points fanned over the engine,
 //     each rebuilding its circuit with per-point derived unit and

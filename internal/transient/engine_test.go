@@ -11,9 +11,8 @@ import (
 
 // TestEngineSuite registers every engine-accepting entry point of this
 // package into the generic cross-engine equivalence and
-// GOMAXPROCS-determinism suite: every engine in engine.All() —
-// including ones registered later — must reproduce the engine.Serial
-// reference bit-identically.
+// GOMAXPROCS-determinism suite: every engine in enginetest.Engines()
+// must reproduce the engine.Serial reference bit-identically.
 func TestEngineSuite(t *testing.T) {
 	base, powers := waterfallPowers(t)
 	ctx := context.Background()
@@ -43,19 +42,19 @@ func TestEngineSuite(t *testing.T) {
 			},
 		},
 		{
-			Name: "transient.MeasureEyeOn",
+			Name: "transient.MeasureEyeCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				s := newTestSim(t, 0, 72)
-				return s.MeasureEyeOn(e, 0.5, 1000), nil
+				return s.MeasureEyeCtx(ctx, e, 0.5, 1000)
 			},
 		},
 		{
-			Name: "transient.SyncSweepOn",
+			Name: "transient.SyncSweepCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				// Noisy link so per-slot decisions actually flip; odd
 				// counts exercise partial noise blocks.
 				s := newTestSim(t, 0.02, 93)
-				return s.SyncSweepOn(e, 13, 997), nil
+				return s.SyncSweepCtx(ctx, e, 13, 997)
 			},
 		},
 	})
@@ -77,9 +76,8 @@ func TestWaterfallCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestNilEngineMisuse: error-returning entry points reject a nil
-// engine cleanly; value-returning ones panic with the engine package's
-// guidance, matching engine.Use.
+// TestNilEngineMisuse: every entry point rejects a nil engine with an
+// error instead of panicking.
 func TestNilEngineMisuse(t *testing.T) {
 	s := newTestSim(t, 0, 99)
 	ctx := context.Background()
@@ -93,16 +91,10 @@ func TestNilEngineMisuse(t *testing.T) {
 	if _, err := s.TraceCtx(ctx, nil, 0.5, 4, 2); err == nil {
 		t.Error("TraceCtx(nil) did not error")
 	}
-	mustPanic(t, "MeasureEyeOn", func() { s.MeasureEyeOn(nil, 0.5, 16) })
-	mustPanic(t, "SyncSweepOn", func() { s.SyncSweepOn(nil, 4, 16) })
-}
-
-func mustPanic(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s(nil engine) did not panic", name)
-		}
-	}()
-	f()
+	if _, err := s.MeasureEyeCtx(ctx, nil, 0.5, 16); err == nil {
+		t.Error("MeasureEyeCtx(nil) did not error")
+	}
+	if _, err := s.SyncSweepCtx(ctx, nil, 4, 16); err == nil {
+		t.Error("SyncSweepCtx(nil) did not error")
+	}
 }

@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -116,7 +117,7 @@ func (s *Simulator) offsetNoise(k int) *Gaussian {
 	return NewGaussian(stochastic.NewSplitMix64(stochastic.DeriveSeed(s.seed^syncSalt, k)))
 }
 
-// SyncSweepOn quantifies the synchronization requirement the paper's
+// SyncSweepCtx quantifies the synchronization requirement the paper's
 // §V.D raises for pulse-based pumps: the filter is only tuned while
 // the 26 ps pulse is present, so a detector sampling outside the
 // pulse window sees the relaxed (untuned) filter and the computation
@@ -129,24 +130,29 @@ func (s *Simulator) offsetNoise(k int) *Gaussian {
 // probe channel aligns, so the '1' level collapses onto the '0'
 // level and the BER rises toward 0.5.
 //
-// Offsets are independent work items dispatched on the given engine,
-// each drawing block Gaussian noise from a generator seeded by the
-// simulator's seed and the offset index alone, so the sweep is
+// Offsets are independent work items dispatched on the given engine
+// under ctx, each drawing block Gaussian noise from a generator seeded
+// by the simulator's seed and the offset index alone, so the sweep is
 // bit-identical on every conforming engine and deterministic on any
 // core count. It does not advance the simulator's serial noise
-// stream. A nil engine panics (this entry point has no error return).
-func (s *Simulator) SyncSweepOn(e engine.Engine, points, bits int) []SyncPoint {
-	engine.Use(e)
+// stream. A nil engine is an error, and a fired ctx (or a faulting
+// offset) surfaces a *engine.Partial instead of a sweep.
+func (s *Simulator) SyncSweepCtx(ctx context.Context, e engine.Engine, points, bits int) ([]SyncPoint, error) {
+	if err := engine.Check(e); err != nil {
+		return nil, err
+	}
 	if points < 2 {
 		points = 2
 	}
 	l := s.syncLevels()
 	sigma := s.SigmaMW
 	out := make([]SyncPoint, points)
-	e.For(points, func(k int) {
+	if err := engine.RunCtx(ctx, e, points, nil, func(k int) {
 		out[k] = l.point(k, points, bits, s.offsetNoise(k), sigma)
-	})
-	return out
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // relaxedPower returns the received power with the filter at its

@@ -1,18 +1,30 @@
 package transient
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 )
 
+// syncSweep runs SyncSweepCtx on the word-parallel engine, failing the
+// test on an error.
+func syncSweep(t *testing.T, s *Simulator, points, bits int) []SyncPoint {
+	t.Helper()
+	pts, err := s.SyncSweepCtx(context.Background(), engine.WordParallel, points, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
+}
+
 func TestSyncSweepGatingMatters(t *testing.T) {
 	// §V.D: detection must be synchronized to the 26 ps pump pulse.
 	// Inside the pulse the link runs at its designed BER; outside it
 	// the filter has relaxed and the error rate collapses to ~0.5.
 	s := newTestSim(t, 0, 90)
-	pts := s.SyncSweepOn(engine.WordParallel, 24, 4000)
+	pts := syncSweep(t, s, 24, 4000)
 	if len(pts) != 24 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -37,7 +49,7 @@ func TestSyncSweepCWPumpHasNoWindow(t *testing.T) {
 	// With a CW pump every offset is usable.
 	s := newTestSim(t, 0, 91)
 	s.Unit.Circuit.P.PulseWidthS = 0
-	pts := s.SyncSweepOn(engine.WordParallel, 8, 2000)
+	pts := syncSweep(t, s, 8, 2000)
 	for _, p := range pts {
 		if !p.InPulse {
 			t.Fatalf("offset %g outside window despite CW pump", p.OffsetS)
@@ -53,7 +65,7 @@ func TestSyncSweepCWPumpHasNoWindow(t *testing.T) {
 
 func TestSyncSweepDegeneratePoints(t *testing.T) {
 	s := newTestSim(t, 0, 92)
-	if got := s.SyncSweepOn(engine.WordParallel, 1, 100); len(got) != 2 {
+	if got := syncSweep(t, s, 1, 100); len(got) != 2 {
 		t.Errorf("clamped points = %d", len(got))
 	}
 }
@@ -70,7 +82,7 @@ func TestSyncSweepLeavesSerialNoiseStreamUntouched(t *testing.T) {
 	if _, _, err := b.Evaluate(0.5, 100); err != nil {
 		t.Fatal(err)
 	}
-	a.SyncSweepOn(engine.WordParallel, 8, 200)
+	syncSweep(t, a, 8, 200)
 	va, _, err := a.Evaluate(0.5, 100)
 	if err != nil {
 		t.Fatal(err)

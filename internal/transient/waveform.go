@@ -153,7 +153,7 @@ type EyeStats struct {
 	OpeningMW float64
 }
 
-// eyeAccum carries MeasureEyeOn's running decision-instant
+// eyeAccum carries MeasureEyeCtx's running decision-instant
 // statistics, fed one noisy sample per cycle in cycle order.
 type eyeAccum struct {
 	e                    EyeStats
@@ -208,7 +208,7 @@ func (a *eyeAccum) stats() EyeStats {
 // arrives in 64-sample blocks (Gaussian.FillScaled), advancing the
 // unit's generators and the simulator's noise stream exactly as
 // per-slot draws would.
-func (s *Simulator) eyeWalk(x float64, bits int) EyeStats {
+func (s *Simulator) eyeWalk(x float64, bits int) (EyeStats, error) {
 	acc := newEyeAccum()
 	var noise [64]float64
 	sel := s.Unit.Circuit.SelectedChannel
@@ -219,28 +219,36 @@ func (s *Simulator) eyeWalk(x float64, bits int) EyeStats {
 		acc.add(zmask>>sel(weight)&1, receivedMW+noise[t%64])
 	})
 	if err != nil {
-		// Unreachable: bits >= 1 and the visitor is non-nil.
-		panic("transient: MeasureEye: " + err.Error())
+		// Unreachable today (bits >= 1, visitor non-nil), but
+		// propagate rather than crash if Cycles grows error paths.
+		return EyeStats{}, err
 	}
-	return acc.stats()
+	return acc.stats(), nil
 }
 
-// MeasureEyeOn runs `bits` noisy slots at input probability x and
+// MeasureEyeCtx runs `bits` noisy slots at input probability x and
 // aggregates the decision-instant statistics. Like TraceCtx, the
 // measurement consumes the simulator's single sequential noise
 // stream, so the walk is dispatched as one work item on the given
-// engine and every conforming engine emits identical statistics. A
-// nil engine panics (this entry point has no error return).
-func (s *Simulator) MeasureEyeOn(e engine.Engine, x float64, bits int) EyeStats {
-	engine.Use(e)
+// engine under ctx and every conforming engine emits identical
+// statistics. A non-positive bit count yields empty statistics. A nil
+// engine is an error, and a ctx that fires before the walk starts
+// surfaces a *engine.Partial.
+func (s *Simulator) MeasureEyeCtx(ctx context.Context, e engine.Engine, x float64, bits int) (EyeStats, error) {
+	if err := engine.Check(e); err != nil {
+		return EyeStats{}, err
+	}
 	if bits <= 0 {
-		return newEyeAccum().stats()
+		return newEyeAccum().stats(), nil
 	}
 	var stats EyeStats
-	e.For(1, func(int) {
-		stats = s.eyeWalk(x, bits)
-	})
-	return stats
+	var walkErr error
+	if err := engine.RunCtx(ctx, e, 1, nil, func(int) {
+		stats, walkErr = s.eyeWalk(x, bits)
+	}); err != nil {
+		return EyeStats{}, err
+	}
+	return stats, walkErr
 }
 
 // String implements fmt.Stringer.

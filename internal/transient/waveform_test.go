@@ -90,9 +90,20 @@ func TestTraceRejectsBadBits(t *testing.T) {
 	}
 }
 
+// measureEye runs MeasureEyeCtx on the word-parallel engine, failing
+// the test on an error.
+func measureEye(t *testing.T, s *Simulator, x float64, bits int) EyeStats {
+	t.Helper()
+	e, err := s.MeasureEyeCtx(context.Background(), engine.WordParallel, x, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestMeasureEyeSeparation(t *testing.T) {
 	s := newTestSim(t, 0, 70)
-	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 20_000)
+	e := measureEye(t, s, 0.5, 20_000)
 	if e.Count0 == 0 || e.Count1 == 0 {
 		t.Fatalf("eye counts %d/%d", e.Count0, e.Count1)
 	}
@@ -123,7 +134,7 @@ func TestMeasureEyeSeparation(t *testing.T) {
 
 func TestMeasureEyeDegenerateBits(t *testing.T) {
 	s := newTestSim(t, 0, 73)
-	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 0)
+	e := measureEye(t, s, 0.5, 0)
 	if e.Count0 != 0 || e.Count1 != 0 {
 		t.Errorf("counts %d/%d for zero bits", e.Count0, e.Count1)
 	}
@@ -132,7 +143,7 @@ func TestMeasureEyeDegenerateBits(t *testing.T) {
 func TestMeasureEyeClosesUnderNoise(t *testing.T) {
 	s := newTestSim(t, 0, 71)
 	s.SigmaMW = 0.5 // noise comparable to the signal swing
-	e := s.MeasureEyeOn(engine.WordParallel, 0.5, 5_000)
+	e := measureEye(t, s, 0.5, 5_000)
 	if e.OpeningMW > 0.2 {
 		t.Errorf("eye unexpectedly open (%g) under heavy noise", e.OpeningMW)
 	}
