@@ -211,7 +211,7 @@ func BenchmarkGammaCorrection(b *testing.B) {
 	exact := img.GammaExact(src, 0.45)
 	var psnr float64
 	for i := 0; i < b.N; i++ {
-		out, err := img.GammaOptical(src, 0.45, 6, 0.3, 1024, uint64(i))
+		out, err := img.GammaOptical(context.Background(), engine.WordParallel, src, 0.45, 6, 0.3, 1024, uint64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,9 +221,9 @@ func BenchmarkGammaCorrection(b *testing.B) {
 }
 
 // BenchmarkGammaReSC contrasts the bit-serial ReSC gamma LUT build
-// against the word-parallel multi-core batch engine behind
-// img.GammaReSC — the tentpole speedup (≥5× expected: ~5× from
-// 64-bit packing alone, times the core count).
+// against img.GammaReSC's word-parallel batch on the WordParallel
+// engine (≥5× expected: ~5× from 64-bit packing alone, times the core
+// count).
 func BenchmarkGammaReSC(b *testing.B) {
 	src := img.Radial(64, 64)
 	const gamma, degree, streamLen, seed = 0.45, 6, 1024, 11
@@ -246,7 +246,7 @@ func BenchmarkGammaReSC(b *testing.B) {
 		var out *img.Gray
 		for i := 0; i < b.N; i++ {
 			var err error
-			out, err = img.GammaReSC(src, gamma, degree, streamLen, seed)
+			out, err = img.GammaReSC(context.Background(), engine.WordParallel, src, gamma, degree, streamLen, seed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -322,11 +322,13 @@ func BenchmarkGammaOptical(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			u.EvaluateBatch(levels, streamLen)
+			if _, err := u.EvaluateBatch(context.Background(), engine.WordParallel, levels, streamLen); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	// End-to-end check of the batched image path at the same settings.
-	out, err := img.GammaOptical(src, gamma, 6, 0.3, streamLen, 12)
+	out, err := img.GammaOptical(context.Background(), engine.WordParallel, src, gamma, 6, 0.3, streamLen, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -659,25 +661,6 @@ func BenchmarkCalibrationLoop(b *testing.B) {
 		}
 	}
 	b.ReportMetric(worst, "locked_nm")
-}
-
-// BenchmarkParallelArray measures the multi-lane batch evaluator.
-func BenchmarkParallelArray(b *testing.B) {
-	c := core.MustCircuit(core.PaperParams())
-	poly := stochastic.NewBernstein([]float64{0.25, 0.625, 0.75})
-	arr, err := core.NewParallelArray(c, poly, 4, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([]float64, 32)
-	for i := range xs {
-		xs[i] = float64(i) / 31
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arr.EvaluateBatch(xs, 1024)
-	}
-	b.ReportMetric(arr.PowerDensityMWPerMM2(), "mW_per_mm2")
 }
 
 // BenchmarkYield runs the Monte-Carlo process-variation analysis.

@@ -12,11 +12,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	img "repro/internal/image"
 )
 
@@ -54,12 +56,13 @@ func run(gamma float64, degree, size, stream int, spacing float64, inPath, outPa
 	}
 	fmt.Printf("input: %dx%d, gamma %.2f, degree %d, stream length %d\n", src.W, src.H, gamma, degree, stream)
 
+	ctx := context.Background()
 	exact := img.GammaExact(src, gamma)
-	ele, err := img.GammaReSC(src, gamma, degree, stream, seed)
+	ele, err := img.GammaReSC(ctx, engine.WordParallel, src, gamma, degree, stream, seed)
 	if err != nil {
 		return err
 	}
-	opt, err := img.GammaOptical(src, gamma, degree, spacing, stream, seed+1)
+	opt, err := img.GammaOptical(ctx, engine.WordParallel, src, gamma, degree, spacing, stream, seed+1)
 	if err != nil {
 		return err
 	}

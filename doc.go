@@ -19,17 +19,19 @@
 // tree for the data-bit sum (stochastic.AddPlane/PlaneEquals), and a
 // word-at-a-time multiplexer / decision-table lookup — and emits
 // bit-identical streams (ReSC.EvaluateWords, core.Unit.EvaluateWords).
-// On top of that, stochastic.EvaluateBatch and core.Unit.EvaluateBatch
-// fan independent inputs out over a runtime.GOMAXPROCS-sized worker pool with
-// per-input seeds derived by stochastic.DeriveSeed, so batch results
-// are reproducible on any core count. The gamma-correction LUTs,
-// sweeps and oscbench all run through the batch engine.
+// On top of that, stochastic.EvaluateBatch(ctx, e, …) and
+// core.Unit.EvaluateBatch(ctx, e, …) dispatch independent inputs on
+// the caller's engine with per-input seeds derived by
+// stochastic.DeriveSeed, so batch results are reproducible on any
+// engine and core count. The gamma-correction LUTs, sweeps and
+// oscbench all run through these batch evaluators.
 //
 // Every measurement and sweep on top of those primitives dispatches
 // through a pluggable engine layer (internal/engine). An Engine says
 // how independent work items run — engine.Serial in index order on
-// the calling goroutine, engine.WordParallel over the
-// internal/parallel pool — and every sweep-shaped path has exactly
+// the calling goroutine, engine.WordParallel over a GOMAXPROCS-sized
+// worker pool, the only code in the module that starts worker
+// goroutines — and every sweep-shaped path has exactly
 // one entry point, which takes its engine (and, when it can be
 // interrupted, its context) from the caller: AccuracyVsLengthCtx,
 // RobertsCrossSCOn, dse.SweepCtx, OptimalSpacingCtx, ...
@@ -52,9 +54,11 @@
 // (transient.Gaussian.Fill, Box–Muller over a
 // stochastic.SplitMix64). transient.Simulator.EvaluateWords emits
 // streams bit-identical to the serial Step loop;
-// transient.Simulator.EvaluateBatch and the dse.NoiseStudy
-// Monte-Carlo harness (oscbench -fig noise) fan per-trial seeds over
-// the same worker pool. The transient measurements follow suit, each an
+// transient.Simulator.EvaluateBatch dispatches per-trial seeds on the
+// caller's engine, and the dse.NoiseStudy Monte-Carlo harness
+// (oscbench -fig noise) runs it on engine.Serial inside each of its
+// engine-dispatched (probe, sigma) points. The transient measurements
+// follow suit, each an
 // engine-dispatched entry point (TraceCtx, MeasureEyeCtx, SyncSweepCtx,
 // BERWaterfallCtx, AccuracyVsLengthCtx): the trace and the eye decode
 // 64 cycles per word (core.Unit.Cycles) with block noise, and the sync
@@ -65,15 +69,16 @@
 //
 //	sim := transient.NewSimulator(u, 2)
 //	val, _, err := sim.EvaluateWords(0.5, 4096)        // one noisy stream
-//	vals, err := sim.EvaluateBatch(trialInputs, 4096)  // Monte-Carlo fan-out
+//	vals, err := sim.EvaluateBatch(ctx, e, trialInputs, 4096) // Monte-Carlo fan-out
 //	ber, err := sim.MeasureWorstCaseBER(200_000)       // batched Eq. (8) patterns
 //
 // Image workloads run word-parallel end to end. Gamma correction
-// builds its 256-level LUT through the batch engines — and because
-// the LUT is a pure function of its recipe, image.GammaLUTCache
-// memoizes it across frames and image.GammaVideoCtx corrects whole
-// frame batches through one cached table (oscbench -fig video), frames
-// fanned over the engine; Robert's-cross edge detection — per-pixel
+// builds its 256-level LUT as one batch on the caller's engine
+// (image.GammaReSC, image.GammaOptical) — and because the LUT is a
+// pure function of its recipe, image.GammaLUTCache memoizes it across
+// frames and image.GammaVideoCtx corrects whole frame batches through
+// one cached table (oscbench -fig video), the LUT build and the frames
+// both dispatched on the engine; Robert's-cross edge detection — per-pixel
 // correlated streams, no LUT shortcut — runs as a tiled kernel
 // (image.RobertsCrossSCOn) built from
 // word-level plane kernels: stochastic.FillCorrelatedPlanes draws one
@@ -124,8 +129,9 @@
 // worker panic stops the fan-out at an item boundary and surfaces a
 // typed *engine.Partial — which items completed, and why it stopped —
 // instead of crashing; the entry points (AnalyzeYieldCtx,
-// BERWaterfallCtx, AccuracyVsLengthCtx, GammaVideoCtx, dse.SweepCtx/
-// GridCtx, every dse figure generator) thread it through every layer.
+// BERWaterfallCtx, AccuracyVsLengthCtx, the batch evaluators,
+// GammaVideoCtx, dse.SweepCtx/GridCtx, every dse figure generator)
+// thread it through every layer.
 // On top of that,
 // dse.Checkpointer snapshots completed sweep points to disk (atomic
 // writes, fail-closed content-hash keys) so an interrupted run
@@ -190,11 +196,11 @@
 //   - internal/stochastic — stochastic-computing substrate, the
 //     electronic ReSC baseline of the paper's Fig. 1, and the packed
 //     word-parallel evaluation engine;
-//   - internal/parallel — the worker-pool primitive behind the batch
-//     evaluators;
 //   - internal/engine — the pluggable evaluation-engine layer
-//     (Serial, WordParallel, Chaos, Limited, Shard, registry, chunked
-//     dispatch) and its enginetest cross-engine equivalence suite;
+//     (Serial, WordParallel and its worker pool, Limited, Shard,
+//     chunked dispatch, typed panics) and its enginetest cross-engine
+//     equivalence suite with the test-only Chaos and shard-union
+//     engines;
 //   - internal/figures — the figure registry shared by oscbench and
 //     oscserve;
 //   - internal/serve — the HTTP simulation service behind

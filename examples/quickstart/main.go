@@ -5,10 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -47,11 +49,14 @@ func main() {
 		fmt.Printf("%-6.2f %-10.4f %-10.4f %-10.4f\n", x, poly.Eval(x), optical, electronic)
 	}
 
-	// The same sweep through the word-parallel batch engine: inputs
+	// The same sweep as one batch on the word-parallel engine: inputs
 	// fan out over all cores, each with index-derived randomness, so
-	// the result is reproducible on any machine.
+	// the result is reproducible on any machine and engine.
 	xs := []float64{0, 0.25, 0.5, 0.75, 1}
-	batch := unit.EvaluateBatch(xs, bits)
+	batch, err := unit.EvaluateBatch(context.Background(), engine.WordParallel, xs, bits)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%-6s %-10s\n", "x", "batch")
 	for i, x := range xs {
 		fmt.Printf("%-6.2f %-10.4f\n", x, batch[i])

@@ -87,7 +87,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 func TestEndToEndImagePipeline(t *testing.T) {
 	src := img.Gradient(64, 4)
 	exact := img.GammaExact(src, 0.45)
-	opt, err := img.GammaOptical(src, 0.45, 6, 0.3, 2048, 4004)
+	opt, err := img.GammaOptical(context.Background(), engine.WordParallel, src, 0.45, 6, 0.3, 2048, 4004)
 	if err != nil {
 		t.Fatal(err)
 	}

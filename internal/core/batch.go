@@ -1,9 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/parallel"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -172,17 +173,24 @@ func (u *Unit) evalSeeded(seed uint64, x float64, length int) float64 {
 }
 
 // EvaluateBatch computes B(x) for every input with fresh `length`-bit
-// streams, fanning the inputs out over a runtime.GOMAXPROCS-sized
-// worker pool. Input i is evaluated with sources seeded from the
-// unit's seed and i only (stochastic.DeriveSeed), so the result is
-// reproducible regardless of core count or scheduling. The shared
-// circuit state (decision table, threshold) is read-only during the
-// fan-out; EvaluateBatch may itself be called concurrently.
-func (u *Unit) EvaluateBatch(xs []float64, length int) []float64 {
+// streams, one work item per input dispatched on e under ctx. Input i
+// is evaluated with sources seeded from the unit's seed and i only
+// (stochastic.DeriveSeed), so the result is bit-identical on every
+// conforming engine and any core count. The shared circuit state
+// (decision table, threshold) is read-only during the fan-out;
+// EvaluateBatch may itself be called concurrently. A non-positive
+// stream length or a nil engine is an error, and a fired ctx (or a
+// panicking item) returns a *engine.Partial instead of values.
+func (u *Unit) EvaluateBatch(ctx context.Context, e engine.Engine, xs []float64, length int) ([]float64, error) {
+	if length <= 0 {
+		return nil, fmt.Errorf("core: stream length %d, need >= 1", length)
+	}
 	u.decisionTable() // build once, outside the workers
 	out := make([]float64, len(xs))
-	parallel.For(len(xs), func(i int) {
+	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
 		out[i] = u.evalSeeded(stochastic.DeriveSeed(u.seed, i), xs[i], length)
-	})
-	return out
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

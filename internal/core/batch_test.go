@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/numeric"
 	"repro/internal/stochastic"
 )
 
@@ -67,7 +70,10 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 	oracle := paperUnit(t, 21)
 	xs := []float64{0, 0.2, 0.5, 0.9, 1}
 	const length = 300
-	got := u.EvaluateBatch(xs, length)
+	got, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, length)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(xs) {
 		t.Fatalf("batch length %d", len(got))
 	}
@@ -77,7 +83,10 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 			t.Errorf("x[%d]=%g: batch %g vs seeded oracle %g", i, x, got[i], want)
 		}
 	}
-	again := paperUnit(t, 21).EvaluateBatch(xs, length)
+	again, err := paperUnit(t, 21).EvaluateBatch(context.Background(), engine.Serial, xs, length)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range got {
 		if got[i] != again[i] {
 			t.Errorf("batch not reproducible at %d: %g vs %g", i, got[i], again[i])
@@ -109,14 +118,22 @@ func TestUnitEvalSeededFallbackMatchesPacked(t *testing.T) {
 	}
 }
 
+// TestUnitEvaluateBatchAccuracy ties the batch to its exact binomial
+// law: each L-cycle result is Binomial(L, E(x))/L, with E summed over
+// the unit's own decision table (exactExpectation), so on a 17-point
+// grid at L = 2¹⁵ every result must sit within 5σ of E.
 func TestUnitEvaluateBatchAccuracy(t *testing.T) {
 	u := paperUnit(t, 2024)
-	xs := []float64{0, 0.25, 0.5, 0.75, 1}
-	got := u.EvaluateBatch(xs, 1<<15)
+	xs := numeric.Linspace(0, 1, 17)
+	const length = 1 << 15
+	got, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, length)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, x := range xs {
-		want := u.Poly.Eval(x)
-		if math.Abs(got[i]-want) > 0.015 {
-			t.Errorf("x=%g: batch %g vs analytic %g", x, got[i], want)
+		e := exactExpectation(u, x)
+		if z := binomialZ(got[i], e, length); math.Abs(z) > 5 {
+			t.Errorf("x=%g: batch %g vs exact expectation %g: z = %.2f", x, got[i], e, z)
 		}
 	}
 }
@@ -132,7 +149,13 @@ func TestUnitEvaluateBatchRace(t *testing.T) {
 	}
 	done := make(chan []float64, 4)
 	for g := 0; g < 4; g++ {
-		go func() { done <- u.EvaluateBatch(xs, 256) }()
+		go func() {
+			got, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, 256)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- got
+		}()
 	}
 	first := <-done
 	for g := 1; g < 4; g++ {
@@ -183,6 +206,8 @@ func BenchmarkUnitEvaluateBatch(b *testing.B) {
 	u.decisionTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u.EvaluateBatch(xs, 4096)
+		if _, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

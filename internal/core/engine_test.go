@@ -24,10 +24,18 @@ func yieldSuiteSpec() VariationSpec {
 // points into the generic cross-engine equivalence and
 // GOMAXPROCS-determinism suite: the chunked bracketing pre-pass of
 // OptimalSpacingCtx must land on the bit-identical optimum on every
-// engine, and SweepCtx must filter feasible rows in index order.
+// engine, SweepCtx must filter feasible rows in index order, and the
+// unit's batch must reproduce its per-index seeded streams.
 func TestEngineSuite(t *testing.T) {
 	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{
+		{
+			Name: "core.Unit.EvaluateBatch",
+			Eval: func(e engine.Engine) (any, error) {
+				// A non-word-multiple length exercises the stream tail.
+				return paperUnit(t, 21).EvaluateBatch(ctx, e, []float64{0, 0.2, 0.5, 0.9, 1, 0.37}, 300)
+			},
+		},
 		{
 			Name: "core.EnergyModel.OptimalSpacingCtx/order2",
 			Eval: func(e engine.Engine) (any, error) {
@@ -80,5 +88,8 @@ func TestNilEngineMisuse(t *testing.T) {
 	}
 	if _, err := AnalyzeYieldCtx(ctx, nil, PaperParams(), yieldSuiteSpec()); err == nil {
 		t.Error("AnalyzeYieldCtx(nil) did not error")
+	}
+	if _, err := paperUnit(t, 1).EvaluateBatch(ctx, nil, []float64{0.5}, 64); err == nil {
+		t.Error("Unit.EvaluateBatch(nil) did not error")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/stochastic"
 )
@@ -10,7 +9,9 @@ import (
 // ParallelArray is the spatially parallel implementation the paper's
 // §V.C suggests for leveraging the optical circuit's power-density
 // headroom: `lanes` identical units, each with independent
-// randomness, processing disjoint slices of a workload concurrently.
+// randomness. It models the hardware's lane accounting (throughput,
+// laser power, power density) behind dse.ParallelScaling; software
+// batches run on an engine through Unit.EvaluateBatch.
 type ParallelArray struct {
 	Units []*Unit
 }
@@ -35,26 +36,6 @@ func NewParallelArray(c *Circuit, poly stochastic.BernsteinPoly, lanes int, seed
 
 // Lanes returns the parallelism degree.
 func (a *ParallelArray) Lanes() int { return len(a.Units) }
-
-// EvaluateBatch computes B(x) for every input with `length`-bit
-// streams, distributing inputs across lanes (one goroutine per lane,
-// strided assignment, no shared mutable state). Each lane runs the
-// word-parallel evaluator.
-func (a *ParallelArray) EvaluateBatch(xs []float64, length int) []float64 {
-	out := make([]float64, len(xs))
-	var wg sync.WaitGroup
-	for lane, u := range a.Units {
-		wg.Add(1)
-		go func(lane int, u *Unit) {
-			defer wg.Done()
-			for i := lane; i < len(xs); i += len(a.Units) {
-				out[i], _ = u.EvaluateWords(xs[i], length)
-			}
-		}(lane, u)
-	}
-	wg.Wait()
-	return out
-}
 
 // ThroughputResultsPerSec returns the aggregate output rate.
 func (a *ParallelArray) ThroughputResultsPerSec(streamLen int) float64 {

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/numeric"
 	"repro/internal/optics"
 	"repro/internal/stochastic"
 )
 
+// TestParallelArrayCorrectness: every lane replicates the design — a
+// unit that evaluates B(x) like the single-unit path.
 func TestParallelArrayCorrectness(t *testing.T) {
 	c := paperCircuit(t)
 	poly := stochastic.NewBernstein([]float64{0.25, 0.625, 0.75})
@@ -17,13 +21,18 @@ func TestParallelArrayCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := numeric.Linspace(0, 1, 16)
-	got := arr.EvaluateBatch(xs, 4096)
 	want := make([]float64, len(xs))
 	for i, x := range xs {
 		want[i] = poly.Eval(x)
 	}
-	if mae := numeric.MeanAbsError(got, want); mae > 0.02 {
-		t.Errorf("parallel batch MAE = %g", mae)
+	for lane, u := range arr.Units {
+		got, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mae := numeric.MeanAbsError(got, want); mae > 0.02 {
+			t.Errorf("lane %d batch MAE = %g", lane, mae)
+		}
 	}
 }
 
@@ -36,8 +45,10 @@ func TestParallelArrayLanesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := []float64{0.5, 0.5, 0.5}
-	got := arr.EvaluateBatch(xs, 1024)
+	got := make([]float64, arr.Lanes())
+	for lane, u := range arr.Units {
+		got[lane], _ = u.EvaluateWords(0.5, 1024)
+	}
 	if got[0] == got[1] && got[1] == got[2] {
 		t.Error("all lanes produced identical streams; seeds not independent")
 	}
@@ -126,8 +137,8 @@ func TestFunctionUnitSquareRoot(t *testing.T) {
 		}
 	}
 	xs := numeric.Linspace(0, 1, 5)
-	if got := fu.Unit.EvaluateBatch(xs, 2048); len(got) != 5 {
-		t.Errorf("sweep length %d", len(got))
+	if got, err := fu.Unit.EvaluateBatch(context.Background(), engine.WordParallel, xs, 2048); err != nil || len(got) != 5 {
+		t.Errorf("sweep length %d, err %v", len(got), err)
 	}
 }
 

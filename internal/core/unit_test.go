@@ -108,16 +108,18 @@ func TestUnitNoiseFlipsBits(t *testing.T) {
 	}
 }
 
+// TestUnitSweepAccuracy: at the paper design (and at the order-6
+// gamma design) the unit's decision table realizes the ideal
+// multiplexer, so its exact per-cycle expectation equals the Bernstein
+// value B(x) to rounding on a 17-point grid — the closed form the
+// batch oracle (TestUnitEvaluateBatchAccuracy) rests on.
 func TestUnitSweepAccuracy(t *testing.T) {
-	u := paperUnit(t, 77)
-	xs := numeric.Linspace(0, 1, 9)
-	got := u.EvaluateBatch(xs, 1<<13)
-	want := make([]float64, len(xs))
-	for i, x := range xs {
-		want[i] = u.Poly.Eval(x)
-	}
-	if mae := numeric.MeanAbsError(got, want); mae > 0.02 {
-		t.Errorf("sweep MAE = %g", mae)
+	for name, u := range map[string]*Unit{"paper": paperUnit(t, 77), "gamma": gammaUnit(t, 77)} {
+		for _, x := range numeric.Linspace(0, 1, 17) {
+			if e, b := exactExpectation(u, x), u.Poly.Eval(x); math.Abs(e-b) > 1e-12 {
+				t.Errorf("%s x=%g: exact expectation %.15g vs B(x) %.15g", name, x, e, b)
+			}
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ func checkYield(p Params, v VariationSpec) error {
 // order, so the result is identical on any conforming engine, core
 // count or scheduling. A nil engine is an error. A fired ctx stops the
 // die fan-out at a die boundary and surfaces a *engine.Partial
-// (wrapping the context error, or the *parallel.PanicError of a
+// (wrapping the context error, or the *engine.PanicError of a
 // faulting die) instead of a result.
 func AnalyzeYieldCtx(ctx context.Context, e engine.Engine, p Params, v VariationSpec) (YieldResult, error) {
 	if err := engine.Check(e); err != nil {

@@ -24,11 +24,21 @@ type StreamSweepRow struct {
 
 // StreamLengthSweep evaluates the paper's order-2 reference design
 // across `points` inputs on [0, 1] for each stream length, using the
-// multi-core batch evaluators (stochastic.EvaluateBatch and
+// batch evaluators (stochastic.EvaluateBatch and
 // core.Unit.EvaluateBatch). It is the noiseless companion of the
 // transient §V.B trade-off: only stochastic fluctuation remains, so
 // RMSE falls like 1/√L.
+//
+// The lengths run in order, with ctx checked between them; each
+// length's two batches dispatch on e, so the longest stream — most of
+// the work — still spreads over the engine. Every stream derives its
+// seed from (seed, input index) alone, so the table is identical on
+// every engine. A nil engine is an error, and an interruption returns
+// the context's error or the interrupted batch's *engine.Partial.
 func StreamLengthSweep(ctx context.Context, e engine.Engine, lengths []int, points int, seed uint64) ([]StreamSweepRow, error) {
+	if err := engine.Check(e); err != nil {
+		return nil, err
+	}
 	if points < 2 {
 		points = 2
 	}
@@ -59,22 +69,22 @@ func StreamLengthSweep(ctx context.Context, e engine.Engine, lengths []int, poin
 			return nil, fmt.Errorf("dse: stream length %d, need >= 1", l)
 		}
 	}
-	// Lengths fan out on e under ctx on top of the per-input fan-out
-	// inside the batch evaluators (which use the worker pool directly,
-	// not an engine); every stream derives its seed from (seed, input
-	// index) alone, so the table is identical on every engine.
-	return SweepCtx(ctx, e, len(lengths), func(i int) (StreamSweepRow, error) {
-		l := lengths[i]
-		ele, err := stochastic.EvaluateBatch(poly, xs, l, seed)
-		if err != nil {
-			return StreamSweepRow{}, err
+	rows := make([]StreamSweepRow, len(lengths))
+	for i, l := range lengths {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return StreamSweepRow{
-			StreamLen:      l,
-			RMSEElectronic: rmse(ele),
-			RMSEOptical:    rmse(unit.EvaluateBatch(xs, l)),
-		}, nil
-	})
+		ele, err := stochastic.EvaluateBatch(ctx, e, poly, xs, l, seed)
+		if err != nil {
+			return nil, err
+		}
+		opt, err := unit.EvaluateBatch(ctx, e, xs, l)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = StreamSweepRow{StreamLen: l, RMSEElectronic: rmse(ele), RMSEOptical: rmse(opt)}
+	}
+	return rows, nil
 }
 
 // RenderStreamLengthSweep writes the sweep table.

@@ -28,8 +28,11 @@
 // the point index alone (stochastic.DeriveSeed at the call site), so
 // every sweep is bit-identical on every engine and at any GOMAXPROCS.
 // A study dispatches on its engine at one level only; fan-outs inside
-// a point run on engine.Serial (or, for NoiseStudy and
-// StreamLengthSweep, on the word-parallel batch evaluators).
+// a point run on engine.Serial (NoiseStudy runs each point's noisy
+// trial batches there). StreamLengthSweep and EdgeStudy, whose few
+// stream lengths are dominated by the longest, instead loop the
+// lengths in order and dispatch each length's batch evaluators and
+// image kernels on the engine.
 // Quickstart:
 //
 //	pts, err := dse.Fig6A(ctx, engine.WordParallel, 12, 12) // 144 MZI-first solves

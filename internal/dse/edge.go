@@ -25,31 +25,43 @@ type EdgeStudyRow struct {
 // quality-vs-latency trade-off that frames the paper's application
 // section: PSNR grows ~3 dB per stream-length doubling until
 // quantization saturates.
-// Stream lengths fan out on e under ctx (SweepCtx); each length's edge
-// kernel runs on engine.Serial inside its item and keeps its own
-// per-pixel derived seeds, so the table is identical on every engine.
+//
+// The lengths run in order, with ctx checked between them; each
+// length's edge tiles and gamma levels dispatch on e, so the longest
+// stream — most of the work — still spreads over the engine. Both
+// kernels keep their own per-pixel and per-level derived seeds, so the
+// table is identical on every engine. A nil engine is an error, and an
+// interruption returns the context's error or the gamma batch's
+// *engine.Partial.
 func EdgeStudy(ctx context.Context, e engine.Engine, lengths []int, seed uint64) ([]EdgeStudyRow, error) {
+	if err := engine.Check(e); err != nil {
+		return nil, err
+	}
 	edgeSrc := img.Checkerboard(64, 64, 8, 30, 220)
 	edgeExact := img.RobertsCrossExact(edgeSrc)
 	gammaSrc := img.Gradient(128, 4)
 	gammaExact := img.GammaExact(gammaSrc, 0.45)
-	return SweepCtx(ctx, e, len(lengths), func(i int) (EdgeStudyRow, error) {
-		l := lengths[i]
-		edge, err := img.RobertsCrossSCOn(engine.Serial, edgeSrc, l, seed)
-		if err != nil {
-			return EdgeStudyRow{}, err
+	rows := make([]EdgeStudyRow, len(lengths))
+	for i, l := range lengths {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		gamma, err := img.GammaReSC(gammaSrc, 0.45, 6, l, seed)
+		edge, err := img.RobertsCrossSCOn(e, edgeSrc, l, seed)
 		if err != nil {
-			return EdgeStudyRow{}, err
+			return nil, err
 		}
-		return EdgeStudyRow{
+		gamma, err := img.GammaReSC(ctx, e, gammaSrc, 0.45, 6, l, seed)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = EdgeStudyRow{
 			StreamLen: l,
 			EdgePSNR:  img.PSNR(edgeExact, edge),
 			EdgeMAE:   img.MeanAbsoluteError(edgeExact, edge),
 			GammaPSNR: img.PSNR(gammaExact, gamma),
-		}, nil
-	})
+		}
+	}
+	return rows, nil
 }
 
 // RenderEdgeStudy writes the study table.

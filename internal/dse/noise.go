@@ -16,9 +16,9 @@ import (
 // noise`: the paper's central accuracy–power trade-off (Eq. 8–9 BER
 // feeding the §V.B accuracy loss) swept over stream length, probe
 // power and noise sigma. Every trial runs through the word-parallel
-// noisy engine (transient.Simulator.EvaluateBatch), which fans
-// per-trial seeds over the internal/parallel pool, so the study is
-// reproducible on any core count.
+// noisy batch evaluator (transient.Simulator.EvaluateBatch) with
+// per-trial derived seeds, so the study is reproducible on any engine
+// and core count.
 
 // NoiseStudySpec parameterizes NoiseStudy.
 type NoiseStudySpec struct {
@@ -88,9 +88,10 @@ type NoiseRow struct {
 // out on e under ctx (SweepCtx, one derived seed per combination):
 // each rebuilds its circuit, measures the worst-case BER in one
 // batched run, then estimates the end-to-end RMSE at every stream
-// length from Trials independent noisy evaluations — themselves
-// fanned over the worker pool by the batch evaluator. Results are
-// row-ordered by (probe, sigma, length) and identical on every engine.
+// length from Trials independent noisy evaluations, run on
+// engine.Serial inside the combination so the study dispatches on e at
+// one level only. Results are row-ordered by (probe, sigma, length)
+// and identical on every engine.
 func NoiseStudy(ctx context.Context, e engine.Engine, spec NoiseStudySpec) ([]NoiseRow, error) {
 	if len(spec.Lengths) == 0 {
 		return nil, fmt.Errorf("dse: noise study needs stream lengths")
@@ -158,7 +159,7 @@ func NoiseStudy(ctx context.Context, e engine.Engine, spec NoiseStudySpec) ([]No
 		analytic := sim.AnalyticWorstCaseBER()
 		rows := make([]NoiseRow, 0, len(spec.Lengths))
 		for _, l := range spec.Lengths {
-			vals, err := sim.EvaluateBatch(xs, l)
+			vals, err := sim.EvaluateBatch(ctx, engine.Serial, xs, l)
 			if err != nil {
 				return nil, err
 			}

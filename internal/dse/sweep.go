@@ -21,14 +21,14 @@ import (
 // through the cross-engine equivalence suite for free.
 //
 // A study dispatches on its engine at exactly one level: a point that
-// fans out again (the per-order spacing scans of Fig. 7, the image
-// kernels of the edge study) runs that inner fan-out on engine.Serial.
-// A point therefore never waits for a slot of an engine.Limited it
-// already holds.
+// fans out again (the per-order spacing scans of Fig. 7, the noisy
+// trial batches of the noise study) runs that inner fan-out on
+// engine.Serial. A point therefore never waits for a slot of an
+// engine.Limited it already holds.
 //
 // Cancellation is cooperative: a fired context stops the sweep at a
 // point boundary and the runner returns a *engine.Partial (wrapping
-// the context error, or the *parallel.PanicError of a faulting point)
+// the context error, or the *engine.PanicError of a faulting point)
 // alongside the partially filled result slice. Entries at indices the
 // Partial's Done bitmap marks true completed without error and are
 // safe to persist — what the Checkpointer does on interruption.

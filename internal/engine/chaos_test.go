@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/engine/enginetest"
-	"repro/internal/parallel"
 )
 
 // These tests drive the engine layer's dispatch functions through the
@@ -96,15 +95,15 @@ func TestChaosPlanDeterministic(t *testing.T) {
 }
 
 // TestChaosPanicInjection: a panic-injecting chaos engine surfaces a
-// *parallel.PanicError attributed to the real (reordered) item index,
+// *engine.PanicError attributed to the real (reordered) item index,
 // with the injected ChaosPanic reachable via errors.As underneath.
 func TestChaosPanicInjection(t *testing.T) {
 	for _, inner := range []engine.Engine{engine.Serial, engine.WordParallel} {
 		c := enginetest.NewChaos("chaos-panic", inner, 11, enginetest.ChaosSpec{DropProb: 0.4, Panic: true, PanicAt: 5})
 		err := engine.ForCtx(context.Background(), c, 32, func(i int) {})
-		var pe *parallel.PanicError
+		var pe *engine.PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("inner=%s: err = %v (%T), want *parallel.PanicError", inner.Name(), err, err)
+			t.Fatalf("inner=%s: err = %v (%T), want *engine.PanicError", inner.Name(), err, err)
 		}
 		if pe.Index != 5 {
 			t.Errorf("inner=%s: panic attributed to index %d, want 5 (the item, not its dispatch slot)", inner.Name(), pe.Index)

@@ -19,7 +19,7 @@ func ForCtx(ctx context.Context, e Engine, n int, fn func(i int)) error {
 // Partial is the typed error an interrupted sweep returns: which
 // points completed before the run stopped, and why it stopped. The
 // cause is reachable through errors.Is/As — context.Canceled or
-// context.DeadlineExceeded for cancellation, *parallel.PanicError for
+// context.DeadlineExceeded for cancellation, *PanicError for
 // a panicking work item.
 //
 // A Partial accompanies partial results: sweep runners that return it

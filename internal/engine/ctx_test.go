@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // TestBuiltinsImplementCtxEngine: WordParallel keeps the CtxEngine
@@ -164,7 +162,7 @@ func TestRunCtxPartialOnCancel(t *testing.T) {
 }
 
 // TestRunCtxPartialOnPanic: a panicking work item surfaces as a
-// *Partial wrapping the *parallel.PanicError that names the failing
+// *Partial wrapping the *PanicError that names the failing
 // index — the typed-error half of the acceptance criteria.
 func TestRunCtxPartialOnPanic(t *testing.T) {
 	err := RunCtx(context.Background(), WordParallel, 64, nil, func(i int) {
@@ -176,9 +174,9 @@ func TestRunCtxPartialOnPanic(t *testing.T) {
 	if !errors.As(err, &p) {
 		t.Fatalf("err = %v (%T), want *Partial", err, err)
 	}
-	var pe *parallel.PanicError
+	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Partial does not unwrap to *parallel.PanicError: %v", err)
+		t.Fatalf("Partial does not unwrap to *PanicError: %v", err)
 	}
 	if pe.Index != 33 {
 		t.Errorf("panic attributed to index %d, want 33", pe.Index)

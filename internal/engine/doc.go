@@ -2,17 +2,25 @@
 // interface over "run n independent, index-addressed work items" that
 // every sweep, study and image batch in this repo dispatches through.
 // Two engines are built in — Serial, the in-order reference
-// implementation, and WordParallel, the internal/parallel worker pool
-// the word-parallel migration runs on — and every entry point takes
-// its engine (and, when it dispatches under cancellation, its context)
+// implementation, and WordParallel, a GOMAXPROCS-sized worker pool
+// with an atomic index handout — and every entry point takes its
+// engine (and, when it dispatches under cancellation, its context)
 // from the caller:
 //
 //	pts, err := transient.BERWaterfallCtx(ctx, engine.WordParallel, base, powers, bits, seed)
 //	ref, err := transient.BERWaterfallCtx(ctx, engine.Serial, base, powers, bits, seed) // the oracle
 //
+// WordParallel's pool is the only code in the module that starts
+// worker goroutines: the batch evaluators, the image kernels and every
+// sweep reach it, or any other engine, through one dispatch method.
+//
 // A study dispatches on its engine at one level only. A sweep item
 // that fans out again runs that inner fan-out on engine.Serial, so an
-// item never waits for a slot of a Limited engine it already holds.
+// item never waits for a slot of a Limited engine it already holds. A
+// study whose items are few and unbalanced (dse.StreamLengthSweep and
+// dse.EdgeStudy, where the longest stream carries most of the work)
+// instead loops its items in order and dispatches each item's kernels
+// on the engine.
 //
 // # The determinism contract
 //
@@ -29,7 +37,7 @@
 //   - Item-boundary cancellation and typed panics: once ctx fires the
 //     engine stops handing out items and returns the context's error;
 //     an item never runs partially and is never re-run. A panicking
-//     item comes back as a *parallel.PanicError naming its index
+//     item comes back as a *PanicError naming its index
 //     instead of crashing the process.
 //   - Index-derived randomness: which goroutine runs which index is
 //     the engine's business, so work functions must derive any

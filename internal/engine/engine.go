@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/parallel"
 )
 
 // Engine schedules n independent, index-addressed work items. See the
@@ -24,7 +22,7 @@ type Engine interface {
 	// per-worker scratch; workers should come from Workers(n). On a
 	// nil error every index ran exactly once. Cancellation is observed
 	// only between items, and a panicking item comes back as a
-	// *parallel.PanicError. A nil ctx means context.Background().
+	// *PanicError. A nil ctx means context.Background().
 	ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error
 }
 
@@ -43,45 +41,23 @@ func (serialEngine) ForWorkerCtx(ctx context.Context, n, _ int, fn func(worker, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if pe := parallel.Capture(0, i, func() { fn(0, i) }); pe != nil {
+		if pe := Capture(0, i, func() { fn(0, i) }); pe != nil {
 			return pe
 		}
 	}
 	return nil
 }
 
-// wordParallelEngine dispatches onto the internal/parallel worker
-// pool (GOMAXPROCS-sized, atomic index handout, inline when the pool
-// degenerates to one worker).
-type wordParallelEngine struct{}
-
-func (wordParallelEngine) Name() string      { return "parallel" }
-func (wordParallelEngine) Workers(n int) int { return parallel.Workers(n) }
-
-func (wordParallelEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	return parallel.ForWorkerCtx(ctx, n, workers, fn)
-}
-
 // CtxEngine exists for the benchmark module (bench/) alone, whose
 // tracing engine wraps WordParallel through it and calls all four of
-// its dispatch methods. Only WordParallel implements it, by delegating
-// to internal/parallel; nothing else in this module names it or calls
-// the three extra methods.
+// its dispatch methods. Only WordParallel implements it, on the same
+// worker pool as its ForWorkerCtx; nothing else in this module names
+// it or calls the three extra methods.
 type CtxEngine interface {
 	Engine
 	For(n int, fn func(i int))
 	ForWorker(n, workers int, fn func(worker, i int))
 	ForCtx(ctx context.Context, n int, fn func(i int)) error
-}
-
-func (wordParallelEngine) For(n int, fn func(i int)) { parallel.For(n, fn) }
-
-func (wordParallelEngine) ForWorker(n, workers int, fn func(worker, i int)) {
-	parallel.ForWorker(n, workers, fn)
-}
-
-func (wordParallelEngine) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	return parallel.ForCtx(ctx, n, fn)
 }
 
 // The built-in engines. Serial is the reference oracle every

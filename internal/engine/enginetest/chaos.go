@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/parallel"
 	"repro/internal/stochastic"
 )
 
@@ -36,7 +35,7 @@ type ChaosSpec struct {
 
 // ChaosPanic is the error value a Chaos engine panics with when
 // ChaosSpec.Panic is set. It is reachable from the surfaced
-// *parallel.PanicError through errors.As (PanicError.Unwrap exposes
+// *engine.PanicError through errors.As (PanicError.Unwrap exposes
 // error panic values), so tests can tell an injected fault from a real
 // one.
 type ChaosPanic struct {
@@ -121,7 +120,7 @@ func (c *Chaos) panicAt(n int) int {
 // inner engine's handout runs the planned item order[j], and a panic is
 // re-attributed to that real index (the inner engine only sees the
 // dispatch position, which the drop-then-retry reorder divorces from
-// the item). The re-raised *parallel.PanicError passes through the
+// the item). The re-raised *engine.PanicError passes through the
 // inner engine's own capture unchanged, so the caller sees the failing
 // item, not its slot.
 func (c *Chaos) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
@@ -132,7 +131,7 @@ func (c *Chaos) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker
 	at := c.panicAt(n)
 	return c.inner.ForWorkerCtx(ctx, n, workers, func(w, j int) {
 		i := order[j]
-		pe := parallel.Capture(w, i, func() {
+		pe := engine.Capture(w, i, func() {
 			if i == at {
 				panic(ChaosPanic{Index: i})
 			}

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/parallel"
 )
 
 // TB is the minimal testing surface Run needs; *testing.T satisfies
@@ -141,7 +140,7 @@ const chaosSuiteSeed = 0xA24BAED4963EE407
 //     must not leak into output.
 //  2. Typed failure: with a panic injected at item 0, the case must
 //     fail loudly and typed — either a panic carrying a
-//     *parallel.PanicError or a returned error wrapping one, with the
+//     *engine.PanicError or a returned error wrapping one, with the
 //     injected ChaosPanic reachable via errors.As. An engine
 //     (or entry point) that swallows the fault and returns a result
 //     anyway fails the suite.
@@ -186,9 +185,9 @@ func RunChaos(t TB, engines []engine.Engine, cases []Case) {
 			err, recovered := probe(boom, c.Eval)
 			switch {
 			case recovered != nil:
-				pe, ok := recovered.(*parallel.PanicError)
+				pe, ok := recovered.(*engine.PanicError)
 				if !ok {
-					t.Errorf("enginetest: %s: engine %q re-raised an untyped panic %v (%T), want *parallel.PanicError",
+					t.Errorf("enginetest: %s: engine %q re-raised an untyped panic %v (%T), want *engine.PanicError",
 						c.Name, e.Name(), recovered, recovered)
 				} else if !errors.As(pe, new(ChaosPanic)) {
 					t.Errorf("enginetest: %s: engine %q lost the injected fault under the panic: %v", c.Name, e.Name(), pe)

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // TestLimitedRunsEveryIndexOnce: the semaphore changes scheduling
@@ -81,9 +79,9 @@ func TestLimitedWorkersCappedBySlots(t *testing.T) {
 func TestLimitedReleasesSlotOnPanic(t *testing.T) {
 	l := NewLimited("t", Serial, 1)
 	err := ForCtx(context.Background(), l, 1, func(int) { panic("boom") })
-	var pe *parallel.PanicError
+	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("panicking item through Limited = %v, want *parallel.PanicError", err)
+		t.Fatalf("panicking item through Limited = %v, want *PanicError", err)
 	}
 	if in := l.InFlight(); in != 0 {
 		t.Fatalf("InFlight() = %d after a panic, want 0 (leaked slot)", in)

@@ -1,4 +1,4 @@
-package parallel
+package engine
 
 import (
 	"context"
@@ -11,20 +11,115 @@ import (
 	"time"
 )
 
+// wp is WordParallel's pool, called through its concrete type so the
+// tests reach the CtxEngine methods without a type assertion.
+var wp wordParallelEngine
+
+func TestForCoversAllIndicesOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100, 1000} {
+		counts := make([]atomic.Int32, n)
+		wp.For(n, func(i int) { counts[i].Add(1) })
+		for i := range counts {
+			if got := counts[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+			}
+		}
+	}
+}
+
+func TestForWorkerCoversAllIndicesWithValidWorkers(t *testing.T) {
+	for _, n := range []int{1, 7, 500} {
+		// Caller-supplied counts (clamped to [1, n]) and the
+		// workers<=0 auto-size must both keep worker in bounds.
+		for _, workers := range []int{0, 1, 3, n + 5} {
+			counts := make([]atomic.Int32, n)
+			maxWorker := workers
+			if maxWorker < 1 {
+				maxWorker = wp.Workers(n)
+			}
+			if maxWorker > n {
+				maxWorker = n
+			}
+			var bad atomic.Int32
+			wp.ForWorker(n, workers, func(worker, i int) {
+				if worker < 0 || worker >= maxWorker {
+					bad.Add(1)
+				}
+				counts[i].Add(1)
+			})
+			if bad.Load() != 0 {
+				t.Fatalf("n=%d workers=%d: %d calls with worker outside [0,%d)",
+					n, workers, bad.Load(), maxWorker)
+			}
+			for i := range counts {
+				if got := counts[i].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
+				}
+			}
+		}
+	}
+}
+
+// TestForWorkerScratchExclusive: per-worker scratch is never touched
+// by two goroutines at once — the contract tiled engines rely on.
+// `go test -race` turns any violation into a hard failure.
+func TestForWorkerScratchExclusive(t *testing.T) {
+	const n = 200
+	workers := wp.Workers(n)
+	scratch := make([][]int, workers)
+	wp.ForWorker(n, workers, func(worker, i int) {
+		scratch[worker] = append(scratch[worker], i)
+	})
+	total := 0
+	for _, s := range scratch {
+		total += len(s)
+	}
+	if total != n {
+		t.Errorf("scratch items = %d, want %d", total, n)
+	}
+}
+
+func TestForNegative(t *testing.T) {
+	ran := false
+	wp.For(-3, func(i int) { ran = true })
+	if ran {
+		t.Error("negative n ran the body")
+	}
+}
+
+func TestWorkersRespectsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if w := wp.Workers(64); w != 1 {
+		t.Errorf("Workers(64) under GOMAXPROCS(1) = %d", w)
+	}
+}
+
+func TestWorkersBounds(t *testing.T) {
+	if w := wp.Workers(0); w != 1 {
+		t.Errorf("Workers(0) = %d", w)
+	}
+	if w := wp.Workers(1); w != 1 {
+		t.Errorf("Workers(1) = %d", w)
+	}
+	if w := wp.Workers(1 << 20); w < 1 {
+		t.Errorf("Workers(big) = %d", w)
+	}
+}
+
 // TestGuardsNeverSpawn: non-positive n and workers return immediately
 // without running the body or spawning goroutines, on every variant.
 func TestGuardsNeverSpawn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, n := range []int{0, -1, -100} {
-		For(n, func(i int) { t.Errorf("For(%d) ran body at %d", n, i) })
-		ForWorker(n, 4, func(w, i int) { t.Errorf("ForWorker(%d) ran body at %d", n, i) })
-		ForWorker(n, -2, func(w, i int) { t.Errorf("ForWorker(%d, -2) ran body at %d", n, i) })
-		if err := ForCtx(context.Background(), n, func(i int) {
+		wp.For(n, func(i int) { t.Errorf("For(%d) ran body at %d", n, i) })
+		wp.ForWorker(n, 4, func(w, i int) { t.Errorf("ForWorker(%d) ran body at %d", n, i) })
+		wp.ForWorker(n, -2, func(w, i int) { t.Errorf("ForWorker(%d, -2) ran body at %d", n, i) })
+		if err := wp.ForCtx(context.Background(), n, func(i int) {
 			t.Errorf("ForCtx(%d) ran body at %d", n, i)
 		}); err != nil {
 			t.Errorf("ForCtx(%d) = %v", n, err)
 		}
-		if err := ForWorkerCtx(context.Background(), n, -7, func(w, i int) {
+		if err := wp.ForWorkerCtx(context.Background(), n, -7, func(w, i int) {
 			t.Errorf("ForWorkerCtx(%d) ran body at %d", n, i)
 		}); err != nil {
 			t.Errorf("ForWorkerCtx(%d) = %v", n, err)
@@ -40,7 +135,7 @@ func TestGuardsNeverSpawn(t *testing.T) {
 	// workers <= 0 on a real workload auto-sizes instead of spawning
 	// an unbounded pool.
 	var count atomic.Int32
-	ForWorker(8, -3, func(w, i int) { count.Add(1) })
+	wp.ForWorker(8, -3, func(w, i int) { count.Add(1) })
 	if count.Load() != 8 {
 		t.Errorf("ForWorker(8, -3) ran %d of 8 items", count.Load())
 	}
@@ -52,7 +147,7 @@ func TestGuardsNeverSpawn(t *testing.T) {
 func TestForCtxCompletesWithoutCancel(t *testing.T) {
 	for _, n := range []int{1, 7, 300} {
 		counts := make([]atomic.Int32, n)
-		if err := ForCtx(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
+		if err := wp.ForCtx(context.Background(), n, func(i int) { counts[i].Add(1) }); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := range counts {
@@ -68,7 +163,7 @@ func TestForCtxCompletesWithoutCancel(t *testing.T) {
 func TestForCtxAlreadyCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForCtx(ctx, 100, func(i int) { t.Errorf("ran item %d", i) })
+	err := wp.ForCtx(ctx, 100, func(i int) { t.Errorf("ran item %d", i) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,7 +178,7 @@ func TestForCtxStopsAtItemBoundary(t *testing.T) {
 	const n = 20_000_000
 	ctx, cancel := context.WithCancel(context.Background())
 	var started, finished atomic.Int32
-	err := ForCtx(ctx, n, func(i int) {
+	err := wp.ForCtx(ctx, n, func(i int) {
 		started.Add(1)
 		if i == 10 {
 			cancel()
@@ -109,7 +204,7 @@ func TestForCtxStopsAtItemBoundary(t *testing.T) {
 func TestForCtxLateCancelIsNil(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if err := ForCtx(ctx, 50, func(i int) {}); err != nil {
+	if err := wp.ForCtx(ctx, 50, func(i int) {}); err != nil {
 		t.Fatalf("completed sweep reported %v", err)
 	}
 }
@@ -119,7 +214,7 @@ func TestForCtxLateCancelIsNil(t *testing.T) {
 func TestDeadlineStopsSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := ForCtx(ctx, 1<<30, func(i int) { time.Sleep(50 * time.Microsecond) })
+	err := wp.ForCtx(ctx, 1<<30, func(i int) { time.Sleep(50 * time.Microsecond) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -150,7 +245,7 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 					t.Errorf("workers=%d: no stack captured", workers)
 				}
 			}()
-			ForWorker(8, workers, func(w, i int) {
+			wp.ForWorker(8, workers, func(w, i int) {
 				if i == 3 {
 					panic("boom")
 				}
@@ -164,7 +259,7 @@ func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
 // value stays reachable through errors.Is.
 func TestForCtxPanicReturnsTypedError(t *testing.T) {
 	sentinel := errors.New("injected fault")
-	err := ForCtx(context.Background(), 16, func(i int) {
+	err := wp.ForCtx(context.Background(), 16, func(i int) {
 		if i == 5 {
 			panic(sentinel)
 		}
@@ -184,7 +279,7 @@ func TestForCtxPanicReturnsTypedError(t *testing.T) {
 // TestLowestIndexPanicWins: when several items panic, the caller sees
 // a deterministic choice — the lowest index recorded.
 func TestLowestIndexPanicWins(t *testing.T) {
-	err := ForCtx(context.Background(), 4, func(i int) {
+	err := wp.ForCtx(context.Background(), 4, func(i int) {
 		panic(fmt.Sprintf("fault-%d", i))
 	})
 	var pe *PanicError
@@ -204,9 +299,9 @@ func TestLowestIndexPanicWins(t *testing.T) {
 // TestNestedPanicErrorPassesThrough: a nested fan-out that already
 // attributed a panic is not re-wrapped by the outer one.
 func TestNestedPanicErrorPassesThrough(t *testing.T) {
-	err := ForCtx(context.Background(), 2, func(outer int) {
+	err := wp.ForCtx(context.Background(), 2, func(outer int) {
 		if outer == 1 {
-			For(3, func(inner int) {
+			wp.For(3, func(inner int) {
 				if inner == 2 {
 					panic("deep fault")
 				}
@@ -230,7 +325,7 @@ func TestNestedPanicErrorPassesThrough(t *testing.T) {
 func TestNilCtx(t *testing.T) {
 	var ran atomic.Int32
 	//lint:ignore SA1012 deliberate nil-ctx robustness check
-	if err := ForWorkerCtx(nil, 4, 2, func(w, i int) { ran.Add(1) }); err != nil || ran.Load() != 4 {
+	if err := wp.ForWorkerCtx(nil, 4, 2, func(w, i int) { ran.Add(1) }); err != nil || ran.Load() != 4 {
 		t.Fatalf("nil ctx: err=%v ran=%d", err, ran.Load())
 	}
 }

@@ -9,16 +9,19 @@
 //
 // Gamma correction maps gray levels to probabilities as v/255 and
 // evaluates a degree-6 Bernstein approximation of x^gamma once per
-// distinct level through the word-parallel batch engines (GammaReSC,
-// GammaOptical), applying the result as a lookup table. That table is
-// a pure function of its recipe — batch randomness is (seed, level)-
-// derived — so video-style workloads amortize it across frames:
-// GammaLUTCache memoizes the coefficient fit, the circuit solve and
-// the quantized LUT per (gamma, degree, spacing, streamLen, seed),
-// and GammaVideoCtx corrects a whole frame batch through one cached
-// table, fanning the per-frame LUT applications over the caller's
-// evaluation engine under the caller's context (GammaVideoPerFrameCtx
-// gives each frame its own derived seed). Quickstart:
+// distinct level as one 256-item batch dispatched on the caller's
+// evaluation engine under the caller's context (GammaReSC and
+// GammaOptical, each taking (ctx, e)), applying the result as a lookup
+// table. That table is a pure function of its recipe — batch
+// randomness is (seed, level)-derived — so video-style workloads
+// amortize it across frames: GammaLUTCache memoizes the coefficient
+// fit, the circuit solve and the quantized optical LUT per (gamma,
+// degree, spacing, streamLen, seed), building a missing table on the
+// caller's engine (OpticalLUT) and keeping only tables whose build
+// succeeded. GammaVideoCtx corrects a whole frame batch through one
+// cached table, building it and fanning the per-frame LUT
+// applications over the same engine under the same context.
+// Quickstart:
 //
 //	var cache image.GammaLUTCache
 //	out, err := image.GammaVideoCtx(ctx, engine.WordParallel, frames, 0.45, 6, 0.3, 1024, 9, &cache)

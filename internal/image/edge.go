@@ -102,7 +102,7 @@ func (s *edgeScratch) absDiffPlane(dst []uint64, a, b uint8, seed uint64, stream
 // so the output is bit-identical on every conforming engine and
 // deterministic on any GOMAXPROCS. A non-positive stream length is an
 // error (it would silently produce a garbage image), as is a nil
-// engine; a panicking tile comes back as its *parallel.PanicError. The
+// engine; a panicking tile comes back as its *engine.PanicError. The
 // word-level kernels themselves are pinned against their bit-serial
 // definitions by the stochastic package's plane tests.
 func RobertsCrossSCOn(e engine.Engine, src *Gray, streamLen int, seed uint64) (*Gray, error) {

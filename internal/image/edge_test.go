@@ -1,6 +1,7 @@
 package image
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/engine"
@@ -115,7 +116,7 @@ func TestImageQualityRegression(t *testing.T) {
 	}
 
 	gammaSrc := Gradient(128, 4)
-	g, err := GammaReSC(gammaSrc, 0.45, 6, 4096, 11)
+	g, err := GammaReSC(context.Background(), engine.WordParallel, gammaSrc, 0.45, 6, 4096, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

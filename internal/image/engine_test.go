@@ -16,17 +16,32 @@ import (
 // non-word-multiple stream lengths exercise tile remainders and plane
 // tails.
 func TestEngineSuite(t *testing.T) {
+	ctx := context.Background()
+	gammaSrc := Gradient(64, 4)
 	cases := []enginetest.Case{
-		{
-			Name: "image.GammaVideoPerFrameCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoPerFrameCtx(context.Background(), e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
-			},
-		},
 		{
 			Name: "image.GammaVideoCtx",
 			Eval: func(e engine.Engine) (any, error) {
-				return GammaVideoCtx(context.Background(), e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
+				return GammaVideoCtx(ctx, e, videoFrames(), 0.45, 6, 0.3, 256, 9, nil)
+			},
+		},
+		{
+			Name: "image.GammaReSC",
+			Eval: func(e engine.Engine) (any, error) {
+				return GammaReSC(ctx, e, gammaSrc, 0.45, 6, 100, 9)
+			},
+		},
+		{
+			Name: "image.GammaOptical",
+			Eval: func(e engine.Engine) (any, error) {
+				return GammaOptical(ctx, e, gammaSrc, 0.45, 6, 0.3, 100, 9)
+			},
+		},
+		{
+			Name: "image.GammaLUTCache.OpticalLUT",
+			Eval: func(e engine.Engine) (any, error) {
+				var cache GammaLUTCache
+				return cache.OpticalLUT(ctx, e, 0.45, 6, 0.3, 256, 9)
 			},
 		},
 	}
@@ -53,18 +68,26 @@ func TestEngineSuite(t *testing.T) {
 	enginetest.Run(t, nil, cases)
 }
 
-// TestNilEngineMisuse: all three entry points report a nil engine as a
+// TestNilEngineMisuse: every entry point reports a nil engine as a
 // clean error (they all have error returns).
 func TestNilEngineMisuse(t *testing.T) {
+	ctx := context.Background()
 	src := Checkerboard(8, 8, 2, 0, 255)
 	if _, err := RobertsCrossSCOn(nil, src, 64, 1); err == nil {
 		t.Error("RobertsCrossSCOn(nil) did not error")
 	}
 	frames := []*Gray{Gradient(8, 8)}
-	if _, err := GammaVideoCtx(context.Background(), nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
+	if _, err := GammaVideoCtx(ctx, nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
 		t.Error("GammaVideoCtx(nil) did not error")
 	}
-	if _, err := GammaVideoPerFrameCtx(context.Background(), nil, frames, 0.45, 6, 0.3, 64, 1, nil); err == nil {
-		t.Error("GammaVideoPerFrameCtx(nil) did not error")
+	if _, err := GammaReSC(ctx, nil, src, 0.45, 6, 64, 1); err == nil {
+		t.Error("GammaReSC(nil) did not error")
+	}
+	if _, err := GammaOptical(ctx, nil, src, 0.45, 6, 0.3, 64, 1); err == nil {
+		t.Error("GammaOptical(nil) did not error")
+	}
+	var cache GammaLUTCache
+	if _, err := cache.OpticalLUT(ctx, nil, 0.45, 6, 0.3, 64, 1); err == nil {
+		t.Error("OpticalLUT(nil) did not error")
 	}
 }

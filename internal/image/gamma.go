@@ -1,10 +1,12 @@
 package image
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -23,10 +25,12 @@ func GammaExact(src *Gray, gamma float64) *Gray {
 // GammaReSC applies gamma correction through the electronic ReSC
 // baseline: a degree-`degree` Bernstein approximation of x^gamma is
 // evaluated stochastically with `streamLen`-bit streams, once per
-// distinct gray level. The 256 levels run through the word-parallel
-// batch evaluator with per-level derived randomness. A non-positive
-// stream length is an error (it would silently produce a zero image).
-func GammaReSC(src *Gray, gamma float64, degree, streamLen int, seed uint64) (*Gray, error) {
+// distinct gray level. The 256 levels are one batch
+// (stochastic.EvaluateBatch) dispatched on e under ctx with per-level
+// derived randomness, so the image is identical on every engine. A
+// non-positive stream length is an error (it would silently produce a
+// zero image), and a fired ctx returns the batch's *engine.Partial.
+func GammaReSC(ctx context.Context, e engine.Engine, src *Gray, gamma float64, degree, streamLen int, seed uint64) (*Gray, error) {
 	poly, _, err := stochastic.GammaCorrection(gamma, degree)
 	if err != nil {
 		return nil, err
@@ -34,26 +38,14 @@ func GammaReSC(src *Gray, gamma float64, degree, streamLen int, seed uint64) (*G
 	if streamLen < 1 {
 		return nil, fmt.Errorf("image: stream length %d, need >= 1", streamLen)
 	}
-	lut, err := rescLUT(poly, streamLen, seed)
+	got, err := stochastic.EvaluateBatch(ctx, e, poly, grayLevels(), streamLen, seed)
 	if err != nil {
 		return nil, err
 	}
+	lut := quantizeLUT(got)
 	out := src.Clone()
 	applyLUT(out, &lut)
 	return out, nil
-}
-
-// rescLUT evaluates the 256 gray levels through the electronic ReSC
-// batch engine and quantizes them into a lookup table — the per-frame
-// state GammaReSC builds and GammaLUTCache amortizes. The batch
-// randomness is (seed, level-index)-derived, so the table is a pure
-// function of its arguments.
-func rescLUT(poly stochastic.BernsteinPoly, streamLen int, seed uint64) ([256]uint8, error) {
-	got, err := stochastic.EvaluateBatch(poly, grayLevels(), streamLen, seed)
-	if err != nil {
-		return [256]uint8{}, err
-	}
-	return quantizeLUT(got), nil
 }
 
 // grayLevels returns the 256 normalized gray levels v/255.
@@ -76,11 +68,12 @@ func quantizeLUT(levels []float64) (lut [256]uint8) {
 // GammaOptical applies gamma correction through the optical
 // stochastic-computing unit: the same Bernstein polynomial evaluated
 // by a circuit of matching order (designed by MRR-first at the given
-// spacing). The 256 gray levels fan out over the unit's multi-core
-// batch evaluator, each level with randomness derived from its index.
-// A non-positive stream length is an error (it would silently produce
-// a zero image).
-func GammaOptical(src *Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) (*Gray, error) {
+// spacing). The 256 gray levels are one batch of the unit
+// (core.Unit.EvaluateBatch) dispatched on e under ctx, each level
+// with randomness derived from its index. A non-positive stream length
+// is an error (it would silently produce a zero image), and a fired
+// ctx returns the batch's *engine.Partial.
+func GammaOptical(ctx context.Context, e engine.Engine, src *Gray, gamma float64, degree int, spacingNM float64, streamLen int, seed uint64) (*Gray, error) {
 	poly, _, err := stochastic.GammaCorrection(gamma, degree)
 	if err != nil {
 		return nil, err
@@ -88,7 +81,7 @@ func GammaOptical(src *Gray, gamma float64, degree int, spacingNM float64, strea
 	if streamLen < 1 {
 		return nil, fmt.Errorf("image: stream length %d, need >= 1", streamLen)
 	}
-	lut, err := opticalLUT(poly, degree, spacingNM, streamLen, seed)
+	lut, err := opticalLUT(ctx, e, poly, degree, spacingNM, streamLen, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -98,11 +91,11 @@ func GammaOptical(src *Gray, gamma float64, degree int, spacingNM float64, strea
 }
 
 // opticalLUT sizes a circuit of matching order at the given spacing
-// and evaluates the 256 gray levels through the optical unit's batch
-// engine — the per-frame state GammaOptical builds and GammaLUTCache
+// and evaluates the 256 gray levels as one batch of the optical unit on
+// e — the per-frame state GammaOptical builds and GammaLUTCache
 // amortizes. The unit's batch randomness is (seed, level-index)-
 // derived, so the table is a pure function of its arguments.
-func opticalLUT(poly stochastic.BernsteinPoly, degree int, spacingNM float64, streamLen int, seed uint64) ([256]uint8, error) {
+func opticalLUT(ctx context.Context, e engine.Engine, poly stochastic.BernsteinPoly, degree int, spacingNM float64, streamLen int, seed uint64) ([256]uint8, error) {
 	p, err := core.MRRFirst(core.MRRFirstSpec{Order: degree, WLSpacingNM: spacingNM})
 	if err != nil {
 		return [256]uint8{}, err
@@ -115,7 +108,11 @@ func opticalLUT(poly stochastic.BernsteinPoly, degree int, spacingNM float64, st
 	if err != nil {
 		return [256]uint8{}, err
 	}
-	return quantizeLUT(unit.EvaluateBatch(grayLevels(), streamLen)), nil
+	got, err := unit.EvaluateBatch(ctx, e, grayLevels(), streamLen)
+	if err != nil {
+		return [256]uint8{}, err
+	}
+	return quantizeLUT(got), nil
 }
 
 // PSNR returns the peak signal-to-noise ratio between two images in

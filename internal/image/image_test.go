@@ -2,9 +2,12 @@ package image
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestGrayBasics(t *testing.T) {
@@ -178,7 +181,7 @@ func TestGammaExactKnownValues(t *testing.T) {
 func TestGammaReSCQuality(t *testing.T) {
 	src := Gradient(128, 4)
 	exact := GammaExact(src, 0.45)
-	got, err := GammaReSC(src, 0.45, 6, 4096, 11)
+	got, err := GammaReSC(context.Background(), engine.WordParallel, src, 0.45, 6, 4096, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestGammaReSCQuality(t *testing.T) {
 func TestGammaOpticalQuality(t *testing.T) {
 	src := Gradient(128, 2)
 	exact := GammaExact(src, 0.45)
-	got, err := GammaOptical(src, 0.45, 6, 0.3, 4096, 12)
+	got, err := GammaOptical(context.Background(), engine.WordParallel, src, 0.45, 6, 0.3, 4096, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +212,11 @@ func TestGammaOpticalMatchesReSC(t *testing.T) {
 	// electronic baseline at the same stream length.
 	src := Gradient(64, 2)
 	exact := GammaExact(src, 0.45)
-	ele, err := GammaReSC(src, 0.45, 6, 2048, 21)
+	ele, err := GammaReSC(context.Background(), engine.WordParallel, src, 0.45, 6, 2048, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := GammaOptical(src, 0.45, 6, 0.3, 2048, 22)
+	opt, err := GammaOptical(context.Background(), engine.WordParallel, src, 0.45, 6, 0.3, 2048, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +228,10 @@ func TestGammaOpticalMatchesReSC(t *testing.T) {
 
 func TestGammaErrors(t *testing.T) {
 	src := Gradient(8, 2)
-	if _, err := GammaReSC(src, -1, 6, 64, 1); err == nil {
+	if _, err := GammaReSC(context.Background(), engine.WordParallel, src, -1, 6, 64, 1); err == nil {
 		t.Error("negative gamma accepted")
 	}
-	if _, err := GammaOptical(src, 0.45, 6, 0.001, 64, 1); err == nil {
+	if _, err := GammaOptical(context.Background(), engine.WordParallel, src, 0.45, 6, 0.001, 64, 1); err == nil {
 		t.Error("infeasible spacing accepted")
 	}
 }

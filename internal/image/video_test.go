@@ -2,10 +2,10 @@ package image
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/stochastic"
 )
 
 // videoFrames returns a small mixed-content frame batch.
@@ -30,95 +30,36 @@ func TestGammaVideoDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestGammaVideoPerFrameCacheReplay: replaying a batch through the same
-// cache hits every per-frame LUT already built — the returned tables
-// are the same pointers, frame for frame.
-func TestGammaVideoPerFrameCacheReplay(t *testing.T) {
-	frames := videoFrames()
-	var cache GammaLUTCache
-	if _, err := GammaVideoPerFrameCtx(context.Background(), engine.WordParallel, frames, 0.45, 6, 0.3, 256, 9, &cache); err != nil {
-		t.Fatal(err)
-	}
-	l0, err := cache.OpticalLUT(0.45, 6, 0.3, 256, stochastic.DeriveSeed(9, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l0again, err := cache.OpticalLUT(0.45, 6, 0.3, 256, stochastic.DeriveSeed(9, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l0 != l0again {
-		t.Error("replay rebuilt a frame LUT that should be cached")
-	}
-}
-
-// TestGammaVideoPerFrameDecorrelation pins that the derived per-frame
-// seeds actually decorrelate: two identical input frames at different
-// indices come out with different noise patterns.
-func TestGammaVideoPerFrameDecorrelation(t *testing.T) {
-	// Same content, different frame index → different derived seed →
-	// (deterministically) different quantization noise. A short stream
-	// keeps the noise large enough to observe.
-	twins := []*Gray{Gradient(32, 24), Gradient(32, 24)}
-	out, err := GammaVideoPerFrameCtx(context.Background(), engine.WordParallel, twins, 0.45, 6, 0.3, 32, 9, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range out[0].Pix {
-		if out[0].Pix[i] != out[1].Pix[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("identical frames at different indices produced identical noise; per-frame seeds are not decorrelating")
-	}
-}
-
 // TestGammaLUTCacheReuse: a shared cache returns the same table
-// pointer across frames and batches (built once), for both backends,
-// and the cached tables match the per-frame builders exactly.
+// pointer across frames and batches (built once), and the cached table
+// matches the per-frame GammaOptical build exactly.
 func TestGammaLUTCacheReuse(t *testing.T) {
+	ctx := context.Background()
 	var cache GammaLUTCache
-	a, err := cache.OpticalLUT(0.45, 6, 0.3, 256, 9)
+	a, err := cache.OpticalLUT(ctx, engine.WordParallel, 0.45, 6, 0.3, 256, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.OpticalLUT(0.45, 6, 0.3, 256, 9)
+	b, err := cache.OpticalLUT(ctx, engine.Serial, 0.45, 6, 0.3, 256, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("repeated optical recipe rebuilt its LUT")
 	}
-	other, err := cache.OpticalLUT(0.45, 6, 0.3, 512, 9)
+	other, err := cache.OpticalLUT(ctx, engine.WordParallel, 0.45, 6, 0.3, 512, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if other == a {
 		t.Error("distinct recipes shared one cache entry")
 	}
-	r1, err := cache.ReSCLUT(0.45, 6, 256, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cache.ReSCLUT(0.45, 6, 256, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("repeated ReSC recipe rebuilt its LUT")
-	}
-	if *r1 == *a {
-		t.Error("electronic and optical backends share a table but must be keyed apart")
-	}
 
-	// Cached tables reproduce the one-shot entry points bit-for-bit.
+	// The cached table reproduces the one-shot entry point bit-for-bit.
 	src := Gradient(32, 8)
 	viaCache := src.Clone()
 	applyLUT(viaCache, a)
-	direct, err := GammaOptical(src, 0.45, 6, 0.3, 256, 9)
+	direct, err := GammaOptical(ctx, engine.WordParallel, src, 0.45, 6, 0.3, 256, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +68,30 @@ func TestGammaLUTCacheReuse(t *testing.T) {
 			t.Fatalf("pixel %d: GammaOptical %d vs cached LUT %d", i, direct.Pix[i], viaCache.Pix[i])
 		}
 	}
-	viaCache = src.Clone()
-	applyLUT(viaCache, r1)
-	directReSC, err := GammaReSC(src, 0.45, 6, 256, 9)
+}
+
+// TestGammaLUTCacheSkipsFailedBuild: a build interrupted by its
+// caller's ctx returns the context error and caches nothing, so the
+// next caller on the same cache builds GammaOptical's table.
+func TestGammaLUTCacheSkipsFailedBuild(t *testing.T) {
+	var cache GammaLUTCache
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cache.OpticalLUT(dead, engine.WordParallel, 0.45, 6, 0.3, 256, 9); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+	lut, err := cache.OpticalLUT(context.Background(), engine.WordParallel, 0.45, 6, 0.3, 256, 9)
+	if err != nil {
+		t.Fatalf("build after a cancelled one: %v", err)
+	}
+	src := Gradient(256, 1)
+	want, err := GammaOptical(context.Background(), engine.Serial, src, 0.45, 6, 0.3, 256, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range directReSC.Pix {
-		if directReSC.Pix[i] != viaCache.Pix[i] {
-			t.Fatalf("pixel %d: GammaReSC %d vs cached LUT %d", i, directReSC.Pix[i], viaCache.Pix[i])
+	for v := range want.Pix {
+		if lut[v] != want.Pix[v] {
+			t.Fatalf("level %d: cached %d vs GammaOptical %d", v, lut[v], want.Pix[v])
 		}
 	}
 }
@@ -149,8 +105,8 @@ func TestGammaVideoErrors(t *testing.T) {
 		t.Error("negative gamma accepted")
 	}
 	var cache GammaLUTCache
-	if _, err := cache.ReSCLUT(0.45, 6, -2, 1); err == nil {
-		t.Error("negative stream length accepted by ReSCLUT")
+	if _, err := cache.OpticalLUT(context.Background(), engine.WordParallel, 0.45, 6, 0.3, -2, 1); err == nil {
+		t.Error("negative stream length accepted by OpticalLUT")
 	}
 	// An empty batch is not an error — there is just nothing to do.
 	out, err := GammaVideoCtx(context.Background(), engine.WordParallel, nil, 0.45, 6, 0.3, 256, 1, nil)

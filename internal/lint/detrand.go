@@ -10,8 +10,7 @@ import (
 //
 //   - no time.Now and no global math/rand state in internal/ — every
 //     result must replay bit-identically from explicit seeds;
-//   - any worker closure passed to parallel.For/ForWorker/Run (or
-//     their ctx variants) or to the engine layer's dispatch
+//   - any worker closure passed to the engine layer's dispatch
 //     (internal/engine: an Engine's ForWorkerCtx, engine.ForCtx,
 //     engine.RunCtx and engine.Chunked) that constructs an RNG must
 //     derive its seed through stochastic.DeriveSeed (directly, or via
@@ -50,28 +49,20 @@ func isStochasticFunc(obj *types.Func, name string) bool {
 }
 
 // dispatchesWorkers reports whether the call hands worker closures to
-// a fan-out primitive: internal/parallel's For/ForWorker/Run and
-// their context-aware ForCtx/ForWorkerCtx, or the engine layer's
-// Engine.ForWorkerCtx, engine.ForCtx, engine.RunCtx and
-// engine.Chunked — the worker closures both analyzers inspect. The
-// ctx variants stop early but never re-run an item, so the same
-// determinism and allocation rules apply to their closures.
+// a fan-out primitive of the engine layer — Engine.ForWorkerCtx,
+// engine.ForCtx, engine.RunCtx and engine.Chunked — the worker
+// closures both analyzers inspect. internal/engine is the only code
+// that starts worker goroutines, so these are every fan-out there is.
+// Dispatch stops early on cancellation but never re-runs an item, so
+// the same determinism and allocation rules apply to every closure.
 func dispatchesWorkers(p *Package, call *ast.CallExpr) bool {
 	callee := p.Callee(call)
-	if callee == nil {
+	if callee == nil || !pkgSuffixIs(callee, "internal/engine") {
 		return false
 	}
-	switch {
-	case pkgSuffixIs(callee, "internal/parallel"):
-		switch callee.Name() {
-		case "For", "ForWorker", "Run", "ForCtx", "ForWorkerCtx":
-			return true
-		}
-	case pkgSuffixIs(callee, "internal/engine"):
-		switch callee.Name() {
-		case "ForWorkerCtx", "ForCtx", "RunCtx", "Chunked":
-			return true
-		}
+	switch callee.Name() {
+	case "ForWorkerCtx", "ForCtx", "RunCtx", "Chunked":
+		return true
 	}
 	return false
 }
@@ -121,9 +112,8 @@ func detRandWallClock(p *Package, f *ast.File) []Finding {
 	return out
 }
 
-// detRandWorkers checks every closure handed to a fan-out primitive
-// (the parallel pool or an evaluation engine): if it constructs an
-// RNG, the seed must flow through stochastic.DeriveSeed, either in the
+// detRandWorkers checks every closure handed to an engine fan-out
+// primitive: if it constructs an RNG, the seed must flow through stochastic.DeriveSeed, either in the
 // closure body or inside a same-package helper the closure calls (the
 // trialSeeds pattern).
 func detRandWorkers(p *Package, f *ast.File) []Finding {

@@ -27,9 +27,9 @@
 // detrand — deterministic randomness. In internal/ packages, time.Now
 // and the global math/rand functions are banned outright: results must
 // replay bit-identically from explicit seeds. Everywhere, a closure
-// passed to a worker dispatcher — parallel.For / ForWorker / Run /
-// ForCtx / ForWorkerCtx, or an Engine's ForWorkerCtx, engine.ForCtx,
-// engine.RunCtx and engine.Chunked — that constructs an RNG
+// passed to a worker dispatcher — an Engine's ForWorkerCtx,
+// engine.ForCtx, engine.RunCtx and engine.Chunked; internal/engine is
+// the only code that starts worker goroutines — that constructs an RNG
 // (stochastic.NewSplitMix64, NewLFSR, NewChaoticSource,
 // NewChaoticLaserSNG, NewReSCWithSeeds, or a math/rand constructor)
 // must reference stochastic.DeriveSeed — directly in the body, or
@@ -58,7 +58,7 @@
 // stdout, and strings.Builder / bytes.Buffer methods are exempt.
 //
 // hotalloc — allocation in hot worker bodies. Inside worker closures
-// (the same parallel / engine dispatchers as detrand), `make`,
+// (the same engine dispatchers as detrand), `make`,
 // growing `append`, and fmt.Sprint* run
 // once per item; the rule points at the per-worker scratch pattern
 // (O(workers) allocations, see image.RobertsCrossSCOn) backing the

@@ -5,8 +5,7 @@ import (
 )
 
 // HotAlloc supports the ROADMAP zero-alloc push: inside a closure
-// handed to parallel.For/ForWorker/Run (or their ctx variants) or to
-// the engine layer's dispatch (internal/engine: an Engine's
+// handed to the engine layer's dispatch (internal/engine: an Engine's
 // ForWorkerCtx, engine.ForCtx, engine.RunCtx and engine.Chunked),
 // per-item `make` calls, growing `append`s, and fmt.Sprint* formatting
 // multiply allocations by the item count. The fix is the per-worker
@@ -53,7 +52,7 @@ func checkHotBody(p *Package, fl *ast.FuncLit) []Finding {
 		case isBuiltin(p, call, "make"):
 			out = append(out, p.Findingf(call, "hotalloc",
 				"make inside a worker body allocates per item; "+
-					"hoist into per-worker scratch (parallel.ForWorker worker index)"))
+					"hoist into per-worker scratch (the ForWorkerCtx worker index)"))
 		case isBuiltin(p, call, "append"):
 			out = append(out, p.Findingf(call, "hotalloc",
 				"append inside a worker body may grow per item; "+

@@ -9,30 +9,29 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/parallel"
 	"repro/internal/stochastic"
 )
 
 // BadWallClockSeed seeds a worker RNG from the wall clock: both the
 // time.Now use and the underived constructor are violations.
-func BadWallClockSeed(n int) []float64 {
+func BadWallClockSeed(ctx context.Context, e engine.Engine, n int) ([]float64, error) {
 	out := make([]float64, n)
-	parallel.For(n, func(i int) {
+	err := engine.ForCtx(ctx, e, n, func(i int) {
 		rng := stochastic.NewSplitMix64(uint64(time.Now().UnixNano())) // want detrand detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadSharedSeed constructs a per-item RNG from the item index without
 // DeriveSeed — correlated streams across items.
-func BadSharedSeed(n int, seed uint64) []float64 {
+func BadSharedSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	parallel.ForWorker(n, 0, func(_, i int) {
+	err := e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadGlobalRand draws from the process-global math/rand source.
@@ -41,13 +40,13 @@ func BadGlobalRand() float64 {
 }
 
 // GoodDirect derives the per-item seed in the closure body.
-func GoodDirect(n int, seed uint64) []float64 {
+func GoodDirect(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	parallel.For(n, func(i int) {
+	err := engine.ForCtx(ctx, e, n, func(i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // itemSeed is the seed-helper pattern (trialSeeds, waterfallSeeds):
@@ -57,18 +56,19 @@ func itemSeed(base uint64, i int) uint64 {
 }
 
 // GoodHelper derives through a same-package helper.
-func GoodHelper(n int, seed uint64) []float64 {
+func GoodHelper(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	parallel.For(n, func(i int) {
+	err := engine.ForCtx(ctx, e, n, func(i int) {
 		rng := stochastic.NewSplitMix64(itemSeed(seed, i))
 		out[i] = rng.Next()
 	})
-	return out
+	return out, err
 }
 
 // BadEngineSeed constructs an underived per-item RNG inside an
-// engine-dispatched worker body: Engine.ForWorkerCtx is a fan-out
-// exactly like parallel.ForWorker, so the same discipline applies.
+// engine-dispatched worker body: the engine's own ForWorkerCtx is the
+// fan-out primitive every other dispatcher is built on, so the same
+// discipline applies.
 func BadEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
 	err := e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) {
@@ -124,13 +124,15 @@ func BadCtxSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]flo
 	return out, err
 }
 
-// BadParallelCtxSeed is the same violation on the parallel layer's
-// context-aware dispatch.
-func BadParallelCtxSeed(ctx context.Context, n int, seed uint64) ([]float64, error) {
+// BadChunkedSeed is the same violation on the chunked dispatch: a
+// chunk's closure is a worker body too, seeded here from its range.
+func BadChunkedSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := parallel.ForCtx(ctx, n, func(i int) {
-		rng := stochastic.NewSplitMix64(seed ^ uint64(i)) // want detrand
-		out[i] = rng.Next()
+	err := engine.Chunked(ctx, e, n, 4, func(lo, hi int) {
+		rng := stochastic.NewSplitMix64(seed ^ uint64(lo)) // want detrand
+		for i := lo; i < hi; i++ {
+			out[i] = rng.Next()
+		}
 	})
 	return out, err
 }

@@ -1,5 +1,5 @@
 // Package hotalloc is an analyzer fixture: per-item allocation inside
-// parallel worker bodies, next to the per-worker scratch pattern that
+// engine worker bodies, next to the per-worker scratch pattern that
 // must pass.
 package hotalloc
 
@@ -8,24 +8,24 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/parallel"
 )
 
 // BadPerItem allocates and formats once per item.
-func BadPerItem(n int) []string {
+func BadPerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
-	parallel.For(n, func(i int) {
+	err := e.ForWorkerCtx(ctx, n, e.Workers(n), func(_, i int) {
 		buf := make([]byte, 64)       // want hotalloc
 		out[i] = fmt.Sprintf("%d", i) // want hotalloc
 		var tail []byte
 		tail = append(tail, buf[:8]...) // want hotalloc
 		_ = tail
 	})
-	return out
+	return out, err
 }
 
 // BadEnginePerItem allocates per item inside an engine-dispatched
-// worker body: engine.ForCtx is a fan-out exactly like parallel.For.
+// worker body: engine.ForCtx fans out exactly like the engine's own
+// ForWorkerCtx.
 func BadEnginePerItem(ctx context.Context, e engine.Engine, n int) ([]string, error) {
 	out := make([]string, n)
 	err := engine.ForCtx(ctx, e, n, func(i int) {
@@ -48,7 +48,8 @@ func BadCtxPerItem(ctx context.Context, e engine.Engine, n int) ([]string, error
 }
 
 // GoodEngineScratch hoists per-worker scratch ahead of the engine
-// fan-out, mirroring the parallel.ForWorker pattern.
+// fan-out: one buffer per worker, sized from Workers before the
+// dispatch.
 func GoodEngineScratch(ctx context.Context, e engine.Engine, n int) ([]int, error) {
 	workers := e.Workers(n)
 	scratch := make([][]byte, workers)
@@ -62,23 +63,4 @@ func GoodEngineScratch(ctx context.Context, e engine.Engine, n int) ([]int, erro
 		out[i] = int(buf[0])
 	})
 	return out, err
-}
-
-// GoodScratch is the ForWorker pattern: one scratch buffer per
-// worker, sized before the fan-out.
-func GoodScratch(n, workers int) []int {
-	if workers < 1 {
-		workers = parallel.Workers(n)
-	}
-	scratch := make([][]byte, workers)
-	for w := range scratch {
-		scratch[w] = make([]byte, 64)
-	}
-	out := make([]int, n)
-	parallel.ForWorker(n, workers, func(worker, i int) {
-		buf := scratch[worker]
-		buf[0] = byte(i)
-		out[i] = int(buf[0])
-	})
-	return out
 }

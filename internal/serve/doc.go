@@ -57,7 +57,11 @@
 // capped by Config.MaxTimeout, defaulting to Config.DefaultTimeout) is
 // threaded into the ctx-first sweep entry points, which stop at
 // work-item boundaries and report engine.Partial progress in the 504
-// body. Every figure that dispatches work honours it; only
+// body. Every figure that dispatches work honours it, and so does
+// /v1/image/gamma: its 256-level LUT build and its frame dispatch both
+// run on the shared engine under the request context, and the LUT
+// cache keeps only finished tables, so a build cut short by its
+// deadline leaves nothing behind for the next request. Only
 // /v1/image/edge, whose kernel takes no context, runs to completion.
 //
 // # Idempotency and retries

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/engine"
-	"repro/internal/parallel"
 )
 
 // ErrorBody is the JSON shape of every non-2xx response. Kind is the
@@ -48,7 +47,7 @@ const (
 // JSON body. The mapping is total: anything unrecognized is a 500
 // internal.
 func errorStatus(err error) (int, ErrorBody) {
-	var pe *parallel.PanicError
+	var pe *engine.PanicError
 	var partial *engine.Partial
 
 	switch {

@@ -232,7 +232,9 @@ func resolveSource(src imageSource) (*img.Gray, string, error) {
 		}
 		return g, "pgm:" + src.PGMBase64, nil
 	case src.Synth != "":
-		if src.Width < 1 || src.Height < 1 || src.Width*src.Height > maxImagePixels {
+		// Divide rather than multiply: a product of two huge sizes can
+		// overflow int and slip under the cap.
+		if src.Width < 1 || src.Height < 1 || src.Width > maxImagePixels/src.Height {
 			return nil, "", fmt.Errorf("synth size %dx%d: need positive dims, max %d pixels", src.Width, src.Height, maxImagePixels)
 		}
 		desc := fmt.Sprintf("synth:%s:%dx%d:%d:%d:%d", src.Synth, src.Width, src.Height, src.Cell, src.Dark, src.Light)

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/parallel"
+	"repro/internal/engine"
 )
 
 // ErrQueueFull is the admission-control rejection: the job queue has
@@ -93,7 +93,7 @@ func (q *Queue) worker() {
 		// the typed error the engine layer uses. Index -1 marks "not an
 		// engine item" — engine-dispatched panics surface as errors with
 		// their real index before reaching here.
-		if pe := parallel.Capture(0, -1, func() { j.err = j.run(jctx) }); pe != nil {
+		if pe := engine.Capture(0, -1, func() { j.err = j.run(jctx) }); pe != nil {
 			j.err = pe
 		}
 		stopAfter()

@@ -271,6 +271,12 @@ func (s slowEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(wo
 	var skipped atomic.Bool
 	err := s.inner.ForWorkerCtx(ctx, n, workers, func(w, i int) {
 		time.Sleep(s.delay)
+		// A passed deadline cancels ctx from a timer goroutine that
+		// may not have run yet; wait for it so the boundary check
+		// sees every deadline that expired during the delay.
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			<-ctx.Done()
+		}
 		if ctx.Err() != nil {
 			skipped.Store(true)
 			return
@@ -495,6 +501,81 @@ func TestImageHostilePGMHeader(t *testing.T) {
 	}
 }
 
+// TestImageSynthSizeOverflow: synthetic sizes whose pixel product
+// overflows int are a 400, not a handler panic, and the server keeps
+// serving.
+func TestImageSynthSizeOverflow(t *testing.T) {
+	s := New(Config{Engine: engine.Serial})
+	for _, src := range []string{
+		`{"synth": "gradient", "width": 4294967296, "height": 4294967296}`,     // 2³² × 2³²
+		`{"synth": "radial", "width": 4611686018427387904, "height": 3}`,       // 2⁶² × 3
+		`{"synth": "checkerboard", "width": 4611686018427387905, "height": 4}`, // (2⁶²+1) × 4
+	} {
+		rec := post(s, "/v1/image/edge", `{"source": `+src+`, "stream_len": 64}`)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400: %s", src, rec.Code, rec.Body.String())
+			continue
+		}
+		if body := decodeBody[ErrorBody](t, rec); body.Kind != "bad_request" {
+			t.Errorf("%s: kind = %q, want bad_request", src, body.Kind)
+		}
+	}
+	rec := post(s, "/v1/image/edge", `{"source": {"synth": "checkerboard", "width": 24, "height": 16}, "stream_len": 64}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request after the oversized ones = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// countingEngine counts every item dispatched through it.
+type countingEngine struct {
+	inner engine.Engine
+	items *atomic.Int64
+}
+
+func (c countingEngine) Name() string      { return "counting" }
+func (c countingEngine) Workers(n int) int { return c.inner.Workers(n) }
+func (c countingEngine) ForWorkerCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
+	return c.inner.ForWorkerCtx(ctx, n, workers, func(w, i int) {
+		c.items.Add(1)
+		fn(w, i)
+	})
+}
+
+// TestImageGammaDispatchesOnConfigEngine: /v1/image/gamma builds its
+// 256-level LUT and corrects its frame through Config.Engine — at
+// least 257 items for one frame, none of them on a private pool.
+func TestImageGammaDispatchesOnConfigEngine(t *testing.T) {
+	var items atomic.Int64
+	s := New(Config{Engine: countingEngine{inner: engine.Serial, items: &items}})
+	rec := post(s, "/v1/image/gamma", `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 64}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if n := items.Load(); n < 257 {
+		t.Errorf("gamma request dispatched %d items through Config.Engine, want >= 257 (256 LUT levels + 1 frame)", n)
+	}
+}
+
+// TestImageGammaDeadline: the gamma LUT build honours the request
+// deadline — on a slow engine a short timeout_ms stops the 256-level
+// batch at an item boundary, a 504 whose n names that batch — and the
+// cut-short build caches nothing, so the same recipe then succeeds.
+func TestImageGammaDeadline(t *testing.T) {
+	s := New(Config{Engine: slowEngine{inner: engine.Serial, delay: 2 * time.Millisecond}, Workers: 1})
+	const src = `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 64`
+	rec := post(s, "/v1/image/gamma", src+`, "timeout_ms": 50}`)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504: %s", rec.Code, rec.Body.String())
+	}
+	body := decodeBody[ErrorBody](t, rec)
+	if body.Kind != "deadline" || body.N != 256 {
+		t.Errorf("body = %+v, want kind deadline with n = 256 (the LUT build)", body)
+	}
+	if rec := post(s, "/v1/image/gamma", src+`, "timeout_ms": 60000}`); rec.Code != http.StatusOK {
+		t.Fatalf("retry after the deadline = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestImageGammaJSON(t *testing.T) {
 	s := New(Config{Engine: engine.Serial})
 	rec := post(s, "/v1/image/gamma", `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 512}`)
@@ -578,7 +659,7 @@ func TestErrorStatusMapping(t *testing.T) {
 	}
 }
 
-// chaosPanicError produces a real *parallel.PanicError the way a
+// chaosPanicError produces a real *engine.PanicError the way a
 // dispatch would: by capturing an injected panic.
 func chaosPanicError(index int) error {
 	chaos := enginetest.NewChaos("one-panic", engine.Serial, 1, enginetest.ChaosSpec{Panic: true, PanicAt: index})

@@ -1,9 +1,10 @@
 package stochastic
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/parallel"
+	"repro/internal/engine"
 )
 
 // This file is the word-parallel ReSC evaluation engine. The
@@ -85,13 +86,14 @@ func DeriveSeed(base uint64, i int) uint64 {
 }
 
 // EvaluateBatch evaluates the polynomial at every x in xs with fresh
-// `length`-bit streams, fanning the inputs out over a
-// runtime.GOMAXPROCS-sized worker pool. Input i is computed by a
-// dedicated ReSC whose sources are seeded from (seed, i) only, so the
-// result is reproducible regardless of core count or scheduling; each
-// input runs through the word-parallel evaluator. It returns an error
-// for a non-positive stream length or an unusable polynomial.
-func EvaluateBatch(poly BernsteinPoly, xs []float64, length int, seed uint64) ([]float64, error) {
+// `length`-bit streams, one work item per input dispatched on e under
+// ctx. Input i is computed by a dedicated ReSC whose sources are
+// seeded from (seed, i) only, so the result is bit-identical on every
+// conforming engine and any core count; each input runs through the
+// word-parallel evaluator. It returns an error for a non-positive
+// stream length, an unusable polynomial or a nil engine, and a
+// *engine.Partial when ctx fires (or an item panics) mid-batch.
+func EvaluateBatch(ctx context.Context, e engine.Engine, poly BernsteinPoly, xs []float64, length int, seed uint64) ([]float64, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("stochastic: stream length %d, need >= 1", length)
 	}
@@ -100,7 +102,7 @@ func EvaluateBatch(poly BernsteinPoly, xs []float64, length int, seed uint64) ([
 	}
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
-	parallel.For(len(xs), func(i int) {
+	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
 		r, err := NewReSCWithSeeds(poly, DeriveSeed(seed, i))
 		if err != nil {
 			// Unreachable after the up-front validation (the checks
@@ -109,7 +111,9 @@ func EvaluateBatch(poly BernsteinPoly, xs []float64, length int, seed uint64) ([
 			return
 		}
 		out[i], _ = r.EvaluateWords(xs[i], length)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

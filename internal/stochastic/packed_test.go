@@ -1,8 +1,11 @@
 package stochastic
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // repPoly returns an SC-representable test polynomial of the given
@@ -155,7 +158,7 @@ func TestEvaluateBatchMatchesPerIndexOracle(t *testing.T) {
 	poly := repPoly(4)
 	xs := []float64{0, 0.1, 0.5, 0.9, 1, 0.33}
 	const length, seed = 777, 31
-	got, err := EvaluateBatch(poly, xs, length, seed)
+	got, err := EvaluateBatch(context.Background(), engine.WordParallel, poly, xs, length, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestEvaluateBatchMatchesPerIndexOracle(t *testing.T) {
 		}
 	}
 	// Reproducible across calls (and therefore across pool sizes).
-	again, err := EvaluateBatch(poly, xs, length, seed)
+	again, err := EvaluateBatch(context.Background(), engine.WordParallel, poly, xs, length, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,31 +185,42 @@ func TestEvaluateBatchMatchesPerIndexOracle(t *testing.T) {
 }
 
 func TestEvaluateBatchErrors(t *testing.T) {
-	if _, err := EvaluateBatch(repPoly(2), []float64{0.5}, 0, 1); err == nil {
+	if _, err := EvaluateBatch(context.Background(), engine.WordParallel, repPoly(2), []float64{0.5}, 0, 1); err == nil {
 		t.Error("zero stream length accepted")
 	}
-	if _, err := EvaluateBatch(repPoly(2), []float64{0.5}, -4, 1); err == nil {
+	if _, err := EvaluateBatch(context.Background(), engine.WordParallel, repPoly(2), []float64{0.5}, -4, 1); err == nil {
 		t.Error("negative stream length accepted")
 	}
 	bad := NewBernstein([]float64{0.5, 1.5})
-	if _, err := EvaluateBatch(bad, []float64{0.5}, 64, 1); err == nil {
+	if _, err := EvaluateBatch(context.Background(), engine.WordParallel, bad, []float64{0.5}, 64, 1); err == nil {
 		t.Error("unrepresentable polynomial accepted")
 	}
-	if out, err := EvaluateBatch(repPoly(2), nil, 64, 1); err != nil || len(out) != 0 {
+	if out, err := EvaluateBatch(context.Background(), engine.WordParallel, repPoly(2), nil, 64, 1); err != nil || len(out) != 0 {
 		t.Errorf("empty input: %v, %v", out, err)
+	}
+	if _, err := EvaluateBatch(context.Background(), nil, repPoly(2), []float64{0.5}, 64, 1); err == nil {
+		t.Error("nil engine accepted")
 	}
 }
 
+// TestEvaluateBatchConverges ties the batch to its exact binomial law:
+// with i.i.d. source bits every ReSC output cycle is Bernoulli(B(x)),
+// so each L-cycle result must sit within 5σ = 5·√(B(1−B)/L) of B(x).
 func TestEvaluateBatchConverges(t *testing.T) {
 	poly := repPoly(5)
-	xs := []float64{0.2, 0.5, 0.8}
-	got, err := EvaluateBatch(poly, xs, 1<<15, 2024)
+	xs := make([]float64, 17)
+	for i := range xs {
+		xs[i] = float64(i) / 16
+	}
+	const length = 1 << 15
+	got, err := EvaluateBatch(context.Background(), engine.WordParallel, poly, xs, length, 2024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		if want := poly.Eval(x); math.Abs(got[i]-want) > 0.015 {
-			t.Errorf("x=%g: batch %g vs analytic %g", x, got[i], want)
+		want := poly.Eval(x)
+		if d, bound := math.Abs(got[i]-want), 5*math.Sqrt(want*(1-want)/length); d > bound {
+			t.Errorf("x=%g: batch %g vs B(x) %g: |d| %.3g > 5σ %.3g", x, got[i], want, d, bound)
 		}
 	}
 }
@@ -222,7 +236,7 @@ func TestEvaluateBatchRace(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			_, err := EvaluateBatch(poly, xs, 256, 5)
+			_, err := EvaluateBatch(context.Background(), engine.WordParallel, poly, xs, 256, 5)
 			done <- err
 		}()
 	}
@@ -265,7 +279,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	}
 	b.SetBytes(int64(len(xs)) * 4096 / 8)
 	for i := 0; i < b.N; i++ {
-		if _, err := EvaluateBatch(poly, xs, 4096, 1); err != nil {
+		if _, err := EvaluateBatch(context.Background(), engine.WordParallel, poly, xs, 4096, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

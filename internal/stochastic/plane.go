@@ -133,13 +133,18 @@ func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 	if sm, ok := src.(*SplitMix64); ok {
 		// Branchless band test (see FillCorrelatedPlanes): the XOR of
 		// the two wrap indicators is 1 iff k lands between the
-		// thresholds.
+		// thresholds. The generator advances in a local copy that is
+		// stored back once: a store through sm on every draw would
+		// bounce sm's cache line between cores whenever two workers'
+		// generators share one, as the 8-byte generators of
+		// RobertsCrossSCOn's per-worker scratch often do.
+		g := *sm
 		thrA, thrB := probThreshold(a), probThreshold(b)
 		for w := 0; w < words; w++ {
 			nbits := planeWordBits(n, w)
 			var wd uint64
 			for t := 0; t < nbits; t++ {
-				k := sm.NextUint64() >> 11
+				k := g.NextUint64() >> 11
 				wd = wd>>1 | ((k-thrA)^(k-thrB))&(1<<63)
 			}
 			if nbits < 64 {
@@ -147,6 +152,7 @@ func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 			}
 			dst[w] = wd
 		}
+		*sm = g
 		return
 	}
 	for w := 0; w < words; w++ {

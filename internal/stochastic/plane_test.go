@@ -146,7 +146,8 @@ func TestCorrelatedXorIsAbsDiff(t *testing.T) {
 }
 
 // TestFillAbsDiffPlaneMatchesPairXor: the fused gate equals the
-// correlated pair followed by XOR, on both source paths.
+// correlated pair followed by XOR, on both source paths, and leaves
+// its generator where the pair leaves it.
 func TestFillAbsDiffPlaneMatchesPairXor(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 777} {
 		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0.9, 0.9}} {
@@ -157,13 +158,17 @@ func TestFillAbsDiffPlaneMatchesPairXor(t *testing.T) {
 			want := make([]uint64, words)
 			got := make([]uint64, words)
 
-			FillCorrelatedPlanes(NewSplitMix64(13), a, b, n, pa, pb)
+			ref, src := NewSplitMix64(13), NewSplitMix64(13)
+			FillCorrelatedPlanes(ref, a, b, n, pa, pb)
 			XorPlanes(want, pa, pb)
-			FillAbsDiffPlane(NewSplitMix64(13), a, b, n, got)
+			FillAbsDiffPlane(src, a, b, n, got)
 			for w := range want {
 				if got[w] != want[w] {
 					t.Fatalf("n=%d (%g,%g) word %d: %x vs %x", n, a, b, w, got[w], want[w])
 				}
+			}
+			if g, r := src.NextUint64(), ref.NextUint64(); g != r {
+				t.Fatalf("n=%d (%g,%g): next draw after the gate %x, after the pair %x", n, a, b, g, r)
 			}
 
 			FillCorrelatedPlanes(NewChaoticSource(0.2), a, b, n, pa, pb)

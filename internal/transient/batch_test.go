@@ -1,10 +1,12 @@
 package transient
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/stochastic"
 )
 
@@ -66,7 +68,7 @@ func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 	s := hotSim(t, 55)
 	xs := []float64{0, 0.2, 0.5, 0.9, 1}
 	const length = 300
-	got, err := s.EvaluateBatch(xs, length)
+	got, err := s.EvaluateBatch(context.Background(), engine.WordParallel, xs, length)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +95,8 @@ func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 
 // TestSimulatorEvaluateBatchDeterministic: fixed seed, identical
 // results across repeated runs, across worker counts (GOMAXPROCS
-// sizes the pool, so pinning it to 1 forces the serial-loop path of
-// parallel.For), and across batch-prefix slicing (a shorter xs gets a
+// sizes WordParallel's pool, so pinning it to 1 forces the pool's
+// inline path), and across batch-prefix slicing (a shorter xs gets a
 // smaller pool but must reproduce the same leading trials, since
 // trial randomness derives from the index alone).
 func TestSimulatorEvaluateBatchDeterministic(t *testing.T) {
@@ -102,11 +104,11 @@ func TestSimulatorEvaluateBatchDeterministic(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i) / 47
 	}
-	first, err := hotSim(t, 99).EvaluateBatch(xs, 256)
+	first, err := hotSim(t, 99).EvaluateBatch(context.Background(), engine.WordParallel, xs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := hotSim(t, 99).EvaluateBatch(xs, 256)
+	again, err := hotSim(t, 99).EvaluateBatch(context.Background(), engine.WordParallel, xs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestSimulatorEvaluateBatchDeterministic(t *testing.T) {
 		}
 	}
 	for _, prefix := range []int{1, 7} {
-		part, err := hotSim(t, 99).EvaluateBatch(xs[:prefix], 256)
+		part, err := hotSim(t, 99).EvaluateBatch(context.Background(), engine.WordParallel, xs[:prefix], 256)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func TestSimulatorEvaluateBatchDeterministic(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	single, err := hotSim(t, 99).EvaluateBatch(xs, 256)
+	single, err := hotSim(t, 99).EvaluateBatch(context.Background(), engine.WordParallel, xs, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestSimulatorEvaluateBatchRace(t *testing.T) {
 	done := make(chan []float64, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			vals, err := s.EvaluateBatch(xs, 256)
+			vals, err := s.EvaluateBatch(context.Background(), engine.WordParallel, xs, 256)
 			if err != nil {
 				t.Error(err)
 			}
@@ -179,7 +181,7 @@ func TestSimulatorEvaluateBatchConverges(t *testing.T) {
 		for i := range xs {
 			xs[i] = x
 		}
-		vals, err := s.EvaluateBatch(xs, 4096)
+		vals, err := s.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +235,7 @@ func BenchmarkSimulatorEvaluateBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.EvaluateBatch(xs, 4096); err != nil {
+		if _, err := s.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,16 +21,16 @@
 // weight tree, received-power table lookups and block Gaussian noise
 // (Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits
 // bit-identical streams. Monte-Carlo studies go through
-// Simulator.EvaluateBatch, which fans independent trials over a
-// runtime.GOMAXPROCS-sized worker pool with per-trial seeds derived by
-// stochastic.DeriveSeed, so results are reproducible on any core
-// count. Quickstart:
+// Simulator.EvaluateBatch, which dispatches independent trials on the
+// caller's engine under the caller's context with per-trial seeds
+// derived by stochastic.DeriveSeed, so results are reproducible on any
+// engine and core count. Quickstart:
 //
 //	u, _ := core.NewUnit(circuit, poly, 1)
 //	sim := transient.NewSimulator(u, 2)
 //	val, _, err := sim.EvaluateWords(0.5, 4096) // one noisy stream
 //	xs := []float64{0.5, 0.5, 0.5, 0.5}         // 4 independent trials
-//	vals, err := sim.EvaluateBatch(xs, 4096)    // fanned over all cores
+//	vals, err := sim.EvaluateBatch(ctx, engine.WordParallel, xs, 4096) // fanned over all cores
 //	ber, err := sim.MeasureWorstCaseBER(200_000)
 //
 // MeasureWorstCaseBER, behind /v1/ber, the waterfall figure and
@@ -51,9 +51,9 @@
 //
 // # Word-parallel measurements
 //
-// Every measurement on top of the simulator has one entry point that
-// takes its engine (and, when it can be interrupted, its context) from
-// the caller. Randomness derives from item indices, so each is
+// Every measurement on top of the simulator, like EvaluateBatch, has
+// one entry point that takes its engine (and, when it can be
+// interrupted, its context) from the caller. Randomness derives from item indices, so each is
 // bit-identical across engines on any core count, pinned by this
 // package's internal/engine/enginetest suite; oracles run it on
 // engine.Serial.

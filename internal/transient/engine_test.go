@@ -18,6 +18,13 @@ func TestEngineSuite(t *testing.T) {
 	ctx := context.Background()
 	enginetest.Run(t, nil, []enginetest.Case{
 		{
+			Name: "transient.Simulator.EvaluateBatch",
+			Eval: func(e engine.Engine) (any, error) {
+				// Noisy link so per-trial noise streams matter.
+				return hotSim(t, 55).EvaluateBatch(ctx, e, []float64{0, 0.2, 0.5, 0.9, 1, 0.5}, 300)
+			},
+		},
+		{
 			Name: "transient.AccuracyVsLengthCtx",
 			Eval: func(e engine.Engine) (any, error) {
 				s := newTestSim(t, 0, 80)
@@ -96,5 +103,8 @@ func TestNilEngineMisuse(t *testing.T) {
 	}
 	if _, err := s.SyncSweepCtx(ctx, nil, 4, 16); err == nil {
 		t.Error("SyncSweepCtx(nil) did not error")
+	}
+	if _, err := s.EvaluateBatch(ctx, nil, []float64{0.5}, 16); err == nil {
+		t.Error("EvaluateBatch(nil) did not error")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/parallel"
 	"repro/internal/stochastic"
 )
 
@@ -91,22 +90,24 @@ func trialSeeds(base uint64, i int) (unitSeed, noiseSeed uint64) {
 }
 
 // EvaluateBatch evaluates every input with a fresh `length`-bit noisy
-// stream, fanning the trials out over a runtime.GOMAXPROCS-sized
-// worker pool. Trial i runs with SNGs and a Gaussian noise stream seeded
-// from the simulator's seed and i only (trialSeeds), so the result is
-// reproducible regardless of core count or scheduling — it matches a
-// serial walk of core.NewUnit(..., unitSeed) steps fed with the
-// trial's own noise stream. The simulator's shared state (unit
+// stream, one trial per work item dispatched on e under ctx. Trial i
+// runs with SNGs and a Gaussian noise stream seeded from the
+// simulator's seed and i only (trialSeeds), so the result is
+// bit-identical on every conforming engine and any core count — it
+// matches a serial walk of core.NewUnit(..., unitSeed) steps fed with
+// the trial's own noise stream. The simulator's shared state (unit
 // tables, SigmaMW, seed) is only read: EvaluateBatch does not advance
-// the serial noise stream and may itself be called concurrently.
-func (s *Simulator) EvaluateBatch(xs []float64, length int) ([]float64, error) {
+// the serial noise stream and may itself be called concurrently. A
+// non-positive length or a nil engine is an error, and a fired ctx (or
+// a panicking trial) returns a *engine.Partial instead of values.
+func (s *Simulator) EvaluateBatch(ctx context.Context, e engine.Engine, xs []float64, length int) ([]float64, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
 	sigma := s.SigmaMW
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
-	parallel.For(len(xs), func(i int) {
+	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed, i)
 		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
 		v, err := s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
@@ -117,7 +118,9 @@ func (s *Simulator) EvaluateBatch(xs []float64, length int) ([]float64, error) {
 			return
 		}
 		out[i] = v
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -276,7 +279,7 @@ func (s *Simulator) accuracyReduce(valid []int, trials int, sq []float64) []Accu
 // failing index is returned (a deterministic choice). A fired ctx
 // stops the trial fan-out at a trial boundary and surfaces a
 // *engine.Partial (wrapping the context error, or the
-// *parallel.PanicError of a faulting trial) instead of points.
+// *engine.PanicError of a faulting trial) instead of points.
 func (s *Simulator) AccuracyVsLengthCtx(ctx context.Context, e engine.Engine, x float64, lengths []int, trials int) ([]AccuracyPoint, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err

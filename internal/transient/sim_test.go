@@ -235,7 +235,7 @@ func TestEvaluateRejectsBadLength(t *testing.T) {
 		if v, _, err := s.EvaluateWords(0.5, l); err == nil {
 			t.Errorf("EvaluateWords(%d) = %g, want error", l, v)
 		}
-		if _, err := s.EvaluateBatch([]float64{0.5}, l); err == nil {
+		if _, err := s.EvaluateBatch(context.Background(), engine.WordParallel, []float64{0.5}, l); err == nil {
 			t.Errorf("EvaluateBatch(len %d) accepted", l)
 		}
 	}

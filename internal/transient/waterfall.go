@@ -73,7 +73,7 @@ func waterfallPoint(base core.Params, poly stochastic.BernsteinPoly, powerMW flo
 // error of the lowest failing index is returned (a deterministic
 // choice). A fired ctx stops the point fan-out at a point boundary and
 // surfaces a *engine.Partial (wrapping the context error, or the
-// *parallel.PanicError of a faulting point) instead of a curve.
+// *engine.PanicError of a faulting point) instead of a curve.
 func BERWaterfallCtx(ctx context.Context, e engine.Engine, base core.Params, powersMW []float64, bits int, seed uint64) ([]WaterfallPoint, error) {
 	if err := engine.Check(e); err != nil {
 		return nil, err
