@@ -26,6 +26,22 @@
 // engine and core count. The gamma-correction LUTs, sweeps and
 // oscbench all run through these batch evaluators.
 //
+// The two noiseless batch evaluators count ones without building the
+// stream. Their sources are fresh SplitMix64 generators, which are
+// counter-based: draw t of a generator seeded s is mix(s + (t+1)·γ),
+// so one draw can be computed on its own. stochastic.ReSCOnesSplitMix
+// builds the data words and carry-save planes as EvaluateWords does,
+// then draws coefficient k only at the clocks whose data weight is k,
+// the clocks where the multiplexer selects it. That is n+1 draws per
+// clock instead of 2n+1, with the same ones count. The optical unit
+// takes this path when its decision table is in mux form, meaning the
+// output bit is the coefficient bit its weight selects (dec[w][z] =
+// bit w of z). Every feasible MRR-first design checked so far is in
+// mux form; a non-mux table (order 2 at 0.1 nm) keeps the packed
+// table lookup. Stateful generators (EvaluateWords, Cycles) and the
+// noisy path keep drawing every coefficient: under noise, every
+// coefficient bit moves the received power.
+//
 // Every measurement and sweep on top of those primitives dispatches
 // through a pluggable engine layer (internal/engine). An Engine says
 // how independent work items run — engine.Serial in index order on

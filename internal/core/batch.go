@@ -17,11 +17,29 @@ import (
 // precomputed (weight, z-mask) → bit table. The packed path emits
 // bitstreams identical to the serial Step/Evaluate path.
 
+// isMuxTable reports whether dec is in mux form: dec[w][z] = bit w of
+// z for every weight w and z-mask z, i.e. the output bit of a
+// noiseless cycle is the coefficient bit its weight selects. A
+// calibrated table with an open eye whose filter routes weight w to
+// probe channel w is in this form.
+func isMuxTable(dec [][]uint64) bool {
+	masks := 1 << len(dec)
+	for w, row := range dec {
+		for z := 0; z < masks; z++ {
+			if row[z/64]>>uint(z%64)&1 != uint64(z>>w&1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // decisionTable returns the noiseless output-bit table,
 // decisions[weight] a bitset indexed by coefficient z-mask, building
-// it on first use by thresholding the circuit's shared power table —
-// the finished table is immutable and lock-free to share across batch
-// workers. Returns nil for orders beyond maxTableOrder.
+// it on first use by thresholding the circuit's shared power table and
+// recording whether it is in mux form — the finished table is
+// immutable and lock-free to share across batch workers. Returns nil
+// for orders beyond maxTableOrder.
 func (u *Unit) decisionTable() [][]uint64 {
 	n := u.Circuit.P.Order
 	if n > maxTableOrder {
@@ -40,7 +58,7 @@ func (u *Unit) decisionTable() [][]uint64 {
 			}
 			rows[w] = row
 		}
-		u.decisions = rows
+		u.decisions, u.mux = rows, isMuxTable(rows)
 	})
 	return u.decisions
 }
@@ -162,11 +180,19 @@ func (u *Unit) Cycles(x float64, length int, visit func(t, weight, zmask int, re
 
 // evalSeeded evaluates one batch input with fresh sources derived
 // from seed only — the reproducible per-index unit of work behind
-// EvaluateBatch. Falls back to the cache-free serial walk (with a
-// noiseless channel) for orders too large to tabulate.
+// EvaluateBatch. A mux-form table runs the ReSC kernel on the sources'
+// seeds, any other table the packed datapath on the generators, and
+// orders too large to tabulate the cache-free serial walk (with a
+// noiseless channel); all three count the same bits.
 func (u *Unit) evalSeeded(seed uint64, x float64, length int) float64 {
-	data, coef := seededSNGs(u.Circuit.P.Order, seed)
-	if dec := u.decisionTable(); dec != nil {
+	n := u.Circuit.P.Order
+	dec := u.decisionTable()
+	if dec != nil && u.mux {
+		data, coef := unitSeeds(n, seed)
+		return float64(stochastic.ReSCOnesSplitMix(u.Poly.Coef, x, data, coef, length)) / float64(length)
+	}
+	data, coef := seededSNGs(n, seed)
+	if dec != nil {
 		return u.evalPacked(dec, data, coef, x, length).Value()
 	}
 	return u.walkSeeded(data, coef, x, length, nil)

@@ -14,11 +14,18 @@ import (
 // order) for the packed-path tests.
 func gammaUnit(t *testing.T, seed uint64) *Unit {
 	t.Helper()
-	poly, _, err := stochastic.GammaCorrection(0.45, 6)
+	return designUnit(t, 6, 0.3, seed)
+}
+
+// designUnit builds an MRR-first unit of the given order and channel
+// spacing running that order's gamma-correction polynomial.
+func designUnit(t *testing.T, order int, spacingNM float64, seed uint64) *Unit {
+	t.Helper()
+	poly, _, err := stochastic.GammaCorrection(0.45, order)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := MRRFirst(MRRFirstSpec{Order: 6, WLSpacingNM: 0.3})
+	p, err := MRRFirst(MRRFirstSpec{Order: order, WLSpacingNM: spacingNM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +98,91 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 		if got[i] != again[i] {
 			t.Errorf("batch not reproducible at %d: %g vs %g", i, got[i], again[i])
 		}
+	}
+}
+
+// TestUnitEvaluateBatchMatchesEvalPacked pins every batch value to
+// the packed datapath run on that input's seeded generators. The paper
+// design and the order-6 gamma design are in mux form, so their batch
+// takes stochastic.ReSCOnesSplitMix; order 2 at 0.1 nm is not and
+// stays on evalPacked.
+func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
+	cases := []struct {
+		name string
+		u    *Unit
+		mux  bool
+	}{
+		{"paper-order2", paperUnit(t, 21), true},
+		{"gamma-order6", gammaUnit(t, 22), true},
+		{"order2-0.1nm", designUnit(t, 2, 0.1, 23), false},
+	}
+	xs := append(numeric.Linspace(0, 1, 9), 1e-3, 0.999)
+	for _, c := range cases {
+		dec := c.u.decisionTable()
+		if c.u.mux != c.mux {
+			t.Errorf("%s: mux form %v, want %v", c.name, c.u.mux, c.mux)
+		}
+		for _, length := range []int{1, 65, 1000} {
+			got, err := c.u.EvaluateBatch(context.Background(), engine.WordParallel, xs, length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				data, coef := seededSNGs(c.u.Circuit.P.Order, stochastic.DeriveSeed(c.u.seed, i))
+				if want := c.u.evalPacked(dec, data, coef, x, length).Value(); got[i] != want {
+					t.Errorf("%s len %d x=%g: batch %g vs evalPacked %g", c.name, length, x, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecisionTableMuxForm: one flipped cell takes a table out of mux
+// form, and so does a miscalibrated threshold, which the batch then
+// evaluates through evalPacked on its own table.
+func TestDecisionTableMuxForm(t *testing.T) {
+	dec := gammaUnit(t, 5).decisionTable()
+	if !isMuxTable(dec) {
+		t.Fatal("order-6 gamma table not in mux form")
+	}
+	flipped := make([][]uint64, len(dec))
+	for w, row := range dec {
+		flipped[w] = append([]uint64(nil), row...)
+	}
+	flipped[1][0] ^= 1 << 0b010
+	if isMuxTable(flipped) {
+		t.Error("table with cell (w=1, z=0b010) flipped still in mux form")
+	}
+
+	// A threshold just above the lowest '1' level reads that level's
+	// cells as 0. The paper polynomial's coefficients are all interior,
+	// so every cell is reachable.
+	u := paperUnit(t, 5)
+	n := u.Circuit.P.Order
+	_, _, minOne, _ := u.Circuit.PowerBands()
+	u.thresholdMW = math.Nextafter(minOne, math.Inf(1))
+	mis := u.decisionTable()
+	if u.mux {
+		t.Fatal("miscalibrated table still in mux form")
+	}
+	xs := numeric.Linspace(0, 1, 9)
+	const length = 1000
+	got, err := u.EvaluateBatch(context.Background(), engine.Serial, xs, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := false
+	for i, x := range xs {
+		seed := stochastic.DeriveSeed(u.seed, i)
+		data, coef := seededSNGs(n, seed)
+		if want := u.evalPacked(mis, data, coef, x, length).Value(); got[i] != want {
+			t.Errorf("x=%g: batch %g vs evalPacked %g on the miscalibrated table", x, got[i], want)
+		}
+		dataSeeds, coefSeeds := unitSeeds(n, seed)
+		reached = reached || got[i] != float64(stochastic.ReSCOnesSplitMix(u.Poly.Coef, x, dataSeeds, coefSeeds, length))/length
+	}
+	if !reached {
+		t.Error("no input reached a miscalibrated cell: the check cannot tell the two paths apart")
 	}
 }
 

@@ -28,6 +28,25 @@
 // multi-order variant are implemented here on top of the device models
 // in internal/optics.
 //
+// # Evaluation paths
+//
+// Unit.Step/Evaluate is the bit-serial oracle. EvaluateWords, Cycles
+// and EvaluateNoisy simulate 64 clocks per word: SNG words, a
+// carry-save adder tree for the data weight, and a lookup in the
+// circuit's (weight, z-mask) received-power table or in the unit's
+// thresholded decision table. A calibrated table with an open eye,
+// whose filter routes weight w to probe channel w, is in mux form:
+// dec[w][z] = bit w of z, so a noiseless cycle outputs the coefficient
+// bit its weight selects, exactly as the electronic ReSC multiplexer
+// does. decisionTable checks this once per unit. For a mux-form table
+// EvaluateBatch hands each input's SplitMix64 seeds to
+// stochastic.ReSCOnesSplitMix, which computes counter-indexed draws
+// and so draws only the selected coefficient at each clock. Any other
+// table keeps the packed lookup, and orders beyond the tabulation
+// limit keep the serial walk. All three count the same ones from the
+// same seeds. The noisy path draws every coefficient, because under
+// noise every coefficient bit moves the received power.
+//
 // # Calibration
 //
 // The paper does not publish micro-ring coupling coefficients or the

@@ -29,10 +29,12 @@ type Unit struct {
 	// decisions is the fully-tabulated noiseless output bit,
 	// decisions[weight] a bitset over z-masks, built once on first
 	// word-parallel evaluation (see decisionTable) by thresholding the
-	// circuit's shared received-power table. Immutable after decOnce
-	// fires, so the batch workers share it without locking.
+	// circuit's shared received-power table. mux records that the table
+	// is in mux form (isMuxTable). Both are immutable after decOnce
+	// fires, so the batch workers share them without locking.
 	decOnce   sync.Once
 	decisions [][]uint64
+	mux       bool
 }
 
 // NewUnit builds a unit for the polynomial on the given circuit. The
@@ -55,13 +57,30 @@ func NewUnit(c *Circuit, poly stochastic.BernsteinPoly, seed uint64) (*Unit, err
 // seededSNGs derives the unit's n data and n+1 coefficient generators
 // from a base seed as independent SplitMix64 streams.
 func seededSNGs(order int, seed uint64) (data, coef []*stochastic.SNG) {
+	dataSeeds, coefSeeds := unitSeeds(order, seed)
 	data = make([]*stochastic.SNG, order)
-	for i := range data {
-		data[i] = stochastic.NewSNG(stochastic.NewSplitMix64(seed + uint64(i)*0x9E3779B9 + 1))
+	for i, s := range dataSeeds {
+		data[i] = stochastic.NewSNG(stochastic.NewSplitMix64(s))
 	}
 	coef = make([]*stochastic.SNG, order+1)
+	for i, s := range coefSeeds {
+		coef[i] = stochastic.NewSNG(stochastic.NewSplitMix64(s))
+	}
+	return data, coef
+}
+
+// unitSeeds derives the seeds of the unit's n data and n+1 coefficient
+// SplitMix64 streams from a base seed. seededSNGs and the mux-form
+// batch path (stochastic.ReSCOnesSplitMix) both seed from it, so the
+// two draw the same bits.
+func unitSeeds(order int, seed uint64) (data, coef []uint64) {
+	data = make([]uint64, order)
+	for i := range data {
+		data[i] = seed + uint64(i)*0x9E3779B9 + 1
+	}
+	coef = make([]uint64, order+1)
 	for i := range coef {
-		coef[i] = stochastic.NewSNG(stochastic.NewSplitMix64(seed + 0x5DEECE66D + uint64(i)*0x61C88647))
+		coef[i] = seed + 0x5DEECE66D + uint64(i)*0x61C88647
 	}
 	return data, coef
 }

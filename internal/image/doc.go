@@ -18,7 +18,10 @@
 // fit, the circuit solve and the quantized optical LUT per (gamma,
 // degree, spacing, streamLen, seed), building a missing table on the
 // caller's engine (OpticalLUT) and keeping only tables whose build
-// succeeded. GammaVideoCtx corrects a whole frame batch through one
+// succeeded, at most 256 recipes, oldest evicted first. GammaDesign
+// resolves a recipe's circuit in microseconds, so a server can reject
+// an infeasible degree and spacing before it queues a build.
+// GammaVideoCtx corrects a whole frame batch through one
 // cached table, building it and fanning the per-frame LUT
 // applications over the same engine under the same context.
 // Quickstart:

@@ -90,13 +90,23 @@ func GammaOptical(ctx context.Context, e engine.Engine, src *Gray, gamma float64
 	return out, nil
 }
 
+// GammaDesign sizes the circuit an optical gamma LUT of the given
+// degree runs on: the MRR-first design at the given channel spacing.
+// Its error is the one GammaOptical and GammaLUTCache would fail with
+// for that recipe — a comb too wide for the filter's FSR, or an eye
+// closed at that spacing. It takes microseconds, so a server can
+// reject an infeasible recipe before it queues the build.
+func GammaDesign(degree int, spacingNM float64) (core.Params, error) {
+	return core.MRRFirst(core.MRRFirstSpec{Order: degree, WLSpacingNM: spacingNM})
+}
+
 // opticalLUT sizes a circuit of matching order at the given spacing
 // and evaluates the 256 gray levels as one batch of the optical unit on
 // e — the per-frame state GammaOptical builds and GammaLUTCache
 // amortizes. The unit's batch randomness is (seed, level-index)-
 // derived, so the table is a pure function of its arguments.
 func opticalLUT(ctx context.Context, e engine.Engine, poly stochastic.BernsteinPoly, degree int, spacingNM float64, streamLen int, seed uint64) ([256]uint8, error) {
-	p, err := core.MRRFirst(core.MRRFirstSpec{Order: degree, WLSpacingNM: spacingNM})
+	p, err := GammaDesign(degree, spacingNM)
 	if err != nil {
 		return [256]uint8{}, err
 	}

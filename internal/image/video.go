@@ -3,6 +3,7 @@ package image
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -24,14 +25,23 @@ import (
 // The zero value is ready to use and safe for concurrent callers;
 // per-recipe builds run outside the cache lock, so distinct recipes
 // build in parallel while a shared recipe is built by one caller at a
-// time. Only successful builds are kept: a build that fails — its
-// caller's ctx fired, say — leaves the recipe unbuilt for the next
-// caller. Returned tables are shared and must be treated as read-only.
+// time. The cache holds at most gammaLUTCacheCap recipes and evicts
+// the oldest first, so unique-seed traffic cannot grow it without
+// bound; an evicted recipe rebuilds the same table. Only successful
+// builds are kept: a build that fails — its caller's ctx fired, say —
+// drops its recipe, leaving it unbuilt for the next caller. Returned
+// tables are shared and must be treated as read-only.
 type GammaLUTCache struct {
 	coefs stochastic.GammaCoefCache
 	mu    sync.Mutex
 	m     map[gammaLUTKey]*gammaLUTEntry
+	// fifo holds m's entries oldest first.
+	fifo []*gammaLUTEntry
 }
+
+// gammaLUTCacheCap bounds a GammaLUTCache: a video stream or a server
+// cycles through a few recipes, and a table costs about 400 bytes.
+const gammaLUTCacheCap = 256
 
 type gammaLUTKey struct {
 	gamma     float64
@@ -44,6 +54,7 @@ type gammaLUTKey struct {
 // gammaLUTEntry serializes one recipe's builds; lut stays nil until a
 // build succeeds.
 type gammaLUTEntry struct {
+	key gammaLUTKey
 	mu  sync.Mutex
 	lut *[256]uint8
 }
@@ -56,33 +67,56 @@ func (c *GammaLUTCache) OpticalLUT(ctx context.Context, e engine.Engine, gamma f
 	if streamLen < 1 {
 		return nil, fmt.Errorf("image: stream length %d, need >= 1", streamLen)
 	}
-	key := gammaLUTKey{gamma: gamma, degree: degree, spacingNM: spacingNM, streamLen: streamLen, seed: seed}
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[gammaLUTKey]*gammaLUTEntry)
-	}
-	ent := c.m[key]
-	if ent == nil {
-		ent = &gammaLUTEntry{}
-		c.m[key] = ent
-	}
-	c.mu.Unlock()
-
+	ent := c.entry(gammaLUTKey{gamma: gamma, degree: degree, spacingNM: spacingNM, streamLen: streamLen, seed: seed})
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	if ent.lut != nil {
 		return ent.lut, nil
 	}
 	poly, _, err := c.coefs.GammaCorrection(gamma, degree)
-	if err != nil {
-		return nil, err
+	var lut [256]uint8
+	if err == nil {
+		lut, err = opticalLUT(ctx, e, poly, degree, spacingNM, streamLen, seed)
 	}
-	lut, err := opticalLUT(ctx, e, poly, degree, spacingNM, streamLen, seed)
 	if err != nil {
+		c.drop(ent)
 		return nil, err
 	}
 	ent.lut = &lut
 	return ent.lut, nil
+}
+
+// entry returns the recipe's entry, inserting an empty one — and
+// evicting the oldest recipes down to the bound — on a miss. A caller
+// still building an evicted entry finishes on its own copy.
+func (c *GammaLUTCache) entry(key gammaLUTKey) *gammaLUTEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ent := c.m[key]; ent != nil {
+		return ent
+	}
+	if c.m == nil {
+		c.m = make(map[gammaLUTKey]*gammaLUTEntry)
+	}
+	for len(c.fifo) >= gammaLUTCacheCap {
+		delete(c.m, c.fifo[0].key)
+		c.fifo[0] = nil
+		c.fifo = c.fifo[1:]
+	}
+	ent := &gammaLUTEntry{key: key}
+	c.m[key] = ent
+	c.fifo = append(c.fifo, ent)
+	return ent
+}
+
+// drop removes a failed build's entry unless eviction already has.
+func (c *GammaLUTCache) drop(ent *gammaLUTEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.fifo, ent); i >= 0 {
+		delete(c.m, ent.key)
+		c.fifo = slices.Delete(c.fifo, i, i+1)
+	}
 }
 
 // GammaVideoCtx applies optical gamma correction to a batch of frames

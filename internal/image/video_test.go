@@ -3,9 +3,11 @@ package image
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/stochastic"
 )
 
 // videoFrames returns a small mixed-content frame batch.
@@ -71,14 +73,21 @@ func TestGammaLUTCacheReuse(t *testing.T) {
 }
 
 // TestGammaLUTCacheSkipsFailedBuild: a build interrupted by its
-// caller's ctx returns the context error and caches nothing, so the
-// next caller on the same cache builds GammaOptical's table.
+// caller's ctx returns the context error and leaves no entry, nor does
+// a recipe with no feasible design, so the next caller on the same
+// cache builds GammaOptical's table.
 func TestGammaLUTCacheSkipsFailedBuild(t *testing.T) {
 	var cache GammaLUTCache
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cache.OpticalLUT(dead, engine.WordParallel, 0.45, 6, 0.3, 256, 9); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+	if _, err := cache.OpticalLUT(context.Background(), engine.WordParallel, 0.45, 17, 0.3, 256, 9); err == nil {
+		t.Fatal("degree 17 at 0.3 nm built a table; its comb overflows the filter FSR")
+	}
+	if len(cache.m) != 0 || len(cache.fifo) != 0 {
+		t.Fatalf("failed builds left %d map and %d FIFO entries", len(cache.m), len(cache.fifo))
 	}
 	lut, err := cache.OpticalLUT(context.Background(), engine.WordParallel, 0.45, 6, 0.3, 256, 9)
 	if err != nil {
@@ -92,6 +101,89 @@ func TestGammaLUTCacheSkipsFailedBuild(t *testing.T) {
 	for v := range want.Pix {
 		if lut[v] != want.Pix[v] {
 			t.Fatalf("level %d: cached %d vs GammaOptical %d", v, lut[v], want.Pix[v])
+		}
+	}
+}
+
+// TestGammaLUTCacheBounded: more distinct recipes than the bound
+// leave at most the bound cached, the oldest evicted first, and the
+// evicted recipe rebuilds the table it had.
+func TestGammaLUTCacheBounded(t *testing.T) {
+	ctx := context.Background()
+	var cache GammaLUTCache
+	first, err := cache.OpticalLUT(ctx, engine.WordParallel, 0.45, 2, 0.3, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *first
+	for seed := uint64(1); seed <= gammaLUTCacheCap+10; seed++ {
+		if _, err := cache.OpticalLUT(ctx, engine.WordParallel, 0.45, 2, 0.3, 16, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(cache.m) > gammaLUTCacheCap || len(cache.fifo) != len(cache.m) {
+		t.Fatalf("%d recipes cached (%d in the FIFO), bound %d", len(cache.m), len(cache.fifo), gammaLUTCacheCap)
+	}
+	if _, ok := cache.m[gammaLUTKey{gamma: 0.45, degree: 2, spacingNM: 0.3, streamLen: 16, seed: 0}]; ok {
+		t.Fatal("the oldest recipe survived eviction")
+	}
+	again, err := cache.OpticalLUT(ctx, engine.Serial, 0.45, 2, 0.3, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again != want {
+		t.Errorf("evicted recipe rebuilt a different table:\n%v\nvs\n%v", *again, want)
+	}
+}
+
+// TestGammaLUTCacheConcurrent: goroutines sharing one cache across
+// more recipes than its bound, a fifth of their calls already
+// cancelled, each get the uncached table or the cancellation, and
+// leave the map and the FIFO in step within the bound. Under
+// `go test -race` it is also a data-race check.
+func TestGammaLUTCacheConcurrent(t *testing.T) {
+	const recipes = gammaLUTCacheCap + 40
+	poly, _, err := stochastic.GammaCorrection(0.45, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][256]uint8, recipes)
+	for seed := range want {
+		if want[seed], err = opticalLUT(context.Background(), engine.Serial, poly, 2, 0.3, 4, uint64(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	var cache GammaLUTCache
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range recipes {
+				seed := (i*7 + g*13) % recipes
+				ctx := context.Background()
+				if (i+g)%5 == 0 {
+					ctx = dead
+				}
+				lut, err := cache.OpticalLUT(ctx, engine.Serial, 0.45, 2, 0.3, 4, uint64(seed))
+				switch {
+				case err != nil && (ctx != dead || !errors.Is(err, context.Canceled)):
+					t.Errorf("seed %d: %v", seed, err)
+				case err == nil && *lut != want[seed]:
+					t.Errorf("seed %d: cached table differs from an uncached build", seed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(cache.m) > gammaLUTCacheCap || len(cache.fifo) != len(cache.m) {
+		t.Fatalf("%d recipes cached, %d in the FIFO, bound %d", len(cache.m), len(cache.fifo), gammaLUTCacheCap)
+	}
+	for _, ent := range cache.fifo {
+		if cache.m[ent.key] != ent {
+			t.Fatalf("FIFO entry %+v is not the map's", ent.key)
 		}
 	}
 }

@@ -60,8 +60,12 @@
 // body. Every figure that dispatches work honours it, and so does
 // /v1/image/gamma: its 256-level LUT build and its frame dispatch both
 // run on the shared engine under the request context, and the LUT
-// cache keeps only finished tables, so a build cut short by its
-// deadline leaves nothing behind for the next request. Only
+// cache keeps only finished tables (at most 256 recipes, oldest
+// evicted first), so a build cut short by its deadline leaves nothing
+// behind for the next request. A gamma recipe no optical circuit can
+// run — a comb wider than the filter's FSR, or an eye closed at the
+// requested spacing — is a 400 bad_request decided before the request
+// queues. Only
 // /v1/image/edge, whose kernel takes no context, runs to completion.
 //
 // # Idempotency and retries

@@ -203,6 +203,11 @@ func validateImage(op string, req imageRequest) error {
 		if !(req.SpacingNM > 0) {
 			return fmt.Errorf("spacing_nm %g: need > 0", req.SpacingNM)
 		}
+		// Resolve the optical design here, before the request queues:
+		// a recipe no circuit can run is the client's error.
+		if _, err := img.GammaDesign(req.Degree, req.SpacingNM); err != nil {
+			return fmt.Errorf("degree %d at spacing_nm %g: no feasible optical design: %w", req.Degree, req.SpacingNM, err)
+		}
 	}
 	return nil
 }

@@ -576,6 +576,65 @@ func TestImageGammaDeadline(t *testing.T) {
 	}
 }
 
+// TestImageGammaInfeasibleDesign: a gamma recipe no optical circuit
+// can run — a comb wider than the filter's FSR, or an eye closed at
+// the spacing — is a 400 bad_request decided before admission: with the
+// single worker pinned and the queue slot taken, it still gets 400,
+// not 503 queue_full. Once the queue clears, a valid request gets the
+// bytes a fresh server serves.
+func TestImageGammaInfeasibleDesign(t *testing.T) {
+	const src = `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 64`
+	want := post(New(Config{Engine: engine.Serial}), "/v1/image/gamma", src+`}`)
+	if want.Code != http.StatusOK {
+		t.Fatalf("reference status = %d: %s", want.Code, want.Body.String())
+	}
+
+	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := s.queue.Do(context.Background(), func(context.Context) error {
+			close(started)
+			<-release
+			return nil
+		}); err != nil {
+			t.Errorf("pinned job: %v", err)
+		}
+	}()
+	<-started
+	go func() {
+		defer wg.Done()
+		if err := s.queue.Do(context.Background(), func(context.Context) error { return nil }); err != nil {
+			t.Errorf("queued job: %v", err)
+		}
+	}()
+	waitFor(t, func() bool { return s.queue.Depth() == 1 })
+
+	for _, recipe := range []string{`, "degree": 17}`, `, "spacing_nm": 2}`, `, "spacing_nm": 0.1}`} {
+		rec := post(s, "/v1/image/gamma", src+recipe)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("recipe %s: status = %d, want 400: %s", recipe, rec.Code, rec.Body.String())
+			continue
+		}
+		if body := decodeBody[ErrorBody](t, rec); body.Kind != "bad_request" {
+			t.Errorf("recipe %s: kind %q, want bad_request", recipe, body.Kind)
+		}
+	}
+	close(release)
+	wg.Wait()
+
+	rec := post(s, "/v1/image/gamma", src+`}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("valid request after the rejections = %d: %s", rec.Code, rec.Body.String())
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+		t.Error("valid request after the rejections served different bytes")
+	}
+}
+
 func TestImageGammaJSON(t *testing.T) {
 	s := New(Config{Engine: engine.Serial})
 	rec := post(s, "/v1/image/gamma", `{"source": {"synth": "gradient", "width": 24, "height": 16}, "stream_len": 512}`)

@@ -52,4 +52,16 @@
 // multiplexer (paper Fig. 1a). The de-randomizer counts ones at the
 // output. This electronic unit is the baseline the optical circuit is
 // compared against.
+//
+// Step and Evaluate clock every coefficient SNG each cycle, as the
+// hardware does; EvaluateWords does the same 64 cycles per word. When
+// the sources are fresh SplitMix64 generators, only the selected
+// coefficient's draw matters. SplitMix64 is counter-based: draw t of a
+// generator seeded s is mix(s + (t+1)·γ). ReSCOnesSplitMix therefore
+// builds the data words and carry-save planes as EvaluateWords does,
+// then, for each weight k, computes coefficient k's draws only at the
+// clocks in PlaneEquals(planes, k). It returns the same ones count
+// from n+1 draws per clock instead of 2n+1. EvaluateBatch and the
+// optical unit's mux-form batch path (internal/core) run on it; any
+// other source keeps EvaluateWords.
 package stochastic

@@ -3,6 +3,7 @@ package stochastic
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 )
@@ -76,6 +77,67 @@ func (r *ReSC) EvaluateWords(x float64, length int) (float64, *Bitstream) {
 	return out.Value(), out
 }
 
+// ReSCOnesSplitMix runs `length` clock cycles of the ReSC datapath at
+// input x on fresh SplitMix64 sources — data source i seeded
+// dataSeeds[i], coefficient source k seeded coefSeeds[k] — and returns
+// the number of ones in the output stream: exactly Ones() of the
+// stream EvaluateWords emits from a ReSC wired to those sources.
+//
+// SplitMix64 is counter-based: draw t of a generator seeded s is
+// splitMix64(s + (t+1)·γ). The data words and carry-save planes are
+// built as in EvaluateWords; then, for each weight k, coefficient k is
+// drawn only at the clocks of PlaneEquals(planes, k), the clocks whose
+// multiplexer selects it. Every clock sits in exactly one of those
+// masks, so a clock costs n+1 draws instead of 2n+1, and no output
+// stream is materialized. It panics unless coef and coefSeeds both
+// hold len(dataSeeds)+1 entries.
+func ReSCOnesSplitMix(coef []float64, x float64, dataSeeds, coefSeeds []uint64, length int) int {
+	n := len(dataSeeds)
+	if len(coef) != n+1 || len(coefSeeds) != n+1 {
+		panic(fmt.Sprintf("stochastic: ReSCOnesSplitMix with %d data seeds needs %d coefficients and coefficient seeds, got %d and %d",
+			n, n+1, len(coef), len(coefSeeds)))
+	}
+	xThr := probThreshold(x)
+	// A sum of n bits has bits.Len(n) bit-planes, so AddPlane never
+	// grows past this backing array.
+	var planeBuf [64]uint64
+	ones := 0
+	for w := 0; w < WordsFor(length); w++ {
+		nbits := planeWordBits(length, w)
+		live := ^uint64(0) >> (64 - uint(nbits))
+		// The state of every source after the w·64 clocks before this
+		// word: its seed plus one γ per draw.
+		skip := uint64(w) * 64 * splitMixGamma
+		planes := planeBuf[:0]
+		for _, s := range dataSeeds {
+			var d uint64
+			switch {
+			case x <= 0:
+			case x >= 1:
+				d = live
+			default:
+				d, _ = splitMixWord(s+skip, xThr, nbits)
+			}
+			planes = AddPlane(planes, d)
+		}
+		for k, p := range coef {
+			sel := PlaneEquals(planes, k) & live
+			switch {
+			case sel == 0 || p <= 0:
+			case p >= 1:
+				ones += bits.OnesCount64(sel)
+			default:
+				thr, s := probThreshold(p), coefSeeds[k]+skip
+				for ; sel != 0; sel &= sel - 1 {
+					t := uint64(bits.TrailingZeros64(sel))
+					ones += int((splitMix64(s+(t+1)*splitMixGamma)>>11 - thr) >> 63)
+				}
+			}
+		}
+	}
+	return ones
+}
+
 // DeriveSeed derives the randomness seed for batch input i from a
 // base seed: a SplitMix64 step of base+i, so neighbouring indices get
 // well-separated generator states. Batch evaluators here and in
@@ -87,12 +149,12 @@ func DeriveSeed(base uint64, i int) uint64 {
 
 // EvaluateBatch evaluates the polynomial at every x in xs with fresh
 // `length`-bit streams, one work item per input dispatched on e under
-// ctx. Input i is computed by a dedicated ReSC whose sources are
-// seeded from (seed, i) only, so the result is bit-identical on every
-// conforming engine and any core count; each input runs through the
-// word-parallel evaluator. It returns an error for a non-positive
-// stream length, an unusable polynomial or a nil engine, and a
-// *engine.Partial when ctx fires (or an item panics) mid-batch.
+// ctx. Input i is the value of the ReSC NewReSCWithSeeds(poly,
+// DeriveSeed(seed, i)) builds, so the result is bit-identical on every
+// conforming engine and any core count; each input runs through
+// ReSCOnesSplitMix on that unit's seeds. It returns an error for a
+// non-positive stream length, an unusable polynomial or a nil engine,
+// and a *engine.Partial when ctx fires (or an item panics) mid-batch.
 func EvaluateBatch(ctx context.Context, e engine.Engine, poly BernsteinPoly, xs []float64, length int, seed uint64) ([]float64, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("stochastic: stream length %d, need >= 1", length)
@@ -101,23 +163,11 @@ func EvaluateBatch(ctx context.Context, e engine.Engine, poly BernsteinPoly, xs 
 		return nil, err
 	}
 	out := make([]float64, len(xs))
-	errs := make([]error, len(xs))
 	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
-		r, err := NewReSCWithSeeds(poly, DeriveSeed(seed, i))
-		if err != nil {
-			// Unreachable after the up-front validation (the checks
-			// depend on poly alone), but never drop an error silently.
-			errs[i] = err
-			return
-		}
-		out[i], _ = r.EvaluateWords(xs[i], length)
+		data, coef := rescSeeds(poly.Degree(), DeriveSeed(seed, i))
+		out[i] = float64(ReSCOnesSplitMix(poly.Coef, xs[i], data, coef, length)) / float64(length)
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

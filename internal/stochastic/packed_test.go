@@ -154,6 +154,77 @@ func TestEvaluateWordsContinues(t *testing.T) {
 	}
 }
 
+// edgePoly returns a degree-n test polynomial whose coefficients mix
+// the degenerate 0 and 1 with interior probabilities near both ends;
+// the offset by degree moves each kind across coefficient slots.
+func edgePoly(degree int) BernsteinPoly {
+	vals := []float64{0, 0.3, 1, 1e-3, 0.999, 0.5, 0.71}
+	coef := make([]float64, degree+1)
+	for i := range coef {
+		coef[i] = vals[(i+degree)%len(vals)]
+	}
+	return NewBernstein(coef)
+}
+
+// checkReSCOnes fails t unless ReSCOnesSplitMix counts exactly the
+// ones of the stream EvaluateWords emits from the ReSC that
+// NewReSCWithSeeds builds on the same seed.
+func checkReSCOnes(t *testing.T, poly BernsteinPoly, x float64, length int, seed uint64) {
+	t.Helper()
+	r, err := NewReSCWithSeeds(poly, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bs := r.EvaluateWords(x, length)
+	data, coef := rescSeeds(poly.Degree(), seed)
+	if got, want := ReSCOnesSplitMix(poly.Coef, x, data, coef, length), bs.Ones(); got != want {
+		t.Fatalf("coef %v x=%g len %d seed %#x: kernel %d ones, EvaluateWords %d",
+			poly.Coef, x, length, seed, got, want)
+	}
+}
+
+// TestReSCOnesSplitMixMatchesEvaluateWords pins the counter-indexed
+// kernel behind EvaluateBatch to the word-parallel evaluator: the same
+// ones count from the same seeds over degrees 1–8, lengths around the
+// word boundary, inputs at and near both ends, coefficients including
+// 0 and 1, and 20 seeds.
+func TestReSCOnesSplitMixMatchesEvaluateWords(t *testing.T) {
+	for degree := 1; degree <= 8; degree++ {
+		for _, poly := range []BernsteinPoly{repPoly(degree), edgePoly(degree)} {
+			for s := range 20 {
+				seed := DeriveSeed(0xC0FFEE, s)
+				for _, length := range []int{1, 63, 64, 65, 1000} {
+					for _, x := range []float64{0, 1e-3, 0.3, 0.5, 0.999, 1} {
+						checkReSCOnes(t, poly, x, length, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzReSCOnesSplitMixMatchesEvaluateWords runs the same comparison on
+// inputs nobody listed: any seed and x (NaN and infinities included),
+// degrees 0–12 with coefficients k/255 taken from the fuzzer's bytes,
+// and lengths 1–4096.
+func FuzzReSCOnesSplitMixMatchesEvaluateWords(f *testing.F) {
+	f.Add(uint64(1), 0.3, []byte{0, 77, 255}, uint16(64))
+	f.Add(uint64(0xDEADBEEF), 1e-3, []byte{255, 1, 128, 0, 254, 3, 200}, uint16(999))
+	f.Add(uint64(7), 1.0, []byte{12}, uint16(0))
+	f.Add(uint64(42), 0.999, []byte{0, 0, 0, 0, 0, 0, 0, 0, 255}, uint16(4094))
+	f.Add(uint64(3), math.NaN(), []byte{9, 250, 128}, uint16(65))
+	f.Fuzz(func(t *testing.T, seed uint64, x float64, raw []byte, length uint16) {
+		if len(raw) == 0 || len(raw) > 13 {
+			t.Skip("degree outside 0–12")
+		}
+		coef := make([]float64, len(raw))
+		for i, b := range raw {
+			coef[i] = float64(b) / 255
+		}
+		checkReSCOnes(t, NewBernstein(coef), x, int(length)%4096+1, seed)
+	})
+}
+
 func TestEvaluateBatchMatchesPerIndexOracle(t *testing.T) {
 	poly := repPoly(4)
 	xs := []float64{0, 0.1, 0.5, 0.9, 1, 0.33}

@@ -46,16 +46,32 @@ func NewReSC(poly BernsteinPoly, data, coef []NumberSource) (*ReSC, error) {
 // SplitMix64 streams derived from seed — the convenient constructor
 // for simulations.
 func NewReSCWithSeeds(poly BernsteinPoly, seed uint64) (*ReSC, error) {
-	n := poly.Degree()
-	data := make([]NumberSource, n)
-	for i := range data {
-		data[i] = NewSplitMix64(seed + uint64(i)*0x9E3779B9 + 1)
+	dataSeeds, coefSeeds := rescSeeds(poly.Degree(), seed)
+	data := make([]NumberSource, len(dataSeeds))
+	for i, s := range dataSeeds {
+		data[i] = NewSplitMix64(s)
 	}
-	coef := make([]NumberSource, n+1)
-	for i := range coef {
-		coef[i] = NewSplitMix64(seed + 0xABCDEF + uint64(i)*0x61C88647)
+	coef := make([]NumberSource, len(coefSeeds))
+	for i, s := range coefSeeds {
+		coef[i] = NewSplitMix64(s)
 	}
 	return NewReSC(poly, data, coef)
+}
+
+// rescSeeds derives the seeds of a degree-n unit's n data and n+1
+// coefficient SplitMix64 sources from one base seed. NewReSCWithSeeds
+// and EvaluateBatch's ReSCOnesSplitMix both seed from it, so the two
+// draw the same bits.
+func rescSeeds(n int, seed uint64) (data, coef []uint64) {
+	data = make([]uint64, n)
+	for i := range data {
+		data[i] = seed + uint64(i)*0x9E3779B9 + 1
+	}
+	coef = make([]uint64, n+1)
+	for i := range coef {
+		coef[i] = seed + 0xABCDEF + uint64(i)*0x61C88647
+	}
+	return data, coef
 }
 
 // Degree returns the polynomial degree n.

@@ -75,8 +75,9 @@ func (g *SNG) GenerateWords(p float64, n int) *Bitstream {
 // bernoulliWord packs nbits comparator outputs into one word. Like
 // NextBit, it consumes no samples for the degenerate probabilities,
 // and one sample per bit otherwise. The *SplitMix64 case is the same
-// loop with the source devirtualized — the compiler inlines the
-// generator there, which matters in the packed evaluators' hot path.
+// loop with the source devirtualized and the compare moved to the
+// integer domain (splitMixWord) — the generator inlines there, which
+// matters in the packed evaluators' hot path.
 func bernoulliWord(src NumberSource, p float64, nbits int) uint64 {
 	if nbits <= 0 || p <= 0 {
 		return 0
@@ -87,17 +88,7 @@ func bernoulliWord(src NumberSource, p float64, nbits int) uint64 {
 	}
 	var w uint64
 	if sm, ok := src.(*SplitMix64); ok {
-		// Devirtualized fast path with the comparison moved to the
-		// integer domain (see probThreshold in plane.go) and made
-		// branchless: k and thr both sit far below 2^63, so k < thr
-		// iff k−thr wraps, i.e. bit 63 of the difference. Stochastic
-		// bits are maximally unpredictable, so a branch here would
-		// mispredict half the time.
-		thr := probThreshold(p)
-		for b := 0; b < nbits; b++ {
-			k := sm.NextUint64() >> 11
-			w |= (k - thr) >> 63 << uint(b)
-		}
+		w, sm.state = splitMixWord(sm.state, probThreshold(p), nbits)
 		return w
 	}
 	for b := 0; b < nbits; b++ {
@@ -280,13 +271,40 @@ func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
 // across millions of per-pixel streams instead of allocating one each.
 func (s *SplitMix64) Reseed(seed uint64) { s.state = seed }
 
-// NextUint64 advances the sequence.
-func (s *SplitMix64) NextUint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+// splitMixGamma is SplitMix64's per-draw state increment.
+const splitMixGamma = 0x9E3779B97F4A7C15
+
+// splitMix64 is SplitMix64's output mix of a state. The state after t
+// draws is the seed plus t·γ, so draw t (from 0) of a generator seeded
+// s is splitMix64(s + (t+1)·γ): any single draw can be computed on its
+// own, which is what lets ReSCOnesSplitMix skip the coefficient draws
+// the multiplexer does not select.
+func splitMix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// splitMixWord packs nbits comparator outputs of the SplitMix64
+// generator in state s against the integer threshold thr (see
+// probThreshold in plane.go) LSB-first, and returns them with the
+// advanced state. The compare is branchless: k and thr both sit far
+// below 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of the
+// difference. Stochastic bits are maximally unpredictable, so a
+// branch here would mispredict half the time.
+func splitMixWord(s, thr uint64, nbits int) (uint64, uint64) {
+	var w uint64
+	for b := 0; b < nbits; b++ {
+		s += splitMixGamma
+		w |= (splitMix64(s)>>11 - thr) >> 63 << uint(b)
+	}
+	return w, s
+}
+
+// NextUint64 advances the sequence.
+func (s *SplitMix64) NextUint64() uint64 {
+	s.state += splitMixGamma
+	return splitMix64(s.state)
 }
 
 // Next implements NumberSource.
