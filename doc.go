@@ -88,6 +88,15 @@
 //	vals, err := sim.EvaluateBatch(ctx, e, trialInputs, 4096) // Monte-Carlo fan-out
 //	ber, err := sim.MeasureWorstCaseBER(200_000)       // batched Eq. (8) patterns
 //
+// MeasureWorstCaseBER, behind /v1/ber and the waterfall figure, needs
+// only decisions: stochastic.Gaussian.ThresholdWord decides 64 slots
+// per word, bit-identical to adding FillScaled noise. A radius screen
+// decides a Box–Muller pair that cannot cross the threshold with one
+// integer compare; a certified bracket of r² and of the angle, read
+// from two small tables, settles almost every other pair; only a pair
+// whose noise lands within a table step of the threshold runs the
+// exact Log, Sqrt and Sincos.
+//
 // Image workloads run word-parallel end to end. Gamma correction
 // builds its 256-level LUT as one batch on the caller's engine
 // (image.GammaReSC, image.GammaOptical) — and because the LUT is a

@@ -48,7 +48,7 @@ const (
 
 func (s *Server) handleBER(w http.ResponseWriter, r *http.Request) {
 	var req berRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req, maxRequestBody); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
 		return
 	}
@@ -179,7 +179,7 @@ const (
 
 func (s *Server) handleYield(w http.ResponseWriter, r *http.Request) {
 	var req yieldRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req, maxRequestBody); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
 		return
 	}

@@ -85,8 +85,33 @@ func TestConcurrentRequestsNeverTorn(t *testing.T) {
 // once the queue clears.
 func TestQueueSaturationRejectsTyped(t *testing.T) {
 	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
+	release := saturate(t, s)
 
-	release := make(chan struct{})
+	rec := post(s, "/v1/ber", `{"probe_mw": [0.5], "bits": 1000, "seed": 99}`)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("saturated POST = %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	var e ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Kind != "queue_full" {
+		t.Fatalf("saturated body = %s (err %v), want kind queue_full", rec.Body.String(), err)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("503 queue_full has no Retry-After header")
+	}
+
+	release()
+	if rec := post(s, "/v1/ber", `{"probe_mw": [0.5], "bits": 1000, "seed": 99}`); rec.Code != http.StatusOK {
+		t.Errorf("POST after queue cleared = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// saturate fills a Workers: 1, QueueDepth: 1 server's queue: the
+// single worker is pinned by a controlled job and the queue slot is
+// taken behind it, so any request that reaches admission gets 503
+// queue_full. The returned func releases both jobs and waits for them.
+func saturate(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	unpin := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -95,7 +120,7 @@ func TestQueueSaturationRejectsTyped(t *testing.T) {
 		// Pins the single worker until the test releases it.
 		if err := s.queue.Do(context.Background(), func(context.Context) error {
 			close(started)
-			<-release
+			<-unpin
 			return nil
 		}); err != nil {
 			t.Errorf("pinned job: %v", err)
@@ -110,23 +135,9 @@ func TestQueueSaturationRejectsTyped(t *testing.T) {
 		}
 	}()
 	waitFor(t, func() bool { return s.queue.Depth() == 1 })
-
-	rec := post(s, "/v1/ber", `{"probe_mw": [0.5], "bits": 1000, "seed": 99}`)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("saturated POST = %d, want 503: %s", rec.Code, rec.Body.String())
-	}
-	var e ErrorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Kind != "queue_full" {
-		t.Fatalf("saturated body = %s (err %v), want kind queue_full", rec.Body.String(), err)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("503 queue_full has no Retry-After header")
-	}
-
-	close(release)
-	wg.Wait()
-	if rec := post(s, "/v1/ber", `{"probe_mw": [0.5], "bits": 1000, "seed": 99}`); rec.Code != http.StatusOK {
-		t.Errorf("POST after queue cleared = %d, want 200: %s", rec.Code, rec.Body.String())
+	return func() {
+		close(unpin)
+		wg.Wait()
 	}
 }
 

@@ -19,7 +19,12 @@
 //	                         the gamma-specific fields
 //
 // Every POST body is optional JSON: an empty body runs the endpoint's
-// documented defaults, unknown fields are rejected. Image sources are
+// documented defaults, unknown fields are rejected. Bodies are bounded
+// before they queue: 64 KiB for every endpoint but the image ones, and
+// an 8 MiB upload in base64 plus a 4 KiB envelope for /v1/image/*. A
+// larger body is a 400 bad_request naming the bound, answered unread
+// when its Content-Length declares it and after reading up to the
+// bound otherwise. Image sources are
 // either a synthetic generator ({"synth":"gradient|radial|checkerboard",
 // "width","height",...}) or an uploaded binary PGM ({"pgm_base64":...},
 // parsed with its allocation bounded by the upload, so a header that
@@ -62,11 +67,13 @@
 // run on the shared engine under the request context, and the LUT
 // cache keeps only finished tables (at most 256 recipes, oldest
 // evicted first), so a build cut short by its deadline leaves nothing
-// behind for the next request. A gamma recipe no optical circuit can
-// run — a comb wider than the filter's FSR, or an eye closed at the
-// requested spacing — is a 400 bad_request decided before the request
-// queues. Only
-// /v1/image/edge, whose kernel takes no context, runs to completion.
+// behind for the next request. The coefficient fits behind those
+// tables are cached the same way: at most 256 (gamma, degree) fits,
+// oldest evicted first, and no failed fit. A gamma recipe no optical
+// circuit can run — a comb wider than the filter's FSR, or an eye
+// closed at the requested spacing — is a 400 bad_request decided
+// before the request queues. Only /v1/image/edge, whose kernel takes
+// no context, runs to completion.
 //
 // # Idempotency and retries
 //

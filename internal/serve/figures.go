@@ -68,7 +68,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req figureRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req, maxRequestBody); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
 		return
 	}

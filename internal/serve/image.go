@@ -71,6 +71,9 @@ const (
 	maxImagePixels    = 1 << 22 // 4 Mpx
 	maxImageStreamLen = 1 << 20
 	maxImageUpload    = 8 << 20 // bytes of decoded PGM
+	// maxImageBody is the request body cap: an upload at
+	// maxImageUpload in base64 plus room for the JSON envelope.
+	maxImageBody = (maxImageUpload+2)/3*4 + 4<<10
 
 	defaultImageGamma     = 0.45
 	defaultImageDegree    = 6
@@ -84,7 +87,7 @@ const (
 func (s *Server) handleImage(w http.ResponseWriter, r *http.Request) {
 	op := r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:]
 	var req imageRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req, maxImageBody); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Kind: "bad_request"})
 		return
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -300,16 +301,31 @@ func jsonEntry(v any) (entry, error) {
 	return entry{status: http.StatusOK, contentType: "application/json", body: data}, nil
 }
 
-// decodeJSON decodes an optional JSON request body into v: an empty
-// body leaves v at its defaults; trailing garbage and unknown fields
-// are rejected so typos fail loudly instead of running the wrong
-// sweep.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBody caps the body of every JSON endpoint but the image
+// ones: the largest legal /v1/ber body (64 waterfall points) is under
+// 2 KB.
+const maxRequestBody = 64 << 10
+
+// decodeJSON decodes an optional JSON request body of at most limit
+// bytes into v: an empty body leaves v at its defaults; trailing
+// garbage and unknown fields are rejected so typos fail loudly instead
+// of running the wrong sweep. A body over the limit is rejected before
+// it is read when its Content-Length says so, and after limit bytes
+// otherwise, so an oversized request costs at most limit bytes of
+// reading before its 400 — and never a queue slot.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	if r.ContentLength > limit {
+		return bodyTooLarge(limit)
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if err == io.EOF {
 			return nil
+		}
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return bodyTooLarge(limit)
 		}
 		return fmt.Errorf("decoding request body: %w", err)
 	}
@@ -318,4 +334,9 @@ func decodeJSON(r *http.Request, v any) error {
 		return fmt.Errorf("request body has trailing data")
 	}
 	return nil
+}
+
+// bodyTooLarge is the 400 message for a body over its endpoint's limit.
+func bodyTooLarge(limit int64) error {
+	return fmt.Errorf("request body over %d bytes", limit)
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -501,6 +504,96 @@ func TestImageHostilePGMHeader(t *testing.T) {
 	}
 }
 
+// flood is an n-byte prefix of an unterminated JSON document, produced
+// on demand so a test can send a body far larger than it holds.
+func flood(n int64) io.Reader {
+	return io.LimitReader(io.MultiReader(strings.NewReader(`{"seed": "`), letters{}), n)
+}
+
+// letters streams an endless run of 'a'.
+type letters struct{}
+
+func (letters) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejectedBeforeAdmission: a body over its endpoint's
+// bound is a 400 bad_request naming the bound, decided before the
+// request queues — with the queue saturated it is still 400, not 503.
+// One byte over the bound with its Content-Length declared, the server
+// rejects it unread; a chunked body 16 times the bound is read only up
+// to the bound. Either way the server allocates far less than the body.
+func TestOversizedBodyRejectedBeforeAdmission(t *testing.T) {
+	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
+	release := saturate(t, s)
+	defer release()
+	for _, c := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/v1/ber", maxRequestBody},
+		{"/v1/yield", maxRequestBody},
+		{"/v1/figures/5a", maxRequestBody},
+		{"/v1/image/gamma", maxImageBody},
+		{"/v1/image/edge", maxImageBody},
+	} {
+		for _, size := range []int64{c.limit + 1, 16 * c.limit} {
+			req := httptest.NewRequest(http.MethodPost, c.path, flood(size))
+			req.ContentLength = size
+			if size > c.limit+1 {
+				req.ContentLength = -1 // chunked: no length to check up front
+			}
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s, %d-byte body: status = %d, want 400: %s", c.path, size, rec.Code, rec.Body.String())
+				continue
+			}
+			body := decodeBody[ErrorBody](t, rec)
+			if body.Kind != "bad_request" || !strings.Contains(body.Error, strconv.FormatInt(c.limit, 10)) {
+				t.Errorf("%s, %d-byte body: %+v, want bad_request naming the %d-byte bound", c.path, size, body, c.limit)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(size)/4 {
+				t.Errorf("%s, %d-byte body: the rejection allocated %d bytes", c.path, size, alloc)
+			}
+		}
+	}
+}
+
+// TestImageUploadAtPixelCap: a legal upload at the pixel cap, larger
+// than the JSON endpoints' body bound, still answers 200 with the full
+// image — and an upload at maxImageUpload bytes fits the image bound.
+func TestImageUploadAtPixelCap(t *testing.T) {
+	if n := int64(base64.StdEncoding.EncodedLen(maxImageUpload)); n+1024 > maxImageBody {
+		t.Fatalf("an upload of maxImageUpload bytes is %d bytes of base64; the body bound %d leaves no envelope", n, maxImageBody)
+	}
+	var pgm bytes.Buffer
+	if err := img.Gradient(2048, maxImagePixels/2048).WritePGM(&pgm); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"source": {"pgm_base64": "` + base64.StdEncoding.EncodeToString(pgm.Bytes()) + `"}, "stream_len": 64, "format": "pgm"}`
+	if len(body) <= maxRequestBody {
+		t.Fatalf("upload body %d bytes: not past the JSON endpoints' bound", len(body))
+	}
+	rec := post(New(Config{Engine: engine.Serial}), "/v1/image/gamma", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("upload at the pixel cap = %d: %.200s", rec.Code, rec.Body.String())
+	}
+	g, err := img.ReadPGM(bytes.NewReader(rec.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("response is not a valid PGM: %v", err)
+	}
+	if g.W*g.H != maxImagePixels {
+		t.Errorf("result is %dx%d, want %d pixels", g.W, g.H, maxImagePixels)
+	}
+}
+
 // TestImageSynthSizeOverflow: synthetic sizes whose pixel product
 // overflows int are a 400, not a handler panic, and the server keeps
 // serving.
@@ -590,28 +683,7 @@ func TestImageGammaInfeasibleDesign(t *testing.T) {
 	}
 
 	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if err := s.queue.Do(context.Background(), func(context.Context) error {
-			close(started)
-			<-release
-			return nil
-		}); err != nil {
-			t.Errorf("pinned job: %v", err)
-		}
-	}()
-	<-started
-	go func() {
-		defer wg.Done()
-		if err := s.queue.Do(context.Background(), func(context.Context) error { return nil }); err != nil {
-			t.Errorf("queued job: %v", err)
-		}
-	}()
-	waitFor(t, func() bool { return s.queue.Depth() == 1 })
+	release := saturate(t, s)
 
 	for _, recipe := range []string{`, "degree": 17}`, `, "spacing_nm": 2}`, `, "spacing_nm": 0.1}`} {
 		rec := post(s, "/v1/image/gamma", src+recipe)
@@ -623,8 +695,7 @@ func TestImageGammaInfeasibleDesign(t *testing.T) {
 			t.Errorf("recipe %s: kind %q, want bad_request", recipe, body.Kind)
 		}
 	}
-	close(release)
-	wg.Wait()
+	release()
 
 	rec := post(s, "/v1/image/gamma", src+`}`)
 	if rec.Code != http.StatusOK {

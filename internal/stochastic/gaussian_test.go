@@ -21,13 +21,13 @@ func fillDecisions(g *Gaussian, levels []float64, thr, sigma float64) uint64 {
 	return w
 }
 
-// screenCuts is ScreenCut for every level.
-func screenCuts(levels []float64, thr, sigma float64) []uint64 {
-	cuts := make([]uint64, len(levels))
+// newScreens is NewScreen for every level.
+func newScreens(levels []float64, thr, sigma float64) []Screen {
+	screens := make([]Screen, len(levels))
 	for t, l := range levels {
-		cuts[t] = ScreenCut(l, thr, sigma)
+		screens[t] = NewScreen(l, thr, sigma)
 	}
-	return cuts
+	return screens
 }
 
 // checkThresholdWord runs `blocks` consecutive ThresholdWord calls and
@@ -42,9 +42,9 @@ func checkThresholdWord(t *testing.T, seed uint64, levels []float64, thr, sigma 
 		got.Next()
 		want.Next()
 	}
-	cuts := screenCuts(levels, thr, sigma)
+	screens := newScreens(levels, thr, sigma)
 	for b := 0; b < blocks; b++ {
-		gw := got.ThresholdWord(levels, cuts, thr, sigma)
+		gw := got.ThresholdWord(levels, screens, thr, sigma)
 		ww := fillDecisions(want, levels, thr, sigma)
 		if gw != ww {
 			t.Fatalf("block %d (seed %d, spare %v, thr %g, sigma %g, levels %v): word %#x, FillScaled gives %#x",
@@ -125,8 +125,8 @@ func TestThresholdWordMatchesFill(t *testing.T) {
 func TestThresholdWordPanicsOnBadShape(t *testing.T) {
 	g := NewGaussian(NewSplitMix64(1))
 	for name, call := range map[string]func(){
-		"65 levels":    func() { g.ThresholdWord(make([]float64, 65), make([]uint64, 65), 0, 1) },
-		"missing cuts": func() { g.ThresholdWord(make([]float64, 4), make([]uint64, 3), 0, 1) },
+		"65 levels":       func() { g.ThresholdWord(make([]float64, 65), make([]Screen, 65), 0, 1) },
+		"missing screens": func() { g.ThresholdWord(make([]float64, 4), make([]Screen, 3), 0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -142,8 +142,8 @@ func TestThresholdWordPanicsOnBadShape(t *testing.T) {
 func TestThresholdWordAllocatesNothing(t *testing.T) {
 	g := NewGaussian(NewSplitMix64(3))
 	levels := alternating(64, 1, 2)
-	cuts := screenCuts(levels, 1, 1)
-	if n := testing.AllocsPerRun(100, func() { g.ThresholdWord(levels, cuts, 1, 1) }); n != 0 {
+	screens := newScreens(levels, 1, 1)
+	if n := testing.AllocsPerRun(100, func() { g.ThresholdWord(levels, screens, 1, 1) }); n != 0 {
 		t.Errorf("ThresholdWord allocates %v times per call", n)
 	}
 }
@@ -159,8 +159,8 @@ func TestScreenCutNeverScreens(t *testing.T) {
 		{1.001, 1, 1},             // radius below the e >= 2^-20 floor
 		{math.MaxFloat64, -math.MaxFloat64, 1},
 	} {
-		if got := ScreenCut(c.level, c.thr, c.sigma); got != noScreen {
-			t.Errorf("ScreenCut(%g, %g, %g) = %d, want never", c.level, c.thr, c.sigma, got)
+		if got := screenCut(c.level, c.thr, c.sigma); got != noScreen {
+			t.Errorf("screenCut(%g, %g, %g) = %d, want never", c.level, c.thr, c.sigma, got)
 		}
 	}
 }
@@ -170,13 +170,13 @@ func TestScreenCutNeverScreens(t *testing.T) {
 // what any 53-bit draw can produce screens every draw.
 func TestScreenCutEngages(t *testing.T) {
 	for _, r := range []float64{0.1, 1, 1.2816, 2.3263, 3.719} {
-		cut := ScreenCut(1+r*0.01, 1, 0.01)
+		cut := screenCut(1+r*0.01, 1, 0.01)
 		want := math.Exp(-r*r/2) * unit53
 		if rel := math.Abs(float64(cut)-want) / want; rel > 1e-6 {
 			t.Errorf("R=%g: cut %d, want about %.0f (rel %g)", r, cut, want, rel)
 		}
 	}
-	if cut := ScreenCut(10, 0, 1); cut != 0 {
+	if cut := screenCut(10, 0, 1); cut != 0 {
 		t.Errorf("R=10: cut %d, want 0", cut)
 	}
 }
@@ -197,7 +197,7 @@ func TestScreenCutSound(t *testing.T) {
 		if i%2 != 0 {
 			level = thr - d
 		}
-		cut := ScreenCut(level, thr, sigma)
+		cut := screenCut(level, thr, sigma)
 		if cut >= 1<<53-1 {
 			continue
 		}
@@ -219,6 +219,179 @@ func TestScreenCutSound(t *testing.T) {
 	if checked < 5000 {
 		t.Errorf("only %d cases produced a usable cut", checked)
 	}
+}
+
+// exactPair is FillScaled's Box–Muller arithmetic on the u1 integer k
+// and the u2 integer j: the radius and the two trig factors as
+// computed.
+func exactPair(k, j uint64) (r, cos, sin float64) {
+	r = math.Sqrt(-2 * math.Log(float64(k)/unit53))
+	sin, cos = math.Sincos(2 * math.Pi * (float64(j) / unit53))
+	return r, cos, sin
+}
+
+// inBracket reports whether the computed square of x lies inside b,
+// with the sign b claims when it claims one.
+func inBracket(x float64, b bracket) bool {
+	return math.Abs(b.lo) <= x*x && x*x <= b.hi && (b.lo == 0 || math.Signbit(b.lo) == math.Signbit(x))
+}
+
+// TestScreenBracketTablesCover checks the tables behind the bracket
+// against the arithmetic they bound: Sincos(2π·u2) at both edges of
+// every angle interval ±4 ulps and at random interior points, and
+// Sqrt(−2·Log(k/2⁵³))² at every (bit length, mantissa interval) edge
+// of the u1 integer k ±4, must lie inside their brackets with the
+// signs the table claims.
+func TestScreenBracketTablesCover(t *testing.T) {
+	src := NewSplitMix64(77)
+	for iv := uint64(0); iv < 1024; iv++ {
+		var js []uint64
+		for d := uint64(0); d <= 8; d++ {
+			js = append(js, (iv<<43+d-4)&(1<<53-1), ((iv+1)<<43+d-4)&(1<<53-1))
+		}
+		for n := 0; n < 8; n++ {
+			js = append(js, iv<<43|src.NextUint64()>>21)
+		}
+		for _, j := range js {
+			_, cos, sin := exactPair(1, j)
+			c, s := trigBracket[j>>43], trigBracket[(j>>43+768)&1023]
+			if !inBracket(cos, c) || !inBracket(sin, s) {
+				t.Fatalf("u2 integer %#x: cos %g (bracket %v), sin %g (bracket %v)", j, cos, c, sin, s)
+			}
+		}
+	}
+	for b := uint(1); b <= 53; b++ {
+		for i := uint64(0); i < 256; i++ {
+			edge := (256 + i) << 45 >> (54 - b) // the first k of interval i at bit length b
+			for d := uint64(0); d <= 8; d++ {
+				k := edge + d - 4
+				if k == 0 || k >= 1<<53 {
+					continue
+				}
+				r, _, _ := exactPair(k, 0)
+				if lo, hi := rsqBracket(k); !(lo <= r*r && r*r <= hi) {
+					t.Fatalf("u1 integer %d (bit length %d, interval %d): r² = %g outside [%g, %g]", k, b, i, r*r, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// checkSettle replays the bracket on one draw (k, j) for both slots of
+// the pair: whenever a slot's bracket settles, its bit must equal the
+// decision FillScaled's arithmetic makes. It returns the number of
+// settled slots.
+func checkSettle(t *testing.T, level, thr, sigma float64, k, j uint64) int {
+	t.Helper()
+	s := NewScreen(level, thr, sigma)
+	r, cos, sin := exactPair(k, j)
+	rlo, rhi := rsqBracket(k)
+	settled := 0
+	for _, slot := range []struct {
+		z float64
+		b *bracket
+	}{{r * cos, &trigBracket[j>>43]}, {r * sin, &trigBracket[(j>>43+768)&1023]}} {
+		bit, ok := s.settle(rlo, rhi, slot.b)
+		if ok == 0 {
+			continue
+		}
+		settled++
+		if want := decide(level, slot.z, thr, sigma); bit != want {
+			t.Fatalf("level %v thr %v sigma %v, k=%d j=%#x: bracket decides %d, arithmetic %d (z %g, r² in [%g, %g], trig² %v)",
+				level, thr, sigma, k, j, bit, want, slot.z, rlo, rhi, *slot.b)
+		}
+	}
+	return settled
+}
+
+// TestScreenBracketSound replays the bracket, in the manner of
+// TestScreenCutSound: for levels, thresholds and sigmas across 40
+// decades, with the distance between 0.25σ and 16σ, draws at random,
+// at the edges of the r² intervals and just under the radius cut must
+// settle only to the decision the exact arithmetic makes.
+func TestScreenBracketSound(t *testing.T) {
+	src := NewSplitMix64(2026)
+	draws, settled := 0, 0
+	for i := 0; i < 20000; i++ {
+		thr := (src.Next() - 0.5) * math.Pow(10, float64(int(src.Next()*40))-20)
+		sigma := math.Pow(10, float64(int(src.Next()*40))-30)
+		d := sigma * math.Pow(2, src.Next()*6-2)
+		level := thr + d
+		if i%2 != 0 {
+			level = thr - d
+		}
+		var ks []uint64
+		for n := 0; n < 24; n++ {
+			ks = append(ks, src.NextUint64()>>11|1)
+		}
+		for n := 0; n < 12; n++ {
+			ks = append(ks, max((256+src.NextUint64()%256)<<45>>(1+src.NextUint64()%53), 1))
+		}
+		if cut := screenCut(level, thr, sigma); cut != noScreen {
+			for k := cut; k > 0 && k+12 > cut; k-- {
+				ks = append(ks, k)
+			}
+		}
+		for _, k := range ks {
+			for n := 0; n < 2; n++ {
+				settled += checkSettle(t, level, thr, sigma, k, src.NextUint64()>>11)
+				draws++
+			}
+		}
+	}
+	if settled < draws {
+		t.Errorf("only %d settled slots in %d draws", settled, draws)
+	}
+	t.Logf("%d draws, %d settled slots", draws, settled)
+}
+
+// TestScreenBracketEngages: at the four operating points of the BER
+// waterfall, the pairs the radius screen misses are almost all settled
+// by the bracket — the exact arithmetic takes under 1% of pairs.
+func TestScreenBracketEngages(t *testing.T) {
+	const thr, sigma, pairs = 1.0, 0.01, 200_000
+	for _, ber := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		d := sigma * math.Sqrt2 * math.Erfcinv(2*ber)
+		one, zero := NewScreen(thr+d, thr, sigma), NewScreen(thr-d, thr, sigma)
+		src := NewSplitMix64(1)
+		screened, exact := 0, 0
+		for p := 0; p < pairs; p++ {
+			k := src.NextUint64()>>11 | 1
+			j := src.NextUint64() >> 11
+			if k > one.cut && k > zero.cut {
+				screened++
+				continue
+			}
+			rlo, rhi := rsqBracket(k)
+			_, ok0 := one.settle(rlo, rhi, &trigBracket[j>>43])
+			_, ok1 := zero.settle(rlo, rhi, &trigBracket[(j>>43+768)&1023])
+			if ok0&ok1 == 0 {
+				exact++
+			}
+		}
+		t.Logf("BER %.0e: %.2f%% screened, %.2f%% bracketed, %.3f%% exact", ber,
+			100*float64(screened)/pairs, 100*float64(pairs-screened-exact)/pairs, 100*float64(exact)/pairs)
+		if exact*100 >= pairs {
+			t.Errorf("BER %.0e: the exact arithmetic takes %d of %d pairs", ber, exact, pairs)
+		}
+	}
+}
+
+// FuzzScreenBracketSound checks the bracket on raw draws and slots:
+// whenever it settles a slot of the pair (k, j), the bit must equal
+// the exact arithmetic's decision.
+func FuzzScreenBracketSound(f *testing.F) {
+	for _, ber := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		d := 0.01 * math.Sqrt2 * math.Erfcinv(2*ber)
+		f.Add(uint64(0x9E3779B97F4A7C15), uint64(0x2545F4914F6CDD1D), 1+d, 1.0, 0.01)
+		f.Add(uint64(0x0123456789ABCDEF), uint64(0xFEDCBA9876543210), 1-d, 1.0, 0.01)
+	}
+	f.Add(uint64(1<<20), uint64(1<<62), math.Nextafter(0.37, 1), 0.37, 1e-17)
+	f.Add(uint64(1<<40), uint64(3<<61), math.Nextafter(0.37, 0), 0.37, 1e-17)
+	f.Add(uint64(1<<11), uint64(1<<61), 1e-310, 5e-310, 5e-324)
+	f.Fuzz(func(t *testing.T, k, j uint64, level, thr, sigma float64) {
+		checkSettle(t, level, thr, sigma, max(k>>11, 1), j>>11)
+	})
 }
 
 // fuzzLevels decodes up to 64 levels from raw, 8 bytes each, in three
@@ -259,12 +432,12 @@ func BenchmarkThresholdWord(b *testing.B) {
 	const thr, sigma = 1.0, 0.01
 	for _, ber := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
 		levels := alternating(64, thr, sigma*math.Sqrt2*math.Erfcinv(2*ber))
-		cuts := screenCuts(levels, thr, sigma)
+		screens := newScreens(levels, thr, sigma)
 		b.Run(fmt.Sprintf("ber=%.0e/screen", ber), func(b *testing.B) {
 			g := NewGaussian(NewSplitMix64(1))
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				sink ^= g.ThresholdWord(levels, cuts, thr, sigma)
+				sink ^= g.ThresholdWord(levels, screens, thr, sigma)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/slot")
 			benchSink = sink

@@ -37,11 +37,15 @@
 // internal/dse.NoiseStudy's BER, only needs each slot's decision, not
 // its analog value. It sends one alternating one/zero level block per
 // 64 slots through stochastic.Gaussian.ThresholdWord and counts errors
-// with two masked popcounts. The kernel skips the Box–Muller
+// with two masked popcounts, with the two levels' stochastic.Screen
+// values built once per measurement. The kernel skips the Box–Muller
 // transcendentals for every pair whose radius cannot cross the
-// threshold and is bit-identical to adding FillScaled noise to each
-// level, so the measured BER and the noise stream left behind are
-// those of the per-slot simulation.
+// threshold, and settles almost every other pair from table brackets
+// of the radius and the angle; only a pair whose noise lands within a
+// table step of the threshold runs the exact Log, Sqrt and Sincos. It
+// is bit-identical to adding FillScaled noise to each level, so the
+// measured BER and the noise stream left behind are those of the
+// per-slot simulation.
 //
 // On top of the bit-level simulator the package provides the
 // throughput–accuracy trade-off study (§V.B): longer stochastic

@@ -177,15 +177,15 @@ func (s *Simulator) MeasureWorstCaseBER(slots int) (float64, error) {
 	sigma := s.SigmaMW
 
 	// Every block starts on an even slot, so one alternating block of
-	// levels and screen cuts serves them all.
+	// levels and screens serves them all.
 	var levels [64]float64
-	var cuts [64]uint64
-	oneCut := stochastic.ScreenCut(oneLevel, threshold, sigma)
-	zeroCut := stochastic.ScreenCut(zeroLevel, threshold, sigma)
+	var screens [64]stochastic.Screen
+	oneScreen := stochastic.NewScreen(oneLevel, threshold, sigma)
+	zeroScreen := stochastic.NewScreen(zeroLevel, threshold, sigma)
 	for k := range levels {
-		levels[k], cuts[k] = oneLevel, oneCut
+		levels[k], screens[k] = oneLevel, oneScreen
 		if k%2 != 0 {
-			levels[k], cuts[k] = zeroLevel, zeroCut
+			levels[k], screens[k] = zeroLevel, zeroScreen
 		}
 	}
 	const sent = 0x5555555555555555 // the '1' pattern's slots
@@ -193,7 +193,7 @@ func (s *Simulator) MeasureWorstCaseBER(slots int) (float64, error) {
 	errors := 0
 	for t := 0; t < slots; t += len(levels) {
 		nb := min(len(levels), slots-t)
-		got := s.noise.ThresholdWord(levels[:nb], cuts[:nb], threshold, sigma)
+		got := s.noise.ThresholdWord(levels[:nb], screens[:nb], threshold, sigma)
 		valid := ^uint64(0) >> (64 - nb)
 		errors += bits.OnesCount64(^got&sent&valid) + bits.OnesCount64(got&^sent&valid)
 	}
