@@ -22,8 +22,8 @@ test:
 
 # The repo-convention static analyzers (cmd/osclint): determinism,
 # enginetest registration, error propagation, map-iteration order,
-# hot-loop allocation. Fails on any unsuppressed finding — what CI's osclint
-# job runs.
+# hot-loop allocation, no test-only code in internal/ packages. Fails
+# on any unsuppressed finding — what CI's osclint job runs.
 lint:
 	go run ./cmd/osclint ./...
 

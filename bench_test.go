@@ -20,7 +20,6 @@ import (
 	"repro/internal/engine"
 	img "repro/internal/image"
 	"repro/internal/netlist"
-	"repro/internal/photonic"
 	"repro/internal/stochastic"
 	"repro/internal/transient"
 )
@@ -467,39 +466,6 @@ func BenchmarkAblationRingLinewidth(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncSweep measures the word-parallel pulse-synchronization
-// sweep (§V.D): block Gaussian fills per offset, offsets fanned over
-// the pool with derived seeds.
-func BenchmarkSyncSweep(b *testing.B) {
-	p := core.PaperParams()
-	c := core.MustCircuit(p)
-	u, err := core.NewUnit(c, stochastic.NewBernstein([]float64{0.25, 0.625, 0.75}), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim := transient.NewSimulator(u, 6)
-	const points, bits = 16, 10_000
-	run := func(name string, singleCore bool) {
-		b.Run(name, func(b *testing.B) {
-			if singleCore {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			}
-			var pts []transient.SyncPoint
-			var err error
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if pts, err = sim.SyncSweepCtx(context.Background(), engine.WordParallel, points, bits); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(transient.WorstInPulseBER(pts), "BER_gated")
-			b.ReportMetric(transient.WorstOutOfPulseBER(pts), "BER_ungated")
-		})
-	}
-	run("words-1core", true)
-	run("words", false)
-}
-
 // BenchmarkMeasureEye measures the word-parallel eye measurement
 // (core.Unit.Cycles + block noise).
 func BenchmarkMeasureEye(b *testing.B) {
@@ -694,28 +660,6 @@ func BenchmarkNetlistElaborate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPhotonicVsBehavioral compares the complex-field ring
-// against the closed-form Eq. (2) evaluation cost.
-func BenchmarkPhotonicVsBehavioral(b *testing.B) {
-	ring, err := photonic.NewRing(0.96, 0.97, 0.999)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := core.DenseFilterShape().At(1550)
-	var s float64
-	b.Run("field", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s += ring.ThroughIntensity(0.01)
-		}
-	})
-	b.Run("closed-form", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s += ref.Through(1550.02, 1550)
-		}
-	})
-	_ = s
 }
 
 // BenchmarkAblationSpacing compares the fixed 1 nm comb of §V.A

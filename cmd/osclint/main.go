@@ -1,7 +1,8 @@
 // Command osclint runs the repo's static-analysis suite
-// (internal/lint) over the module: five analyzers that enforce the
-// determinism, oracle-pair, and error-propagation conventions every
-// engine in this reproduction relies on.
+// (internal/lint) over the module: six analyzers that enforce the
+// determinism, oracle-pair, error-propagation, hot-loop allocation and
+// no-test-only-code conventions every engine in this reproduction
+// relies on.
 //
 // Usage:
 //

@@ -15,7 +15,7 @@
 // bit-serial path (ReSC.Step/Evaluate, core.Unit.Step/Evaluate)
 // advances one clock per call and serves as the oracle. The
 // word-parallel path simulates 64 clocks per machine word — SNG words
-// (stochastic.SNG.NextWord/GenerateWords), a bitwise carry-save adder
+// (stochastic.SNG.NextWord), a bitwise carry-save adder
 // tree for the data-bit sum (stochastic.AddPlane/PlaneEquals), and a
 // word-at-a-time multiplexer / decision-table lookup — and emits
 // bit-identical streams (ReSC.EvaluateWords, core.Unit.EvaluateWords).
@@ -75,11 +75,11 @@
 // (oscbench -fig noise) runs it on engine.Serial inside each of its
 // engine-dispatched (probe, sigma) points. The transient measurements
 // follow suit, each an
-// engine-dispatched entry point (TraceCtx, MeasureEyeCtx, SyncSweepCtx,
+// engine-dispatched entry point (TraceCtx, MeasureEyeCtx,
 // BERWaterfallCtx, AccuracyVsLengthCtx): the trace and the eye decode
-// 64 cycles per word (core.Unit.Cycles) with block noise, and the sync
-// sweep, the BER waterfall (oscbench -fig waterfall) and the
-// accuracy-vs-length study fan their points and trials over the
+// 64 cycles per word (core.Unit.Cycles) with block noise, and the BER
+// waterfall (oscbench -fig waterfall) and the accuracy-vs-length
+// study fan their points and trials over the
 // selected engine with derived seeds — bit-identical across engines at
 // any GOMAXPROCS. Quickstart:
 //
@@ -106,11 +106,13 @@
 // both dispatched on the engine; Robert's-cross edge detection — per-pixel
 // correlated streams, no LUT shortcut — runs as a tiled kernel
 // (image.RobertsCrossSCOn) built from
-// word-level plane kernels: stochastic.FillCorrelatedPlanes draws one
-// shared uniform per clock against two thresholds so XOR computes
-// |a−b| exactly, stochastic.FillAbsDiffPlane fuses that pair with its
-// XOR, and Xor/Not/Mux plane combinators run on per-worker scratch
-// with zero per-pixel allocations. Per-pixel stochastic.DeriveSeed
+// word-level plane kernels: stochastic.FillAbsDiffPlane draws one
+// shared uniform per clock against two thresholds and sets the bits
+// where exactly one compare passes, so the plane computes |a−b|
+// exactly (its test oracle, FillCorrelatedPlanes in plane_test.go,
+// builds the correlated pair and XORs it), and the Mux plane
+// combinator runs on per-worker scratch with zero per-pixel
+// allocations. Per-pixel stochastic.DeriveSeed
 // seeding keeps the tiled output bit-identical to an engine.Serial run
 // on any GOMAXPROCS; flat image regions elide their RNG draws
 // entirely. core.AnalyzeYieldCtx fans Monte-Carlo dies over the engine
@@ -212,6 +214,15 @@
 // bytes on any engine at any worker count. See internal/serve's
 // package comment for the full API, error-kind and retry reference.
 //
+// Three committed reference outputs pin the bytes: testdata/golden
+// holds the text of `oscbench -fig all -grid 4 -sweep 5`, the SHA-256
+// of the PGM from `gammasim -size 48 -stream 1024` and the quickstart
+// output, and a golden test beside each command regenerates and
+// compares its file. The bit-identity claim covers linux/amd64 builds
+// at GOAMD64=v1 (the default) and GOAMD64=v3, which write the same
+// three outputs. arm64, where the compiler fuses x*y+z into one FMA
+// instruction by default, is unverified.
+//
 // The implementation lives in internal/ packages:
 //
 //   - internal/numeric — numerical substrate (special functions,
@@ -244,7 +255,8 @@
 // The reproduction disciplines above — derived seeds instead of wall
 // clocks, sorted map iteration before rendering, engine entry points
 // registered in the cross-engine enginetest suite, propagated errors,
-// allocation-free worker bodies —
+// allocation-free worker bodies, no test-only code in production
+// packages —
 // are machine-enforced: `make lint` (cmd/osclint, stdlib-only go/ast +
 // go/types) fails CI on any unsuppressed violation, and intentional
 // exceptions carry //osclint:ignore annotations with reasons.

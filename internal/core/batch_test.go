@@ -60,10 +60,10 @@ func TestUnitEvaluateWordsMatchesEvaluate(t *testing.T) {
 					if vs != vp {
 						t.Fatalf("%s seed %d len %d x=%g: value %g vs %g", name, seed, length, x, vs, vp)
 					}
-					for w := 0; w < bs.WordCount(); w++ {
-						if bs.Word(w) != bp.Word(w) {
-							t.Fatalf("%s seed %d len %d x=%g: word %d %x vs %x",
-								name, seed, length, x, w, bs.Word(w), bp.Word(w))
+					for i := 0; i < bs.Len(); i++ {
+						if bs.Get(i) != bp.Get(i) {
+							t.Fatalf("%s seed %d len %d x=%g: bit %d %d vs %d",
+								name, seed, length, x, i, bs.Get(i), bp.Get(i))
 						}
 					}
 				}

@@ -132,3 +132,26 @@ func TestCircuitCachesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// channelDeltaDirect is the cache-free Eq. (8) bracket: the oracle for
+// the factor-cached ChannelDelta.
+func (c *Circuit) channelDeltaDirect(i int) float64 {
+	n := c.P.Order
+	d := c.FilterShiftNM(i) // weight i selects channel i
+	z := make([]int, n+1)
+
+	z[i] = 1
+	sig := c.ProbeTransmission(i, z, d)
+	z[i] = 0
+
+	xtalk := 0.0
+	for w := 0; w <= n; w++ {
+		if w == i {
+			continue
+		}
+		z[w] = 1
+		xtalk += c.ProbeTransmission(w, z, d)
+		z[w] = 0
+	}
+	return sig - xtalk
+}

@@ -258,29 +258,6 @@ func (c *Circuit) AlignmentErrorNM() float64 {
 	return worst
 }
 
-// RequiredStreamLength returns the stochastic stream length needed so
-// that the SC estimator's RMS error stays below epsilon at the worst
-// case p = 1/2, given the transmission BER b: the variance of the
-// received estimate is p(1−p)/L plus the BER-induced bias/variance.
-// It implements the throughput–accuracy trade-off of §V.B: a higher
-// BER can be compensated by longer streams, as
-//
-//	L ≈ (0.25 + b(1−b)) / ε²
-//
-// rounded up to the next power of two (hardware-friendly counters).
-func RequiredStreamLength(epsilon, ber float64) int {
-	if epsilon <= 0 {
-		panic("core: epsilon must be positive")
-	}
-	v := 0.25 + ber*(1-ber)
-	l := v / (epsilon * epsilon)
-	n := 1
-	for float64(n) < l {
-		n <<= 1
-	}
-	return n
-}
-
 // ThroughputBitsPerSec returns the output sample rate of the unit for
 // a given stream length: bit rate / length.
 func (p Params) ThroughputBitsPerSec(streamLen int) float64 {

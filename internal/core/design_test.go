@@ -136,46 +136,13 @@ func TestMZIFirstCombUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := p.Lambdas()
-	for i := 1; i < len(ls); i++ {
-		if math.Abs((ls[i]-ls[i-1])-p.WLSpacingNM) > 1e-9 {
-			t.Errorf("comb not uniform at %d: %g", i, ls[i]-ls[i-1])
+	for i := 1; i <= p.Order; i++ {
+		if d := p.Lambda(i) - p.Lambda(i-1); math.Abs(d-p.WLSpacingNM) > 1e-9 {
+			t.Errorf("comb not uniform at %d: %g", i, d)
 		}
 	}
 	// Every data weight lands on its channel.
 	if got := MustCircuit(p).AlignmentErrorNM(); got > 1e-3 {
 		t.Errorf("alignment error = %g nm", got)
 	}
-}
-
-func TestRequiredStreamLength(t *testing.T) {
-	// Perfect channel, 1/32 RMS target: 0.25/eps^2 = 256.
-	if got := RequiredStreamLength(1.0/32, 0); got != 256 {
-		t.Errorf("L(1/32, 0) = %d, want 256", got)
-	}
-	// A noisy channel needs more bits. (0.25/eps² = 1024 exactly, so
-	// any extra BER variance crosses the power-of-two boundary.)
-	clean := RequiredStreamLength(1.0/64, 0)
-	noisy := RequiredStreamLength(1.0/64, 0.1)
-	if clean != 1024 {
-		t.Errorf("clean length = %d, want 1024", clean)
-	}
-	if noisy <= clean {
-		t.Errorf("BER did not increase stream length: %d vs %d", noisy, clean)
-	}
-	// Power of two.
-	for _, l := range []int{clean, noisy} {
-		if l&(l-1) != 0 {
-			t.Errorf("length %d not a power of two", l)
-		}
-	}
-}
-
-func TestRequiredStreamLengthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("epsilon 0 did not panic")
-		}
-	}()
-	RequiredStreamLength(0, 0.1)
 }

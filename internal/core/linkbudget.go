@@ -84,22 +84,6 @@ func (c *Circuit) ComputeLinkBudget() LinkBudget {
 	return lb
 }
 
-// DetectedPowerMW returns the probe path's final power.
-func (lb LinkBudget) DetectedPowerMW() float64 {
-	if len(lb.Probe) == 0 {
-		return 0
-	}
-	return lb.Probe[len(lb.Probe)-1].CumulativePowerMW
-}
-
-// ControlPowerMW returns the pump power reaching the filter.
-func (lb LinkBudget) ControlPowerMW() float64 {
-	if len(lb.Pump) == 0 {
-		return 0
-	}
-	return lb.Pump[len(lb.Pump)-1].CumulativePowerMW
-}
-
 // Render writes the budget as two tables.
 func (lb LinkBudget) Render(w io.Writer) error {
 	write := func(title string, stages []LinkStage) error {

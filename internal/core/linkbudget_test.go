@@ -32,7 +32,7 @@ func TestLinkBudgetConsistency(t *testing.T) {
 	// the two agree to ~1e-6 relative (after the budget-only BPF and
 	// routing stages are factored in).
 	extra := BudgetBPF.Transmission(c.P.Lambda(worst)) * BudgetRouting.Transmission()
-	if got := lb.DetectedPowerMW(); math.Abs(got-sig*extra)/(sig*extra) > 1e-5 {
+	if got := lb.Probe[len(lb.Probe)-1].CumulativePowerMW; math.Abs(got-sig*extra)/(sig*extra) > 1e-5 {
 		t.Errorf("detected %g, transmission model × BPF × routing gives %g", got, sig*extra)
 	}
 }
@@ -43,11 +43,12 @@ func TestLinkBudgetPumpPath(t *testing.T) {
 	// The control power equals pump × IL% for the all-constructive
 	// state (Eq. 7b), ≈ 210 mW for the paper design.
 	want := c.P.PumpPowerMW * c.P.MZI.ILFraction()
-	if got := lb.ControlPowerMW(); math.Abs(got-want)/want > 1e-9 {
-		t.Errorf("control power %g, want %g", got, want)
+	control := lb.Pump[len(lb.Pump)-1].CumulativePowerMW
+	if math.Abs(control-want)/want > 1e-9 {
+		t.Errorf("control power %g, want %g", control, want)
 	}
-	if math.Abs(lb.ControlPowerMW()-210) > 1 {
-		t.Errorf("control power %g mW, expected ~210 (2.1 nm / OTE)", lb.ControlPowerMW())
+	if math.Abs(control-210) > 1 {
+		t.Errorf("control power %g mW, expected ~210 (2.1 nm / OTE)", control)
 	}
 }
 

@@ -39,9 +39,9 @@ func TestUnitEvaluateNoisyZeroNoiseMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for w := 0; w < bs.WordCount(); w++ {
-				if bs.Word(w) != bn.Word(w) {
-					t.Fatalf("len %d x=%g: word %d %x vs %x", length, x, w, bs.Word(w), bn.Word(w))
+			for i := 0; i < bs.Len(); i++ {
+				if bs.Get(i) != bn.Get(i) {
+					t.Fatalf("len %d x=%g: bit %d %d vs %d", length, x, i, bs.Get(i), bn.Get(i))
 				}
 			}
 		}
@@ -93,9 +93,9 @@ func TestUnitEvaluateNoisyFallbackMatchesPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w := 0; w < bp.WordCount(); w++ {
-		if bp.Word(w) != bsr.Word(w) {
-			t.Fatalf("word %d: %x vs %x", w, bp.Word(w), bsr.Word(w))
+	for i := 0; i < bp.Len(); i++ {
+		if bp.Get(i) != bsr.Get(i) {
+			t.Fatalf("bit %d: %d vs %d", i, bp.Get(i), bsr.Get(i))
 		}
 	}
 }

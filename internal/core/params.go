@@ -180,15 +180,6 @@ func (p Params) Lambda(i int) float64 {
 	return p.LambdaMaxNM - float64(p.Order-i)*p.WLSpacingNM
 }
 
-// Lambdas returns all probe wavelengths λ_0..λ_n.
-func (p Params) Lambdas() []float64 {
-	out := make([]float64, p.Order+1)
-	for i := range out {
-		out[i] = p.Lambda(i)
-	}
-	return out
-}
-
 // PaperParams returns the §V.A 2nd-order design: WLspacing = 1 nm,
 // λ2 = 1550 nm, λref = 1550.1 nm, OTE = 0.1 nm/10 mW, ILdB = 4.5,
 // with the pump power (591.8 mW) and extinction ratio (13.22 dB)

@@ -29,10 +29,6 @@ func TestPaperParamsAnchors(t *testing.T) {
 	if got := p.LambdaRefNM(); math.Abs(got-1550.1) > 1e-9 {
 		t.Errorf("λref = %g", got)
 	}
-	ls := p.Lambdas()
-	if len(ls) != 3 || ls[0] != p.Lambda(0) {
-		t.Errorf("Lambdas = %v", ls)
-	}
 }
 
 func TestParamsValidateErrors(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // sent as '1' (with z_i = 0), all evaluated with the filter tuned to
 // select channel i. The one-hot transmissions resolve from the shared
 // per-device factor cache, bit-identical to the direct enumeration
-// (channelDeltaDirect).
+// (channelDeltaDirect in the tests).
 func (c *Circuit) ChannelDelta(i int) float64 {
 	f := c.factors()
 	sig := c.transmissionByMask(f, i, i, 1<<i)
@@ -23,29 +23,6 @@ func (c *Circuit) ChannelDelta(i int) float64 {
 			continue
 		}
 		xtalk += c.transmissionByMask(f, w, i, 1<<w)
-	}
-	return sig - xtalk
-}
-
-// channelDeltaDirect is the cache-free Eq. (8) bracket — the retained
-// oracle for the factor-cached ChannelDelta.
-func (c *Circuit) channelDeltaDirect(i int) float64 {
-	n := c.P.Order
-	d := c.FilterShiftNM(i) // weight i selects channel i
-	z := make([]int, n+1)
-
-	z[i] = 1
-	sig := c.ProbeTransmission(i, z, d)
-	z[i] = 0
-
-	xtalk := 0.0
-	for w := 0; w <= n; w++ {
-		if w == i {
-			continue
-		}
-		z[w] = 1
-		xtalk += c.ProbeTransmission(w, z, d)
-		z[w] = 0
 	}
 	return sig - xtalk
 }
@@ -100,6 +77,8 @@ func (c *Circuit) MinProbePowerMW(targetBER float64) float64 {
 // between the selected channel's '1' and '0' received powers, per
 // filter state, normalized by the probe power. It lower-bounds
 // ChannelDelta and is the margin the end-to-end unit actually sees.
+//
+//osclint:ignore testonly tests in core and the root ablation benchmark share it: the exhaustive margin reported beside Eq. 8's
 func (c *Circuit) WorstCaseDeltaOverZ() float64 {
 	pow := c.PowerTable()
 	if pow == nil {

@@ -18,7 +18,8 @@ import (
 // maps onto two XOR gates and a multiplexer when the pixel streams
 // share a randomness source: for *correlated* unipolar streams
 // XOR computes the absolute difference exactly (see
-// stochastic.AbsDiffXOR), and a ½-select MUX averages the two terms.
+// stochastic.FillAbsDiffPlane), and a ½-select MUX averages the two
+// terms.
 
 // RobertsCrossExact computes the operator in floating point.
 func RobertsCrossExact(src *Gray) *Gray {

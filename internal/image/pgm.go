@@ -65,23 +65,6 @@ func (g *Gray) WritePGM(w io.Writer) error {
 	return err
 }
 
-// WritePGMASCII encodes the image as ASCII PGM (P2, maxval 255).
-func (g *Gray) WritePGMASCII(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P2\n%d %d\n255\n", g.W, g.H); err != nil {
-		return err
-	}
-	for y := 0; y < g.H; y++ {
-		row := make([]string, g.W)
-		for x := 0; x < g.W; x++ {
-			row[x] = fmt.Sprint(g.At(x, y))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, " ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadPGM decodes a P2 or P5 PGM stream with maxval <= 255. The pixel
 // buffer grows with the bytes actually read, never from the header's
 // claim, so a hostile header cannot allocate beyond the input: a P5

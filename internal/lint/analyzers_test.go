@@ -130,6 +130,7 @@ func TestMapIterFixture(t *testing.T)    { runFixture(t, "mapiter", "mapiter") }
 func TestOraclePairFixture(t *testing.T) { runFixture(t, "oraclepair", "oraclepair") }
 func TestErrPropFixture(t *testing.T)    { runFixture(t, "errprop", "errprop") }
 func TestHotAllocFixture(t *testing.T)   { runFixture(t, "hotalloc", "hotalloc") }
+func TestTestOnlyFixture(t *testing.T)   { runFixture(t, "testonly", "testonly") }
 
 // TestRepoIsClean is the acceptance gate run inside the test suite:
 // the whole module must lint clean (zero unsuppressed findings) with

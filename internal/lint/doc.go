@@ -21,6 +21,9 @@
 // classes from runtime diffs to analysis time — and now that the
 // engine layer (internal/engine) multiplies the backends sharing each
 // entry point, the rules cover engine-dispatched worker bodies too.
+// Production packages also carry only what production uses: an oracle
+// or helper that only tests call belongs in a _test.go file, where a
+// refactor of the production path does not have to carry it.
 //
 // # Rules
 //
@@ -63,6 +66,34 @@
 // once per item; the rule points at the per-worker scratch pattern
 // (O(workers) allocations, see image.RobertsCrossSCOn) backing the
 // ROADMAP zero-alloc push.
+//
+// testonly — no test-only code in production packages. Each
+// package-level func, method, type, var and const in a non-test file
+// of an internal/ package must be used by some non-test .go file of
+// the module outside its own declaration (which spans from its doc
+// comment to its end, so recursion and self-reference do not count).
+// Code only tests call belongs in a _test.go file of the package it
+// checks, or nowhere.
+//
+//   - What counts as a use: an identifier token with the same name.
+//     Comments and strings do not count.
+//   - The module is everything an ./... walk reaches: cmd/, examples/,
+//     the root, internal/ and bench/ (whose names therefore never
+//     fire). The analyzed package's own files are added too, so a
+//     fixture under testdata/ is judged against itself.
+//   - The name counts come from one token scan of the whole module per
+//     Run, whatever patterns osclint is given: `osclint ./internal/x`
+//     reports exactly what `osclint ./...` reports for x. The scan
+//     reads files; it never type-checks the module a second time.
+//   - Exempt: internal/engine/enginetest (test machinery by design),
+//     methods named Error, String or Unwrap (the standard interfaces
+//     fmt and errors call), and init, main and _. A method that only
+//     an outside interface calls, like the Loader's Import for
+//     go/types, is annotated with the interface it implements.
+//   - Matching is by name only, so it undercounts: a test-only name
+//     that collides with a used one — a Next method beside the
+//     NumberSource interface's, a Check beside engine.Check — passes.
+//     A CI gate needs no false positives, not completeness.
 //
 // # Suppressions
 //

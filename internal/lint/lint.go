@@ -70,7 +70,7 @@ type Analyzer struct {
 }
 
 // Analyzers lists every rule in the suite, in report order.
-var Analyzers = []*Analyzer{DetRand, MapIter, OraclePair, ErrProp, HotAlloc}
+var Analyzers = []*Analyzer{DetRand, MapIter, OraclePair, ErrProp, HotAlloc, TestOnly}
 
 // AnalyzerNames returns the registered rule names.
 func AnalyzerNames() []string {

@@ -33,6 +33,9 @@ type Package struct {
 	// what it can regardless: the repo gates `go vet` before osclint,
 	// so real breakage surfaces there first.
 	TypeErrors []error
+	// loader holds the module-wide facts a rule may need beyond this
+	// package: the testonly rule's identifier counts.
+	loader *Loader
 }
 
 // IsInternal reports whether the package lives under internal/ — the
@@ -58,6 +61,11 @@ type Loader struct {
 	pkgs    map[string]*Package // by directory
 	imports map[string]*types.Package
 	loading map[string]bool
+	// idents counts identifier tokens per name over the non-test files
+	// of every directory in identDirs; identUses fills both on first
+	// use (testonly.go).
+	idents    map[string]int
+	identDirs map[string]bool
 }
 
 // NewLoader reads the module path from root's go.mod and returns a
@@ -95,6 +103,8 @@ func modulePath(gomod string) (string, error) {
 
 // Import implements types.Importer: module-local paths load from the
 // module tree, everything else from the standard library source.
+//
+//osclint:ignore testonly go/types calls it through the types.Importer interface the Loader implements
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.imports[path]; ok {
 		return p, nil
@@ -143,9 +153,10 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	}
 	sort.Strings(names)
 	p := &Package{
-		Path: l.importPath(dir),
-		Dir:  dir,
-		Fset: l.Fset,
+		Path:   l.importPath(dir),
+		Dir:    dir,
+		Fset:   l.Fset,
+		loader: l,
 	}
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -204,13 +215,6 @@ func (p *Package) Callee(call *ast.CallExpr) *types.Func {
 	}
 	obj, _ := p.Info.Uses[id].(*types.Func)
 	return obj
-}
-
-// CalleeIs reports whether the call invokes pkgPath.name.
-func (p *Package) CalleeIs(call *ast.CallExpr, pkgPath, name string) bool {
-	obj := p.Callee(call)
-	return obj != nil && obj.Name() == name &&
-		obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // IsErrorType reports whether t is the predeclared error interface.

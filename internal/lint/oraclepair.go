@@ -24,7 +24,7 @@ var OraclePair = &Analyzer{
 // runSuiteCheck reports exported functions and methods in internal/
 // packages with an engine.Engine parameter that no test file invoking
 // enginetest.Run references. The engine layer itself (internal/engine
-// and its subpackages) is exempt — its Register/Get/Use plumbing takes
+// and its subpackages) is exempt — its wrappers and test engines take
 // Engine values without dispatching domain work.
 func runSuiteCheck(p *Package) []Finding {
 	if !p.IsInternal() ||

@@ -57,51 +57,6 @@ func PowerToBernstein(p []float64) []float64 {
 	return b
 }
 
-// BernsteinToPower converts Bernstein coefficients to the power basis:
-//
-//	p_k = sum_{i=0..k} (-1)^(k-i) C(n,k) C(k,i) b_i
-func BernsteinToPower(b []float64) []float64 {
-	n := len(b) - 1
-	if n < 0 {
-		return nil
-	}
-	p := make([]float64, n+1)
-	for k := 0; k <= n; k++ {
-		s := 0.0
-		for i := 0; i <= k; i++ {
-			sign := 1.0
-			if (k-i)%2 == 1 {
-				sign = -1
-			}
-			s += sign * Binomial(k, i) * b[i]
-		}
-		p[k] = Binomial(n, k) * s
-	}
-	return p
-}
-
-// BernsteinElevate raises the degree of the Bernstein-form polynomial
-// b by one without changing its value anywhere:
-//
-//	b'_i = i/(n+1) b_{i-1} + (1 - i/(n+1)) b_i
-//
-// Degree elevation drives coefficients toward the function's range,
-// which helps pull a fit into [0, 1] as stochastic computing requires.
-func BernsteinElevate(b []float64) []float64 {
-	n := len(b) - 1
-	if n < 0 {
-		return nil
-	}
-	out := make([]float64, n+2)
-	out[0] = b[0]
-	out[n+1] = b[n]
-	for i := 1; i <= n; i++ {
-		t := float64(i) / float64(n+1)
-		out[i] = t*b[i-1] + (1-t)*b[i]
-	}
-	return out
-}
-
 // FitBernstein least-squares fits a degree-n Bernstein polynomial to
 // f sampled at `samples` equally spaced points on [0, 1]. With
 // clampUnit set, coefficients are clamped to [0, 1] after the fit —

@@ -67,27 +67,6 @@ func TestPowerToBernsteinPaperExample(t *testing.T) {
 	}
 }
 
-func TestPowerBernsteinRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(7)
-		p := make([]float64, n+1)
-		for i := range p {
-			p[i] = rng.NormFloat64()
-		}
-		back := BernsteinToPower(PowerToBernstein(p))
-		for i := range p {
-			if math.Abs(back[i]-p[i]) > 1e-8*math.Max(1, math.Abs(p[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBernsteinConversionPreservesValues(t *testing.T) {
 	p := []float64{0.25, 9.0 / 8, -15.0 / 8, 5.0 / 4}
 	b := PowerToBernstein(p)
@@ -98,19 +77,6 @@ func TestBernsteinConversionPreservesValues(t *testing.T) {
 		}
 		if got := BernsteinEval(b, x); math.Abs(got-powVal) > 1e-12 {
 			t.Errorf("x=%g: Bernstein %g vs power %g", x, got, powVal)
-		}
-	}
-}
-
-func TestBernsteinElevatePreservesValues(t *testing.T) {
-	b := []float64{0.25, 0.625, 0.375, 0.75}
-	e := BernsteinElevate(b)
-	if len(e) != len(b)+1 {
-		t.Fatalf("elevated length %d", len(e))
-	}
-	for _, x := range Linspace(0, 1, 33) {
-		if math.Abs(BernsteinEval(e, x)-BernsteinEval(b, x)) > 1e-12 {
-			t.Errorf("elevation changed value at x=%g", x)
 		}
 	}
 }

@@ -1,62 +1,5 @@
 package numeric
 
-import (
-	"fmt"
-	"sort"
-)
-
-// LinearInterp is a piecewise-linear interpolant over strictly
-// increasing abscissae. Evaluation outside the data range clamps to
-// the boundary values, which is the conservative choice for the
-// device-characteristic lookup tables in internal/core.
-type LinearInterp struct {
-	xs, ys []float64
-}
-
-// NewLinearInterp builds an interpolant from parallel slices. The xs
-// must be strictly increasing and at least two points are required.
-// The data is copied.
-func NewLinearInterp(xs, ys []float64) (*LinearInterp, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("numeric: interp data length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("numeric: interp needs at least 2 points, got %d", len(xs))
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("numeric: interp abscissae must be strictly increasing (index %d)", i)
-		}
-	}
-	l := &LinearInterp{xs: make([]float64, len(xs)), ys: make([]float64, len(ys))}
-	copy(l.xs, xs)
-	copy(l.ys, ys)
-	return l, nil
-}
-
-// At evaluates the interpolant at x, clamping outside the data range.
-func (l *LinearInterp) At(x float64) float64 {
-	n := len(l.xs)
-	if x <= l.xs[0] {
-		return l.ys[0]
-	}
-	if x >= l.xs[n-1] {
-		return l.ys[n-1]
-	}
-	// Index of the first abscissa > x.
-	i := sort.SearchFloat64s(l.xs, x)
-	if l.xs[i] == x {
-		return l.ys[i]
-	}
-	t := (x - l.xs[i-1]) / (l.xs[i] - l.xs[i-1])
-	return Lerp(l.ys[i-1], l.ys[i], t)
-}
-
-// Domain returns the abscissa range covered by the data.
-func (l *LinearInterp) Domain() (lo, hi float64) {
-	return l.xs[0], l.xs[len(l.xs)-1]
-}
-
 // Linspace returns n equally spaced samples spanning [a, b]
 // inclusive. n must be at least 2.
 func Linspace(a, b float64, n int) []float64 {

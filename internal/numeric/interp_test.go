@@ -5,50 +5,6 @@ import (
 	"testing"
 )
 
-func TestLinearInterpBasic(t *testing.T) {
-	l, err := NewLinearInterp([]float64{0, 1, 2}, []float64{0, 10, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {0.5, 5}, {1, 10}, {1.5, 5}, {2, 0},
-		{-1, 0}, // clamped left
-		{3, 0},  // clamped right
-		{0.25, 2.5},
-	}
-	for _, c := range cases {
-		if got := l.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	lo, hi := l.Domain()
-	if lo != 0 || hi != 2 {
-		t.Errorf("Domain = [%g,%g]", lo, hi)
-	}
-}
-
-func TestLinearInterpErrors(t *testing.T) {
-	if _, err := NewLinearInterp([]float64{0, 1}, []float64{0}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := NewLinearInterp([]float64{0}, []float64{0}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := NewLinearInterp([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("non-increasing abscissae accepted")
-	}
-}
-
-func TestLinearInterpCopiesData(t *testing.T) {
-	xs := []float64{0, 1}
-	ys := []float64{0, 1}
-	l, _ := NewLinearInterp(xs, ys)
-	ys[1] = 100
-	if got := l.At(1); got != 1 {
-		t.Errorf("interp aliases caller data: At(1) = %g", got)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	s := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

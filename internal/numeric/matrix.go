@@ -21,28 +21,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-// The data is copied.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return &Matrix{}, nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("numeric: ragged rows: row %d has %d entries, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 {
@@ -204,24 +184,4 @@ func LeastSquares(a *Matrix, b []float64, lambda float64) ([]float64, error) {
 		return nil, err
 	}
 	return SolveLinear(ata, atb)
-}
-
-// VecNorm2 returns the Euclidean norm of v.
-func VecNorm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// VecMaxAbs returns the infinity norm of v (0 for an empty slice).
-func VecMaxAbs(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -1,11 +1,32 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// MatrixFromRows builds a matrix from a slice of equal-length rows.
+// The data is copied.
+func MatrixFromRows(rows [][]float64) (*Matrix, error) {
+	if len(rows) == 0 {
+		return &Matrix{}, nil
+	}
+	cols := len(rows[0])
+	m := NewMatrix(len(rows), cols)
+	for i, r := range rows {
+		if len(r) != cols {
+			return nil, fmt.Errorf("numeric: ragged rows: row %d has %d entries, want %d", i, len(r), cols)
+		}
+		copy(m.data[i*cols:(i+1)*cols], r)
+	}
+	return m, nil
+}
+
+// Cols returns the number of columns.
+func (m *Matrix) Cols() int { return m.cols }
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
@@ -190,19 +211,6 @@ func TestLeastSquaresRidge(t *testing.T) {
 	}
 	if math.Abs(c[0]) > 1e-6 {
 		t.Errorf("ridge solution %g not shrunk", c[0])
-	}
-}
-
-func TestVecNorms(t *testing.T) {
-	v := []float64{3, -4}
-	if got := VecNorm2(v); math.Abs(got-5) > 1e-12 {
-		t.Errorf("VecNorm2 = %g", got)
-	}
-	if got := VecMaxAbs(v); got != 4 {
-		t.Errorf("VecMaxAbs = %g", got)
-	}
-	if got := VecMaxAbs(nil); got != 0 {
-		t.Errorf("VecMaxAbs(nil) = %g", got)
 	}
 }
 

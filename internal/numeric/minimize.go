@@ -37,9 +37,9 @@ func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
 
 // GridMinimize evaluates f at n+1 equally spaced points spanning
 // [a, b] and returns the abscissa and value of the smallest sample.
-// It is the robust first stage of MinimizeUnimodal for objectives with
-// multiple shallow basins (e.g. total laser energy when crosstalk
-// resonances make the probe-power curve non-convex).
+// It is the robust first stage before a GoldenSection refinement for
+// objectives with multiple shallow basins (e.g. total laser energy
+// when crosstalk resonances make the probe-power curve non-convex).
 func GridMinimize(f func(float64) float64, a, b float64, n int) (x, fx float64) {
 	if n < 1 {
 		n = 1
@@ -53,19 +53,4 @@ func GridMinimize(f func(float64) float64, a, b float64, n int) (x, fx float64) 
 		}
 	}
 	return x, fx
-}
-
-// MinimizeUnimodal combines a coarse grid scan with a golden-section
-// refinement around the best grid cell. gridN controls the scan
-// resolution; tol the final refinement width. It returns the abscissa
-// of the minimum.
-func MinimizeUnimodal(f func(float64) float64, a, b float64, gridN int, tol float64) float64 {
-	if gridN < 2 {
-		gridN = 2
-	}
-	best, _ := GridMinimize(f, a, b, gridN)
-	h := (b - a) / float64(gridN)
-	lo := math.Max(a, best-h)
-	hi := math.Min(b, best+h)
-	return GoldenSection(f, lo, hi, tol)
 }

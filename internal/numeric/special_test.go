@@ -190,15 +190,3 @@ func TestDBRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 4, 0.5); got != 3 {
-		t.Errorf("Lerp(2,4,0.5) = %g", got)
-	}
-	if got := Lerp(2, 4, 0); got != 2 {
-		t.Errorf("Lerp(2,4,0) = %g", got)
-	}
-	if got := Lerp(2, 4, 1); got != 4 {
-		t.Errorf("Lerp(2,4,1) = %g", got)
-	}
-}

@@ -2,56 +2,6 @@ package numeric
 
 import "math"
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (0 for fewer than
-// two samples).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// MinMax returns the extrema of xs. It panics on an empty slice, as a
-// min/max of nothing indicates a logic error in the caller.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("numeric: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Histogram counts xs into bins equally dividing [lo, hi]. Samples
 // outside the range are clamped into the first/last bin. It returns
 // the per-bin counts.
@@ -80,6 +30,8 @@ func Histogram(xs []float64, lo, hi float64, bins int) []int {
 
 // MeanAbsError returns the mean absolute difference between parallel
 // slices a and b. It panics if the lengths differ.
+//
+//osclint:ignore testonly tests in stochastic, core and numeric share it
 func MeanAbsError(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("numeric: MeanAbsError length mismatch")
@@ -92,21 +44,4 @@ func MeanAbsError(a, b []float64) float64 {
 		s += math.Abs(a[i] - b[i])
 	}
 	return s / float64(len(a))
-}
-
-// RootMeanSquareError returns the RMS difference between parallel
-// slices a and b. It panics if the lengths differ.
-func RootMeanSquareError(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: RootMeanSquareError length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
 }

@@ -5,38 +5,6 @@ import (
 	"testing"
 )
 
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %g", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %g", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate stats not zero")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = %g,%g", min, max)
-	}
-}
-
-func TestMinMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MinMax(nil) did not panic")
-		}
-	}()
-	MinMax(nil)
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0.1, 0.2, 0.6, 0.9, -5, 5}
 	h := Histogram(xs, 0, 1, 2)
@@ -55,11 +23,7 @@ func TestErrorMetrics(t *testing.T) {
 	if got := MeanAbsError(a, b); math.Abs(got-1) > 1e-12 {
 		t.Errorf("MeanAbsError = %g", got)
 	}
-	want := math.Sqrt((0 + 1 + 4) / 3.0)
-	if got := RootMeanSquareError(a, b); math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %g, want %g", got, want)
-	}
-	if MeanAbsError(nil, nil) != 0 || RootMeanSquareError(nil, nil) != 0 {
+	if MeanAbsError(nil, nil) != 0 {
 		t.Error("empty metrics not zero")
 	}
 }

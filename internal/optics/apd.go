@@ -52,6 +52,8 @@ func (a APD) ExcessNoiseFactor() float64 {
 
 // SNRImprovement returns the worst-case SNR gain over a pin detector
 // with the same R and i_n: M/√F(M).
+//
+//osclint:ignore testonly tests in optics and core share it: the closed-form M/sqrt(F(M)) the effective detector must reproduce
 func (a APD) SNRImprovement() float64 {
 	return a.Gain / math.Sqrt(a.ExcessNoiseFactor())
 }

@@ -43,12 +43,6 @@ func (f BandPassFilter) Transmission(lambdaNM float64) float64 {
 	return LossToLinear(f.RejectionDB)
 }
 
-// InBand reports whether lambdaNM falls in the pass band.
-func (f BandPassFilter) InBand(lambdaNM float64) bool {
-	half := f.BandwidthNM / 2
-	return lambdaNM >= f.CenterNM-half && lambdaNM <= f.CenterNM+half
-}
-
 // String implements fmt.Stringer.
 func (f BandPassFilter) String() string {
 	return fmt.Sprintf("BPF(center %.2fnm, bw %.2fnm, loss %.1fdB, rejection %.0fdB)",

@@ -3,14 +3,13 @@
 // is built from:
 //
 //   - Mach–Zehnder interferometer (MZI) modulators characterized by
-//     insertion loss and extinction ratio (paper Eq. 7b), including a
-//     full interferometric phase model;
+//     insertion loss and extinction ratio (paper Eq. 7b);
 //   - micro-ring resonators (MRRs) used both as electro-optic
 //     modulators (through-port transmission, paper Eq. 2) and as the
 //     all-optical add-drop multiplexing filter (drop-port
 //     transmission, paper Eq. 3);
 //   - two-photon-absorption (TPA) resonance tuning (paper Eq. 4) and
-//     its linearized optical tuning efficiency (OTE, nm/mW);
+//     the optical tuning efficiency (OTE, nm/mW) it reduces to;
 //   - continuous-wave and 26 ps pulse-based lasers with lasing
 //     efficiency, splitters/combiners, a band-pass pump-rejection
 //     filter and an OOK photodetector with responsivity and internal
@@ -28,4 +27,14 @@
 // hidden state, no randomness. Stochastic behaviour (detector noise,
 // bit-stream generation) lives in internal/transient and
 // internal/stochastic.
+//
+// # The field-model oracle
+//
+// The field_*_test.go files build the same devices from first
+// principles: directional couplers, lossy phase arms and their
+// compositions, with transmissions derived from complex field
+// amplitudes. Their tests prove that the intensity equations here
+// (Eqs. 2, 3 and 7b) follow from that interference model, and that
+// core.Circuit.ProbeTransmission matches it along the paper circuit's
+// probe path.
 package optics

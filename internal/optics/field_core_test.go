@@ -1,4 +1,4 @@
-package photonic
+package optics_test
 
 import (
 	"math"

@@ -1,4 +1,32 @@
-package photonic
+// The complex-field device model: the oracle for this package's
+// intensity equations (Eqs. 2–3 and the MZI logic levels of Eq. 7b).
+//
+// Where the package implements the paper's intensity equations
+// directly, these files build the same devices from primitive
+// elements — directional couplers (2×2 unitary scattering), lossy
+// phase-accumulating waveguide segments, and their compositions — and
+// derive transmissions from complex field amplitudes:
+//
+//   - an add-drop micro-ring is a feedback loop between two couplers;
+//     its through/drop amplitudes follow either from the closed-form
+//     geometric-series sum or from explicit summation over round
+//     trips (both provided);
+//   - a Mach–Zehnder interferometer is two couplers around two lossy
+//     phase arms; its cross-port intensity reproduces the IL/ER
+//     behavioural model exactly.
+//
+// The tests in field_test.go and field_core_test.go prove the
+// equivalences
+//
+//	|ring.Through|²  == optics.Ring.Through  (paper Eq. 2)
+//	|ring.Drop|²     == optics.Ring.Drop     (paper Eq. 3)
+//	|mzi.Cross|²     == IL%·(ER% + (1−ER%)·cos²(φ/2)), which is
+//	                    optics.MZI.Transmission at φ = 0 and π (Eq. 7b)
+//
+// making the paper's equations a theorem of the interference model
+// rather than an assumption of this reproduction.
+
+package optics_test
 
 import (
 	"fmt"

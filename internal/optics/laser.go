@@ -68,18 +68,6 @@ func (l PulsedLaser) Validate() error {
 	return nil
 }
 
-// DutyCycle returns the fraction of the bit slot the pulse is on.
-func (l PulsedLaser) DutyCycle(bitPeriodS float64) float64 {
-	if bitPeriodS <= 0 {
-		return 1
-	}
-	d := l.PulseWidthS / bitPeriodS
-	if d > 1 {
-		d = 1
-	}
-	return d
-}
-
 // EnergyPerBitPJ returns the electrical energy per bit slot in pJ:
 // one pulse of PeakPowerMW lasting PulseWidthS, divided by the lasing
 // efficiency. The bit period only matters if it is shorter than the
@@ -90,11 +78,6 @@ func (l PulsedLaser) EnergyPerBitPJ(bitPeriodS float64) float64 {
 		w = bitPeriodS
 	}
 	return EnergyPJ(l.PeakPowerMW/l.Efficiency, w)
-}
-
-// AveragePowerMW returns the optical power averaged over a bit slot.
-func (l PulsedLaser) AveragePowerMW(bitPeriodS float64) float64 {
-	return l.PeakPowerMW * l.DutyCycle(bitPeriodS)
 }
 
 // String implements fmt.Stringer.

@@ -47,33 +47,12 @@ func TestPulsedLaserEnergyPaperAnchor(t *testing.T) {
 	}
 }
 
-func TestPulsedLaserDutyCycle(t *testing.T) {
-	l := PulsedLaser{PeakPowerMW: 100, PulseWidthS: 26e-12, Efficiency: 0.2}
-	if got := l.DutyCycle(1e-9); math.Abs(got-0.026) > 1e-12 {
-		t.Errorf("duty cycle = %g", got)
-	}
-	// Pulse longer than the slot clamps to 1.
-	if got := l.DutyCycle(10e-12); got != 1 {
-		t.Errorf("clamped duty cycle = %g", got)
-	}
-	if got := l.DutyCycle(0); got != 1 {
-		t.Errorf("degenerate duty cycle = %g", got)
-	}
-}
-
 func TestPulsedLaserTruncatedPulse(t *testing.T) {
 	l := PulsedLaser{PeakPowerMW: 200, PulseWidthS: 26e-12, Efficiency: 0.2}
 	full := l.EnergyPerBitPJ(1e-9)
 	trunc := l.EnergyPerBitPJ(13e-12)
 	if math.Abs(trunc-full/2) > 1e-9 {
 		t.Errorf("truncated pulse energy %g, want half of %g", trunc, full)
-	}
-}
-
-func TestPulsedLaserAveragePower(t *testing.T) {
-	l := PulsedLaser{PeakPowerMW: 1000, PulseWidthS: 26e-12, Efficiency: 0.2}
-	if got := l.AveragePowerMW(1e-9); math.Abs(got-26) > 1e-9 {
-		t.Errorf("average power = %g mW, want 26", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package optics
 
 import (
 	"fmt"
-	"math"
 )
 
 // MZI models a 1x1 Mach–Zehnder interferometer modulator (paper
@@ -60,22 +59,6 @@ func (m MZI) Transmission(bit int) float64 {
 		return m.ILFraction()
 	}
 	return m.ILFraction() * m.ERFraction()
-}
-
-// TransmissionPhase returns the power transmission for an arbitrary
-// phase difference (radians) between the arms, with the device's
-// finite extinction ratio as the interference floor:
-//
-//	T(φ) = IL% * (ER% + (1-ER%) cos²(φ/2))
-//
-// T(0) equals Transmission(0) and T(π) equals Transmission(1), so the
-// logic-level model of Eq. (7b) is the two-point restriction of this
-// curve. The continuous model supports transient simulation of
-// partially driven modulators.
-func (m MZI) TransmissionPhase(phi float64) float64 {
-	c := math.Cos(phi / 2)
-	er := m.ERFraction()
-	return m.ILFraction() * (er + (1-er)*c*c)
 }
 
 // String implements fmt.Stringer with the conventional device

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMZIEq7b(t *testing.T) {
@@ -28,39 +27,6 @@ func TestMZIValidate(t *testing.T) {
 	}
 	if err := (MZI{ILdB: 1, ERdB: -2}).Validate(); err == nil {
 		t.Error("negative ER accepted")
-	}
-}
-
-func TestMZIPhaseModelEndpoints(t *testing.T) {
-	m := MZI{ILdB: 4.5, ERdB: 13.22}
-	if got, want := m.TransmissionPhase(0), m.Transmission(0); math.Abs(got-want) > 1e-12 {
-		t.Errorf("T(φ=0) = %g, want %g", got, want)
-	}
-	if got, want := m.TransmissionPhase(math.Pi), m.Transmission(1); math.Abs(got-want) > 1e-12 {
-		t.Errorf("T(φ=π) = %g, want %g", got, want)
-	}
-}
-
-func TestMZIPhaseModelMonotone(t *testing.T) {
-	m := MZI{ILdB: 3, ERdB: 8}
-	prev := m.TransmissionPhase(0)
-	for phi := 0.05; phi <= math.Pi+1e-9; phi += 0.05 {
-		cur := m.TransmissionPhase(phi)
-		if cur > prev+1e-12 {
-			t.Fatalf("transmission not monotone at φ=%g", phi)
-		}
-		prev = cur
-	}
-}
-
-func TestMZIPhaseBoundsProperty(t *testing.T) {
-	f := func(ilDB, erDB, phi float64) bool {
-		m := MZI{ILdB: math.Mod(math.Abs(ilDB), 10), ERdB: math.Mod(math.Abs(erDB), 20)}
-		tr := m.TransmissionPhase(phi)
-		return tr >= m.Transmission(1)-1e-12 && tr <= m.Transmission(0)+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

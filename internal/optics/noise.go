@@ -81,12 +81,3 @@ func (m NoiseModel) EffectiveDetector(operatingMW float64) Photodetector {
 		NoiseCurrentA:     m.TotalCurrentA(operatingMW),
 	}
 }
-
-// ThermalLimitedFraction returns the share of the total noise
-// variance contributed by the thermal floor at the given power — a
-// diagnostic for whether the paper's constant-i_n assumption holds
-// (near 1 means yes).
-func (m NoiseModel) ThermalLimitedFraction(powerMW float64) float64 {
-	tot := m.TotalCurrentA(powerMW)
-	return m.ThermalCurrentA * m.ThermalCurrentA / (tot * tot)
-}

@@ -53,12 +53,17 @@ func TestThermalLimitedAtPaperPowers(t *testing.T) {
 	// The paper's received powers (~0.1-0.5 mW) sit in the
 	// thermal-limited regime, justifying Eq. (8)'s constant i_n.
 	m := paperishNoise()
-	if f := m.ThermalLimitedFraction(0.5); f < 0.85 {
+	// The thermal floor's share of the total noise variance.
+	thermal := func(powerMW float64) float64 {
+		tot := m.TotalCurrentA(powerMW)
+		return m.ThermalCurrentA * m.ThermalCurrentA / (tot * tot)
+	}
+	if f := thermal(0.5); f < 0.85 {
 		t.Errorf("thermal fraction %g at 0.5 mW; constant-i_n assumption shaky", f)
 	}
 	// At watt-level powers RIN/shot dominate and the assumption
 	// breaks — the regime the paper avoids.
-	if f := m.ThermalLimitedFraction(1000); f > 0.5 {
+	if f := thermal(1000); f > 0.5 {
 		t.Errorf("thermal fraction %g at 1 W; model insensitive to power", f)
 	}
 }

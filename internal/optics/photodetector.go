@@ -80,14 +80,6 @@ func NewMidpointDecider(maxZeroMW, minOneMW float64) OOKDecider {
 	return OOKDecider{ThresholdMW: (maxZeroMW + minOneMW) / 2}
 }
 
-// Decide returns 1 if the received power exceeds the threshold.
-func (d OOKDecider) Decide(powerMW float64) int {
-	if powerMW > d.ThresholdMW {
-		return 1
-	}
-	return 0
-}
-
 // EyeOpeningMW returns the worst-case eye opening between the two
 // power-level bands; non-positive means the eye is closed and
 // error-free detection is impossible regardless of laser power.

@@ -98,17 +98,6 @@ func (r Ring) Drop(lambdaNM, resonanceNM float64) float64 {
 	return num / den
 }
 
-// ThroughAtRest and DropAtRest evaluate the transmissions with the
-// resonance at its cold position.
-func (r Ring) ThroughAtRest(lambdaNM float64) float64 {
-	return r.Through(lambdaNM, r.ResonanceNM)
-}
-
-// DropAtRest evaluates the drop transmission with the cold resonance.
-func (r Ring) DropAtRest(lambdaNM float64) float64 {
-	return r.Drop(lambdaNM, r.ResonanceNM)
-}
-
 // FWHMNM returns the full width at half maximum of the drop-port
 // resonance in nm:
 //
@@ -116,39 +105,6 @@ func (r Ring) DropAtRest(lambdaNM float64) float64 {
 func (r Ring) FWHMNM() float64 {
 	p := r.Amplitude * r.SelfCoupling1 * r.SelfCoupling2
 	return r.FSRNM * (1 - p) / (math.Pi * math.Sqrt(p))
-}
-
-// QualityFactor returns the loaded quality factor λres/FWHM.
-func (r Ring) QualityFactor() float64 {
-	return r.ResonanceNM / r.FWHMNM()
-}
-
-// Finesse returns FSR/FWHM.
-func (r Ring) Finesse() float64 {
-	return r.FSRNM / r.FWHMNM()
-}
-
-// ExtinctionDB returns the through-port extinction ratio in dB: the
-// off-resonance maximum over the on-resonance minimum transmission.
-func (r Ring) ExtinctionDB() float64 {
-	onRes := r.Through(r.ResonanceNM, r.ResonanceNM)
-	// Anti-resonance (cosθ = -1) gives the maximum.
-	a, r1, r2 := r.Amplitude, r.SelfCoupling1, r.SelfCoupling2
-	offRes := (a*a*r2*r2 + 2*a*r1*r2 + r1*r1) / (1 + 2*a*r1*r2 + a*a*r1*r1*r2*r2)
-	return LinearToDB(offRes / onRes)
-}
-
-// CriticallyCoupledAllPass returns an all-pass (r2 = 1) ring that is
-// critically coupled (r1 = a), giving zero through transmission at
-// resonance. Useful as a reference point in tests.
-func CriticallyCoupledAllPass(resonanceNM, fsrNM, a float64) Ring {
-	return Ring{
-		SelfCoupling1: a,
-		SelfCoupling2: 1,
-		Amplitude:     a,
-		ResonanceNM:   resonanceNM,
-		FSRNM:         fsrNM,
-	}
 }
 
 // String implements fmt.Stringer.

@@ -38,9 +38,9 @@ func TestRingValidate(t *testing.T) {
 
 func TestRingResonanceIsTransmissionMinimum(t *testing.T) {
 	r := testRing()
-	onRes := r.ThroughAtRest(r.ResonanceNM)
+	onRes := r.Through(r.ResonanceNM, r.ResonanceNM)
 	for _, d := range []float64{0.05, 0.1, 0.5, 1, 2} {
-		off := r.ThroughAtRest(r.ResonanceNM + d)
+		off := r.Through(r.ResonanceNM+d, r.ResonanceNM)
 		if off <= onRes {
 			t.Errorf("through at +%.2fnm detuning (%g) not above on-resonance (%g)", d, off, onRes)
 		}
@@ -49,9 +49,9 @@ func TestRingResonanceIsTransmissionMinimum(t *testing.T) {
 
 func TestRingDropPeakAtResonance(t *testing.T) {
 	r := testRing()
-	peak := r.DropAtRest(r.ResonanceNM)
+	peak := r.Drop(r.ResonanceNM, r.ResonanceNM)
 	for _, d := range []float64{0.05, 0.1, 0.5, 1, 2} {
-		off := r.DropAtRest(r.ResonanceNM + d)
+		off := r.Drop(r.ResonanceNM+d, r.ResonanceNM)
 		if off >= peak {
 			t.Errorf("drop at +%.2fnm detuning (%g) not below peak (%g)", d, off, peak)
 		}
@@ -66,7 +66,7 @@ func TestRingEnergyConservationLossless(t *testing.T) {
 	r := testRing()
 	r.Amplitude = 1
 	for _, l := range []float64{1548, 1549.5, 1550, 1550.03, 1551, 1555} {
-		sum := r.ThroughAtRest(l) + r.DropAtRest(l)
+		sum := r.Through(l, r.ResonanceNM) + r.Drop(l, r.ResonanceNM)
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("lossless ring: through+drop = %g at λ=%g", sum, l)
 		}
@@ -86,8 +86,8 @@ func TestRingPassivityProperty(t *testing.T) {
 			FSRNM:         5 + 10*rng.Float64(),
 		}
 		l := 1545 + 10*rng.Float64()
-		th := r.ThroughAtRest(l)
-		dr := r.DropAtRest(l)
+		th := r.Through(l, r.ResonanceNM)
+		dr := r.Drop(l, r.ResonanceNM)
 		return th >= 0 && dr >= 0 && th+dr <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -99,11 +99,11 @@ func TestRingFSRPeriodicity(t *testing.T) {
 	r := testRing()
 	// The next resonance sits ~FSR away: drop transmission should
 	// peak again near 1560.
-	peak0 := r.DropAtRest(r.ResonanceNM)
+	peak0 := r.Drop(r.ResonanceNM, r.ResonanceNM)
 	// Scan for the next peak in [1555, 1565].
 	best, bestL := 0.0, 0.0
 	for l := 1555.0; l <= 1565; l += 0.001 {
-		if d := r.DropAtRest(l); d > best {
+		if d := r.Drop(l, r.ResonanceNM); d > best {
 			best, bestL = d, l
 		}
 	}
@@ -121,11 +121,11 @@ func TestRingDetunedResonanceMoves(t *testing.T) {
 	// When the resonance is blue-shifted by 0.5 nm, the drop peak
 	// follows it.
 	newRes := r.ResonanceNM - shift
-	if got := r.Drop(newRes, newRes); got < 0.9*r.DropAtRest(r.ResonanceNM) {
+	if got := r.Drop(newRes, newRes); got < 0.9*r.Drop(r.ResonanceNM, r.ResonanceNM) {
 		t.Errorf("drop at shifted resonance = %g", got)
 	}
 	// And the original wavelength is now attenuated.
-	if got := r.Drop(r.ResonanceNM, newRes); got > 0.5*r.DropAtRest(r.ResonanceNM) {
+	if got := r.Drop(r.ResonanceNM, newRes); got > 0.5*r.Drop(r.ResonanceNM, r.ResonanceNM) {
 		t.Errorf("drop at old resonance after shift = %g, should be attenuated", got)
 	}
 }
@@ -133,11 +133,11 @@ func TestRingDetunedResonanceMoves(t *testing.T) {
 func TestRingFWHMMatchesScan(t *testing.T) {
 	r := testRing()
 	analytic := r.FWHMNM()
-	peak := r.DropAtRest(r.ResonanceNM)
+	peak := r.Drop(r.ResonanceNM, r.ResonanceNM)
 	// Scan outward for the half-maximum crossing.
 	var half float64
 	for d := 0.0; d < 5; d += 1e-5 {
-		if r.DropAtRest(r.ResonanceNM+d) < peak/2 {
+		if r.Drop(r.ResonanceNM+d, r.ResonanceNM) < peak/2 {
 			half = d
 			break
 		}
@@ -148,36 +148,11 @@ func TestRingFWHMMatchesScan(t *testing.T) {
 	}
 }
 
-func TestRingQualityFactorAndFinesse(t *testing.T) {
-	r := testRing()
-	q := r.QualityFactor()
-	if q < 1e3 || q > 1e6 {
-		t.Errorf("Q = %g outside plausible range for the calibrated ring", q)
-	}
-	if f := r.Finesse(); math.Abs(f-r.FSRNM/r.FWHMNM()) > 1e-9 {
-		t.Errorf("Finesse = %g inconsistent", f)
-	}
-}
-
 func TestCriticallyCoupledAllPassNullsAtResonance(t *testing.T) {
-	r := CriticallyCoupledAllPass(1550, 10, 0.98)
-	if got := r.ThroughAtRest(1550); got > 1e-10 {
+	// An all-pass ring (r2 = 1) critically coupled (r1 = a).
+	r := Ring{SelfCoupling1: 0.98, SelfCoupling2: 1, Amplitude: 0.98, ResonanceNM: 1550, FSRNM: 10}
+	if got := r.Through(1550, r.ResonanceNM); got > 1e-10 {
 		t.Errorf("critically coupled through at resonance = %g, want ~0", got)
-	}
-}
-
-func TestRingExtinctionDB(t *testing.T) {
-	r := testRing()
-	ext := r.ExtinctionDB()
-	if ext <= 0 {
-		t.Errorf("extinction %g dB not positive", ext)
-	}
-	// Direct check against the scan.
-	onRes := r.ThroughAtRest(r.ResonanceNM)
-	offRes := r.ThroughAtRest(r.ResonanceNM + r.FSRNM/2)
-	want := LinearToDB(offRes / onRes)
-	if math.Abs(ext-want) > 0.5 {
-		t.Errorf("ExtinctionDB = %g, scan says %g", ext, want)
 	}
 }
 
@@ -192,8 +167,8 @@ func TestRingSymmetryAroundResonance(t *testing.T) {
 	// The drop lineshape is symmetric to first order in detuning.
 	r := testRing()
 	for _, d := range []float64{0.01, 0.05, 0.1} {
-		up := r.DropAtRest(r.ResonanceNM + d)
-		dn := r.DropAtRest(r.ResonanceNM - d)
+		up := r.Drop(r.ResonanceNM+d, r.ResonanceNM)
+		dn := r.Drop(r.ResonanceNM-d, r.ResonanceNM)
 		if math.Abs(up-dn)/up > 0.02 {
 			t.Errorf("asymmetry at ±%g nm: %g vs %g", d, up, dn)
 		}

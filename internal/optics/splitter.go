@@ -18,14 +18,6 @@ func (s Splitter) ExcessLossFraction() float64 {
 	return LossToLinear(s.ExcessLossDB)
 }
 
-// PortTransmission returns the input-to-single-output power fraction.
-func (s Splitter) PortTransmission() float64 {
-	if s.Ports <= 0 {
-		return 0
-	}
-	return s.ExcessLossFraction() / float64(s.Ports)
-}
-
 // String implements fmt.Stringer.
 func (s Splitter) String() string {
 	return fmt.Sprintf("Splitter(1:%d, excess %.2fdB)", s.Ports, s.ExcessLossDB)

@@ -92,24 +92,3 @@ func (m TPAModel) ShiftNM(lambdaNM, pumpMW float64) float64 {
 	}
 	return shift
 }
-
-// LinearizedOTE returns the equivalent OTETuner at lambdaNM, i.e. the
-// small-signal nm/mW slope of ShiftNM. Because Eq. (4) is already
-// linear in P, the linearization is exact and the returned tuner
-// reproduces ShiftNM at every power.
-func (m TPAModel) LinearizedOTE(lambdaNM float64) OTETuner {
-	return OTETuner{OTENMPerMW: m.ShiftNM(lambdaNM, 1)}
-}
-
-// CalibratedTPAModel returns a TPA model whose parameters reproduce a
-// target OTE at the given wavelength, keeping the stated n0 and group
-// index. It back-solves the n2/S ratio; the individual values are
-// reported with S fixed at the given cross-section.
-func CalibratedTPAModel(lambdaNM, oteNMPerMW, n0, ng, crossSectionM2 float64) TPAModel {
-	if ng == 0 {
-		ng = n0
-	}
-	// ote = λ * (n2 * 1e-3 / S) / ng  =>  n2 = ote * ng * S * 1e3 / λ.
-	n2 := oteNMPerMW * ng * crossSectionM2 * 1e3 / lambdaNM
-	return TPAModel{N0: n0, N2M2PerW: n2, CrossSectionM2: crossSectionM2, GroupIndex: ng}
-}

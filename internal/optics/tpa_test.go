@@ -62,27 +62,3 @@ func TestTPAModelValidate(t *testing.T) {
 		t.Error("zero cross-section accepted")
 	}
 }
-
-func TestCalibratedTPAMatchesOTE(t *testing.T) {
-	// Device-level model calibrated to the paper's OTE must agree
-	// with the linear tuner at every power (Eq. 4 is linear in P).
-	m := CalibratedTPAModel(1550, 0.01, 3.2, 3.6, 1e-13)
-	for _, p := range []float64{1, 10, 100, 591.8} {
-		want := PaperOTE.ShiftNM(p)
-		got := m.ShiftNM(1550, p)
-		if math.Abs(got-want)/want > 1e-9 {
-			t.Errorf("P=%g: TPA %g vs OTE %g", p, got, want)
-		}
-	}
-	ote := m.LinearizedOTE(1550)
-	if math.Abs(ote.OTENMPerMW-0.01) > 1e-12 {
-		t.Errorf("linearized OTE = %g", ote.OTENMPerMW)
-	}
-}
-
-func TestCalibratedTPADefaultGroupIndex(t *testing.T) {
-	m := CalibratedTPAModel(1550, 0.01, 3.2, 0, 1e-13)
-	if m.GroupIndex != 3.2 {
-		t.Errorf("default group index = %g, want n0", m.GroupIndex)
-	}
-}

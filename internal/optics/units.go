@@ -1,16 +1,11 @@
 package optics
 
 import (
-	"math"
-
 	"repro/internal/numeric"
 )
 
 // Physical constants and common telecom quantities.
 const (
-	// SpeedOfLight in vacuum, m/s.
-	SpeedOfLight = 299792458.0
-
 	// CBandCenterNM is the conventional-band reference wavelength
 	// used throughout the paper's experiments (λ2 = 1550 nm).
 	CBandCenterNM = 1550.0
@@ -35,31 +30,6 @@ func LossToLinear(lossDB float64) float64 {
 // the OFF/ON power fraction ER%: ExtinctionToLinear(13.22) ≈ 0.0476.
 func ExtinctionToLinear(erDB float64) float64 {
 	return numeric.DBToLinear(-erDB)
-}
-
-// WavelengthToFrequencyTHz converts a wavelength in nm to an optical
-// frequency in THz.
-func WavelengthToFrequencyTHz(lambdaNM float64) float64 {
-	if lambdaNM <= 0 {
-		return math.Inf(1)
-	}
-	return SpeedOfLight / lambdaNM / 1e3 // c[m/s] / λ[nm] = Hz*1e9; /1e3 => THz
-}
-
-// FrequencyTHzToWavelength converts an optical frequency in THz to a
-// wavelength in nm.
-func FrequencyTHzToWavelength(fTHz float64) float64 {
-	if fTHz <= 0 {
-		return math.Inf(1)
-	}
-	return SpeedOfLight / fTHz / 1e3
-}
-
-// PhotonEnergyJ returns the energy of a single photon at the given
-// wavelength in joules (used for shot-noise sanity checks).
-func PhotonEnergyJ(lambdaNM float64) float64 {
-	const planck = 6.62607015e-34 // J*s
-	return planck * SpeedOfLight / (lambdaNM * 1e-9)
 }
 
 // MilliwattsToWatts converts mW to W.

@@ -58,11 +58,6 @@ func (b BernsteinPoly) Representable() bool {
 	return true
 }
 
-// Elevate returns the same polynomial expressed one degree higher.
-func (b BernsteinPoly) Elevate() BernsteinPoly {
-	return BernsteinPoly{Coef: numeric.BernsteinElevate(b.Coef)}
-}
-
 // String renders the coefficients.
 func (b BernsteinPoly) String() string {
 	parts := make([]string, len(b.Coef))

@@ -2,7 +2,6 @@ package stochastic
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 )
@@ -23,18 +22,6 @@ func NewBitstream(n int) *Bitstream {
 	return &Bitstream{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// FromBits builds a stream from a slice of 0/1 ints. Any non-zero
-// entry counts as 1.
-func FromBits(bits []int) *Bitstream {
-	b := NewBitstream(len(bits))
-	for i, v := range bits {
-		if v != 0 {
-			b.Set(i, 1)
-		}
-	}
-	return b
-}
-
 // Len returns the stream length in bits.
 func (b *Bitstream) Len() int { return b.n }
 
@@ -49,13 +36,6 @@ func (b *Bitstream) WordBits(i int) int {
 		return rem
 	}
 	return 64
-}
-
-// Word returns the i-th 64-bit word, LSB-first (bit 64·i of the
-// stream is bit 0 of the word). Bits past Len() are zero.
-func (b *Bitstream) Word(i int) uint64 {
-	b.checkWord(i)
-	return b.words[i]
 }
 
 // SetWord assigns the i-th 64-bit word. Bits past Len() are cleared,
@@ -122,50 +102,6 @@ func (b *Bitstream) Clone() *Bitstream {
 	return c
 }
 
-// And returns the bitwise AND of b and o, the stochastic multiplier
-// for uncorrelated unipolar streams: E[a·b] = va·vb.
-func (b *Bitstream) And(o *Bitstream) *Bitstream {
-	b.sameLen(o)
-	out := NewBitstream(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	out.maskTail()
-	return out
-}
-
-// Or returns the bitwise OR of b and o.
-func (b *Bitstream) Or(o *Bitstream) *Bitstream {
-	b.sameLen(o)
-	out := NewBitstream(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] | o.words[i]
-	}
-	out.maskTail()
-	return out
-}
-
-// Xor returns the bitwise XOR of b and o.
-func (b *Bitstream) Xor(o *Bitstream) *Bitstream {
-	b.sameLen(o)
-	out := NewBitstream(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] ^ o.words[i]
-	}
-	out.maskTail()
-	return out
-}
-
-// Not returns the bitwise complement, the stochastic 1-v operation.
-func (b *Bitstream) Not() *Bitstream {
-	out := NewBitstream(b.n)
-	for i := range b.words {
-		out.words[i] = ^b.words[i]
-	}
-	out.maskTail()
-	return out
-}
-
 // maskTail clears the unused high bits of the last word so popcounts
 // stay correct after whole-word operations like Not.
 func (b *Bitstream) maskTail() {
@@ -196,70 +132,6 @@ func Mux(sel *Bitstream, inputs ...*Bitstream) *Bitstream {
 	}
 	out.maskTail()
 	return out
-}
-
-// MuxN selects per-slot among len(inputs) streams according to the
-// integer select values sel[i] ∈ [0, len(inputs)). This is the wide
-// multiplexer of the ReSC architecture (paper Fig. 1a). Out-of-range
-// selects panic: they indicate a broken adder.
-//
-// All selects are validated up front; the output is then assembled
-// word-at-a-time straight from the input words, with no per-bit
-// bounds rechecking.
-func MuxN(sel []int, inputs ...*Bitstream) *Bitstream {
-	if len(inputs) == 0 {
-		panic("stochastic: MuxN needs at least one input")
-	}
-	n := inputs[0].n
-	for _, in := range inputs[1:] {
-		inputs[0].sameLen(in)
-	}
-	if len(sel) != n {
-		panic(fmt.Sprintf("stochastic: select length %d vs stream length %d", len(sel), n))
-	}
-	for _, s := range sel {
-		if s < 0 || s >= len(inputs) {
-			panic(fmt.Sprintf("stochastic: select %d out of range [0,%d)", s, len(inputs)))
-		}
-	}
-	out := NewBitstream(n)
-	for w := range out.words {
-		base := w * 64
-		nbits := out.WordBits(w)
-		var word uint64
-		for b := 0; b < nbits; b++ {
-			word |= inputs[sel[base+b]].words[w] >> uint(b) & 1 << uint(b)
-		}
-		out.words[w] = word
-	}
-	return out
-}
-
-// Correlation returns the stochastic cross-correlation (SCC) of two
-// equal-length streams, in [-1, 1]: +1 for maximally overlapping
-// ones, -1 for maximally anti-overlapping, 0 for independence.
-func Correlation(a, b *Bitstream) float64 {
-	a.sameLen(b)
-	n := float64(a.n)
-	if n == 0 {
-		return 0
-	}
-	pa, pb := a.Value(), b.Value()
-	pab := a.And(b).Value()
-	d := pab - pa*pb
-	if d == 0 {
-		return 0
-	}
-	var denom float64
-	if d > 0 {
-		denom = math.Min(pa, pb) - pa*pb
-	} else {
-		denom = pa*pb - math.Max(pa+pb-1, 0)
-	}
-	if denom == 0 {
-		return 0
-	}
-	return d / denom
 }
 
 // String renders short streams as e.g. "0,1,1,0 (2/4)"; longer

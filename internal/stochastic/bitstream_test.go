@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestBitstreamBasics(t *testing.T) {
@@ -42,7 +41,7 @@ func TestBitstreamPanics(t *testing.T) {
 	mustPanic("negative length", func() { NewBitstream(-1) })
 	mustPanic("get out of range", func() { b.Get(8) })
 	mustPanic("set out of range", func() { b.Set(-1, 1) })
-	mustPanic("and mismatch", func() { b.And(NewBitstream(9)) })
+	mustPanic("mux mismatch", func() { Mux(b, b, NewBitstream(9)) })
 }
 
 func TestFromBitsAndString(t *testing.T) {
@@ -56,63 +55,6 @@ func TestFromBitsAndString(t *testing.T) {
 	long := NewBitstream(100)
 	if s := long.String(); !strings.Contains(s, "0/100") {
 		t.Errorf("long String = %q", s)
-	}
-}
-
-func TestAndIsMultiplier(t *testing.T) {
-	// For independent streams, AND multiplies values.
-	rng := rand.New(rand.NewSource(7))
-	n := 1 << 16
-	a, b := NewBitstream(n), NewBitstream(n)
-	pa, pb := 0.6, 0.5
-	for i := 0; i < n; i++ {
-		if rng.Float64() < pa {
-			a.Set(i, 1)
-		}
-		if rng.Float64() < pb {
-			b.Set(i, 1)
-		}
-	}
-	got := a.And(b).Value()
-	if math.Abs(got-pa*pb) > 0.01 {
-		t.Errorf("AND multiply = %g, want ~%g", got, pa*pb)
-	}
-}
-
-func TestDeMorganProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		a, b := NewBitstream(n), NewBitstream(n)
-		for i := 0; i < n; i++ {
-			a.Set(i, rng.Intn(2))
-			b.Set(i, rng.Intn(2))
-		}
-		// NOT(a AND b) == NOT a OR NOT b, bit for bit.
-		left := a.And(b).Not()
-		right := a.Not().Or(b.Not())
-		for i := 0; i < n; i++ {
-			if left.Get(i) != right.Get(i) {
-				return false
-			}
-		}
-		// XOR parity check: a XOR a == 0.
-		if a.Xor(a).Ones() != 0 {
-			return false
-		}
-		// NOT value complement.
-		return math.Abs(a.Not().Value()-(1-a.Value())) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNotMasksTail(t *testing.T) {
-	// Not on a non-multiple-of-64 stream must not count ghost bits.
-	b := NewBitstream(10)
-	if got := b.Not().Ones(); got != 10 {
-		t.Errorf("Not().Ones() = %d, want 10", got)
 	}
 }
 
@@ -180,7 +122,7 @@ func TestCorrelationExtremes(t *testing.T) {
 	if got := Correlation(a, a); math.Abs(got-1) > 1e-12 {
 		t.Errorf("self correlation = %g, want 1", got)
 	}
-	anti := a.Not()
+	anti := FromBits([]int{0, 0, 1, 1})
 	if got := Correlation(a, anti); math.Abs(got-(-1)) > 1e-12 {
 		t.Errorf("anti correlation = %g, want -1", got)
 	}
@@ -209,4 +151,48 @@ func TestCloneIndependence(t *testing.T) {
 	if a.Get(1) != 0 {
 		t.Error("Clone aliases storage")
 	}
+}
+
+// FromBits builds a stream from a slice of 0/1 ints. Any non-zero
+// entry counts as 1. It is the tests' literal-stream constructor.
+func FromBits(bits []int) *Bitstream {
+	b := NewBitstream(len(bits))
+	for i, v := range bits {
+		if v != 0 {
+			b.Set(i, 1)
+		}
+	}
+	return b
+}
+
+// Correlation returns the stochastic cross-correlation (SCC) of two
+// equal-length streams, in [-1, 1]: +1 for maximally overlapping
+// ones, -1 for maximally anti-overlapping, 0 for independence. The
+// tests use it to check the correlation a source or a kernel promises.
+func Correlation(a, b *Bitstream) float64 {
+	a.sameLen(b)
+	n := float64(a.n)
+	if n == 0 {
+		return 0
+	}
+	pa, pb := a.Value(), b.Value()
+	both := 0
+	for i := 0; i < a.n; i++ {
+		both += a.Get(i) & b.Get(i)
+	}
+	pab := float64(both) / n
+	d := pab - pa*pb
+	if d == 0 {
+		return 0
+	}
+	var denom float64
+	if d > 0 {
+		denom = math.Min(pa, pb) - pa*pb
+	} else {
+		denom = pa*pb - math.Max(pa+pb-1, 0)
+	}
+	if denom == 0 {
+		return 0
+	}
+	return d / denom
 }

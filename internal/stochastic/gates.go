@@ -1,19 +1,9 @@
 package stochastic
 
-import (
-	"fmt"
-)
-
 // Elementary stochastic arithmetic (Gaines [7], Poppelbaum [8]): the
-// unipolar operations the ReSC architecture composes. Each gate is a
+// unipolar scaled adder the ReSC architecture composes. The gate is a
 // pure function of bit-streams; accuracy follows from stream
 // independence exactly as in the hardware.
-
-// Multiply returns the unipolar product stream: AND of independent
-// streams computes E = va·vb.
-func Multiply(a, b *Bitstream) *Bitstream {
-	return a.And(b)
-}
 
 // ScaledAdd returns the unipolar scaled addition
 // s·b + (1−s)·a, implemented by a 2:1 multiplexer whose select
@@ -21,77 +11,4 @@ func Multiply(a, b *Bitstream) *Bitstream {
 // closure property.
 func ScaledAdd(sel, a, b *Bitstream) *Bitstream {
 	return Mux(sel, a, b)
-}
-
-// Complement returns the 1−v stream (NOT gate).
-func Complement(a *Bitstream) *Bitstream {
-	return a.Not()
-}
-
-// ScaledSub returns the unipolar scaled subtraction
-// s·b + (1−s)·(1−a) … the standard SC "subtractor" composes a
-// complement with a scaled add; for s = 1/2 the output value is
-// (1 − va + vb)/2.
-func ScaledSub(sel, a, b *Bitstream) *Bitstream {
-	return Mux(sel, a.Not(), b)
-}
-
-// AbsDiffXOR returns the XOR stream. For *correlated* (identically
-// generated) inputs XOR computes |va − vb|; for independent inputs it
-// computes va(1−vb) + vb(1−va).
-func AbsDiffXOR(a, b *Bitstream) *Bitstream {
-	return a.Xor(b)
-}
-
-// SDivider approximates unipolar division vb = va/vd (va <= vd) with
-// the classic feedback counter divider: an up/down saturating counter
-// integrates the error between the input stream and the quotient
-// estimate gated by the divisor stream.
-type SDivider struct {
-	// Bits is the counter width; the quotient resolution is 2^-Bits.
-	Bits    uint
-	counter uint64
-}
-
-// NewSDivider returns a divider with the given counter width (4..24).
-func NewSDivider(bits uint) (*SDivider, error) {
-	if bits < 4 || bits > 24 {
-		return nil, fmt.Errorf("stochastic: divider width %d outside [4,24]", bits)
-	}
-	return &SDivider{Bits: bits, counter: 1 << (bits - 1)}, nil
-}
-
-// Step consumes one bit of the dividend and divisor streams and
-// returns the current quotient bit. src supplies the comparator
-// randomness.
-//
-// The feedback integrates err = dividend − (quotient AND divisor);
-// at equilibrium E[err] = 0, i.e. va = q·vd, so q → va/vd.
-func (d *SDivider) Step(dividendBit, divisorBit int, src NumberSource) int {
-	max := uint64(1)<<d.Bits - 1
-	// Quotient estimate as a probability.
-	q := float64(d.counter) / float64(max)
-	out := 0
-	if src.Next() < q {
-		out = 1
-	}
-	up := dividendBit == 1
-	down := out == 1 && divisorBit == 1
-	if up && !down && d.counter < max {
-		d.counter++
-	} else if down && !up && d.counter > 0 {
-		d.counter--
-	}
-	return out
-}
-
-// Divide runs the divider over whole streams and returns the quotient
-// stream. Streams must have equal length.
-func (d *SDivider) Divide(dividend, divisor *Bitstream, src NumberSource) *Bitstream {
-	dividend.sameLen(divisor)
-	out := NewBitstream(dividend.Len())
-	for i := 0; i < dividend.Len(); i++ {
-		out.Set(i, d.Step(dividend.Get(i), divisor.Get(i), src))
-	}
-	return out
 }

@@ -14,14 +14,6 @@ func independentStreams(seed uint64, n int, ps ...float64) []*Bitstream {
 	return out
 }
 
-func TestMultiplyGate(t *testing.T) {
-	s := independentStreams(1, 1<<16, 0.7, 0.4)
-	got := Multiply(s[0], s[1]).Value()
-	if math.Abs(got-0.28) > 0.01 {
-		t.Errorf("0.7*0.4 = %g", got)
-	}
-}
-
 func TestScaledAddGate(t *testing.T) {
 	s := independentStreams(2, 1<<16, 0.2, 0.8, 0.5)
 	got := ScaledAdd(s[2], s[0], s[1]).Value()
@@ -29,104 +21,4 @@ func TestScaledAddGate(t *testing.T) {
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("scaled add = %g, want %g", got, want)
 	}
-}
-
-func TestComplementGate(t *testing.T) {
-	s := independentStreams(3, 1<<14, 0.3)
-	if got := Complement(s[0]).Value(); math.Abs(got-0.7) > 0.02 {
-		t.Errorf("1-0.3 = %g", got)
-	}
-}
-
-func TestScaledSubGate(t *testing.T) {
-	// With s=1/2: value = (1 - va + vb)/2.
-	s := independentStreams(4, 1<<16, 0.6, 0.2, 0.5)
-	got := ScaledSub(s[2], s[0], s[1]).Value()
-	want := (1 - 0.6 + 0.2) / 2
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("scaled sub = %g, want %g", got, want)
-	}
-}
-
-func TestXORGateIndependent(t *testing.T) {
-	s := independentStreams(5, 1<<16, 0.6, 0.3)
-	got := AbsDiffXOR(s[0], s[1]).Value()
-	want := 0.6*0.7 + 0.3*0.4
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("xor = %g, want %g", got, want)
-	}
-}
-
-func TestXORGateCorrelated(t *testing.T) {
-	// Same generator, shared randomness: XOR computes |va - vb|.
-	n := 1 << 16
-	src := NewSplitMix64(6)
-	a, b := NewBitstream(n), NewBitstream(n)
-	for i := 0; i < n; i++ {
-		r := src.Next()
-		if r < 0.65 {
-			a.Set(i, 1)
-		}
-		if r < 0.25 {
-			b.Set(i, 1)
-		}
-	}
-	got := AbsDiffXOR(a, b).Value()
-	if math.Abs(got-0.40) > 0.01 {
-		t.Errorf("|0.65-0.25| = %g", got)
-	}
-}
-
-func TestSDividerConverges(t *testing.T) {
-	d, err := NewSDivider(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 1 << 17
-	s := independentStreams(7, n, 0.3, 0.6) // 0.3/0.6 = 0.5
-	src := NewSplitMix64(8)
-	q := d.Divide(s[0], s[1], src)
-	// Discard the acquisition transient: measure the back half.
-	ones := 0
-	for i := n / 2; i < n; i++ {
-		ones += q.Get(i)
-	}
-	got := float64(ones) / float64(n/2)
-	if math.Abs(got-0.5) > 0.05 {
-		t.Errorf("0.3/0.6 = %g, want ~0.5", got)
-	}
-}
-
-func TestSDividerOtherRatio(t *testing.T) {
-	d, _ := NewSDivider(12)
-	n := 1 << 17
-	s := independentStreams(9, n, 0.2, 0.8) // 0.25
-	q := d.Divide(s[0], s[1], NewSplitMix64(10))
-	ones := 0
-	for i := n / 2; i < n; i++ {
-		ones += q.Get(i)
-	}
-	got := float64(ones) / float64(n/2)
-	if math.Abs(got-0.25) > 0.05 {
-		t.Errorf("0.2/0.8 = %g, want ~0.25", got)
-	}
-}
-
-func TestSDividerValidation(t *testing.T) {
-	if _, err := NewSDivider(2); err == nil {
-		t.Error("width 2 accepted")
-	}
-	if _, err := NewSDivider(30); err == nil {
-		t.Error("width 30 accepted")
-	}
-}
-
-func TestSDividerLengthMismatchPanics(t *testing.T) {
-	d, _ := NewSDivider(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	d.Divide(NewBitstream(8), NewBitstream(9), NewSplitMix64(1))
 }

@@ -34,9 +34,9 @@ func TestGenerateWordsMatchesGenerate(t *testing.T) {
 					t.Fatalf("%s p=%g n=%d: length %d vs %d", name, p, n, serial.Len(), packed.Len())
 				}
 				for w := 0; w < serial.WordCount(); w++ {
-					if serial.Word(w) != packed.Word(w) {
+					if serial.words[w] != packed.words[w] {
 						t.Errorf("%s p=%g n=%d: word %d differs: %x vs %x",
-							name, p, n, w, serial.Word(w), packed.Word(w))
+							name, p, n, w, serial.words[w], packed.words[w])
 					}
 				}
 			}
@@ -126,9 +126,9 @@ func TestEvaluateWordsMatchesEvaluate(t *testing.T) {
 							degree, seed, length, x, vs, vp)
 					}
 					for w := 0; w < bs.WordCount(); w++ {
-						if bs.Word(w) != bp.Word(w) {
+						if bs.words[w] != bp.words[w] {
 							t.Fatalf("deg %d seed %d len %d x=%g: word %d %x vs %x",
-								degree, seed, length, x, w, bs.Word(w), bp.Word(w))
+								degree, seed, length, x, w, bs.words[w], bp.words[w])
 						}
 					}
 				}
@@ -147,7 +147,7 @@ func TestEvaluateWordsContinues(t *testing.T) {
 		_, bs := serial.Evaluate(0.4, 100)
 		_, bp := packed.EvaluateWords(0.4, 100)
 		for w := 0; w < bs.WordCount(); w++ {
-			if bs.Word(w) != bp.Word(w) {
+			if bs.words[w] != bp.words[w] {
 				t.Fatalf("call %d: word %d differs", call, w)
 			}
 		}
@@ -354,4 +354,14 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// GenerateWords is Generate assembled word-at-a-time through NextWord:
+// bit-identical output for equal sources, without per-bit Set calls.
+func (g *SNG) GenerateWords(p float64, n int) *Bitstream {
+	b := NewBitstream(n)
+	for w := 0; w < b.WordCount(); w++ {
+		b.SetWord(w, bernoulliWord(g.src, p, b.WordBits(w)))
+	}
+	return b
 }

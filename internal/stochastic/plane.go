@@ -64,80 +64,31 @@ func FillPlane(src NumberSource, p float64, n int, dst []uint64) {
 	}
 }
 
-// FillCorrelatedPlanes fills pa and pb with *maximally correlated*
-// n-bit streams of values a and b: each clock draws ONE shared uniform
-// sample and thresholds it against both probabilities, so the streams
-// overlap as much as their values allow and XOR computes |a−b| exactly
-// (the absolute-difference idiom of the edge-detection workload).
-//
-// Unlike FillPlane, one sample is consumed per bit even for degenerate
-// probabilities — the draw is shared, so it cannot be skipped for one
-// threshold only. This matches a serial loop that draws r once and
-// sets bit i of pa iff r < a and of pb iff r < b.
-func FillCorrelatedPlanes(src NumberSource, a, b float64, n int, pa, pb []uint64) {
-	words := WordsFor(n)
-	checkPlane("pa", pa, words)
-	checkPlane("pb", pb, words)
-	if sm, ok := src.(*SplitMix64); ok {
-		// Devirtualized integer-domain fast path (see probThreshold),
-		// with the comparisons made branchless: k and thr both sit
-		// far below 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of
-		// the difference. Stochastic bits are maximally unpredictable
-		// — a branch per comparator would mispredict half the time.
-		thrA, thrB := probThreshold(a), probThreshold(b)
-		for w := 0; w < words; w++ {
-			nbits := planeWordBits(n, w)
-			var wa, wb uint64
-			for t := 0; t < nbits; t++ {
-				k := sm.NextUint64() >> 11
-				// LSB-first via shift-in at the top: the word ends
-				// with clock t's bit at position t after nbits
-				// right-shifts (the partial-word tail is realigned
-				// below), with only constant shifts in the loop.
-				wa = wa>>1 | (k-thrA)&(1<<63)
-				wb = wb>>1 | (k-thrB)&(1<<63)
-			}
-			if nbits < 64 {
-				wa >>= 64 - uint(nbits)
-				wb >>= 64 - uint(nbits)
-			}
-			pa[w], pb[w] = wa, wb
-		}
-		return
-	}
-	for w := 0; w < words; w++ {
-		nbits := planeWordBits(n, w)
-		var wa, wb uint64
-		for t := 0; t < nbits; t++ {
-			r := src.Next()
-			if r < a {
-				wa |= 1 << uint(t)
-			}
-			if r < b {
-				wb |= 1 << uint(t)
-			}
-		}
-		pa[w], pb[w] = wa, wb
-	}
-}
-
 // FillAbsDiffPlane fills dst with the n-bit absolute-difference
-// stream |a−b|: exactly FillCorrelatedPlanes followed by XorPlanes of
-// the pair, fused so the pair never materializes — bit t is set iff
-// the shared draw falls between the two thresholds. Tiled engines use
-// this for the XOR-as-absolute-difference gate; the unfused form
-// remains for pipelines that need the pair itself.
+// stream |a−b|: each clock draws ONE shared uniform sample and sets
+// the bit iff it falls between the two thresholds. That is the XOR of
+// two maximally correlated streams of values a and b, fused so the
+// pair never materializes; the tests keep the unfused pair
+// (FillCorrelatedPlanes) as its oracle. Tiled engines use this for the
+// XOR-as-absolute-difference gate. One sample is consumed per bit even
+// for degenerate probabilities, since the draw is shared.
 func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 	words := WordsFor(n)
 	checkPlane("dst", dst, words)
 	if sm, ok := src.(*SplitMix64); ok {
-		// Branchless band test (see FillCorrelatedPlanes): the XOR of
-		// the two wrap indicators is 1 iff k lands between the
-		// thresholds. The generator advances in a local copy that is
-		// stored back once: a store through sm on every draw would
-		// bounce sm's cache line between cores whenever two workers'
-		// generators share one, as the 8-byte generators of
-		// RobertsCrossSCOn's per-worker scratch often do.
+		// Devirtualized integer-domain fast path (see probThreshold)
+		// with a branchless band test: k and thr both sit far below
+		// 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of the
+		// difference, and the XOR of the two wrap indicators is 1 iff
+		// k lands between the thresholds. Stochastic bits are
+		// maximally unpredictable, so a branch per comparator would
+		// mispredict half the time. Bits shift in at the top and the
+		// partial-word tail is realigned after the loop. The
+		// generator advances in a local copy that is stored back
+		// once: a store through sm on every draw would bounce sm's
+		// cache line between cores whenever two workers' generators
+		// share one, as the 8-byte generators of RobertsCrossSCOn's
+		// per-worker scratch often do.
 		g := *sm
 		thrA, thrB := probThreshold(a), probThreshold(b)
 		for w := 0; w < words; w++ {
@@ -168,43 +119,6 @@ func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
 	}
 }
 
-// XorPlanes stores a XOR b into dst word-at-a-time — the correlated
-// absolute-difference gate (AbsDiffXOR) on planes. dst may alias a or
-// b.
-func XorPlanes(dst, a, b []uint64) {
-	checkPlane("a", a, len(dst))
-	checkPlane("b", b, len(dst))
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
-}
-
-// AndPlanes stores a AND b into dst — the independent-stream
-// multiplier (Multiply) on planes. dst may alias a or b.
-func AndPlanes(dst, a, b []uint64) {
-	checkPlane("a", a, len(dst))
-	checkPlane("b", b, len(dst))
-	for i := range dst {
-		dst[i] = a[i] & b[i]
-	}
-}
-
-// NotPlanes stores the complement of a into dst — the 1−v gate
-// (Complement) on planes. n is the stream length; bits past n are
-// cleared so the zero-tail invariant survives complementing. dst may
-// alias a.
-func NotPlanes(dst, a []uint64, n int) {
-	words := WordsFor(n)
-	checkPlane("dst", dst, words)
-	checkPlane("a", a, words)
-	for i := 0; i < words; i++ {
-		dst[i] = ^a[i]
-	}
-	if rem := uint(n % 64); rem != 0 && words > 0 {
-		dst[words-1] &= (1 << rem) - 1
-	}
-}
-
 // MuxPlanes stores the 2:1 multiplex of a and b under sel into dst:
 // output bit t is a's where sel is 0 and b's where sel is 1 — the
 // scaled adder (ScaledAdd) on planes. dst may alias any input.
@@ -218,7 +132,7 @@ func MuxPlanes(dst, sel, a, b []uint64) {
 }
 
 // PlaneOnes returns the number of set bits. With the zero-tail
-// invariant maintained by the fill kernels and NotPlanes, this is the
+// invariant maintained by the fill kernels, this is the
 // stream's ones count; value = PlaneOnes(p)/n.
 func PlaneOnes(p []uint64) int {
 	c := 0

@@ -45,59 +45,16 @@ func TestFillPlaneMatchesGenerate(t *testing.T) {
 			plane := make([]uint64, WordsFor(n))
 			FillPlane(NewSplitMix64(42), p, n, plane)
 			for w := 0; w < want.WordCount(); w++ {
-				if plane[w] != want.Word(w) {
-					t.Fatalf("n=%d p=%g word %d: %x vs %x", n, p, w, plane[w], want.Word(w))
+				if plane[w] != want.words[w] {
+					t.Fatalf("n=%d p=%g word %d: %x vs %x", n, p, w, plane[w], want.words[w])
 				}
 			}
 
 			wantL := NewSNG(MustLFSR(16, 5)).Generate(p, n)
 			FillPlane(MustLFSR(16, 5), p, n, plane)
 			for w := 0; w < wantL.WordCount(); w++ {
-				if plane[w] != wantL.Word(w) {
+				if plane[w] != wantL.words[w] {
 					t.Fatalf("LFSR n=%d p=%g word %d differs", n, p, w)
-				}
-			}
-		}
-	}
-}
-
-// referenceCorrelatedPair is the serial definition the kernel must
-// match: one shared draw per clock, thresholded against both values.
-func referenceCorrelatedPair(src NumberSource, a, b float64, n int) (*Bitstream, *Bitstream) {
-	sa, sb := NewBitstream(n), NewBitstream(n)
-	for i := 0; i < n; i++ {
-		r := src.Next()
-		if r < a {
-			sa.Set(i, 1)
-		}
-		if r < b {
-			sb.Set(i, 1)
-		}
-	}
-	return sa, sb
-}
-
-func TestFillCorrelatedPlanesMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 64, 65, 777} {
-		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0, 0}} {
-			a, b := pair[0], pair[1]
-			wa, wb := referenceCorrelatedPair(NewSplitMix64(9), a, b, n)
-			pa := make([]uint64, WordsFor(n))
-			pb := make([]uint64, WordsFor(n))
-			FillCorrelatedPlanes(NewSplitMix64(9), a, b, n, pa, pb)
-			for w := 0; w < wa.WordCount(); w++ {
-				if pa[w] != wa.Word(w) || pb[w] != wb.Word(w) {
-					t.Fatalf("n=%d (%g,%g) word %d: (%x,%x) vs (%x,%x)",
-						n, a, b, w, pa[w], pb[w], wa.Word(w), wb.Word(w))
-				}
-			}
-
-			// Generic-source path (no SplitMix64 devirtualization).
-			ga, gb := referenceCorrelatedPair(NewChaoticSource(0.11), a, b, n)
-			FillCorrelatedPlanes(NewChaoticSource(0.11), a, b, n, pa, pb)
-			for w := 0; w < ga.WordCount(); w++ {
-				if pa[w] != ga.Word(w) || pb[w] != gb.Word(w) {
-					t.Fatalf("chaotic n=%d (%g,%g) word %d differs", n, a, b, w)
 				}
 			}
 		}
@@ -192,7 +149,7 @@ func TestFillAbsDiffPlaneValue(t *testing.T) {
 	}
 }
 
-// TestPlaneCombinatorsMatchBitstreamGates checks each plane combinator
+// TestPlaneCombinatorsMatchBitstreamGates checks the plane multiplexer
 // against the allocating Bitstream gate it replaces.
 func TestPlaneCombinatorsMatchBitstreamGates(t *testing.T) {
 	const n = 200
@@ -210,42 +167,31 @@ func TestPlaneCombinatorsMatchBitstreamGates(t *testing.T) {
 	check := func(name string, want *Bitstream) {
 		t.Helper()
 		for w := 0; w < want.WordCount(); w++ {
-			if dst[w] != want.Word(w) {
-				t.Fatalf("%s word %d: %x vs %x", name, w, dst[w], want.Word(w))
+			if dst[w] != want.words[w] {
+				t.Fatalf("%s word %d: %x vs %x", name, w, dst[w], want.words[w])
 			}
 		}
 	}
-	XorPlanes(dst, pa, pb)
-	check("xor", ba.Xor(bb))
-	AndPlanes(dst, pa, pb)
-	check("and", ba.And(bb))
 	MuxPlanes(dst, ps, pa, pb)
 	check("mux", Mux(bs, ba, bb))
-	NotPlanes(dst, pa, n)
-	check("not", ba.Not())
-	// The complement must preserve the zero-tail invariant.
-	if dst[words-1]>>(uint(n%64)) != 0 {
-		t.Error("NotPlanes left tail bits set")
-	}
-	if got := PlaneOnes(dst); got != n-ba.Ones() {
-		t.Errorf("complement ones = %d, want %d", got, n-ba.Ones())
-	}
 }
 
-// TestPlaneAliasing: combinators allow dst to alias an input — the
-// scratch-reuse pattern of the tiled engines.
+// TestPlaneAliasing: the multiplexer allows dst to alias an input —
+// the scratch-reuse pattern of the tiled engines.
 func TestPlaneAliasing(t *testing.T) {
 	const n = 100
 	words := WordsFor(n)
 	pa := make([]uint64, words)
 	pb := make([]uint64, words)
+	ps := make([]uint64, words)
 	FillPlane(NewSplitMix64(4), 0.4, n, pa)
 	FillPlane(NewSplitMix64(5), 0.8, n, pb)
-	want := planeToBitstream(pa, n).Xor(planeToBitstream(pb, n))
-	XorPlanes(pa, pa, pb)
+	FillPlane(NewSplitMix64(6), 0.5, n, ps)
+	want := Mux(planeToBitstream(ps, n), planeToBitstream(pa, n), planeToBitstream(pb, n))
+	MuxPlanes(pa, ps, pa, pb)
 	for w := 0; w < want.WordCount(); w++ {
-		if pa[w] != want.Word(w) {
-			t.Fatalf("aliased xor word %d differs", w)
+		if pa[w] != want.words[w] {
+			t.Fatalf("aliased mux word %d differs", w)
 		}
 	}
 }
@@ -262,12 +208,8 @@ func TestPlaneSizePanics(t *testing.T) {
 	short := make([]uint64, 1)
 	ok := make([]uint64, 2)
 	mustPanic("FillPlane", func() { FillPlane(NewSplitMix64(1), 0.5, 100, short) })
-	mustPanic("FillCorrelatedPlanes", func() {
-		FillCorrelatedPlanes(NewSplitMix64(1), 0.5, 0.5, 100, ok, short)
-	})
-	mustPanic("XorPlanes", func() { XorPlanes(ok, ok, short) })
+	mustPanic("FillAbsDiffPlane", func() { FillAbsDiffPlane(NewSplitMix64(1), 0.5, 0.5, 100, short) })
 	mustPanic("MuxPlanes", func() { MuxPlanes(ok, short, ok, ok) })
-	mustPanic("NotPlanes", func() { NotPlanes(short, short, 100) })
 }
 
 func TestSplitMix64Reseed(t *testing.T) {
@@ -277,5 +219,45 @@ func TestSplitMix64Reseed(t *testing.T) {
 	s.Reseed(7)
 	if got := s.NextUint64(); got != first {
 		t.Errorf("reseeded sequence diverged: %x vs %x", got, first)
+	}
+}
+
+// FillCorrelatedPlanes fills pa and pb with *maximally correlated*
+// n-bit streams of values a and b: each clock draws ONE shared uniform
+// sample and thresholds it against both probabilities, so the streams
+// overlap as much as their values allow and XOR computes |a−b| exactly
+// (the absolute-difference idiom of the edge-detection workload). It
+// is the serial oracle for the fused FillAbsDiffPlane.
+//
+// Unlike FillPlane, one sample is consumed per bit even for degenerate
+// probabilities — the draw is shared, so it cannot be skipped for one
+// threshold only.
+func FillCorrelatedPlanes(src NumberSource, a, b float64, n int, pa, pb []uint64) {
+	words := WordsFor(n)
+	checkPlane("pa", pa, words)
+	checkPlane("pb", pb, words)
+	for w := 0; w < words; w++ {
+		nbits := planeWordBits(n, w)
+		var wa, wb uint64
+		for t := 0; t < nbits; t++ {
+			r := src.Next()
+			if r < a {
+				wa |= 1 << uint(t)
+			}
+			if r < b {
+				wb |= 1 << uint(t)
+			}
+		}
+		pa[w], pb[w] = wa, wb
+	}
+}
+
+// XorPlanes stores a XOR b into dst word-at-a-time: the correlated
+// absolute-difference gate on planes. dst may alias a or b.
+func XorPlanes(dst, a, b []uint64) {
+	checkPlane("a", a, len(dst))
+	checkPlane("b", b, len(dst))
+	for i := range dst {
+		dst[i] = a[i] ^ b[i]
 	}
 }

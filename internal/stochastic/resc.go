@@ -123,39 +123,3 @@ func (r *ReSC) Evaluate(x float64, length int) (float64, *Bitstream) {
 	}
 	return out.Value(), out
 }
-
-// EvaluateStreams runs the combinational ReSC datapath on externally
-// supplied bit-streams (the form used by the paper's Fig. 1(b)
-// worked example): data[i] are the n streams of x, coef[i] the n+1
-// coefficient streams. It returns the output stream and the per-slot
-// adder values.
-func EvaluateStreams(data []*Bitstream, coef []*Bitstream) (*Bitstream, []int, error) {
-	n := len(data)
-	if len(coef) != n+1 {
-		return nil, nil, fmt.Errorf("stochastic: %d data streams need %d coefficient streams, got %d", n, n+1, len(coef))
-	}
-	if n == 0 {
-		return nil, nil, fmt.Errorf("stochastic: no data streams")
-	}
-	length := data[0].Len()
-	for _, d := range data[1:] {
-		if d.Len() != length {
-			return nil, nil, fmt.Errorf("stochastic: data stream length mismatch")
-		}
-	}
-	for _, c := range coef {
-		if c.Len() != length {
-			return nil, nil, fmt.Errorf("stochastic: coefficient stream length mismatch")
-		}
-	}
-	sel := make([]int, length)
-	for t := 0; t < length; t++ {
-		s := 0
-		for _, d := range data {
-			s += d.Get(t)
-		}
-		sel[t] = s
-	}
-	out := MuxN(sel, coef...)
-	return out, sel, nil
-}

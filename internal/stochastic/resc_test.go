@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -180,22 +181,6 @@ func TestGammaCorrectionPoly(t *testing.T) {
 	}
 }
 
-func TestBernsteinElevationKeepsRepresentable(t *testing.T) {
-	p := PaperF1()
-	e := p.Elevate()
-	if e.Degree() != p.Degree()+1 {
-		t.Fatalf("elevated degree = %d", e.Degree())
-	}
-	if !e.Representable() {
-		t.Error("elevation left [0,1]")
-	}
-	for _, x := range numeric.Linspace(0, 1, 9) {
-		if math.Abs(e.Eval(x)-p.Eval(x)) > 1e-12 {
-			t.Errorf("elevation changed value at %g", x)
-		}
-	}
-}
-
 func TestFromPowerMatchesDirectEval(t *testing.T) {
 	// Check FromPower against Horner evaluation of the power form.
 	p := []float64{0.1, 0.4, -0.2, 0.05}
@@ -238,4 +223,67 @@ func TestReSCAccuracyImprovesWithLength(t *testing.T) {
 	if long >= short {
 		t.Errorf("RMS did not improve with length: %g -> %g", short, long)
 	}
+}
+
+// EvaluateStreams runs the combinational ReSC datapath on externally
+// supplied bit-streams (the form used by the paper's Fig. 1(b)
+// worked example): data[i] are the n streams of x, coef[i] the n+1
+// coefficient streams. It returns the output stream and the per-slot
+// adder values. It reproduces the worked example that the generated
+// datapaths (ReSC, EvaluateWords, ReSCOnesSplitMix) are checked
+// against.
+func EvaluateStreams(data []*Bitstream, coef []*Bitstream) (*Bitstream, []int, error) {
+	n := len(data)
+	if len(coef) != n+1 {
+		return nil, nil, fmt.Errorf("stochastic: %d data streams need %d coefficient streams, got %d", n, n+1, len(coef))
+	}
+	if n == 0 {
+		return nil, nil, fmt.Errorf("stochastic: no data streams")
+	}
+	length := data[0].Len()
+	for _, d := range data[1:] {
+		if d.Len() != length {
+			return nil, nil, fmt.Errorf("stochastic: data stream length mismatch")
+		}
+	}
+	for _, c := range coef {
+		if c.Len() != length {
+			return nil, nil, fmt.Errorf("stochastic: coefficient stream length mismatch")
+		}
+	}
+	sel := make([]int, length)
+	for t := 0; t < length; t++ {
+		s := 0
+		for _, d := range data {
+			s += d.Get(t)
+		}
+		sel[t] = s
+	}
+	out := MuxN(sel, coef...)
+	return out, sel, nil
+}
+
+// MuxN selects per-slot among len(inputs) streams according to the
+// integer select values sel[i] ∈ [0, len(inputs)): the wide
+// multiplexer of the ReSC architecture (paper Fig. 1a), bit by bit.
+// Out-of-range selects panic: they indicate a broken adder.
+func MuxN(sel []int, inputs ...*Bitstream) *Bitstream {
+	if len(inputs) == 0 {
+		panic("stochastic: MuxN needs at least one input")
+	}
+	n := inputs[0].n
+	for _, in := range inputs[1:] {
+		inputs[0].sameLen(in)
+	}
+	if len(sel) != n {
+		panic(fmt.Sprintf("stochastic: select length %d vs stream length %d", len(sel), n))
+	}
+	out := NewBitstream(n)
+	for i, s := range sel {
+		if s < 0 || s >= len(inputs) {
+			panic(fmt.Sprintf("stochastic: select %d out of range [0,%d)", s, len(inputs)))
+		}
+		out.Set(i, inputs[s].Get(i))
+	}
+	return out
 }

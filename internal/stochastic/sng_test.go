@@ -255,3 +255,26 @@ func TestSNGVarianceScalesInversely(t *testing.T) {
 		t.Errorf("error ratio 256->4096 = %g, want ~4", ratio)
 	}
 }
+
+// CounterSource is a deterministic ramp over [0, 1): 0, 1/m, 2/m, ...
+// Comparing a probability against a ramp produces a unary
+// (deterministic, low-discrepancy) bit-stream; it removes random
+// fluctuation at the cost of correlation between streams.
+type CounterSource struct {
+	i, m uint64
+}
+
+// NewCounterSource returns a ramp of modulus m (m >= 1).
+func NewCounterSource(m uint64) *CounterSource {
+	if m == 0 {
+		m = 1
+	}
+	return &CounterSource{m: m}
+}
+
+// Next implements NumberSource.
+func (c *CounterSource) Next() float64 {
+	v := float64(c.i) / float64(c.m)
+	c.i = (c.i + 1) % c.m
+	return v
+}

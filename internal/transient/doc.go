@@ -67,8 +67,6 @@
 //     per-slot block noise fills.
 //   - MeasureEyeCtx — decision-instant statistics over the same
 //     decoded-cycle visitor.
-//   - SyncSweepCtx — sampling offsets fanned over the engine with
-//     per-offset derived noise seeds.
 //   - BERWaterfallCtx — probe-power points fanned over the engine,
 //     each rebuilding its circuit with per-point derived unit and
 //     simulator seeds.
@@ -76,4 +74,8 @@
 //     engine with per-trial derived seeds; it does not advance the
 //     simulator's generators, so repeated calls return identical
 //     points.
+//
+// The §V.D synchronization claim, that a detector sampling outside
+// the 26 ps pump pulse sees the relaxed filter and fails, is checked
+// by a serial offset sweep in sync_test.go; no figure renders it yet.
 package transient

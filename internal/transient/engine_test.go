@@ -55,15 +55,6 @@ func TestEngineSuite(t *testing.T) {
 				return s.MeasureEyeCtx(ctx, e, 0.5, 1000)
 			},
 		},
-		{
-			Name: "transient.SyncSweepCtx",
-			Eval: func(e engine.Engine) (any, error) {
-				// Noisy link so per-slot decisions actually flip; odd
-				// counts exercise partial noise blocks.
-				s := newTestSim(t, 0.02, 93)
-				return s.SyncSweepCtx(ctx, e, 13, 997)
-			},
-		},
 	})
 }
 
@@ -100,9 +91,6 @@ func TestNilEngineMisuse(t *testing.T) {
 	}
 	if _, err := s.MeasureEyeCtx(ctx, nil, 0.5, 16); err == nil {
 		t.Error("MeasureEyeCtx(nil) did not error")
-	}
-	if _, err := s.SyncSweepCtx(ctx, nil, 4, 16); err == nil {
-		t.Error("SyncSweepCtx(nil) did not error")
 	}
 	if _, err := s.EvaluateBatch(ctx, nil, []float64{0.5}, 16); err == nil {
 		t.Error("EvaluateBatch(nil) did not error")

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/optics"
 	"repro/internal/stochastic"
 )
 
@@ -205,11 +206,7 @@ func (s *Simulator) MeasureWorstCaseBER(slots int) (float64, error) {
 // separation over the noise sigma, halved for the midpoint threshold.
 func (s *Simulator) AnalyticWorstCaseBER() float64 {
 	oneLevel, zeroLevel, _ := s.worstCasePair()
-	snr := (oneLevel - zeroLevel) / s.SigmaMW
-	if snr <= 0 {
-		return 0.5
-	}
-	return 0.5 * math.Erfc(snr/(2*math.Sqrt2))
+	return optics.BERFromSNR((oneLevel - zeroLevel) / s.SigmaMW)
 }
 
 // AccuracyPoint is one sample of the throughput–accuracy trade-off.
