@@ -20,11 +20,12 @@ var TestOnly = &Analyzer{
 	Run:  runTestOnly,
 }
 
-// testOnlyExempt are the names the rule never flags: entry points the
-// toolchain calls, the blank name, and the methods that satisfy the
-// standard interfaces fmt and errors call by name.
+// testOnlyExempt are the names the rule never flags: the entry points
+// the toolchain calls and the blank name.
 var testOnlyExempt = map[string]bool{"init": true, "main": true, "_": true}
 
+// testOnlyExemptMethods are the method names that fmt and errors call
+// through their interfaces (error, fmt.Stringer, the Unwrap chain).
 var testOnlyExemptMethods = map[string]bool{"Error": true, "String": true, "Unwrap": true}
 
 func runTestOnly(p *Package) []Finding {
@@ -98,16 +99,21 @@ func (l *Loader) identUses(dir string) (map[string]int, error) {
 	if l.idents == nil {
 		l.idents, l.identDirs = map[string]int{}, map[string]bool{}
 		dirs, err := ExpandPatterns(l.ModRoot, nil)
-		if err != nil {
-			return nil, err
-		}
 		for _, d := range dirs {
-			if err := l.scanIdents(d); err != nil {
-				return nil, err
+			if err == nil {
+				err = l.scanIdents(d)
 			}
 		}
+		if err != nil {
+			// Partial counts would flag used names: scan afresh next time.
+			l.idents = nil
+			return nil, err
+		}
 	}
-	return l.idents, l.scanIdents(dir)
+	if err := l.scanIdents(dir); err != nil {
+		return nil, err
+	}
+	return l.idents, nil
 }
 
 // scanIdents adds dir's non-test files to the identifier counts once.

@@ -52,21 +52,25 @@ func syncSweep(s *Simulator, points, bits int) []SyncPoint {
 		pulseT = bitT
 	}
 	oneIn, zeroIn, threshold := s.worstCasePair()
+	// The same two patterns with the pump off, the filter at its cold
+	// resonance.
 	_, worst := c.WorstCaseDelta()
-	relaxed := func(zeroAt int) float64 { // pump off: filter at its cold resonance
-		z := make([]int, c.P.Order+1)
-		for i := range z {
-			if (i == worst) == (zeroAt < 0) {
-				z[i] = 1
-			}
+	onePattern := make([]int, c.P.Order+1)
+	onePattern[worst] = 1
+	zeroPattern := make([]int, c.P.Order+1)
+	for i := range zeroPattern {
+		if i != worst {
+			zeroPattern[i] = 1
 		}
+	}
+	relaxed := func(z []int) float64 {
 		sum := 0.0
 		for i := range z {
 			sum += c.P.ProbePowerMW * c.ProbeTransmission(i, z, 0)
 		}
 		return sum
 	}
-	oneOut, zeroOut := relaxed(-1), relaxed(worst)
+	oneOut, zeroOut := relaxed(onePattern), relaxed(zeroPattern)
 
 	out := make([]SyncPoint, points)
 	var noise [64]float64
