@@ -50,7 +50,7 @@ type Coupler struct {
 // NewCoupler validates t ∈ (0, 1].
 func NewCoupler(t float64) (Coupler, error) {
 	if t <= 0 || t > 1 {
-		return Coupler{}, fmt.Errorf("photonic: coupler t = %g outside (0,1]", t)
+		return Coupler{}, fmt.Errorf("field model: coupler t = %g outside (0,1]", t)
 	}
 	return Coupler{T: t}, nil
 }

@@ -23,7 +23,7 @@ type MZI struct {
 // arm amplitudes — the arm-imbalance extinction mechanism.
 func NewMZI(a1, a2 float64) (MZI, error) {
 	if a1 <= 0 || a1 > 1 || a2 <= 0 || a2 > 1 {
-		return MZI{}, fmt.Errorf("photonic: arm amplitudes (%g, %g) outside (0,1]", a1, a2)
+		return MZI{}, fmt.Errorf("field model: arm amplitudes (%g, %g) outside (0,1]", a1, a2)
 	}
 	return MZI{C1: Splitter5050, C2: Splitter5050, Arm1Amplitude: a1, Arm2Amplitude: a2}, nil
 }
@@ -44,10 +44,10 @@ func NewMZI(a1, a2 float64) (MZI, error) {
 // for every physical (il, er).
 func FromILER(il, er float64) (MZI, error) {
 	if il <= 0 || il > 1 {
-		return MZI{}, fmt.Errorf("photonic: insertion-loss fraction %g outside (0,1]", il)
+		return MZI{}, fmt.Errorf("field model: insertion-loss fraction %g outside (0,1]", il)
 	}
 	if er < 0 || er >= 1 {
-		return MZI{}, fmt.Errorf("photonic: extinction fraction %g outside [0,1)", er)
+		return MZI{}, fmt.Errorf("field model: extinction fraction %g outside [0,1)", er)
 	}
 	u := (math.Sqrt(il) + math.Sqrt(il*er)) / 2
 	v := (math.Sqrt(il) - math.Sqrt(il*er)) / 2
@@ -58,12 +58,12 @@ func FromILER(il, er float64) (MZI, error) {
 	}
 	s := (b + math.Sqrt(disc)) / 2 // t2², the more balanced root
 	if s <= 0 || s >= 1 {
-		return MZI{}, fmt.Errorf("photonic: no physical coupler split for il=%g er=%g", il, er)
+		return MZI{}, fmt.Errorf("field model: no physical coupler split for il=%g er=%g", il, er)
 	}
 	t2 := math.Sqrt(s)
 	t1 := u / math.Sqrt(1-s)
 	if t1 <= 0 || t1 > 1 {
-		return MZI{}, fmt.Errorf("photonic: derived t1 = %g unphysical", t1)
+		return MZI{}, fmt.Errorf("field model: derived t1 = %g unphysical", t1)
 	}
 	c1, err := NewCoupler(t1)
 	if err != nil {

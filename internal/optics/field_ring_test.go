@@ -23,14 +23,14 @@ type Ring struct {
 func NewRing(t1, t2, a float64) (Ring, error) {
 	c1, err := NewCoupler(t1)
 	if err != nil {
-		return Ring{}, fmt.Errorf("photonic: input coupler: %w", err)
+		return Ring{}, fmt.Errorf("field model: input coupler: %w", err)
 	}
 	c2, err := NewCoupler(t2)
 	if err != nil {
-		return Ring{}, fmt.Errorf("photonic: drop coupler: %w", err)
+		return Ring{}, fmt.Errorf("field model: drop coupler: %w", err)
 	}
 	if a <= 0 || a > 1 {
-		return Ring{}, fmt.Errorf("photonic: round-trip amplitude %g outside (0,1]", a)
+		return Ring{}, fmt.Errorf("field model: round-trip amplitude %g outside (0,1]", a)
 	}
 	return Ring{Coupler1: c1, Coupler2: c2, A: a}, nil
 }

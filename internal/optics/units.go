@@ -1,15 +1,10 @@
 package optics
 
-import (
-	"repro/internal/numeric"
-)
+import "repro/internal/numeric"
 
-// Physical constants and common telecom quantities.
-const (
-	// CBandCenterNM is the conventional-band reference wavelength
-	// used throughout the paper's experiments (λ2 = 1550 nm).
-	CBandCenterNM = 1550.0
-)
+// CBandCenterNM is the conventional-band reference wavelength used
+// throughout the paper's experiments (λ2 = 1550 nm).
+const CBandCenterNM = 1550.0
 
 // DBToLinear converts a decibel power ratio to a linear fraction.
 // Insertion losses are conventionally quoted as positive dB values;

@@ -1,7 +1,7 @@
 // Package stochastic implements the stochastic-computing (SC)
 // substrate of the reproduction: bit-streams interpreted as
-// probabilities, stochastic number generators (SNGs), elementary SC
-// arithmetic, Bernstein polynomials, and the electronic ReSC unit of
+// probabilities, stochastic number generators (SNGs), the scaled
+// adder, Bernstein polynomials, and the electronic ReSC unit of
 // Qian et al. that the paper's Fig. 1 summarizes and that the optical
 // architecture (internal/core) transposes to the photonic domain.
 //
@@ -15,11 +15,10 @@
 // # Generators
 //
 // SNGs compare a pseudo-random number against the target probability.
-// The package provides a maximal-length Galois LFSR (the classic
-// hardware SNG), a deterministic counter source (unary SC), a
-// chaotic-map source inspired by the chaotic-laser random-bit
-// generation the paper cites as future work [20], and an adapter for
-// math/rand.
+// The package provides SplitMix64 (the source every production path
+// draws from), a maximal-length Galois LFSR (the classic hardware
+// SNG) and a chaotic-map source inspired by the chaotic-laser
+// random-bit generation the paper cites as future work [20].
 //
 // # Gaussian noise
 //
