@@ -76,7 +76,9 @@
 // checks, or nowhere.
 //
 //   - What counts as a use: an identifier token with the same name.
-//     Comments and strings do not count.
+//     Comments and strings do not count, and neither does a method's
+//     receiver for its own type: a type that only its methods name is
+//     flagged like any other.
 //   - The module is everything an ./... walk reaches: cmd/, examples/,
 //     the root, internal/ and bench/ (whose names therefore never
 //     fire). The analyzed package's own files are added too, so a

@@ -23,6 +23,13 @@ func deadHelper(n int) int { // want testonly
 // Limit is a constant only the tests read.
 const Limit = 8 // want testonly
 
+// Gauge is named only by its own method's receiver, which is not a
+// use of the type.
+type Gauge struct{ v int } // want testonly
+
+// Reading is called only by testonly_test.go.
+func (g *Gauge) Reading() int { return g.v } // want testonly
+
 // Status is used by sibling.go.
 type Status struct{ code int }
 

@@ -36,9 +36,23 @@ func runTestOnly(p *Package) []Finding {
 	if err != nil {
 		return []Finding{p.Findingf(p.Files[0].Name, "testonly", "cannot count the module's identifiers: %v", err)}
 	}
+	// A method's receiver names its type without using it: a type that
+	// only its own methods name serves nothing they do not.
+	receivers := map[string]int{}
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				receivers[receiverType(fd)]++
+			}
+		}
+	}
 	var out []Finding
 	check := func(kind string, name *ast.Ident, decl ast.Node) {
-		if testOnlyExempt[name.Name] || uses[name.Name] > identsNamed(decl, name.Name) {
+		own := identsNamed(decl, name.Name)
+		if kind == "type" {
+			own += receivers[name.Name]
+		}
+		if testOnlyExempt[name.Name] || uses[name.Name] > own {
 			return
 		}
 		out = append(out, p.Findingf(name, "testonly",
@@ -75,6 +89,25 @@ func runTestOnly(p *Package) []Finding {
 		}
 	}
 	return out
+}
+
+// receiverType returns the name of a method's receiver base type: T
+// for receivers T, *T, T[P] and *T[P, Q].
+func receiverType(fd *ast.FuncDecl) string {
+	t := fd.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // identsNamed counts the identifiers called name inside n.

@@ -8,8 +8,8 @@
 //     modulators (through-port transmission, paper Eq. 2) and as the
 //     all-optical add-drop multiplexing filter (drop-port
 //     transmission, paper Eq. 3);
-//   - two-photon-absorption (TPA) resonance tuning (paper Eq. 4) and
-//     the optical tuning efficiency (OTE, nm/mW) it reduces to;
+//   - two-photon-absorption (TPA) resonance tuning by its optical
+//     tuning efficiency (OTE, nm/mW), the linear form of paper Eq. 4;
 //   - continuous-wave and 26 ps pulse-based lasers with lasing
 //     efficiency, splitters/combiners, a band-pass pump-rejection
 //     filter and an OOK photodetector with responsivity and internal
@@ -37,4 +37,10 @@
 // (Eqs. 2, 3 and 7b) follow from that interference model, and that
 // core.Circuit.ProbeTransmission matches it along the paper circuit's
 // probe path.
+//
+// Two more models back paper claims from the tests alone: noise_test.go
+// splits the detector noise into thermal, shot and RIN terms to show
+// that Eq. 8's constant i_n holds at the paper's received powers, and
+// tpa_test.go holds Eq. 4's index model, whose linearity in pump power
+// is what lets the OTE tuner stand in for it.
 package optics

@@ -1,6 +1,7 @@
 package optics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -99,5 +100,82 @@ func TestEffectiveDetectorConsistency(t *testing.T) {
 	want := m.SNR(0.1, 0.3)
 	if got := d.SNR(0.1); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("lumped SNR %g vs model %g", got, want)
+	}
+}
+
+// NoiseModel decomposes the photodetector noise current into its
+// physical contributions, refining the single lumped i_n of the
+// paper's Eq. (8):
+//
+//	i_n² = i_thermal² + i_shot²(P) + i_RIN²(P)
+//
+// with shot noise i_shot² = 2·q·R·P·B and laser relative intensity
+// noise i_RIN² = (R·P)²·RIN·B. Because two of the three terms grow
+// with received power, the effective SNR is sublinear in probe power
+// at high power — the paper's constant-i_n model is the low-power
+// limit, which the calibration regime satisfies:
+// TestThermalLimitedAtPaperPowers quantifies the deviation.
+type NoiseModel struct {
+	// ThermalCurrentA is the power-independent noise floor.
+	ThermalCurrentA float64
+	// ResponsivityAPerW is the detector responsivity.
+	ResponsivityAPerW float64
+	// BandwidthHz is the receiver bandwidth B (1 GHz for the paper's
+	// bit rate).
+	BandwidthHz float64
+	// RINPerHz is the laser relative intensity noise (linear, per
+	// hertz). Typical DFB lasers: 1e-15 ... 1e-14 (i.e. −150 to
+	// −140 dB/Hz).
+	RINPerHz float64
+}
+
+// Validate reports whether the model is physical.
+func (m NoiseModel) Validate() error {
+	if m.ThermalCurrentA <= 0 {
+		return fmt.Errorf("optics: thermal current %g not positive", m.ThermalCurrentA)
+	}
+	if m.ResponsivityAPerW <= 0 {
+		return fmt.Errorf("optics: responsivity %g not positive", m.ResponsivityAPerW)
+	}
+	if m.BandwidthHz <= 0 {
+		return fmt.Errorf("optics: bandwidth %g not positive", m.BandwidthHz)
+	}
+	if m.RINPerHz < 0 {
+		return fmt.Errorf("optics: negative RIN")
+	}
+	return nil
+}
+
+// elementaryCharge in coulombs.
+const elementaryCharge = 1.602176634e-19
+
+// TotalCurrentA returns the RMS noise current at a received power in
+// mW.
+func (m NoiseModel) TotalCurrentA(powerMW float64) float64 {
+	if powerMW < 0 {
+		powerMW = 0
+	}
+	pw := MilliwattsToWatts(powerMW)
+	sig := m.ResponsivityAPerW * pw
+	shot2 := 2 * elementaryCharge * sig * m.BandwidthHz
+	rin2 := sig * sig * m.RINPerHz * m.BandwidthHz
+	th2 := m.ThermalCurrentA * m.ThermalCurrentA
+	return math.Sqrt(th2 + shot2 + rin2)
+}
+
+// SNR returns the signal-to-noise ratio for a power difference
+// deltaMW when the average received power is avgMW (shot and RIN
+// scale with the average, not the swing).
+func (m NoiseModel) SNR(deltaMW, avgMW float64) float64 {
+	n := m.TotalCurrentA(avgMW)
+	return m.ResponsivityAPerW * MilliwattsToWatts(deltaMW) / n
+}
+
+// EffectiveDetector lumps the model at an operating power into the
+// constant-i_n Photodetector of Eq. (8).
+func (m NoiseModel) EffectiveDetector(operatingMW float64) Photodetector {
+	return Photodetector{
+		ResponsivityAPerW: m.ResponsivityAPerW,
+		NoiseCurrentA:     m.TotalCurrentA(operatingMW),
 	}
 }

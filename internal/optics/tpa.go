@@ -1,9 +1,5 @@
 package optics
 
-import (
-	"fmt"
-)
-
 // OTETuner is the linearized all-optical tuning model used by the
 // paper's Eq. (7a): the filter resonance blue-shifts proportionally
 // to the injected pump power, with slope OTE (optical tuning
@@ -35,60 +31,3 @@ func (t OTETuner) PowerForShiftMW(shiftNM float64) float64 {
 // PaperOTE is the tuner with the paper's assumed efficiency:
 // 0.1 nm / 10 mW = 0.01 nm/mW.
 var PaperOTE = OTETuner{OTENMPerMW: 0.01}
-
-// TPAModel is the device-level two-photon-absorption tuning model of
-// the paper's Eq. (4): the effective index under a pump of power P is
-//
-//	n_eff = n0 + n2 * P / S
-//
-// where n0 and n2 are the linear and non-linear refractive indices
-// and S is the effective cross-sectional area of the filter
-// waveguide. The resonance shift follows from dλ/λ = dn/n_g.
-type TPAModel struct {
-	// N0 is the linear effective refractive index (silicon ≈ 2.4
-	// effective, GaAs-AlGaAs rings in [14] ≈ 3.2).
-	N0 float64
-	// N2M2PerW is the non-linear (Kerr/TPA-induced) index in m²/W.
-	N2M2PerW float64
-	// CrossSectionM2 is the effective modal cross-section S in m².
-	CrossSectionM2 float64
-	// GroupIndex n_g relates index change to fractional wavelength
-	// shift; if zero, N0 is used.
-	GroupIndex float64
-}
-
-// Validate reports whether the model parameters are physical.
-func (m TPAModel) Validate() error {
-	if m.N0 <= 0 {
-		return fmt.Errorf("optics: TPA n0 = %g not positive", m.N0)
-	}
-	if m.CrossSectionM2 <= 0 {
-		return fmt.Errorf("optics: TPA cross-section = %g not positive", m.CrossSectionM2)
-	}
-	return nil
-}
-
-// EffectiveIndex returns n_eff for a pump power in mW (Eq. 4).
-func (m TPAModel) EffectiveIndex(pumpMW float64) float64 {
-	if pumpMW < 0 {
-		pumpMW = 0
-	}
-	return m.N0 + m.N2M2PerW*MilliwattsToWatts(pumpMW)/m.CrossSectionM2
-}
-
-// ShiftNM returns the resonance shift at lambdaNM for a pump power in
-// mW. A negative N2 (free-carrier dominated) produces the blue shift
-// described in the paper; the magnitude is returned so it composes
-// with OTETuner conventions.
-func (m TPAModel) ShiftNM(lambdaNM, pumpMW float64) float64 {
-	ng := m.GroupIndex
-	if ng == 0 {
-		ng = m.N0
-	}
-	dn := m.EffectiveIndex(pumpMW) - m.N0
-	shift := lambdaNM * dn / ng
-	if shift < 0 {
-		shift = -shift
-	}
-	return shift
-}
