@@ -1,6 +1,5 @@
 // Benchmarks regenerating every table/figure of the paper (one bench
-// per artifact, per DESIGN.md §4) plus ablations of the design
-// choices. Custom metrics report the reproduced quantities so that
+// per artifact) plus ablations of the design choices. Custom metrics report the reproduced quantities so that
 // `go test -bench` output doubles as a results table:
 //
 //	go test -bench=. -benchmem
@@ -357,7 +356,7 @@ func BenchmarkTransient(b *testing.B) {
 	b.ReportMetric(sim.AnalyticWorstCaseBER(), "BER_analytic")
 }
 
-// --- Ablations (DESIGN.md §7) ---
+// --- Ablations of the design choices ---
 
 // BenchmarkAblationWorstCaseSNR compares Eq. (8)'s one-hot crosstalk
 // margin against the exhaustive worst-case-over-z margin.

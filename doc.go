@@ -17,8 +17,9 @@
 // word-parallel path simulates 64 clocks per machine word — SNG words
 // (stochastic.SNG.NextWord), a bitwise carry-save adder
 // tree for the data-bit sum (stochastic.AddPlane/PlaneEquals), and a
-// word-at-a-time multiplexer / decision-table lookup — and emits
-// bit-identical streams (ReSC.EvaluateWords, core.Unit.EvaluateWords).
+// word-at-a-time multiplexer / received-power-table threshold — and
+// emits bit-identical streams (ReSC.EvaluateWords,
+// core.Unit.EvaluateWords).
 // On top of that, stochastic.EvaluateBatch(ctx, e, …) and
 // core.Unit.EvaluateBatch(ctx, e, …) dispatch independent inputs on
 // the caller's engine with per-input seeds derived by
@@ -34,13 +35,15 @@
 // then draws coefficient k only at the clocks whose data weight is k,
 // the clocks where the multiplexer selects it. That is n+1 draws per
 // clock instead of 2n+1, with the same ones count. The optical unit
-// takes this path when its decision table is in mux form, meaning the
-// output bit is the coefficient bit its weight selects (dec[w][z] =
-// bit w of z). Every feasible MRR-first design checked so far is in
-// mux form; a non-mux table (order 2 at 0.1 nm) keeps the packed
-// table lookup. Stateful generators (EvaluateWords, Cycles) and the
-// noisy path keep drawing every coefficient: under noise, every
-// coefficient bit moves the received power.
+// takes this path when its thresholded power table is in mux form,
+// meaning the output bit is the coefficient bit its weight selects
+// (pow[w][z] > threshold exactly when bit w of z is set). Every
+// feasible MRR-first design checked so far is in mux form; a non-mux
+// design (order 2 at 0.1 nm) keeps the packed kernel with a noiseless
+// channel. Stateful generators (EvaluateWords, Cycles) and the noisy
+// path keep drawing every coefficient: under noise, every coefficient
+// bit moves the received power. Every circuit has a power table,
+// because core.Params.Validate caps the order at core.MaxOrder (16).
 //
 // Every measurement and sweep on top of those primitives dispatches
 // through a pluggable engine layer (internal/engine). An Engine says
@@ -67,8 +70,9 @@
 // power is a pure function of (weight, z-mask), so
 // core.Unit.EvaluateNoisy resolves 64 noisy threshold decisions per
 // word from a power table plus block Gaussian noise
-// (transient.Gaussian.Fill, Box–Muller over a
-// stochastic.SplitMix64). transient.Simulator.EvaluateWords emits
+// (stochastic.Gaussian.Fill, Box–Muller over a
+// stochastic.SplitMix64), in the same packed kernel as the noiseless
+// EvaluateWords. transient.Simulator.EvaluateWords emits
 // streams bit-identical to the serial Step loop;
 // transient.Simulator.EvaluateBatch dispatches per-trial seeds on the
 // caller's engine, and the dse.NoiseStudy Monte-Carlo harness
@@ -261,8 +265,9 @@
 // go/types) fails CI on any unsuppressed violation, and intentional
 // exceptions carry //osclint:ignore annotations with reasons.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// the per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmarks in bench_test.go regenerate one figure or
-// in-text claim each.
+// `oscbench -fig summary` renders the paper's §V anchors beside the
+// reproduced values (ROADMAP.md item 5 tracks the two that are off),
+// CHANGES.md records what each change measured, and bench/README.md
+// describes the layered benchmark. The benchmarks in bench_test.go
+// regenerate one figure or in-text claim each.
 package repro

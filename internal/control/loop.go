@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/optics"
 	"repro/internal/stochastic"
-	"repro/internal/transient"
 )
 
 // Monitor is the calibration photodiode: it taps a small fraction of
@@ -18,7 +17,7 @@ type Monitor struct {
 	// NoiseMW is the read noise standard deviation.
 	NoiseMW float64
 
-	noise *transient.Gaussian
+	noise *stochastic.Gaussian
 }
 
 // NewMonitor validates and seeds the monitor.
@@ -32,7 +31,7 @@ func NewMonitor(tap, noiseMW float64, seed uint64) (*Monitor, error) {
 	return &Monitor{
 		TapFraction: tap,
 		NoiseMW:     noiseMW,
-		noise:       transient.NewGaussian(stochastic.NewSplitMix64(seed)),
+		noise:       stochastic.NewGaussian(stochastic.NewSplitMix64(seed)),
 	}, nil
 }
 

@@ -105,7 +105,7 @@ func TestUnitEvaluateBatchMatchesSeededOracle(t *testing.T) {
 // the packed datapath run on that input's seeded generators. The paper
 // design and the order-6 gamma design are in mux form, so their batch
 // takes stochastic.ReSCOnesSplitMix; order 2 at 0.1 nm is not and
-// stays on evalPacked.
+// stays on evalPacked with a noiseless channel.
 func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,9 +118,8 @@ func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
 	}
 	xs := append(numeric.Linspace(0, 1, 9), 1e-3, 0.999)
 	for _, c := range cases {
-		dec := c.u.decisionTable()
-		if c.u.mux != c.mux {
-			t.Errorf("%s: mux form %v, want %v", c.name, c.u.mux, c.mux)
+		if mux := c.u.muxForm(); mux != c.mux {
+			t.Errorf("%s: mux form %v, want %v", c.name, mux, c.mux)
 		}
 		for _, length := range []int{1, 65, 1000} {
 			got, err := c.u.EvaluateBatch(context.Background(), engine.WordParallel, xs, length)
@@ -129,7 +128,7 @@ func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
 			}
 			for i, x := range xs {
 				data, coef := seededSNGs(c.u.Circuit.P.Order, stochastic.DeriveSeed(c.u.seed, i))
-				if want := c.u.evalPacked(dec, data, coef, x, length).Value(); got[i] != want {
+				if want := c.u.evalPacked(data, coef, x, length, nil).Value(); got[i] != want {
 					t.Errorf("%s len %d x=%g: batch %g vs evalPacked %g", c.name, length, x, got[i], want)
 				}
 			}
@@ -137,20 +136,22 @@ func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
 	}
 }
 
-// TestDecisionTableMuxForm: one flipped cell takes a table out of mux
-// form, and so does a miscalibrated threshold, which the batch then
-// evaluates through evalPacked on its own table.
+// TestDecisionTableMuxForm: one power cell moved across the threshold
+// takes the thresholded table out of mux form, and so does a
+// miscalibrated threshold, which the batch then evaluates through
+// evalPacked on the circuit's table.
 func TestDecisionTableMuxForm(t *testing.T) {
-	dec := gammaUnit(t, 5).decisionTable()
-	if !isMuxTable(dec) {
+	g := gammaUnit(t, 5)
+	pow, thr := g.Circuit.PowerTable(), g.ThresholdMW()
+	if !isMuxForm(pow, thr) {
 		t.Fatal("order-6 gamma table not in mux form")
 	}
-	flipped := make([][]uint64, len(dec))
-	for w, row := range dec {
-		flipped[w] = append([]uint64(nil), row...)
+	flipped := make([][]float64, len(pow))
+	for w, row := range pow {
+		flipped[w] = append([]float64(nil), row...)
 	}
-	flipped[1][0] ^= 1 << 0b010
-	if isMuxTable(flipped) {
+	flipped[1][0b010] = math.Nextafter(thr, math.Inf(-1)) // a '1' cell read as 0
+	if isMuxForm(flipped, thr) {
 		t.Error("table with cell (w=1, z=0b010) flipped still in mux form")
 	}
 
@@ -161,8 +162,7 @@ func TestDecisionTableMuxForm(t *testing.T) {
 	n := u.Circuit.P.Order
 	_, _, minOne, _ := u.Circuit.PowerBands()
 	u.thresholdMW = math.Nextafter(minOne, math.Inf(1))
-	mis := u.decisionTable()
-	if u.mux {
+	if u.muxForm() {
 		t.Fatal("miscalibrated table still in mux form")
 	}
 	xs := numeric.Linspace(0, 1, 9)
@@ -175,7 +175,7 @@ func TestDecisionTableMuxForm(t *testing.T) {
 	for i, x := range xs {
 		seed := stochastic.DeriveSeed(u.seed, i)
 		data, coef := seededSNGs(n, seed)
-		if want := u.evalPacked(mis, data, coef, x, length).Value(); got[i] != want {
+		if want := u.evalPacked(data, coef, x, length, nil).Value(); got[i] != want {
 			t.Errorf("x=%g: batch %g vs evalPacked %g on the miscalibrated table", x, got[i], want)
 		}
 		dataSeeds, coefSeeds := unitSeeds(n, seed)
@@ -186,34 +186,30 @@ func TestDecisionTableMuxForm(t *testing.T) {
 	}
 }
 
-// TestUnitEvalSeededFallbackMatchesPacked pins the cache-free serial
-// fallback (used beyond maxTableOrder) to the packed path on a
-// tabulatable order, so the two implementations cannot drift.
+// TestUnitEvalSeededFallbackMatchesPacked pins the noiseless packed
+// kernel to the cache-free serial walk (walkSeeded) on fresh
+// generators from the same seed, so the two implementations cannot
+// drift.
 func TestUnitEvalSeededFallbackMatchesPacked(t *testing.T) {
 	u := paperUnit(t, 17)
-	dec := u.decisionTable()
-	if dec == nil {
-		t.Fatal("order 2 should tabulate")
-	}
+	n := u.Circuit.P.Order
 	for i, x := range []float64{0, 0.4, 1} {
 		seed := stochastic.DeriveSeed(99, i)
-		data, coef := seededSNGs(u.Circuit.P.Order, seed)
-		packed := u.evalPacked(dec, data, coef, x, 257).Value()
+		data, coef := seededSNGs(n, seed)
+		packed := u.evalPacked(data, coef, x, 257, nil).Value()
 
-		// Re-run through the serial fallback by hiding the table.
-		fresh := paperUnit(t, 17)
-		fresh.decOnce.Do(func() {}) // leave decisions nil
-		serial := fresh.evalSeeded(seed, x, 257)
+		data, coef = seededSNGs(n, seed)
+		serial := walkSeeded(u, data, coef, x, 257, nil)
 		if packed != serial {
-			t.Errorf("x=%g: packed %g vs serial fallback %g", x, packed, serial)
+			t.Errorf("x=%g: packed %g vs serial walk %g", x, packed, serial)
 		}
 	}
 }
 
 // TestUnitEvaluateBatchAccuracy ties the batch to its exact binomial
 // law: each L-cycle result is Binomial(L, E(x))/L, with E summed over
-// the unit's own decision table (exactExpectation), so on a 17-point
-// grid at L = 2¹⁵ every result must sit within 5σ of E.
+// the unit's thresholded power table (exactExpectation), so on a
+// 17-point grid at L = 2¹⁵ every result must sit within 5σ of E.
 func TestUnitEvaluateBatchAccuracy(t *testing.T) {
 	u := paperUnit(t, 2024)
 	xs := numeric.Linspace(0, 1, 17)
@@ -231,8 +227,8 @@ func TestUnitEvaluateBatchAccuracy(t *testing.T) {
 }
 
 // TestUnitEvaluateBatchRace exercises concurrent EvaluateBatch calls
-// on one shared unit (shared decision table, per-index sources);
-// `go test -race` turns it into a data-race check.
+// on one shared unit (shared power table and mux form, per-index
+// sources); `go test -race` turns it into a data-race check.
 func TestUnitEvaluateBatchRace(t *testing.T) {
 	u := paperUnit(t, 8)
 	xs := make([]float64, 48)
@@ -278,7 +274,7 @@ func BenchmarkUnitEvaluateWords(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	u.decisionTable()
+	c.PowerTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.EvaluateWords(0.5, 4096)
@@ -295,7 +291,7 @@ func BenchmarkUnitEvaluateBatch(b *testing.B) {
 	for i := range xs {
 		xs[i] = float64(i) / 255
 	}
-	u.decisionTable()
+	u.muxForm()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := u.EvaluateBatch(context.Background(), engine.WordParallel, xs, 4096); err != nil {

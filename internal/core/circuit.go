@@ -7,12 +7,6 @@ import (
 	"repro/internal/optics"
 )
 
-// maxTableOrder bounds the orders whose 2^(n+1)-entry received-power
-// (and decision) tables are tabulated; beyond it every consumer falls
-// back to direct enumeration. 2^(n+1) grows too fast to tabulate past
-// n = 16, which already covers every design in the paper.
-const maxTableOrder = 16
-
 // Circuit is an instantiated optical SC unit: the modulator rings
 // parked on the probe comb, the add-drop filter, and the MZI adder
 // bank (paper Fig. 4a).
@@ -220,11 +214,9 @@ func (c *Circuit) receivedByMask(f *circuitFactors, weight, zmask int) float64 {
 // into table reads. Entries are bit-identical to ReceivedPowerMW. The
 // finished table is immutable and shared lock-free by every consumer
 // (the unit's packed engines, the de-randomizer calibration, the yield
-// sweep). Returns nil for orders beyond maxTableOrder.
+// sweep). Params.Validate caps the order at MaxOrder, so every
+// circuit has one.
 func (c *Circuit) PowerTable() [][]float64 {
-	if c.P.Order > maxTableOrder {
-		return nil
-	}
 	c.powOnce.Do(func() {
 		f := c.factors()
 		n1 := len(c.Modulators)
@@ -259,16 +251,12 @@ func (c *Circuit) ChannelTotals(weight int, z []int) []float64 {
 // coefficient's value): the '0' band [minZero, maxZero] and the '1'
 // band [minOne, maxOne]. These bands are the optical de-randomizer's
 // decision levels (Fig. 5c). Exhaustive over 2^(n+1) coefficient
-// patterns; practical for n ≤ 16. The scan runs once over the shared
-// power table and is cached — Decider, EyeOpeningMW and the yield
-// sweep all read the same result.
+// patterns, up to MaxOrder. The scan runs once over the shared power
+// table and is cached — Decider, EyeOpeningMW and the yield sweep all
+// read the same result.
 func (c *Circuit) PowerBands() (minZero, maxZero, minOne, maxOne float64) {
 	c.bandsOnce.Do(func() {
 		pow := c.PowerTable()
-		if pow == nil {
-			c.bands[0], c.bands[1], c.bands[2], c.bands[3] = c.powerBandsDirect()
-			return
-		}
 		n := c.P.Order
 		first0, first1 := true, true
 		for pattern := 0; pattern < 1<<(n+1); pattern++ {
@@ -295,41 +283,6 @@ func (c *Circuit) PowerBands() (minZero, maxZero, minOne, maxOne float64) {
 		}
 	})
 	return c.bands[0], c.bands[1], c.bands[2], c.bands[3]
-}
-
-// powerBandsDirect is the cache-free band scan — the retained oracle
-// for the table-backed PowerBands and its fallback beyond
-// maxTableOrder.
-func (c *Circuit) powerBandsDirect() (minZero, maxZero, minOne, maxOne float64) {
-	n := c.P.Order
-	first0, first1 := true, true
-	z := make([]int, n+1)
-	for pattern := 0; pattern < 1<<(n+1); pattern++ {
-		for b := range z {
-			z[b] = (pattern >> b) & 1
-		}
-		for weight := 0; weight <= n; weight++ {
-			p := c.ReceivedPowerMW(weight, z)
-			if z[c.SelectedChannel(weight)] == 0 {
-				if first0 || p < minZero {
-					minZero = p
-				}
-				if first0 || p > maxZero {
-					maxZero = p
-				}
-				first0 = false
-			} else {
-				if first1 || p < minOne {
-					minOne = p
-				}
-				if first1 || p > maxOne {
-					maxOne = p
-				}
-				first1 = false
-			}
-		}
-	}
-	return minZero, maxZero, minOne, maxOne
 }
 
 // Decider returns the OOK threshold placed midway between the worst

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/stochastic"
 )
 
 // TestPowerTableMatchesReceivedPower: every cached entry equals the
@@ -30,18 +31,24 @@ func TestPowerTableMatchesReceivedPower(t *testing.T) {
 	}
 }
 
-// TestPowerTableNilBeyondTableOrder: orders past the tabulation bound
-// return nil instead of exploding the 2^(n+1) enumeration.
-func TestPowerTableNilBeyondTableOrder(t *testing.T) {
+// TestPowerTableOrderBound: Params.Validate caps the order at
+// MaxOrder, the largest order whose power table is built, so NewCircuit
+// and the design methods reject MaxOrder+1 with an error naming the
+// bound.
+func TestPowerTableOrderBound(t *testing.T) {
 	p := PaperParams()
-	p.Order = maxTableOrder + 1
-	p.WLSpacingNM = 0.05 // keep the comb inside the modulator FSR
-	c, err := NewCircuit(p)
-	if err != nil {
-		t.Fatal(err)
+	p.WLSpacingNM = 0.05 // keep the comb inside the filter FSR
+	p.Order = MaxOrder
+	if err := p.Validate(); err != nil {
+		t.Fatalf("order %d rejected: %v", MaxOrder, err)
 	}
-	if c.PowerTable() != nil {
-		t.Error("table built beyond maxTableOrder")
+	p.Order = MaxOrder + 1
+	bound := fmt.Sprint(MaxOrder)
+	if _, err := NewCircuit(p); err == nil || !strings.Contains(err.Error(), bound) {
+		t.Errorf("NewCircuit at order %d: err = %v, want one naming %s", p.Order, err, bound)
+	}
+	if _, err := MRRFirst(MRRFirstSpec{Order: MaxOrder + 1, WLSpacingNM: 0.2}); err == nil || !strings.Contains(err.Error(), bound) {
+		t.Errorf("MRRFirst at order %d: err = %v, want one naming %s", MaxOrder+1, err, bound)
 	}
 }
 
@@ -50,7 +57,7 @@ func TestPowerTableNilBeyondTableOrder(t *testing.T) {
 func TestPowerBandsMatchesDirectScan(t *testing.T) {
 	c := paperCircuit(t)
 	minZ, maxZ, minO, maxO := c.PowerBands()
-	dMinZ, dMaxZ, dMinO, dMaxO := c.powerBandsDirect()
+	dMinZ, dMaxZ, dMinO, dMaxO := powerBandsDirect(c)
 	if minZ != dMinZ || maxZ != dMaxZ || minO != dMinO || maxO != dMaxO {
 		t.Errorf("cached bands (%g %g %g %g) vs direct (%g %g %g %g)",
 			minZ, maxZ, minO, maxO, dMinZ, dMaxZ, dMinO, dMaxO)
@@ -77,26 +84,8 @@ func TestChannelDeltaMatchesDirect(t *testing.T) {
 // exhaustive margin to the retained direct enumeration.
 func TestWorstCaseDeltaOverZMatchesDirect(t *testing.T) {
 	c := paperCircuit(t)
-	if got, want := c.WorstCaseDeltaOverZ(), c.worstCaseDeltaOverZDirect(); got != want {
+	if got, want := c.WorstCaseDeltaOverZ(), worstCaseDeltaOverZDirect(c); got != want {
 		t.Errorf("cached %g vs direct %g", got, want)
-	}
-}
-
-// TestUnitSharesCircuitPowerTable: units no longer build private
-// copies — the circuit's table is the unit's table.
-func TestUnitSharesCircuitPowerTable(t *testing.T) {
-	c := paperCircuit(t)
-	u1, err := NewUnit(c, stochastic.NewBernstein([]float64{0.25, 0.625, 0.75}), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := NewUnit(c, stochastic.NewBernstein([]float64{0.5, 0.25, 0.75}), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pow := c.PowerTable()
-	if &u1.powerTable()[0][0] != &pow[0][0] || &u2.powerTable()[0][0] != &pow[0][0] {
-		t.Error("units hold private power tables")
 	}
 }
 
@@ -154,4 +143,68 @@ func (c *Circuit) channelDeltaDirect(i int) float64 {
 		z[w] = 0
 	}
 	return sig - xtalk
+}
+
+// powerBandsDirect is the cache-free band scan: the oracle for the
+// table-backed PowerBands.
+func powerBandsDirect(c *Circuit) (minZero, maxZero, minOne, maxOne float64) {
+	n := c.P.Order
+	first0, first1 := true, true
+	z := make([]int, n+1)
+	for pattern := 0; pattern < 1<<(n+1); pattern++ {
+		for b := range z {
+			z[b] = (pattern >> b) & 1
+		}
+		for weight := 0; weight <= n; weight++ {
+			p := c.ReceivedPowerMW(weight, z)
+			if z[c.SelectedChannel(weight)] == 0 {
+				if first0 || p < minZero {
+					minZero = p
+				}
+				if first0 || p > maxZero {
+					maxZero = p
+				}
+				first0 = false
+			} else {
+				if first1 || p < minOne {
+					minOne = p
+				}
+				if first1 || p > maxOne {
+					maxOne = p
+				}
+				first1 = false
+			}
+		}
+	}
+	return minZero, maxZero, minOne, maxOne
+}
+
+// worstCaseDeltaOverZDirect is the cache-free exhaustive margin: the
+// oracle for the table-backed WorstCaseDeltaOverZ.
+func worstCaseDeltaOverZDirect(c *Circuit) float64 {
+	n := c.P.Order
+	worst := math.Inf(1)
+	z := make([]int, n+1)
+	for weight := 0; weight <= n; weight++ {
+		sel := c.SelectedChannel(weight)
+		minOne := math.Inf(1)
+		maxZero := math.Inf(-1)
+		for pattern := 0; pattern < 1<<(n+1); pattern++ {
+			for b := range z {
+				z[b] = (pattern >> b) & 1
+			}
+			p := c.ReceivedPowerMW(weight, z) / c.P.ProbePowerMW
+			if z[sel] == 1 {
+				if p < minOne {
+					minOne = p
+				}
+			} else if p > maxZero {
+				maxZero = p
+			}
+		}
+		if d := minOne - maxZero; d < worst {
+			worst = d
+		}
+	}
+	return worst
 }

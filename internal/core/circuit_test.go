@@ -70,7 +70,7 @@ func TestFilterAlignsToSelectedChannel(t *testing.T) {
 func TestFig5aChannelTotals(t *testing.T) {
 	// Fig. 5(a): z=(0,1,0), x1=x2=1 → totals ≈ (0.0002, 0.004, 0.091),
 	// received ≈ 0.0952 mW at 1 mW probes. Tolerances allow the ring
-	// calibration residual (see EXPERIMENTS.md).
+	// calibration residual.
 	c := paperCircuit(t)
 	tot := c.ChannelTotals(2, []int{0, 1, 0})
 	if tot[2] < 0.08 || tot[2] > 0.11 {

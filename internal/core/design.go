@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/numeric"
 	"repro/internal/optics"
 )
 
@@ -96,7 +97,7 @@ func MRRFirst(spec MRRFirstSpec) (Params, error) {
 	if erFrac <= 0 || erFrac >= 1 {
 		return Params{}, fmt.Errorf("core: MRRFirst derived ER%% = %g outside (0,1)", erFrac)
 	}
-	erDB := -optics.LinearToDB(erFrac)
+	erDB := -numeric.LinearToDB(erFrac)
 
 	p := Params{
 		Order:            spec.Order,

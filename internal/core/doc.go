@@ -33,19 +33,22 @@
 // Unit.Step/Evaluate is the bit-serial oracle. EvaluateWords, Cycles
 // and EvaluateNoisy simulate 64 clocks per word: SNG words, a
 // carry-save adder tree for the data weight, and a lookup in the
-// circuit's (weight, z-mask) received-power table or in the unit's
-// thresholded decision table. A calibrated table with an open eye,
-// whose filter routes weight w to probe channel w, is in mux form:
-// dec[w][z] = bit w of z, so a noiseless cycle outputs the coefficient
-// bit its weight selects, exactly as the electronic ReSC multiplexer
-// does. decisionTable checks this once per unit. For a mux-form table
-// EvaluateBatch hands each input's SplitMix64 seeds to
-// stochastic.ReSCOnesSplitMix, which computes counter-indexed draws
-// and so draws only the selected coefficient at each clock. Any other
-// table keeps the packed lookup, and orders beyond the tabulation
-// limit keep the serial walk. All three count the same ones from the
-// same seeds. The noisy path draws every coefficient, because under
-// noise every coefficient bit moves the received power.
+// circuit's (weight, z-mask) received-power table. Params.Validate caps
+// the order at MaxOrder (16), so every circuit has that table. One
+// packed kernel thresholds the lookups plus noise against the
+// calibrated level for EvaluateWords, EvaluateNoisy(Seeded) and the
+// batch; a nil noise filler is a noiseless channel. A calibrated
+// circuit with an open eye, whose filter routes weight w to probe
+// channel w, is in mux form: pow[w][z] > threshold exactly when bit w
+// of z is set, so a noiseless cycle outputs the coefficient bit its
+// weight selects, exactly as the electronic ReSC multiplexer does.
+// muxForm checks this once per unit. In mux form EvaluateBatch hands
+// each input's SplitMix64 seeds to stochastic.ReSCOnesSplitMix, which
+// computes counter-indexed draws and so draws only the selected
+// coefficient at each clock; otherwise it runs the packed kernel. Both
+// count the same ones from the same seeds. The noisy path draws every
+// coefficient, because under noise every coefficient bit moves the
+// received power.
 //
 // # Calibration
 //
@@ -54,6 +57,6 @@
 // calibrated so the paper's quantitative anchors hold: the Fig. 5
 // received-power bands, the 591.8 mW / 13.22 dB pump sizing of §V.A,
 // the 0.26 mW probe power at the Fig. 6(a) anchor, and the ≈20 pJ/bit
-// optimum of Fig. 7(a). See EXPERIMENTS.md for measured-vs-paper
-// numbers.
+// optimum of Fig. 7(a). `oscbench -fig summary` renders the
+// measured-vs-paper numbers.
 package core

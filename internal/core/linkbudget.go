@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/numeric"
 	"repro/internal/optics"
 )
 
@@ -58,7 +59,7 @@ func (c *Circuit) ComputeLinkBudget() LinkBudget {
 		p *= factor
 		*list = append(*list, LinkStage{
 			Name:              name,
-			LossDB:            -optics.LinearToDB(factor),
+			LossDB:            -numeric.LinearToDB(factor),
 			CumulativePowerMW: p,
 		})
 	}

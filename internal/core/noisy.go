@@ -6,57 +6,17 @@ import (
 	"repro/internal/stochastic"
 )
 
-// This file is the noise-aware counterpart of the packed engine in
-// batch.go. A noisy OOK decision cannot be tabulated as a bit — the
-// comparison depends on the per-cycle Gaussian noise sample — but the
-// received power can: it is a pure function of (weight, z-mask), so 64
-// noisy cycles collapse to SNG words, the carry-save weight tree, a
-// power-table lookup and one add-and-compare per bit. The noise itself
-// arrives through a caller-supplied block filler (internal/transient
-// wires it to Gaussian.FillScaled), which keeps core free of any
-// distribution choice while consuming the noise source in cycle order
-// — so the packed path emits bitstreams identical to the serial
-// Step(x, noiseMW) loop fed from the same sources.
-
-// noiseBlock is the block size the noisy evaluators request from the
-// noise filler: one 64-bit output word per fill.
-const noiseBlock = 64
-
-// powerTable returns the circuit's shared received-power table (see
-// Circuit.PowerTable) — one tabulation serves the serial Step lookups,
-// both packed engines and every analysis consumer. Returns nil for
-// orders too large to tabulate.
-func (u *Unit) powerTable() [][]float64 {
-	return u.Circuit.PowerTable()
-}
-
-// evalPackedNoisy runs `length` noisy cycles of the word-parallel
-// datapath with the given generators and power table, 64 cycles per
-// iteration: draw and decode one packed word (the scaffolding shared
-// with evalPacked), fill one word of noise samples, then threshold
-// power-table lookups against the calibrated decision level.
-func (u *Unit) evalPackedNoisy(pow [][]float64, data, coef []*stochastic.SNG, x float64, length int, fill func(noiseMW []float64)) *stochastic.Bitstream {
-	n := u.Circuit.P.Order
-	out := stochastic.NewBitstream(length)
-	var planes []uint64
-	coefWords := make([]uint64, n+1)
-	var weights, zmasks [64]int
-	var noise [noiseBlock]float64
-	for w := 0; w < out.WordCount(); w++ {
-		nbits := out.WordBits(w)
-		planes = u.drawWord(data, coef, x, nbits, planes, coefWords)
-		decodeCycles(planes, coefWords, nbits, &weights, &zmasks)
-		fill(noise[:nbits])
-		var word uint64
-		for t := 0; t < nbits; t++ {
-			if pow[weights[t]][zmasks[t]]+noise[t] > u.thresholdMW {
-				word |= 1 << uint(t)
-			}
-		}
-		out.SetWord(w, word)
-	}
-	return out
-}
+// This file holds the noise-aware evaluators. A noisy OOK decision
+// depends on the per-cycle noise sample, but the received power is
+// still a pure function of (weight, z-mask), so the noisy paths run
+// the same packed kernel as the noiseless ones (evalPacked in
+// batch.go): SNG words, the carry-save weight tree, a power-table
+// lookup and one add-and-compare per bit. The noise itself arrives
+// through a caller-supplied block filler (internal/transient wires it
+// to stochastic.Gaussian.FillScaled), which keeps core free of any distribution
+// choice while consuming the noise source in cycle order — so the
+// packed path emits bitstreams identical to the serial Step(x,
+// noiseMW) loop fed from the same sources.
 
 // EvaluateNoisy runs `length` cycles at input x with additive
 // received-power noise and returns the raw output stream. fill is
@@ -64,9 +24,8 @@ func (u *Unit) evalPackedNoisy(pow [][]float64, data, coef []*stochastic.SNG, x 
 // noise sample (in mW) per slot, consuming its source in cycle order;
 // each sample is added to the received power before thresholding,
 // exactly as Step's noiseMW argument is. It advances the unit's
-// generators as Evaluate does; orders beyond maxTableOrder fall
-// back to the bit-serial path with the same block noise consumption,
-// so the two paths emit identical bitstreams from equal sources.
+// generators as Evaluate does, so it emits the bitstream a Step loop
+// fed the same noise samples would.
 func (u *Unit) EvaluateNoisy(x float64, length int, fill func(noiseMW []float64)) (*stochastic.Bitstream, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("core: stream length %d, need >= 1", length)
@@ -74,19 +33,7 @@ func (u *Unit) EvaluateNoisy(x float64, length int, fill func(noiseMW []float64)
 	if fill == nil {
 		return nil, fmt.Errorf("core: EvaluateNoisy needs a noise filler")
 	}
-	if pow := u.powerTable(); pow != nil {
-		return u.evalPackedNoisy(pow, u.dataSNG, u.coefSNG, x, length, fill), nil
-	}
-	out := stochastic.NewBitstream(length)
-	var noise [noiseBlock]float64
-	for t := 0; t < length; t += noiseBlock {
-		nb := min(noiseBlock, length-t)
-		fill(noise[:nb])
-		for k := 0; k < nb; k++ {
-			out.Set(t+k, u.Step(x, noise[k]).Bit)
-		}
-	}
-	return out, nil
+	return u.evalPacked(u.dataSNG, u.coefSNG, x, length, fill), nil
 }
 
 // EvaluateNoisySeeded evaluates one noisy input with fresh generators
@@ -94,8 +41,7 @@ func (u *Unit) EvaluateNoisy(x float64, length int, fill func(noiseMW []float64)
 // behind transient batch evaluation. The shared state it reads (power
 // table, threshold) is immutable, so it may be called concurrently;
 // reproducibility additionally requires fill to be derived from seed
-// alone. Falls back to a cache-free serial walk for orders too large
-// to tabulate.
+// alone.
 func (u *Unit) EvaluateNoisySeeded(seed uint64, x float64, length int, fill func(noiseMW []float64)) (float64, error) {
 	if length <= 0 {
 		return 0, fmt.Errorf("core: stream length %d, need >= 1", length)
@@ -104,41 +50,5 @@ func (u *Unit) EvaluateNoisySeeded(seed uint64, x float64, length int, fill func
 		return 0, fmt.Errorf("core: EvaluateNoisySeeded needs a noise filler")
 	}
 	data, coef := seededSNGs(u.Circuit.P.Order, seed)
-	if pow := u.powerTable(); pow != nil {
-		return u.evalPackedNoisy(pow, data, coef, x, length, fill).Value(), nil
-	}
-	return u.walkSeeded(data, coef, x, length, fill), nil
-}
-
-// walkSeeded is the cache-free bit-serial fallback shared by the
-// batch evaluators for orders beyond maxTableOrder: enumerate the
-// circuit per cycle and threshold. A nil fill means a noiseless
-// channel (no noise samples are drawn).
-func (u *Unit) walkSeeded(data, coef []*stochastic.SNG, x float64, length int, fill func(noiseMW []float64)) float64 {
-	if length <= 0 {
-		return 0
-	}
-	n := u.Circuit.P.Order
-	z := make([]int, n+1)
-	var noise [noiseBlock]float64 // stays all-zero without a filler
-	ones := 0
-	for t := 0; t < length; t += noiseBlock {
-		nb := min(noiseBlock, length-t)
-		if fill != nil {
-			fill(noise[:nb])
-		}
-		for k := 0; k < nb; k++ {
-			weight := 0
-			for i := 0; i < n; i++ {
-				weight += data[i].NextBit(x)
-			}
-			for i := range z {
-				z[i] = coef[i].NextBit(u.Poly.Coef[i])
-			}
-			if u.Circuit.ReceivedPowerMW(weight, z)+noise[k] > u.thresholdMW {
-				ones++
-			}
-		}
-	}
-	return float64(ones) / float64(length)
+	return u.evalPacked(data, coef, x, length, fill).Value(), nil
 }

@@ -48,54 +48,51 @@ func TestUnitEvaluateNoisyZeroNoiseMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestUnitEvaluateNoisySeededFallbackMatchesPacked pins the
-// cache-free serial fallback (used beyond maxTableOrder) to the
-// packed noisy path on a tabulatable order, so the two
-// implementations cannot drift.
+// TestUnitEvaluateNoisySeededFallbackMatchesPacked pins the packed
+// noisy path to the cache-free serial walk (walkSeeded) on fresh
+// generators and an equal noise source, so the two implementations
+// cannot drift.
 func TestUnitEvaluateNoisySeededFallbackMatchesPacked(t *testing.T) {
 	u := paperUnit(t, 17)
-	sigma := u.ThresholdMW() // noise comparable to the decision level
+	// Uniform noise up to ±ThresholdMW: wide enough to push levels of
+	// both bands across the threshold, so the noise add is exercised.
+	sigma := 2 * u.ThresholdMW()
 	for i, x := range []float64{0, 0.4, 1} {
 		seed := stochastic.DeriveSeed(99, i)
 		packed, err := u.EvaluateNoisySeeded(seed, x, 257, splitmixFill(seed+1, sigma))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if u.powerTable() == nil {
-			t.Fatal("order 2 should tabulate")
-		}
 
-		// Re-run through the serial fallback by hiding the table.
-		fresh := paperUnit(t, 17)
-		fresh.Circuit.powOnce.Do(func() {}) // leave powers nil
-		serial, err := fresh.EvaluateNoisySeeded(seed, x, 257, splitmixFill(seed+1, sigma))
-		if err != nil {
-			t.Fatal(err)
-		}
+		data, coef := seededSNGs(u.Circuit.P.Order, seed)
+		serial := walkSeeded(u, data, coef, x, 257, splitmixFill(seed+1, sigma))
 		if packed != serial {
-			t.Errorf("x=%g: packed %g vs serial fallback %g", x, packed, serial)
+			t.Errorf("x=%g: packed %g vs serial walk %g", x, packed, serial)
 		}
 	}
 }
 
 // TestUnitEvaluateNoisyFallbackMatchesPacked does the same for the
-// generator-advancing EvaluateNoisy.
+// generator-advancing EvaluateNoisy against a Step loop fed the same
+// noise blocks.
 func TestUnitEvaluateNoisyFallbackMatchesPacked(t *testing.T) {
 	packedU := paperUnit(t, 23)
 	serialU := paperUnit(t, 23)
-	serialU.Circuit.powOnce.Do(func() {}) // hide the table
-	sigma := packedU.ThresholdMW()
-	bp, err := packedU.EvaluateNoisy(0.6, 193, splitmixFill(5, sigma))
+	sigma := 2 * packedU.ThresholdMW() // flips decisions, as above
+	const length = 193
+	bp, err := packedU.EvaluateNoisy(0.6, length, splitmixFill(5, sigma))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsr, err := serialU.EvaluateNoisy(0.6, 193, splitmixFill(5, sigma))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < bp.Len(); i++ {
-		if bp.Get(i) != bsr.Get(i) {
-			t.Fatalf("bit %d: %d vs %d", i, bp.Get(i), bsr.Get(i))
+	fill := splitmixFill(5, sigma)
+	var noise [noiseBlock]float64
+	for t0 := 0; t0 < length; t0 += noiseBlock {
+		nb := min(noiseBlock, length-t0)
+		fill(noise[:nb])
+		for k := 0; k < nb; k++ {
+			if got, want := bp.Get(t0+k), serialU.Step(0.6, noise[k]).Bit; got != want {
+				t.Fatalf("bit %d: %d vs %d", t0+k, got, want)
+			}
 		}
 	}
 }

@@ -81,6 +81,13 @@ func WideFSRFilterShape() RingShape {
 	return RingShape{R1: 0.993987, R2: 0.993987, A: 0.9995, FSRNM: 40}
 }
 
+// MaxOrder is the largest polynomial order a circuit supports. Every
+// analysis and evaluation path reads the circuit's (n+1)·2^(n+1)-entry
+// received-power table, which grows too fast to build past n = 16;
+// every design the paper evaluates (up to the Fig. 7(b) sweep's 16)
+// fits.
+const MaxOrder = 16
+
 // Params is the complete parameter set of the generic architecture,
 // mirroring the glossary of the paper's Fig. 4(b).
 type Params struct {
@@ -129,6 +136,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.Order < 1:
 		return fmt.Errorf("core: order %d < 1", p.Order)
+	case p.Order > MaxOrder:
+		return fmt.Errorf("core: order %d > MaxOrder %d", p.Order, MaxOrder)
 	case p.WLSpacingNM <= 0:
 		return fmt.Errorf("core: wavelength spacing %g nm not positive", p.WLSpacingNM)
 	case p.LambdaMaxNM <= 0:

@@ -71,19 +71,16 @@ func (c *Circuit) MinProbePowerMW(targetBER float64) float64 {
 	return c.P.Detector.MinPowerForSNRMW(snr) / delta
 }
 
-// WorstCaseDeltaOverZ is the robustness extension discussed in
-// DESIGN.md: instead of Eq. (8)'s fixed one-hot crosstalk pattern it
-// searches all 2^n coefficient patterns for the smallest separation
-// between the selected channel's '1' and '0' received powers, per
-// filter state, normalized by the probe power. It lower-bounds
-// ChannelDelta and is the margin the end-to-end unit actually sees.
+// WorstCaseDeltaOverZ is a robustness extension of Eq. (8): instead
+// of its fixed one-hot crosstalk pattern it searches all 2^(n+1)
+// coefficient patterns for the smallest separation between the
+// selected channel's '1' and '0' received powers, per filter state,
+// normalized by the probe power. It lower-bounds ChannelDelta and is
+// the margin the end-to-end unit actually sees.
 //
 //osclint:ignore testonly tests in core and the root ablation benchmark share it: the exhaustive margin reported beside Eq. 8's
 func (c *Circuit) WorstCaseDeltaOverZ() float64 {
 	pow := c.PowerTable()
-	if pow == nil {
-		return c.worstCaseDeltaOverZDirect()
-	}
 	n := c.P.Order
 	worst := math.Inf(1)
 	for weight := 0; weight <= n; weight++ {
@@ -93,37 +90,6 @@ func (c *Circuit) WorstCaseDeltaOverZ() float64 {
 		for pattern := 0; pattern < 1<<(n+1); pattern++ {
 			p := pow[weight][pattern] / c.P.ProbePowerMW
 			if pattern>>sel&1 == 1 {
-				if p < minOne {
-					minOne = p
-				}
-			} else if p > maxZero {
-				maxZero = p
-			}
-		}
-		if d := minOne - maxZero; d < worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// worstCaseDeltaOverZDirect is the cache-free exhaustive margin — the
-// retained oracle for the table-backed WorstCaseDeltaOverZ and its
-// fallback beyond maxTableOrder.
-func (c *Circuit) worstCaseDeltaOverZDirect() float64 {
-	n := c.P.Order
-	worst := math.Inf(1)
-	z := make([]int, n+1)
-	for weight := 0; weight <= n; weight++ {
-		sel := c.SelectedChannel(weight)
-		minOne := math.Inf(1)
-		maxZero := math.Inf(-1)
-		for pattern := 0; pattern < 1<<(n+1); pattern++ {
-			for b := range z {
-				z[b] = (pattern >> b) & 1
-			}
-			p := c.ReceivedPowerMW(weight, z) / c.P.ProbePowerMW
-			if z[sel] == 1 {
 				if p < minOne {
 					minOne = p
 				}

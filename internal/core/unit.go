@@ -26,15 +26,12 @@ type Unit struct {
 	seed        uint64
 	thresholdMW float64
 
-	// decisions is the fully-tabulated noiseless output bit,
-	// decisions[weight] a bitset over z-masks, built once on first
-	// word-parallel evaluation (see decisionTable) by thresholding the
-	// circuit's shared received-power table. mux records that the table
-	// is in mux form (isMuxTable). Both are immutable after decOnce
-	// fires, so the batch workers share them without locking.
-	decOnce   sync.Once
-	decisions [][]uint64
-	mux       bool
+	// mux records that the circuit's power table, thresholded at
+	// thresholdMW, is in mux form (see isMuxForm). It is decided once
+	// on first batch evaluation and immutable after muxOnce fires, so
+	// the batch workers share it without locking.
+	muxOnce sync.Once
+	mux     bool
 }
 
 // NewUnit builds a unit for the polynomial on the given circuit. The
@@ -85,16 +82,6 @@ func unitSeeds(order int, seed uint64) (data, coef []uint64) {
 	return data, coef
 }
 
-// receivedMW returns the tabulated received power for a data weight
-// and coefficient bits, enumerating the circuit directly for orders
-// too large to tabulate.
-func (u *Unit) receivedMW(weight int, z []int, zmask int) float64 {
-	if pow := u.powerTable(); pow != nil {
-		return pow[weight][zmask]
-	}
-	return u.Circuit.ReceivedPowerMW(weight, z)
-}
-
 // ThresholdMW returns the OOK decision threshold calibrated from the
 // circuit's worst-case power bands.
 func (u *Unit) ThresholdMW() float64 { return u.thresholdMW }
@@ -131,7 +118,7 @@ func (u *Unit) Step(x float64, noiseMW float64) StepResult {
 		zmask |= r.Z[i] << i
 	}
 	r.Selected = u.Circuit.SelectedChannel(r.Weight)
-	r.ReceivedMW = u.receivedMW(r.Weight, r.Z, zmask)
+	r.ReceivedMW = u.Circuit.PowerTable()[r.Weight][zmask]
 	if r.ReceivedMW+noiseMW > u.thresholdMW {
 		r.Bit = 1
 	}

@@ -109,7 +109,7 @@ func TestUnitNoiseFlipsBits(t *testing.T) {
 }
 
 // TestUnitSweepAccuracy: at the paper design (and at the order-6
-// gamma design) the unit's decision table realizes the ideal
+// gamma design) the unit's thresholded power table realizes the ideal
 // multiplexer, so its exact per-cycle expectation equals the Bernstein
 // value B(x) to rounding on a 17-point grid — the closed form the
 // batch oracle (TestUnitEvaluateBatchAccuracy) rests on.

@@ -13,9 +13,8 @@ import (
 )
 
 // RingSensitivityRow measures how the Fig. 7 energy optimum moves
-// when the filter linewidth changes — the design-choice DESIGN.md
-// calls out (the paper never states ring geometry; this quantifies
-// how much that omission matters).
+// when the filter linewidth changes (the paper never states ring
+// geometry; this quantifies how much that omission matters).
 type RingSensitivityRow struct {
 	// FWHMScale multiplies the dense preset's filter linewidth.
 	FWHMScale float64

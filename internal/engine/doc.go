@@ -110,9 +110,8 @@
 // Index-derived randomness also makes sweeps distributable: because
 // item i's result never depends on which process ran it, a sweep can
 // split across machines by index alone. Shard{K, N, Inner} wraps any
-// engine and dispatches only the indices shard K of N owns (i%N == K,
-// or contiguous blocks with Contiguous), bit-identical to the full
-// run on the owned subset. A shard deliberately breaks exactly-once
+// engine and dispatches only the indices shard K of N owns
+// (i%N == K), bit-identical to the full run on the owned subset. A shard deliberately breaks exactly-once
 // over [0, n) — it is exactly-once over its slice — so it reports the
 // unowned remainder through the normal Partial machinery with
 // ErrShardRemainder as the cause and the Done bitmap equal to

@@ -96,7 +96,7 @@ func TestEnginesPinsSuiteBreadth(t *testing.T) {
 		t.Fatalf("sharded has %d shards, want 3", len(u.shards))
 	}
 	for k, sh := range u.shards {
-		if sh.K != k || sh.N != 3 || sh.Contiguous || sh.Inner != engine.WordParallel {
+		if sh.K != k || sh.N != 3 || sh.Inner != engine.WordParallel {
 			t.Errorf("shard %d is %s, want round-robin %d/3 over parallel", k, sh.Name(), k)
 		}
 	}

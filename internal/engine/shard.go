@@ -26,12 +26,9 @@ var ErrShardRemainder = errors.New("engine: shard dispatch complete; non-owned i
 // entry point shardable across processes or machines with no per-path
 // code.
 //
-// Ownership is round-robin by default (i % N == K, which balances any
-// sweep shape) or a contiguous block partition when Contiguous is set
-// (block K of a balanced split of [0, n), for shards that want cache
-// locality over balance). Both partitions are total and disjoint across
-// K = 0..N-1, so the union of all N shards covers every index exactly
-// once.
+// Ownership is round-robin (i % N == K, which balances any sweep
+// shape). The partition is total and disjoint across K = 0..N-1, so
+// the union of all N shards covers every index exactly once.
 //
 // A Shard deliberately breaks the "every index runs exactly once"
 // engine contract for the indices it does not own: it leaves them
@@ -44,9 +41,6 @@ var ErrShardRemainder = errors.New("engine: shard dispatch complete; non-owned i
 type Shard struct {
 	// K is this shard's id in [0, N); N is the total shard count.
 	K, N int
-	// Contiguous switches ownership from round-robin (i % N == K) to
-	// the K-th block of a balanced partition of the index range.
-	Contiguous bool
 	// Inner runs the owned indices; it sees a dense [0, owned) dispatch
 	// and must satisfy the usual engine contract for it.
 	Inner Engine
@@ -73,21 +67,14 @@ func (s Shard) Name() string {
 	if s.Inner != nil {
 		inner = s.Inner.Name()
 	}
-	if s.Contiguous {
-		return fmt.Sprintf("shard(%d/%d:block,%s)", s.K, s.N, inner)
-	}
 	return fmt.Sprintf("shard(%d/%d,%s)", s.K, s.N, inner)
 }
 
 // Owns reports whether this shard owns index i of a total-item sweep.
-// Round-robin ownership ignores total; the contiguous block partition
-// needs it.
+// An index outside [0, total) is never owned.
 func (s Shard) Owns(i, total int) bool {
 	if i < 0 || (total >= 0 && i >= total) {
 		return false
-	}
-	if s.Contiguous {
-		return i >= s.K*total/s.N && i < (s.K+1)*total/s.N
 	}
 	return i%s.N == s.K
 }
@@ -97,14 +84,6 @@ func (s Shard) Owns(i, total int) bool {
 func (s Shard) owned(n int) []int {
 	if n <= 0 {
 		return nil
-	}
-	if s.Contiguous {
-		lo, hi := s.K*n/s.N, (s.K+1)*n/s.N
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
 	}
 	out := make([]int, 0, n/s.N+1)
 	for i := s.K; i < n; i += s.N {

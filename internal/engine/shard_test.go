@@ -7,36 +7,34 @@ import (
 	"testing"
 )
 
-// TestShardOwnershipPartitions: both ownership modes are total and
+// TestShardOwnershipPartitions: round-robin ownership is total and
 // disjoint — every index of a sweep is owned by exactly one shard of
 // the family, for shard counts that divide the range and ones that
 // don't.
 func TestShardOwnershipPartitions(t *testing.T) {
-	for _, contiguous := range []bool{false, true} {
-		for _, total := range []int{0, 1, 2, 7, 33, 64} {
-			for _, n := range []int{1, 2, 3, 5} {
-				owners := make([]int, total)
-				for i := range owners {
-					owners[i] = -1
-				}
-				for k := 0; k < n; k++ {
-					sh := Shard{K: k, N: n, Contiguous: contiguous, Inner: Serial}
-					for i := 0; i < total; i++ {
-						if !sh.Owns(i, total) {
-							continue
-						}
-						if owners[i] != -1 {
-							t.Fatalf("contiguous=%v total=%d n=%d: index %d owned by shards %d and %d",
-								contiguous, total, n, i, owners[i], k)
-						}
-						owners[i] = k
+	for _, total := range []int{0, 1, 2, 7, 33, 64} {
+		for _, n := range []int{1, 2, 3, 5} {
+			owners := make([]int, total)
+			for i := range owners {
+				owners[i] = -1
+			}
+			for k := 0; k < n; k++ {
+				sh := Shard{K: k, N: n, Inner: Serial}
+				for i := 0; i < total; i++ {
+					if !sh.Owns(i, total) {
+						continue
 					}
-				}
-				for i, k := range owners {
-					if k == -1 {
-						t.Fatalf("contiguous=%v total=%d n=%d: index %d owned by no shard",
-							contiguous, total, n, i)
+					if owners[i] != -1 {
+						t.Fatalf("total=%d n=%d: index %d owned by shards %d and %d",
+							total, n, i, owners[i], k)
 					}
+					owners[i] = k
+				}
+			}
+			for i, k := range owners {
+				if k == -1 {
+					t.Fatalf("total=%d n=%d: index %d owned by no shard",
+						total, n, i)
 				}
 			}
 		}
@@ -60,26 +58,24 @@ func TestShardOwnsRejectsOutOfRange(t *testing.T) {
 // rest untouched and reports them as ErrShardRemainder.
 func TestShardForRunsOwnedIndicesOnce(t *testing.T) {
 	const n = 20
-	for _, contiguous := range []bool{false, true} {
-		sh := Shard{K: 1, N: 3, Contiguous: contiguous, Inner: WordParallel}
-		for name, dispatch := range map[string]func(visit func(i int)) error{
-			"ForCtx": func(visit func(int)) error { return ForCtx(context.Background(), sh, n, visit) },
-			"ForWorkerCtx": func(visit func(int)) error {
-				return sh.ForWorkerCtx(context.Background(), n, sh.Workers(n), func(_, i int) { visit(i) })
-			},
-		} {
-			counts := make([]int32, n)
-			if err := dispatch(func(i int) { atomic.AddInt32(&counts[i], 1) }); !errors.Is(err, ErrShardRemainder) {
-				t.Errorf("contiguous=%v %s: err = %v, want ErrShardRemainder", contiguous, name, err)
+	sh := Shard{K: 1, N: 3, Inner: WordParallel}
+	for name, dispatch := range map[string]func(visit func(i int)) error{
+		"ForCtx": func(visit func(int)) error { return ForCtx(context.Background(), sh, n, visit) },
+		"ForWorkerCtx": func(visit func(int)) error {
+			return sh.ForWorkerCtx(context.Background(), n, sh.Workers(n), func(_, i int) { visit(i) })
+		},
+	} {
+		counts := make([]int32, n)
+		if err := dispatch(func(i int) { atomic.AddInt32(&counts[i], 1) }); !errors.Is(err, ErrShardRemainder) {
+			t.Errorf("%s: err = %v, want ErrShardRemainder", name, err)
+		}
+		for i, c := range counts {
+			want := int32(0)
+			if sh.Owns(i, n) {
+				want = 1
 			}
-			for i, c := range counts {
-				want := int32(0)
-				if sh.Owns(i, n) {
-					want = 1
-				}
-				if c != want {
-					t.Errorf("contiguous=%v %s: index %d ran %d times, want %d", contiguous, name, i, c, want)
-				}
+			if c != want {
+				t.Errorf("%s: index %d ran %d times, want %d", name, i, c, want)
 			}
 		}
 	}

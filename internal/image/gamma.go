@@ -93,9 +93,10 @@ func GammaOptical(ctx context.Context, e engine.Engine, src *Gray, gamma float64
 // GammaDesign sizes the circuit an optical gamma LUT of the given
 // degree runs on: the MRR-first design at the given channel spacing.
 // Its error is the one GammaOptical and GammaLUTCache would fail with
-// for that recipe — a comb too wide for the filter's FSR, or an eye
-// closed at that spacing. It takes microseconds, so a server can
-// reject an infeasible recipe before it queues the build.
+// for that recipe — a degree above core.MaxOrder, a comb too wide for
+// the filter's FSR, or an eye closed at that spacing. It takes
+// microseconds, so a server can reject an infeasible recipe before it
+// queues the build.
 func GammaDesign(degree int, spacingNM float64) (core.Params, error) {
 	return core.MRRFirst(core.MRRFirstSpec{Order: degree, WLSpacingNM: spacingNM})
 }

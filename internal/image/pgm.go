@@ -47,15 +47,6 @@ func (g *Gray) Clone() *Gray {
 	return c
 }
 
-// Histogram returns the 256-bin gray-level histogram.
-func (g *Gray) Histogram() [256]int {
-	var h [256]int
-	for _, p := range g.Pix {
-		h[p]++
-	}
-	return h
-}
-
 // WritePGM encodes the image as binary PGM (P5, maxval 255).
 func (g *Gray) WritePGM(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", g.W, g.H); err != nil {

@@ -13,12 +13,6 @@ func TestUnitConversions(t *testing.T) {
 	if got := ExtinctionToLinear(13.22); math.Abs(got-0.04764) > 1e-4 {
 		t.Errorf("ExtinctionToLinear(13.22) = %g", got)
 	}
-	if got := DBToLinear(3.0103); math.Abs(got-2) > 1e-4 {
-		t.Errorf("DBToLinear(3.0103) = %g", got)
-	}
-	if got := LinearToDB(2); math.Abs(got-3.0103) > 1e-4 {
-		t.Errorf("LinearToDB(2) = %g", got)
-	}
 }
 
 func TestEnergyHelpers(t *testing.T) {

@@ -6,14 +6,6 @@ import "repro/internal/numeric"
 // throughout the paper's experiments (λ2 = 1550 nm).
 const CBandCenterNM = 1550.0
 
-// DBToLinear converts a decibel power ratio to a linear fraction.
-// Insertion losses are conventionally quoted as positive dB values;
-// pass the negated value (or use LossToLinear).
-func DBToLinear(db float64) float64 { return numeric.DBToLinear(db) }
-
-// LinearToDB converts a linear power ratio to decibels.
-func LinearToDB(x float64) float64 { return numeric.LinearToDB(x) }
-
 // LossToLinear converts a positive insertion-loss figure in dB to the
 // transmitted power fraction: LossToLinear(4.5) ≈ 0.3548, the IL% of
 // the paper's reference MZI [10].

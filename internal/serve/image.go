@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 
+	"repro/internal/core"
 	img "repro/internal/image"
 )
 
@@ -200,8 +201,8 @@ func validateImage(op string, req imageRequest) error {
 		if !(req.Gamma > 0) {
 			return fmt.Errorf("gamma %g: need > 0", req.Gamma)
 		}
-		if req.Degree < 1 || req.Degree > 64 {
-			return fmt.Errorf("degree %d: need 1..64", req.Degree)
+		if req.Degree < 1 || req.Degree > core.MaxOrder {
+			return fmt.Errorf("degree %d: need 1..%d", req.Degree, core.MaxOrder)
 		}
 		if !(req.SpacingNM > 0) {
 			return fmt.Errorf("spacing_nm %g: need > 0", req.SpacingNM)

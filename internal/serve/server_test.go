@@ -685,7 +685,7 @@ func TestImageGammaInfeasibleDesign(t *testing.T) {
 	s := New(Config{Engine: engine.Serial, Workers: 1, QueueDepth: 1})
 	release := saturate(t, s)
 
-	for _, recipe := range []string{`, "degree": 17}`, `, "spacing_nm": 2}`, `, "spacing_nm": 0.1}`} {
+	for _, recipe := range []string{`, "degree": 17}`, `, "spacing_nm": 2}`, `, "spacing_nm": 0.1}`, `, "degree": 20, "spacing_nm": 0.2}`} {
 		rec := post(s, "/v1/image/gamma", src+recipe)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("recipe %s: status = %d, want 400: %s", recipe, rec.Code, rec.Body.String())

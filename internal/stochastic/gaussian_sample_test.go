@@ -1,10 +1,8 @@
-package transient
+package stochastic
 
 import (
 	"math"
 	"testing"
-
-	"repro/internal/stochastic"
 )
 
 // TestGaussianFillMatchesNext: block generation must reproduce the
@@ -12,8 +10,8 @@ import (
 // pair boundary (odd fill sizes leave a spare behind).
 func TestGaussianFillMatchesNext(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 64, 101} {
-		ref := NewGaussian(stochastic.NewSplitMix64(77))
-		blk := NewGaussian(stochastic.NewSplitMix64(77))
+		ref := NewGaussian(NewSplitMix64(77))
+		blk := NewGaussian(NewSplitMix64(77))
 		dst := make([]float64, size)
 		blk.Fill(dst)
 		for i, got := range dst {
@@ -35,8 +33,8 @@ func TestGaussianFillMatchesNext(t *testing.T) {
 // FillScaled in awkward sizes against a pure-Next reference — the
 // spare deviate must survive every hand-off.
 func TestGaussianInterleavedSpare(t *testing.T) {
-	ref := NewGaussian(stochastic.NewSplitMix64(4242))
-	g := NewGaussian(stochastic.NewSplitMix64(4242))
+	ref := NewGaussian(NewSplitMix64(4242))
+	g := NewGaussian(NewSplitMix64(4242))
 	var got, want []float64
 
 	take := func(n int) {
@@ -70,8 +68,8 @@ func TestGaussianInterleavedSpare(t *testing.T) {
 // TestGaussianFillScaled: FillScaled is sigma times the Fill
 // sequence, exactly as NextScaled is sigma times Next.
 func TestGaussianFillScaled(t *testing.T) {
-	plain := NewGaussian(stochastic.NewSplitMix64(9))
-	scaled := NewGaussian(stochastic.NewSplitMix64(9))
+	plain := NewGaussian(NewSplitMix64(9))
+	scaled := NewGaussian(NewSplitMix64(9))
 	a := make([]float64, 33)
 	b := make([]float64, 33)
 	plain.Fill(a)
@@ -86,7 +84,7 @@ func TestGaussianFillScaled(t *testing.T) {
 // TestGaussianFillMoments checks the block generator's first two
 // moments — the distribution must survive the vectorized transform.
 func TestGaussianFillMoments(t *testing.T) {
-	g := NewGaussian(stochastic.NewSplitMix64(321))
+	g := NewGaussian(NewSplitMix64(321))
 	const n = 1 << 17
 	buf := make([]float64, 512)
 	sum, sq := 0.0, 0.0
@@ -105,4 +103,35 @@ func TestGaussianFillMoments(t *testing.T) {
 	if math.Abs(variance-1) > 0.03 {
 		t.Errorf("fill variance = %g", variance)
 	}
+}
+
+func TestGaussianMoments(t *testing.T) {
+	g := NewGaussian(NewSplitMix64(123))
+	n := 1 << 17
+	sum, sq := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		v := g.Next()
+		sum += v
+		sq += v * v
+	}
+	mean := sum / float64(n)
+	variance := sq/float64(n) - mean*mean
+	if math.Abs(mean) > 0.02 {
+		t.Errorf("gaussian mean = %g", mean)
+	}
+	if math.Abs(variance-1) > 0.03 {
+		t.Errorf("gaussian variance = %g", variance)
+	}
+	if v := g.NextScaled(3); math.Abs(v) > 30 {
+		t.Errorf("scaled deviate %g implausible", v)
+	}
+}
+
+func TestGaussianNilPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewGaussian(nil) did not panic")
+		}
+	}()
+	NewGaussian(nil)
 }

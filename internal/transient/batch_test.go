@@ -81,7 +81,7 @@ func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
+		g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
 		ones := 0
 		for tt := 0; tt < length; tt++ {
 			ones += u.Step(x, g.NextScaled(s.SigmaMW)).Bit

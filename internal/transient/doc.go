@@ -19,7 +19,7 @@
 // as the oracle. The word-parallel path (Simulator.EvaluateWords)
 // simulates 64 clocks per machine word — SNG words, the carry-save
 // weight tree, received-power table lookups and block Gaussian noise
-// (Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits
+// (stochastic.Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits
 // bit-identical streams. Monte-Carlo studies go through
 // Simulator.EvaluateBatch, which dispatches independent trials on the
 // caller's engine under the caller's context with per-trial seeds

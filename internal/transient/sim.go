@@ -24,7 +24,7 @@ type Simulator struct {
 	// randomness from; the serial path's noise generator is seeded
 	// from it too.
 	seed  uint64
-	noise *Gaussian
+	noise *stochastic.Gaussian
 }
 
 // NewSimulator wraps a unit, deriving the noise level from the
@@ -36,7 +36,7 @@ func NewSimulator(u *core.Unit, seed uint64) *Simulator {
 		Unit:    u,
 		SigmaMW: sigma,
 		seed:    seed,
-		noise:   NewGaussian(stochastic.NewSplitMix64(seed)),
+		noise:   stochastic.NewGaussian(stochastic.NewSplitMix64(seed)),
 	}
 }
 
@@ -61,7 +61,7 @@ func (s *Simulator) Evaluate(x float64, length int) (float64, *stochastic.Bitstr
 
 // EvaluateWords is Evaluate through the word-parallel noisy datapath:
 // SNG words, the carry-save weight tree, power-table lookups and
-// block Gaussian noise (Gaussian.FillScaled), 64 cycles per inner
+// block Gaussian noise (stochastic.Gaussian.FillScaled), 64 cycles per inner
 // iteration. It advances the unit's generators and the simulator's
 // noise stream exactly as Evaluate does and emits an identical
 // bitstream.
@@ -110,7 +110,7 @@ func (s *Simulator) EvaluateBatch(ctx context.Context, e engine.Engine, xs []flo
 	errs := make([]error, len(xs))
 	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed, i)
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
+		g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
 		v, err := s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
 			g.FillScaled(dst, sigma)
 		})
@@ -162,7 +162,7 @@ func (s *Simulator) worstCasePair() (oneLevel, zeroLevel, threshold float64) {
 // an odd count is rounded up so the two patterns are transmitted
 // equally often — an unbalanced split would bias the measurement
 // toward one pattern's error rate. The slots are decided 64 at a time
-// by Gaussian.ThresholdWord, which draws the noise stream exactly as
+// by stochastic.Gaussian.ThresholdWord, which draws the noise stream exactly as
 // the serial per-slot draw would and returns the same decisions as
 // adding that noise to each level, so the count is bit-identical to
 // the per-slot simulation. The measurement converges to the analytical
@@ -291,7 +291,7 @@ func (s *Simulator) AccuracyVsLengthCtx(ctx context.Context, e engine.Engine, x 
 	errs := make([]error, len(sq))
 	if err := engine.RunCtx(ctx, e, len(sq), nil, func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed^accuracySalt, i)
-		g := NewGaussian(stochastic.NewSplitMix64(noiseSeed))
+		g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
 		got, err := s.Unit.EvaluateNoisySeeded(unitSeed, x, valid[i/trials], func(dst []float64) {
 			g.FillScaled(dst, sigma)
 		})

@@ -267,34 +267,3 @@ func TestMeasureWorstCaseBERValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestGaussianMoments(t *testing.T) {
-	g := NewGaussian(stochastic.NewSplitMix64(123))
-	n := 1 << 17
-	sum, sq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := g.Next()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("gaussian mean = %g", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("gaussian variance = %g", variance)
-	}
-	if v := g.NextScaled(3); math.Abs(v) > 30 {
-		t.Errorf("scaled deviate %g implausible", v)
-	}
-}
-
-func TestGaussianNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewGaussian(nil) did not panic")
-		}
-	}()
-	NewGaussian(nil)
-}

@@ -81,7 +81,7 @@ func syncSweep(s *Simulator, points, bits int) []SyncPoint {
 		if inPulse {
 			oneLvl, zeroLvl = oneIn, zeroIn
 		}
-		g := NewGaussian(stochastic.NewSplitMix64(stochastic.DeriveSeed(s.seed^syncSalt, k)))
+		g := stochastic.NewGaussian(stochastic.NewSplitMix64(stochastic.DeriveSeed(s.seed^syncSalt, k)))
 		errs := 0
 		for t := 0; t < bits; t += len(noise) {
 			nb := min(len(noise), bits-t)

@@ -79,7 +79,7 @@ func (g traceGeom) appendSlot(out []TracePoint, slot, bit int, receivedMW float6
 // traceWalk runs the whole trace as one sequential walk: the unit
 // decodes 64 cycles per SNG word draw (core.Unit.Cycles, received
 // powers from the shared table) and the detector noise arrives in
-// per-slot blocks (Gaussian.FillScaled) — one decision sample plus
+// per-slot blocks (stochastic.Gaussian.FillScaled) — one decision sample plus
 // samplesPerBit display samples per slot, consuming the noise stream
 // exactly as per-slot draws would.
 func (s *Simulator) traceWalk(x float64, bits, samplesPerBit int) ([]TracePoint, error) {
@@ -205,7 +205,7 @@ func (a *eyeAccum) stats() EyeStats {
 // eyeWalk runs the whole eye measurement as one sequential walk: the
 // unit decodes 64 cycles per SNG word draw (core.Unit.Cycles, with
 // received powers read from the shared table) and the detector noise
-// arrives in 64-sample blocks (Gaussian.FillScaled), advancing the
+// arrives in 64-sample blocks (stochastic.Gaussian.FillScaled), advancing the
 // unit's generators and the simulator's noise stream exactly as
 // per-slot draws would.
 func (s *Simulator) eyeWalk(x float64, bits int) (EyeStats, error) {
