@@ -54,6 +54,12 @@ func run(gamma float64, degree, size, stream int, spacing float64, inPath, outPa
 	} else {
 		src = img.Radial(size, size)
 	}
+	// Size the optical design before either image pass, so a recipe no
+	// optical circuit can run fails at once.
+	p, err := img.GammaDesign(degree, spacing)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("input: %dx%d, gamma %.2f, degree %d, stream length %d\n", src.W, src.H, gamma, degree, stream)
 
 	ctx := context.Background()
@@ -70,10 +76,6 @@ func run(gamma float64, degree, size, stream int, spacing float64, inPath, outPa
 	fmt.Printf("electronic ReSC:  PSNR %.2f dB, MAE %.2f levels\n", img.PSNR(exact, ele), img.MeanAbsoluteError(exact, ele))
 	fmt.Printf("optical SC unit:  PSNR %.2f dB, MAE %.2f levels\n", img.PSNR(exact, opt), img.MeanAbsoluteError(exact, opt))
 
-	p, err := core.MRRFirst(core.MRRFirstSpec{Order: degree, WLSpacingNM: spacing})
-	if err != nil {
-		return err
-	}
 	e := core.ParamsEnergy(p)
 	bitsPerPixel := float64(stream)
 	fmt.Printf("optical energy:   %.2f pJ/bit -> %.2f nJ/pixel at %d-bit streams\n",

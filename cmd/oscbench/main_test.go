@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/figures"
 )
@@ -183,6 +184,34 @@ func TestShardMergeResumeByteIdentical(t *testing.T) {
 	}
 	if clean.String() != ref.String() {
 		t.Errorf("merged render diverges from unsharded run\n got: %q\nwant: %q", clean.String(), ref.String())
+	}
+}
+
+// TestShardZeroOfOneRendersFullTable: the one shard of one owns every
+// die, so its leg completes the study and renders the unsharded table
+// byte for byte, from a snapshot that restores every die.
+func TestShardZeroOfOneRendersFullTable(t *testing.T) {
+	cfg := figures.Defaults()
+	cfg.Samples = 3
+	var ref bytes.Buffer
+	if err := run(context.Background(), &ref, "yield", cfg, 0, false); err != nil {
+		t.Fatal(err)
+	}
+
+	leg := cfg
+	leg.Checkpoint = filepath.Join(t.TempDir(), "yield.json")
+	leg.ShardK, leg.ShardN = 0, 1
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, "yield", leg, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != ref.String() {
+		t.Errorf("-shard 0/1 output diverges from the unsharded run\n got: %q\nwant: %q", out.String(), ref.String())
+	}
+	s := figures.YieldStudySpec(cfg.Samples)
+	cp := dse.NewCheckpointer[core.DieOutcome](dse.ShardCheckpointPath(leg.Checkpoint, 0, 1), 0, s.Key())
+	if restored, err := cp.Load(); err != nil || restored != s.N() {
+		t.Errorf("shard 0/1 snapshot: restored=%d err=%v, want %d", restored, err, s.N())
 	}
 }
 

@@ -30,9 +30,8 @@ func writeShards(t *testing.T, dir string, total, shards int) []string {
 	for k := 0; k < shards; k++ {
 		paths[k] = dse.ShardCheckpointPath(filepath.Join(dir, "ck.json"), k, shards)
 		cp := dse.NewCheckpointer[float64](paths[k], 0, testKey(total))
-		_, err := cp.Run(context.Background(), engine.Shard{K: k, N: shards, Inner: engine.Serial}, testPoint)
-		if !errors.Is(err, engine.ErrShardRemainder) {
-			t.Fatalf("shard %d/%d: err = %v, want ErrShardRemainder", k, shards, err)
+		if err := cp.RunShard(context.Background(), engine.Serial, k, shards, testPoint); err != nil {
+			t.Fatalf("shard %d/%d: err = %v", k, shards, err)
 		}
 	}
 	return paths
@@ -114,9 +113,9 @@ func TestRunFailsClosedOnDisagreement(t *testing.T) {
 	paths := writeShards(t, dir, 6, 2)
 	lying := filepath.Join(dir, "lying.json")
 	cp := dse.NewCheckpointer[float64](lying, 0, testKey(6))
-	if _, err := cp.Run(context.Background(), engine.Shard{K: 0, N: 2, Inner: engine.Serial}, func(i int) float64 {
+	if err := cp.RunShard(context.Background(), engine.Serial, 0, 2, func(i int) float64 {
 		return testPoint(i) + 1
-	}); !errors.Is(err, engine.ErrShardRemainder) {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	err := run(&bytes.Buffer{}, filepath.Join(dir, "merged.json"), append(paths, lying))

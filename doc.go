@@ -18,8 +18,9 @@
 // (stochastic.SNG.NextWord), a bitwise carry-save adder
 // tree for the data-bit sum (stochastic.AddPlane/PlaneEquals), and a
 // word-at-a-time multiplexer / received-power-table threshold — and
-// emits bit-identical streams (ReSC.EvaluateWords,
-// core.Unit.EvaluateWords).
+// emits bit-identical streams (core.Unit.EvaluateWords, and the
+// electronic ReSC.EvaluateWords, an oracle in internal/stochastic's
+// tests).
 // On top of that, stochastic.EvaluateBatch(ctx, e, …) and
 // core.Unit.EvaluateBatch(ctx, e, …) dispatch independent inputs on
 // the caller's engine with per-input seeds derived by
@@ -73,7 +74,8 @@
 // (stochastic.Gaussian.Fill, Box–Muller over a
 // stochastic.SplitMix64), in the same packed kernel as the noiseless
 // EvaluateWords. transient.Simulator.EvaluateWords emits
-// streams bit-identical to the serial Step loop;
+// streams bit-identical to the serial Simulator.Step loop its tests
+// keep as the oracle;
 // transient.Simulator.EvaluateBatch dispatches per-trial seeds on the
 // caller's engine, and the dse.NoiseStudy Monte-Carlo harness
 // (oscbench -fig noise) runs it on engine.Serial inside each of its
@@ -180,12 +182,11 @@
 //
 // The same determinism contract — every point a pure function of
 // (key, index) — makes sweeps distributable with no coordination.
-// engine.Shard wraps any engine to run only the indices a shard owns
-// (round-robin i%N==K, or contiguous blocks), bit-identical on the
-// owned subset; a shard that finishes its slice reports the rest
-// through the usual *engine.Partial (Done bitmap = ownership,
-// engine.ErrShardRemainder as the cause), so callers distinguish "my
-// share is done" from a genuine interruption. `oscbench -fig yield
+// dse.Checkpointer.RunShard runs the points shard k of n owns
+// (round-robin by point index) on any engine, bit-identical on the
+// owned subset, and snapshots them; it returns nil once its share is
+// in the snapshot, and a genuine interruption is the usual
+// *engine.Partial over the whole sweep. `oscbench -fig yield
 // -shard k/n -checkpoint y.json` runs one leg on one machine, writing
 // its snapshot to the shard-tagged y.shardKofN.json (the key hash
 // excludes the shard, so all legs address the same study); cmd/oscmerge
@@ -237,10 +238,9 @@
 //     electronic ReSC baseline of the paper's Fig. 1, and the packed
 //     word-parallel evaluation engine;
 //   - internal/engine — the pluggable evaluation-engine layer
-//     (Serial, WordParallel and its worker pool, Limited, Shard,
-//     chunked dispatch, typed panics) and its enginetest cross-engine
-//     equivalence suite with the test-only Chaos and shard-union
-//     engines;
+//     (Serial, WordParallel and its worker pool, Limited, chunked
+//     dispatch, typed panics) and its enginetest cross-engine
+//     equivalence suite with the test-only Chaos engine;
 //   - internal/figures — the figure registry shared by oscbench and
 //     oscserve;
 //   - internal/serve — the HTTP simulation service behind

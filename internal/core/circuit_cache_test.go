@@ -10,22 +10,31 @@ import (
 
 // TestPowerTableMatchesReceivedPower: every cached entry equals the
 // direct enumeration bit-for-bit — the factor products run in the same
-// order as ProbeTransmission/ReceivedPowerMW.
+// order as ProbeTransmission/ReceivedPowerMW — on the paper circuit,
+// the order-6 gamma design and an order-8 MRR-first design. It is the
+// oracle a faster table build must keep; the direct path costs 32 ms
+// at order 8 and over a second at order 12, so it stops at 8.
 func TestPowerTableMatchesReceivedPower(t *testing.T) {
-	c := paperCircuit(t)
-	pow := c.PowerTable()
-	if pow == nil {
-		t.Fatal("order 2 should tabulate")
-	}
-	n := c.P.Order
-	z := make([]int, n+1)
-	for weight := 0; weight <= n; weight++ {
-		for zmask := 0; zmask < 1<<(n+1); zmask++ {
-			for b := range z {
-				z[b] = zmask >> b & 1
-			}
-			if got, want := pow[weight][zmask], c.ReceivedPowerMW(weight, z); got != want {
-				t.Fatalf("w=%d zmask=%x: table %g vs direct %g", weight, zmask, got, want)
+	for _, tc := range []struct {
+		name string
+		c    *Circuit
+	}{
+		{"paper order 2", paperCircuit(t)},
+		{"gamma order 6 at 0.3 nm", designUnit(t, 6, 0.3, 1).Circuit},
+		{"MRR-first order 8 at 0.3 nm", designUnit(t, 8, 0.3, 1).Circuit},
+	} {
+		c := tc.c
+		pow := c.PowerTable()
+		n := c.P.Order
+		z := make([]int, n+1)
+		for weight := 0; weight <= n; weight++ {
+			for zmask := 0; zmask < 1<<(n+1); zmask++ {
+				for b := range z {
+					z[b] = zmask >> b & 1
+				}
+				if got, want := pow[weight][zmask], c.ReceivedPowerMW(weight, z); got != want {
+					t.Fatalf("%s: w=%d zmask=%x: table %g vs direct %g", tc.name, weight, zmask, got, want)
+				}
 			}
 		}
 	}

@@ -58,16 +58,18 @@ type checkpointFile[T any] struct {
 	Results []*T          `json:"results"`
 }
 
-// Checkpointer runs an n-point sweep with periodic durable snapshots,
-// so an interrupted run (SIGINT, deadline, crash short of the last
-// save) resumes by re-running only the missing points. Point i's
-// result must depend on (key, i) alone — the DeriveSeed discipline
-// every sweep in this repo already follows — which makes the resumed
-// assembly bit-identical to an uninterrupted run.
+// Checkpointer runs an n-point sweep, or one shard of it, with
+// periodic durable snapshots, so an interrupted run (SIGINT, deadline,
+// crash short of the last save) resumes by re-running only the missing
+// points. Point i's result must depend on (key, i) alone — the
+// DeriveSeed discipline every sweep in this repo already follows —
+// which makes the resumed assembly, and the merge of a shard family,
+// bit-identical to an uninterrupted run.
 type Checkpointer[T any] struct {
 	// Path is the checkpoint file; saves go through an adjacent temp
 	// file and an atomic rename, so a crash mid-save leaves the
-	// previous snapshot intact.
+	// previous snapshot intact. An empty Path keeps the snapshot in
+	// memory: nothing is saved and Load restores nothing.
 	Path string
 	// Every is the save cadence in completed points (count-based, so
 	// cadence is deterministic); <= 0 disables periodic saves, leaving
@@ -142,6 +144,9 @@ func (c *Checkpointer[T]) Save() error {
 }
 
 func (c *Checkpointer[T]) saveLocked() error {
+	if c.Path == "" {
+		return nil
+	}
 	f := checkpointFile[T]{
 		Version: checkpointVersion,
 		Hash:    c.Key.Hash(),
@@ -186,44 +191,51 @@ func writeAtomic(path string, data []byte) (err error) {
 	return os.Rename(f.Name(), path)
 }
 
-// Run executes the sweep: point(i) for every i in [0, Key.N) that is
-// not already restored, dispatched on e under ctx, with snapshots at
-// the configured cadence and one final save. On interruption (or a
-// panicking point) it saves what completed and returns a
-// *engine.Partial whose Done bitmap is indexed by point — resuming
-// later with a Load-ed checkpointer re-runs only the gap. On success
-// it returns the complete, index-ordered results.
-//
-// An engine.Shard runs its slice of the sweep: Run filters the missing
-// set by the shard's ownership of the true point index (the dispatch
-// runs over the missing subset, so the shard cannot filter dispatch
-// positions itself — on resume position j is not point j) and
-// dispatches on the shard's inner engine. A shard run that completes
-// every owned point saves them and returns a *engine.Partial wrapping
-// engine.ErrShardRemainder — the snapshot on disk is this shard's
-// durable contribution, reassembled across shards by MergeCheckpoints.
+// Run executes the whole sweep — RunShard's one shard of one, with
+// its snapshots and interruption report — and on success returns the
+// complete, index-ordered results.
 func (c *Checkpointer[T]) Run(ctx context.Context, e engine.Engine, point func(i int) T) ([]T, error) {
-	if err := engine.Check(e); err != nil {
+	if err := c.RunShard(ctx, e, 0, 1, point); err != nil {
 		return nil, err
 	}
-	if c.Key.N < 0 {
-		return nil, fmt.Errorf("dse: checkpoint key has negative N %d", c.Key.N)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]T, c.Key.N)
+	for i, r := range c.results {
+		out[i] = *r
 	}
-	dispatch := e
-	sh, sharded := engine.AsShard(e)
-	if sharded {
-		if err := sh.Validate(); err != nil {
-			return nil, err
-		}
-		dispatch = sh.Inner
+	return out, nil
+}
+
+// RunShard executes shard k of n of the sweep: point(i) for every
+// point i the shard owns (i%n == k) that is not already restored,
+// dispatched on e under ctx, with snapshots at the configured cadence
+// and one final save. It returns nil once every owned point is in the
+// snapshot; Results reports them, and MergeCheckpoints reassembles a
+// family's snapshots into the whole sweep. On interruption (or a
+// panicking point) it saves what completed and returns a
+// *engine.Partial indexed by point over the whole sweep — resuming
+// later with a Load-ed checkpointer re-runs only the gap. A shard
+// outside 0 <= k < n is an error before anything is dispatched.
+func (c *Checkpointer[T]) RunShard(ctx context.Context, e engine.Engine, k, n int, point func(i int) T) error {
+	if err := engine.Check(e); err != nil {
+		return err
+	}
+	if k < 0 || k >= n {
+		return fmt.Errorf("dse: shard %d/%d: need 0 <= k < n", k, n)
+	}
+	if c.Key.N < 0 {
+		return fmt.Errorf("dse: checkpoint key has negative N %d", c.Key.N)
 	}
 	c.mu.Lock()
 	if c.results == nil {
 		c.results = make([]*T, c.Key.N)
 	}
-	missing := make([]int, 0, c.Key.N)
+	// The dispatch runs over the missing owned points, so position j
+	// is not point j: missing maps one to the other.
+	missing := make([]int, 0, c.Key.N/n+1)
 	for i, r := range c.results {
-		if r == nil && (!sharded || sh.Owns(i, c.Key.N)) {
+		if r == nil && i%n == k {
 			missing = append(missing, i)
 		}
 	}
@@ -231,7 +243,7 @@ func (c *Checkpointer[T]) Run(ctx context.Context, e engine.Engine, point func(i
 
 	var firstSaveErr error
 	var saveErrMu sync.Mutex
-	dispatchErr := engine.RunCtx(ctx, dispatch, len(missing), nil, func(j int) {
+	dispatchErr := engine.RunCtx(ctx, e, len(missing), nil, func(j int) {
 		i := missing[j]
 		if err := c.record(i, point(i)); err != nil {
 			saveErrMu.Lock()
@@ -243,44 +255,27 @@ func (c *Checkpointer[T]) Run(ctx context.Context, e engine.Engine, point func(i
 	})
 
 	if err := c.Save(); err != nil {
-		return nil, err
+		return err
 	}
 	if firstSaveErr != nil {
-		return nil, firstSaveErr
+		return firstSaveErr
 	}
 	if dispatchErr != nil {
-		return nil, c.partial(dispatchErr)
+		return c.partial(dispatchErr)
 	}
-
 	c.mu.Lock()
-	out := make([]T, c.Key.N)
-	remainder := false
-	unset := -1
-	for i, r := range c.results {
-		if r == nil {
-			if sharded && !sh.Owns(i, c.Key.N) {
-				remainder = true
-				continue
-			}
-			unset = i
-			break
+	defer c.mu.Unlock()
+	for _, i := range missing {
+		if c.results[i] == nil {
+			return fmt.Errorf("dse: checkpoint run left point %d unset without an error", i)
 		}
-		out[i] = *r
 	}
-	c.mu.Unlock()
-	if unset >= 0 {
-		return nil, fmt.Errorf("dse: checkpoint run left point %d unset without an error", unset)
-	}
-	if remainder {
-		return nil, c.partial(engine.ErrShardRemainder)
-	}
-	return out, nil
+	return nil
 }
 
 // Results returns a copy of the per-point snapshot state: entry i is
-// nil while point i has not completed, valid otherwise. Shard-aware
-// callers (the serve layer) use it to report the owned slice a
-// remainder run produced.
+// nil while point i has not completed, valid otherwise. It is how a
+// RunShard caller reads the shard's points.
 func (c *Checkpointer[T]) Results() []*T {
 	c.mu.Lock()
 	defer c.mu.Unlock()

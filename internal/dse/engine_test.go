@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -45,9 +46,8 @@ func TestEngineSuite(t *testing.T) {
 		{
 			Name: "dse.Checkpointer.Run+RunCheckpointed",
 			Eval: func(e engine.Engine) (any, error) {
-				// A fresh un-persisted checkpointer (empty Path would
-				// fail the save, so use a per-eval temp file) replays the
-				// study through Checkpointer.Run via RunCheckpointed.
+				// A fresh checkpointer on a per-eval temp file replays
+				// the study through Checkpointer.Run via RunCheckpointed.
 				s := yieldStudyFixture()
 				dir, err := os.MkdirTemp("", "dse-enginetest-*")
 				if err != nil {
@@ -56,6 +56,57 @@ func TestEngineSuite(t *testing.T) {
 				defer os.RemoveAll(dir)
 				cp := NewCheckpointer[core.DieOutcome](filepath.Join(dir, "ck.json"), 0, s.Key())
 				return s.RunCheckpointed(ctx, e, cp)
+			},
+		},
+		{
+			Name: "dse.Checkpointer.RunShard",
+			Eval: func(e engine.Engine) (any, error) {
+				// A complete 3-shard family, each leg on its own
+				// snapshot, folded into the study: every die must come
+				// from exactly one leg and the fold must equal the
+				// unsharded study, so a gap, an overlap or a wrong die
+				// fails the serial reference itself.
+				s := yieldStudyFixture()
+				dir, err := os.MkdirTemp("", "dse-enginetest-*")
+				if err != nil {
+					return nil, err
+				}
+				defer os.RemoveAll(dir)
+				const shards = 3
+				dies := make([]core.DieOutcome, s.N())
+				seen := make([]bool, s.N())
+				for k := 0; k < shards; k++ {
+					cp := NewCheckpointer[core.DieOutcome](ShardCheckpointPath(filepath.Join(dir, "ck.json"), k, shards), 0, s.Key())
+					if err := cp.RunShard(ctx, e, k, shards, s.Die); err != nil {
+						return nil, err
+					}
+					for i, d := range cp.Results() {
+						if d == nil {
+							continue
+						}
+						if seen[i] {
+							return nil, fmt.Errorf("die %d computed by two shards", i)
+						}
+						seen[i], dies[i] = true, *d
+					}
+				}
+				for i, ok := range seen {
+					if !ok {
+						return nil, fmt.Errorf("die %d computed by no shard", i)
+					}
+				}
+				got, err := s.Fold(dies)
+				if err != nil {
+					return nil, err
+				}
+				want, err := s.RunCtx(ctx, engine.Serial)
+				if err != nil {
+					return nil, err
+				}
+				if !reflect.DeepEqual(got, want) {
+					return nil, fmt.Errorf("reassembled shards %+v diverge from the unsharded study %+v", got, want)
+				}
+				return got, nil
 			},
 		},
 		{Name: "dse.Fig5C", Eval: func(e engine.Engine) (any, error) { return Fig5C(ctx, e) }},

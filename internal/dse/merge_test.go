@@ -23,9 +23,8 @@ func shardSnapshots(t *testing.T, dir string, total, shards int) []string {
 	for k := 0; k < shards; k++ {
 		paths[k] = ShardCheckpointPath(filepath.Join(dir, "ck.json"), k, shards)
 		cp := NewCheckpointer[float64](paths[k], 0, numericKey(total))
-		_, err := cp.Run(context.Background(), engine.Shard{K: k, N: shards, Inner: engine.WordParallel}, numericPoint)
-		if !errors.Is(err, engine.ErrShardRemainder) {
-			t.Fatalf("shard %d/%d run err = %v, want ErrShardRemainder", k, shards, err)
+		if err := cp.RunShard(context.Background(), engine.WordParallel, k, shards, numericPoint); err != nil {
+			t.Fatalf("shard %d/%d run err = %v", k, shards, err)
 		}
 	}
 	return paths
@@ -41,62 +40,57 @@ func TestShardCheckpointPath(t *testing.T) {
 	}
 }
 
+// owns is the round-robin ownership the shard tests check RunShard
+// against: shard k of n owns point i when i%n == k.
+func owns(i, k, n int) bool { return i%n == k }
+
 // TestCheckpointerShardRunOwnsTrueIndices: a sharded checkpoint run
-// completes exactly the owned point indices, reports the rest through
-// a *engine.Partial wrapping ErrShardRemainder, and persists a
-// loadable snapshot of its slice.
+// completes exactly the owned point indices, returns nil once they are
+// all in the snapshot, and persists a loadable snapshot of its slice.
 func TestCheckpointerShardRunOwnsTrueIndices(t *testing.T) {
 	const n = 23
 	path := filepath.Join(t.TempDir(), "ck.json")
-	sh := engine.Shard{K: 1, N: 3, Inner: engine.Serial}
 	cp := NewCheckpointer[float64](path, 4, numericKey(n))
-	out, err := cp.Run(context.Background(), sh, numericPoint)
-	if out != nil {
-		t.Errorf("shard run returned full results %v, want nil with a remainder", out)
-	}
-	var p *engine.Partial
-	if !errors.As(err, &p) || !errors.Is(err, engine.ErrShardRemainder) {
-		t.Fatalf("err = %v, want *engine.Partial wrapping ErrShardRemainder", err)
-	}
-	for i := 0; i < n; i++ {
-		if p.Done[i] != sh.Owns(i, n) {
-			t.Errorf("Done[%d] = %v, want %v", i, p.Done[i], sh.Owns(i, n))
-		}
+	if err := cp.RunShard(context.Background(), engine.Serial, 1, 3, numericPoint); err != nil {
+		t.Fatalf("err = %v, want nil once the owned points are in", err)
 	}
 	results := cp.Results()
+	completed := 0
 	for i, r := range results {
 		switch {
-		case sh.Owns(i, n) && r == nil:
+		case owns(i, 1, 3) && r == nil:
 			t.Errorf("owned point %d not recorded", i)
-		case sh.Owns(i, n) && *r != numericPoint(i):
+		case owns(i, 1, 3) && *r != numericPoint(i):
 			t.Errorf("point %d = %v, want %v", i, *r, numericPoint(i))
-		case !sh.Owns(i, n) && r != nil:
+		case !owns(i, 1, 3) && r != nil:
 			t.Errorf("non-owned point %d was computed", i)
+		}
+		if r != nil {
+			completed++
 		}
 	}
 	// The snapshot restores exactly the owned slice.
 	cp2 := NewCheckpointer[float64](path, 0, numericKey(n))
 	restored, err := cp2.Load()
-	if err != nil || restored != p.Completed {
-		t.Fatalf("Load: restored=%d err=%v, want %d", restored, err, p.Completed)
+	if err != nil || restored != completed {
+		t.Fatalf("Load: restored=%d err=%v, want %d", restored, err, completed)
 	}
 }
 
 // TestCheckpointerShardResumeFiltersByPointIndex guards the remap trap
-// the shard-aware Run exists for: after a partial restore the dispatch
-// runs over the missing subset, where position j is not point j — a
-// resume must still compute exactly the owned missing points.
+// RunShard's point list exists for: after a partial restore the
+// dispatch runs over the missing subset, where position j is not point
+// j — a resume must still compute exactly the owned missing points.
 func TestCheckpointerShardResumeFiltersByPointIndex(t *testing.T) {
 	const n = 30
 	path := filepath.Join(t.TempDir(), "ck.json")
-	sh := engine.Shard{K: 2, N: 3, Inner: engine.Serial}
 
 	// Interrupt the shard run partway.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed atomic.Int32
 	cp := NewCheckpointer[float64](path, 2, numericKey(n))
-	_, err := cp.Run(ctx, sh, func(i int) float64 {
+	err := cp.RunShard(ctx, engine.Serial, 2, 3, func(i int) float64 {
 		if completed.Add(1) == 4 {
 			cancel()
 		}
@@ -113,23 +107,23 @@ func TestCheckpointerShardResumeFiltersByPointIndex(t *testing.T) {
 		t.Fatalf("Load: restored=%d err=%v", restored, err)
 	}
 	ran := make(map[int]bool)
-	_, err = cp2.Run(context.Background(), sh, func(i int) float64 {
+	err = cp2.RunShard(context.Background(), engine.Serial, 2, 3, func(i int) float64 {
 		if ran[i] {
 			t.Errorf("point %d ran twice on resume", i)
 		}
 		ran[i] = true
 		return numericPoint(i)
 	})
-	if !errors.Is(err, engine.ErrShardRemainder) {
-		t.Fatalf("resumed shard run err = %v, want ErrShardRemainder", err)
+	if err != nil {
+		t.Fatalf("resumed shard run err = %v", err)
 	}
 	for i := range ran {
-		if !sh.Owns(i, n) {
+		if !owns(i, 2, 3) {
 			t.Errorf("resume ran non-owned point %d", i)
 		}
 	}
 	for i, r := range cp2.Results() {
-		if sh.Owns(i, n) && r == nil {
+		if owns(i, 2, 3) && r == nil {
 			t.Errorf("owned point %d still missing after resume", i)
 		}
 	}
@@ -138,14 +132,16 @@ func TestCheckpointerShardResumeFiltersByPointIndex(t *testing.T) {
 // TestCheckpointerShardInvalidSpecFailsClosed: a malformed shard spec
 // is rejected before any dispatch.
 func TestCheckpointerShardInvalidSpecFailsClosed(t *testing.T) {
-	cp := NewCheckpointer[float64](filepath.Join(t.TempDir(), "ck.json"), 0, numericKey(5))
-	ran := false
-	_, err := cp.Run(context.Background(), engine.Shard{K: 3, N: 3, Inner: engine.Serial}, func(i int) float64 {
-		ran = true
-		return 0
-	})
-	if err == nil || ran {
-		t.Fatalf("invalid shard: err=%v ran=%v, want error without dispatch", err, ran)
+	for _, spec := range [][2]int{{3, 3}, {-1, 2}, {0, 0}} {
+		cp := NewCheckpointer[float64](filepath.Join(t.TempDir(), "ck.json"), 0, numericKey(5))
+		ran := false
+		err := cp.RunShard(context.Background(), engine.Serial, spec[0], spec[1], func(i int) float64 {
+			ran = true
+			return 0
+		})
+		if err == nil || ran {
+			t.Fatalf("invalid shard %d/%d: err=%v ran=%v, want error without dispatch", spec[0], spec[1], err, ran)
+		}
 	}
 }
 
@@ -263,12 +259,12 @@ func TestMergeCheckpointsFailsClosedOnDisagreement(t *testing.T) {
 	// A corrupted copy of shard 0: same key, one altered value.
 	lying := filepath.Join(dir, "lying.json")
 	cp := NewCheckpointer[float64](lying, 0, numericKey(n))
-	if _, err := cp.Run(context.Background(), engine.Shard{K: 0, N: 2, Inner: engine.Serial}, func(i int) float64 {
+	if err := cp.RunShard(context.Background(), engine.Serial, 0, 2, func(i int) float64 {
 		if i == 4 {
 			return numericPoint(i) + 1
 		}
 		return numericPoint(i)
-	}); !errors.Is(err, engine.ErrShardRemainder) {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MergeCheckpoints(filepath.Join(dir, "merged.json"), []string{paths[0], paths[1], lying})

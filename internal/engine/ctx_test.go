@@ -42,7 +42,7 @@ func TestBuiltinsImplementCtxEngine(t *testing.T) {
 // replay on; the test-only engines are covered by enginetest's own
 // suites.
 func ctxEngines() []Engine {
-	return []Engine{Serial, WordParallel, NewLimited("limited-test", WordParallel, 2), Shard{K: 0, N: 1, Inner: WordParallel}}
+	return []Engine{Serial, WordParallel, NewLimited("limited-test", WordParallel, 2)}
 }
 
 // TestForCtxCompletes: with a live context every index runs exactly

@@ -26,8 +26,8 @@
 //
 // An Engine is a scheduler, not a randomness source. It implements one
 // dispatch method, ForWorkerCtx(ctx, n, workers, fn), and any Engine —
-// the built-ins, a future bipolar or nanocavity backend, a remote
-// shard — must satisfy the contract that makes results
+// the built-ins, the Limited wrapper, a future bipolar or nanocavity
+// backend — must satisfy the contract that makes results
 // engine-independent:
 //
 //   - Exactly once: on a nil error, ForWorkerCtx has called fn for
@@ -109,19 +109,11 @@
 //
 // Index-derived randomness also makes sweeps distributable: because
 // item i's result never depends on which process ran it, a sweep can
-// split across machines by index alone. Shard{K, N, Inner} wraps any
-// engine and dispatches only the indices shard K of N owns
-// (i%N == K), bit-identical to the full run on the owned subset. A shard deliberately breaks exactly-once
-// over [0, n) — it is exactly-once over its slice — so it reports the
-// unowned remainder through the normal Partial machinery with
-// ErrShardRemainder as the cause and the Done bitmap equal to
-// ownership; callers (dse.Checkpointer, oscbench -shard, /v1/yield's
-// shard/of fields) treat that as "my share is complete" and assemble
-// shards back into a full study with cmd/oscmerge. A malformed spec
-// is an error from every dispatch, never a panic. The "sharded" engine
-// of enginetest.Engines() is an enginetest.ShardUnion of three
-// round-robin shards over WordParallel: the union restores
-// exactly-once coverage, so it passes the full suite — gapped or
-// overlapping unions are the teeth fixtures that prove the suite would
-// catch a wrong split.
+// split across machines by index alone. Which indices a process owns
+// is not an engine's business — an engine that skipped indices would
+// break exactly-once — so the split lives in the layer that persists
+// results: dse.Checkpointer.RunShard runs the points shard k of n
+// owns (round-robin by index) on any engine and snapshots them, and
+// cmd/oscmerge reassembles a shard family's snapshots into the whole
+// study (oscbench -shard, /v1/yield's shard/of fields).
 package engine

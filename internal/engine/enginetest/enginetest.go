@@ -10,15 +10,15 @@
 // engine-accepting entry point must appear in a test file that invokes
 // Run.
 //
-// Besides the production engines, Engines() carries two test-only
-// ones defined here: Chaos, a deterministic fault injector, and
-// ShardUnion, the in-process reassembly of a shard family.
+// Besides the production engines, Engines() carries one test-only
+// engine defined here: Chaos, a deterministic fault injector.
 //
 // The package deliberately does not import testing, so Run can also be
 // driven by a recording TB — that is how its own teeth are proven:
 // Lossy, a deliberately broken engine that drops the final index (the
 // deterministic stand-in for a nondeterministic engine's missed work),
-// must fail the suite.
+// and Repeating, which runs the final index twice, must fail the
+// suite.
 package enginetest
 
 import (
@@ -66,18 +66,13 @@ var (
 		DelayProb: 0.02,
 		Delay:     50 * time.Microsecond,
 	})
-	// sharded is a complete 3-way round-robin family over the
-	// word-parallel engine, pinning the scale-out story's core claim:
-	// K shards reassemble bit-identically to the Serial reference.
-	sharded = mustUnion("sharded", ShardsOf(engine.WordParallel, 3)...)
 )
 
 // Engines returns the engines every suite replays on: the two
-// built-ins, a 2-slot Limited, a recoverable Chaos and a 3-way
-// ShardUnion. Run and RunChaos use it when their engines argument is
-// nil.
+// built-ins, a 2-slot Limited and a recoverable Chaos. Run and
+// RunChaos use it when their engines argument is nil.
 func Engines() []engine.Engine {
-	return []engine.Engine{engine.Serial, engine.WordParallel, limited, chaos, sharded}
+	return []engine.Engine{engine.Serial, engine.WordParallel, limited, chaos}
 }
 
 // gomaxprocsLevels are the scheduler widths every (case, engine) pair
@@ -231,41 +226,31 @@ func (lossyEngine) ForWorkerCtx(_ context.Context, n, _ int, fn func(worker, i i
 	return nil
 }
 
-// mustUnion builds a shard union for the package's engines; the specs
-// are static, so a constructor error is a programming bug.
-func mustUnion(name string, shards ...engine.Shard) *ShardUnion {
-	u, err := NewShardUnion(name, shards...)
-	if err != nil {
-		panic(err)
+// Repeating is the complementary broken Engine: it runs the final
+// index of every fan-out twice — the double execution an engine that
+// re-runs finished work (or a merge of overlapping shards) would
+// cause. Any case that accumulates (the worker-scratch pattern)
+// diverges, so Run must flag it. It repeats the last index rather than
+// index 0, whose repeat adds 0² to a sum of squares and changes
+// nothing. Not in Engines(); see TestSuiteCatchesLossyEngine.
+var Repeating engine.Engine = repeatingEngine{}
+
+type repeatingEngine struct{}
+
+func (repeatingEngine) Name() string    { return "repeating" }
+func (repeatingEngine) Workers(int) int { return 1 }
+
+func (repeatingEngine) ForWorkerCtx(_ context.Context, n, _ int, fn func(worker, i int)) error {
+	for i := 0; i < n; i++ {
+		fn(0, i)
 	}
-	return u
+	if n > 0 {
+		fn(0, n-1)
+	}
+	return nil
 }
 
-// GappedShards is a deliberately incomplete shard composition: shards
-// 0/3 and 2/3 without 1/3, the distributed-run failure mode of a shard
-// that never ran (or a merge that accepted a gap). Indices owned by
-// the missing shard stay zero-valued, so Run must flag it — the same
-// divergence oscmerge's missing-index check fails closed on. Not in
-// Engines(); see TestSuiteCatchesGappedShards.
-var GappedShards engine.Engine = mustUnion("gapped-shards",
-	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
-	engine.Shard{K: 2, N: 3, Inner: engine.Serial},
-)
-
-// OverlapShards is the complementary broken composition: shard 0/3
-// appears twice, so its indices run twice — the double-execution a
-// merge of overlapping-but-disagreeing checkpoints would paper over.
-// Any case that accumulates (the worker-scratch pattern) diverges, so
-// Run must flag it. Not in Engines(); see
-// TestSuiteCatchesOverlappingShards.
-var OverlapShards engine.Engine = mustUnion("overlap-shards",
-	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
-	engine.Shard{K: 0, N: 3, Inner: engine.Serial},
-	engine.Shard{K: 1, N: 3, Inner: engine.Serial},
-	engine.Shard{K: 2, N: 3, Inner: engine.Serial},
-)
-
-// Swallow is the second deliberately broken Engine: it recovers and
+// Swallow is the third deliberately broken Engine: it recovers and
 // discards any panic a work item raises, then carries on — the
 // anti-pattern the panic-propagation contract forbids (a fault
 // silently becomes missing work). RunChaos must flag it (see

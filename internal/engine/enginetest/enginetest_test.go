@@ -67,15 +67,14 @@ func TestBuiltinEnginesPassSuite(t *testing.T) {
 }
 
 // TestEnginesPinsSuiteBreadth pins what every suite replays on, so its
-// breadth cannot shrink silently: the two built-ins, a 2-slot Limited,
-// a recoverable Chaos that does reorder, and a complete 3-way shard
-// family.
+// breadth cannot shrink silently: the two built-ins, a 2-slot Limited
+// and a recoverable Chaos that does reorder.
 func TestEnginesPinsSuiteBreadth(t *testing.T) {
 	var names []string
 	for _, e := range Engines() {
 		names = append(names, e.Name())
 	}
-	if got, want := strings.Join(names, " "), "serial parallel limited chaos sharded"; got != want {
+	if got, want := strings.Join(names, " "), "serial parallel limited chaos"; got != want {
 		t.Fatalf("Engines() = %s, want %s", got, want)
 	}
 	es := Engines()
@@ -88,80 +87,36 @@ func TestEnginesPinsSuiteBreadth(t *testing.T) {
 	if c, ok := es[3].(*Chaos); !ok || c.spec.Panic || !(c.spec.DropProb > 0) {
 		t.Errorf("chaos is %T %+v, want a *Chaos that drops items and never panics", es[3], es[3])
 	}
-	u, ok := es[4].(*ShardUnion)
-	if !ok {
-		t.Fatalf("sharded is %T, want *ShardUnion", es[4])
-	}
-	if len(u.shards) != 3 {
-		t.Fatalf("sharded has %d shards, want 3", len(u.shards))
-	}
-	for k, sh := range u.shards {
-		if sh.K != k || sh.N != 3 || sh.Inner != engine.WordParallel {
-			t.Errorf("shard %d is %s, want round-robin %d/3 over parallel", k, sh.Name(), k)
-		}
-	}
 }
 
 // TestSuiteCatchesLossyEngine proves the suite has teeth: an engine
-// that violates exactly-once dispatch (Lossy drops the last index)
-// must fail every case, deterministically.
+// that violates exactly-once dispatch must fail, deterministically.
+// Lossy drops the last index and must fail every case; Repeating runs
+// the last index twice and must fail the accumulating worker-scratch
+// case.
 func TestSuiteCatchesLossyEngine(t *testing.T) {
-	rec := &recorder{}
-	Run(rec, []engine.Engine{Lossy}, suiteCases())
-	if len(rec.failures) == 0 {
-		t.Fatal("suite accepted an engine that drops work; it has no teeth")
-	}
-	for _, want := range []string{"derived-seed-sweep", "worker-scratch-sum"} {
-		found := false
-		for _, f := range rec.failures {
-			if strings.Contains(f, want) && strings.Contains(f, `"lossy"`) {
-				found = true
-				break
+	for _, tc := range []struct {
+		e     engine.Engine
+		cases []string
+	}{
+		{Lossy, []string{"derived-seed-sweep", "worker-scratch-sum"}},
+		{Repeating, []string{"worker-scratch-sum"}},
+	} {
+		rec := &recorder{}
+		Run(rec, []engine.Engine{tc.e}, suiteCases())
+		quoted := fmt.Sprintf("%q", tc.e.Name())
+		for _, want := range tc.cases {
+			found := false
+			for _, f := range rec.failures {
+				if strings.Contains(f, want) && strings.Contains(f, quoted) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s engine not flagged on case %s; failures: %v", tc.e.Name(), want, rec.failures)
 			}
 		}
-		if !found {
-			t.Errorf("lossy engine not flagged on case %s; failures: %v", want, rec.failures)
-		}
-	}
-}
-
-// TestSuiteCatchesGappedShards: a shard family with a missing member
-// leaves its indices zero-valued and must diverge from the serial
-// reference — the suite-side proof that a gapped distributed run (or
-// a merge that accepted one) cannot pass silently.
-func TestSuiteCatchesGappedShards(t *testing.T) {
-	rec := &recorder{}
-	Run(rec, []engine.Engine{GappedShards}, suiteCases())
-	if len(rec.failures) == 0 {
-		t.Fatal("suite accepted a gapped shard union; it has no teeth")
-	}
-	found := false
-	for _, f := range rec.failures {
-		if strings.Contains(f, `"gapped-shards"`) && strings.Contains(f, "diverges") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Errorf("gapped shard union not flagged; failures: %v", rec.failures)
-	}
-}
-
-// TestSuiteCatchesOverlappingShards: a family with a duplicated member
-// runs its indices twice; the accumulating worker-scratch case must
-// diverge, proving overlap cannot reassemble silently either.
-func TestSuiteCatchesOverlappingShards(t *testing.T) {
-	rec := &recorder{}
-	Run(rec, []engine.Engine{OverlapShards}, suiteCases())
-	found := false
-	for _, f := range rec.failures {
-		if strings.Contains(f, `"overlap-shards"`) && strings.Contains(f, "worker-scratch-sum") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("overlapping shard union not flagged; failures: %v", rec.failures)
 	}
 }
 

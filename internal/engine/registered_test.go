@@ -51,12 +51,3 @@ func TestLimitedRegistered(t *testing.T) {
 		t.Fatalf("suite limited engine has %d slots, want 2", l.Slots())
 	}
 }
-
-// TestShardedEngineRegistered: the suite's sharded engine is a shard
-// union, so every suite checks the reassembly identity.
-func TestShardedEngineRegistered(t *testing.T) {
-	e := suiteEngine(t, "sharded")
-	if _, ok := e.(*enginetest.ShardUnion); !ok {
-		t.Fatalf("suite sharded engine is %T, want *enginetest.ShardUnion", e)
-	}
-}

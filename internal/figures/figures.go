@@ -9,7 +9,6 @@ package figures
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -63,10 +62,8 @@ func (c Config) Validate() error {
 	if c.Samples < 1 {
 		return fmt.Errorf("-samples %d: need >= 1 die per sigma", c.Samples)
 	}
-	if c.ShardN != 0 || c.ShardK != 0 {
-		if err := (engine.Shard{K: c.ShardK, N: c.ShardN, Inner: engine.Serial}).Validate(); err != nil {
-			return fmt.Errorf("-shard %d/%d: shard index must be in [0, n) with n >= 1", c.ShardK, c.ShardN)
-		}
+	if (c.ShardN != 0 || c.ShardK != 0) && (c.ShardK < 0 || c.ShardK >= c.ShardN) {
+		return fmt.Errorf("-shard %d/%d: shard index must be in [0, n) with n >= 1", c.ShardK, c.ShardN)
 	}
 	return nil
 }
@@ -329,7 +326,8 @@ func YieldStudySpec(samples int) dse.YieldStudy {
 // shard-tagged snapshot (dse.ShardCheckpointPath) and reports its
 // progress instead of a table; merging the family's snapshots with
 // oscmerge yields a complete checkpoint any unsharded -resume run
-// renders byte-identical to a run that never sharded.
+// renders byte-identical to a run that never sharded. A shard whose
+// snapshot holds the whole study (-shard 0/1) renders the table.
 func renderYieldStudy(ctx context.Context, w io.Writer, cfg Config) error {
 	s := YieldStudySpec(cfg.Samples)
 	sharded := cfg.ShardN > 0
@@ -340,10 +338,8 @@ func renderYieldStudy(ctx context.Context, w io.Writer, cfg Config) error {
 	var err error
 	if cfg.Checkpoint != "" {
 		path := cfg.Checkpoint
-		eng := cfg.engine()
 		if sharded {
 			path = dse.ShardCheckpointPath(cfg.Checkpoint, cfg.ShardK, cfg.ShardN)
-			eng = engine.Shard{K: cfg.ShardK, N: cfg.ShardN, Inner: eng}
 		}
 		cp := dse.NewCheckpointer[core.DieOutcome](path, yieldCheckpointEvery, s.Key())
 		if cfg.Resume {
@@ -355,19 +351,25 @@ func renderYieldStudy(ctx context.Context, w io.Writer, cfg Config) error {
 				return perr
 			}
 		}
-		points, err = s.RunCheckpointed(ctx, eng, cp)
-		if sharded && errors.Is(err, engine.ErrShardRemainder) {
-			// This shard's slice is complete and on disk — the expected
-			// end state of a distributed leg, not a failure.
-			completed := 0
-			var p *engine.Partial
-			if errors.As(err, &p) {
-				completed = p.Completed
+		if sharded {
+			if err := cp.RunShard(ctx, cfg.engine(), cfg.ShardK, cfg.ShardN, s.Die); err != nil {
+				return err
 			}
-			_, werr := fmt.Fprintf(w, "shard %d/%d: %d/%d dies complete in %s; assemble the study with oscmerge, then render with -checkpoint <merged> -resume\n",
-				cfg.ShardK, cfg.ShardN, completed, s.N(), path)
-			return werr
+			completed := 0
+			for _, d := range cp.Results() {
+				if d != nil {
+					completed++
+				}
+			}
+			if completed < s.N() {
+				// This shard's slice is complete and on disk — the
+				// expected end state of a distributed leg.
+				_, werr := fmt.Fprintf(w, "shard %d/%d: %d/%d dies complete in %s; assemble the study with oscmerge, then render with -checkpoint <merged> -resume\n",
+					cfg.ShardK, cfg.ShardN, completed, s.N(), path)
+				return werr
+			}
 		}
+		points, err = s.RunCheckpointed(ctx, cfg.engine(), cp)
 	} else {
 		points, err = s.RunCtx(ctx, cfg.engine())
 	}

@@ -62,6 +62,12 @@ func TestValidate(t *testing.T) {
 		{"grid too small", func(c *Config) { c.GridN = 1 }, "-grid"},
 		{"sweep too small", func(c *Config) { c.SweepN = 1 }, "-sweep"},
 		{"samples zero", func(c *Config) { c.Samples = 0 }, "-samples"},
+		{"one shard of one ok", func(c *Config) { c.ShardK, c.ShardN = 0, 1 }, ""},
+		{"last shard ok", func(c *Config) { c.ShardK, c.ShardN = 2, 3 }, ""},
+		{"shard index == count", func(c *Config) { c.ShardK, c.ShardN = 3, 3 }, "-shard"},
+		{"negative shard index", func(c *Config) { c.ShardK, c.ShardN = -1, 2 }, "-shard"},
+		{"shard index without count", func(c *Config) { c.ShardK = 1 }, "-shard"},
+		{"negative shard count", func(c *Config) { c.ShardN = -2 }, "-shard"},
 	}
 	for _, tc := range cases {
 		cfg := Defaults()

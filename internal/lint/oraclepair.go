@@ -53,8 +53,8 @@ func runSuiteCheck(p *Package) []Finding {
 
 // hasEngineParam reports whether the declaration takes a parameter
 // that dispatches on the engine layer: the Engine interface itself or
-// any concrete internal/engine type implementing it (engine.Shard,
-// *engine.Limited). Concrete wrappers count because an entry point
+// any concrete internal/engine type implementing it, such as
+// *engine.Limited. Concrete wrappers count because an entry point
 // taking one fans work out exactly like an interface-typed one — its
 // closures are worker bodies the suite must cross-check.
 func hasEngineParam(p *Package, fd *ast.FuncDecl) bool {

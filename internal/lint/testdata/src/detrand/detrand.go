@@ -88,23 +88,25 @@ func GoodEngineSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([
 	return out, err
 }
 
-// BadShardSeed constructs an underived per-item RNG inside a
-// shard-filtered dispatch: engine.Shard only narrows which indices
-// run, so its closures are worker bodies under the same discipline.
-func BadShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
+// BadLimitedSeed constructs an underived per-item RNG inside a
+// dispatch through a concrete *engine.Limited: the wrapper only caps
+// how many items run at once, so its closures are worker bodies under
+// the same discipline.
+func BadLimitedSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := engine.ForCtx(ctx, engine.Shard{K: 0, N: 2, Inner: e}, n, func(i int) {
+	err := engine.ForCtx(ctx, engine.NewLimited("fixture", e, 2), n, func(i int) {
 		rng := stochastic.NewSplitMix64(seed + uint64(i)) // want detrand
 		out[i] = rng.Next()
 	})
 	return out, err
 }
 
-// GoodShardSeed derives per-item seeds on the sharded dispatch path —
-// the property that makes shard outputs reassemble bit-identically.
-func GoodShardSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
+// GoodLimitedSeed derives per-item seeds on the slot-capped dispatch
+// path — the property that keeps its outputs independent of which
+// slot ran which item.
+func GoodLimitedSeed(ctx context.Context, e engine.Engine, n int, seed uint64) ([]float64, error) {
 	out := make([]float64, n)
-	err := engine.ForCtx(ctx, engine.Shard{K: 0, N: 2, Inner: e}, n, func(i int) {
+	err := engine.ForCtx(ctx, engine.NewLimited("fixture", e, 2), n, func(i int) {
 		rng := stochastic.NewSplitMix64(stochastic.DeriveSeed(seed, i))
 		out[i] = rng.Next()
 	})

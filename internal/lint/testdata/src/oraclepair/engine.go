@@ -35,20 +35,20 @@ func MentionedOn(e engine.Engine, n int) ([]int, error) { // want oraclepair
 	return out, err
 }
 
-// ShardedOn takes a concrete engine wrapper rather than the Engine
+// LimitedOn takes a concrete engine wrapper rather than the Engine
 // interface — it still fans work out, so the suite check applies, and
 // nothing registers it.
-func ShardedOn(sh engine.Shard, n int) ([]int, error) { // want oraclepair
+func LimitedOn(l *engine.Limited, n int) ([]int, error) { // want oraclepair
 	out := make([]int, n)
-	err := engine.ForCtx(context.Background(), sh, n, func(i int) { out[i] = i * 5 })
+	err := engine.ForCtx(context.Background(), l, n, func(i int) { out[i] = i * 5 })
 	return out, err
 }
 
-// RegisteredShardedOn is the conforming concrete-wrapper entry point:
+// RegisteredLimitedOn is the conforming concrete-wrapper entry point:
 // engine_test.go registers it into the cross-engine suite.
-func RegisteredShardedOn(sh engine.Shard, n int) ([]int, error) {
+func RegisteredLimitedOn(l *engine.Limited, n int) ([]int, error) {
 	out := make([]int, n)
-	err := engine.ForCtx(context.Background(), sh, n, func(i int) { out[i] = i * 7 })
+	err := engine.ForCtx(context.Background(), l, n, func(i int) { out[i] = i * 7 })
 	return out, err
 }
 

@@ -15,9 +15,9 @@ func TestEngineSuite(t *testing.T) {
 		Name: "oraclepair.RegisteredOn",
 		Eval: func(e engine.Engine) (any, error) { return RegisteredOn(e, 8) },
 	}, {
-		Name: "oraclepair.RegisteredShardedOn",
+		Name: "oraclepair.RegisteredLimitedOn",
 		Eval: func(e engine.Engine) (any, error) {
-			return RegisteredShardedOn(engine.Shard{K: 0, N: 1, Inner: e}, 8)
+			return RegisteredLimitedOn(engine.NewLimited("fixture", e, 2), 8)
 		},
 	}})
 }

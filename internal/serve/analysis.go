@@ -2,14 +2,12 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/dse"
-	"repro/internal/engine"
 	"repro/internal/figures"
 	"repro/internal/transient"
 )
@@ -276,37 +274,18 @@ func (s *Server) runYield(ctx context.Context, study dse.YieldStudy, key dse.Che
 // does not own). With a checkpoint directory the shard persists to its
 // own shard-tagged snapshot — same content key as the study, so the
 // file family merges with oscmerge — and a drained or crashed shard
-// resumes on retry exactly like the unsharded path.
+// resumes on retry exactly like the unsharded path; without one the
+// snapshot stays in memory. Either way an interruption reports the
+// study's die count and this shard's finished dies.
 func (s *Server) runYieldShard(ctx context.Context, study dse.YieldStudy, key dse.CheckpointKey, k, n int) ([]*core.DieOutcome, error) {
-	sh := engine.Shard{K: k, N: n, Inner: s.eng}
-	if s.cfg.CheckpointDir == "" {
-		dies, err := dse.SweepCtx(ctx, sh, key.N, func(i int) (core.DieOutcome, error) { return study.Die(i), nil })
-		out := make([]*core.DieOutcome, key.N)
-		var p *engine.Partial
-		switch {
-		case err == nil:
-			for i := range dies {
-				d := dies[i]
-				out[i] = &d
-			}
-		case errors.As(err, &p) && errors.Is(err, engine.ErrShardRemainder):
-			for i, done := range p.Done {
-				if done {
-					d := dies[i]
-					out[i] = &d
-				}
-			}
-		default:
+	cp := dse.NewCheckpointer[core.DieOutcome]("", s.cfg.CheckpointEvery, key)
+	if s.cfg.CheckpointDir != "" {
+		cp.Path = dse.ShardCheckpointPath(filepath.Join(s.cfg.CheckpointDir, "yield-"+key.Hash()[:16]+".json"), k, n)
+		if _, err := cp.Load(); err != nil {
 			return nil, err
 		}
-		return out, nil
 	}
-	path := dse.ShardCheckpointPath(filepath.Join(s.cfg.CheckpointDir, "yield-"+key.Hash()[:16]+".json"), k, n)
-	cp := dse.NewCheckpointer[core.DieOutcome](path, s.cfg.CheckpointEvery, key)
-	if _, err := cp.Load(); err != nil {
-		return nil, err
-	}
-	if _, err := cp.Run(ctx, sh, study.Die); err != nil && !errors.Is(err, engine.ErrShardRemainder) {
+	if err := cp.RunShard(ctx, s.eng, k, n, study.Die); err != nil {
 		return nil, err
 	}
 	return cp.Results(), nil

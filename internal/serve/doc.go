@@ -89,19 +89,21 @@
 //
 // A yield study splits across servers with no coordination: POST the
 // same body to each with {"shard": k, "of": n} and server k computes
-// only the dies with index%n == k (engine.Shard over the shared
-// engine), answering a shard-attributed body — {seed, target_ber,
-// shard, of, n, completed, dies:[{index, outcome}]} — instead of the
-// folded per-sigma points. Because every die is a pure function of
-// (key, index), the union of the n responses reassembles the
-// unsharded study bit-identically; the shard tests fold them back and
-// diff. Shard responses cache independently (the shard spec extends
-// the content address), and with Config.CheckpointDir set each shard
-// persists the same shard-tagged snapshot oscbench's -shard flag
-// writes (yield-<hash>.shardKofN.json), mergeable offline with
-// cmd/oscmerge. Malformed specs (shard without of, shard out of
-// [0,of), of outside 1..64) are 400 bad_request, never a silently
-// unsharded run.
+// only the dies shard k of n owns, round-robin by die index
+// (dse.Checkpointer.RunShard on the shared engine), answering a
+// shard-attributed body — {seed, target_ber, shard, of, n, completed,
+// dies:[{index, outcome}]} — instead of the folded per-sigma points.
+// A shard cut short by its deadline answers 504 with n the study's die
+// count and completed the dies this shard finished. Because every die
+// is a pure function of (key, index), the union of the n responses
+// reassembles the unsharded study bit-identically; the shard tests
+// fold them back and diff. Shard responses cache independently (the
+// shard spec extends the content address), and with
+// Config.CheckpointDir set each shard persists the same shard-tagged
+// snapshot oscbench's -shard flag writes
+// (yield-<hash>.shardKofN.json), mergeable offline with cmd/oscmerge.
+// Malformed specs (shard without of, shard out of [0,of), of outside
+// 1..64) are 400 bad_request, never a silently unsharded run.
 //
 // # Shutdown
 //

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -150,5 +151,31 @@ func TestYieldShardCachesPerShard(t *testing.T) {
 	}
 	if body := decodeBody[yieldBody](t, full); len(body.Points) != 2 {
 		t.Errorf("unsharded response after sharded posts has %d points, want 2", len(body.Points))
+	}
+}
+
+// TestYieldShardDeadline: a shard cut short by its deadline answers
+// 504 with the study's die count as n and this shard's finished dies
+// as completed, with and without a checkpoint directory. The study has
+// 120 dies, 40 of them shard 1/3's; at 2 ms per die the 40 ms deadline
+// stops the shard well before its last die.
+func TestYieldShardDeadline(t *testing.T) {
+	slow := slowEngine{inner: engine.Serial, delay: 2 * time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"direct", Config{Engine: slow, Workers: 1}},
+		{"checkpointed", Config{Engine: slow, Workers: 1, CheckpointDir: t.TempDir()}},
+	} {
+		rec := post(New(tc.cfg), "/v1/yield", `{"sigmas_nm": [0.05, 0.1], "samples": 60, "shard": 1, "of": 3, "timeout_ms": 40}`)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d, want 504: %s", tc.name, rec.Code, rec.Body.String())
+			continue
+		}
+		body := decodeBody[ErrorBody](t, rec)
+		if body.Kind != "deadline" || body.N != 120 || body.Completed < 1 || body.Completed >= 40 {
+			t.Errorf("%s: body = %+v, want kind deadline, n 120 (the study) and completed in [1, 40) (this shard's dies)", tc.name, body)
+		}
 	}
 }

@@ -70,7 +70,8 @@
 // compared against.
 //
 // Step and Evaluate clock every coefficient SNG each cycle, as the
-// hardware does; EvaluateWords does the same 64 cycles per word. When
+// hardware does; EvaluateWords, the packed oracle in the package's
+// tests (packed_words_test.go), does the same 64 cycles per word. When
 // the sources are fresh SplitMix64 generators, only the selected
 // coefficient's draw matters. SplitMix64 is counter-based: draw t of a
 // generator seeded s is mix(s + (t+1)·γ). ReSCOnesSplitMix therefore
@@ -79,5 +80,5 @@
 // clocks in PlaneEquals(planes, k). It returns the same ones count
 // from n+1 draws per clock instead of 2n+1. EvaluateBatch and the
 // optical unit's mux-form batch path (internal/core) run on it; any
-// other source keeps EvaluateWords.
+// other source runs the bit-serial Evaluate.
 package stochastic

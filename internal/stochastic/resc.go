@@ -82,7 +82,8 @@ func (r *ReSC) Degree() int { return r.Poly.Degree() }
 // Fig. 1(a) hardware, every one of the n+1 coefficient SNGs clocks
 // each cycle and the multiplexer picks z_sum among them — so each
 // source's consumption depends only on the cycle count, which is what
-// lets EvaluateWords reproduce this path bit-for-bit word-at-a-time.
+// lets the packed EvaluateWords oracle (packed_words_test.go)
+// reproduce this path bit-for-bit word-at-a-time.
 func (r *ReSC) Step(x float64) (bit, sel int) {
 	n := r.Degree()
 	sum := 0

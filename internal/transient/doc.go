@@ -15,8 +15,9 @@
 // # Batched noisy evaluation
 //
 // Every noisy evaluator comes in two equivalent forms. The bit-serial
-// Simulator.Step/Evaluate path advances one clock per call and serves
-// as the oracle. The word-parallel path (Simulator.EvaluateWords)
+// Simulator.Step/Evaluate path, kept in the package's tests
+// (serial_test.go), advances one clock per call and serves as the
+// oracle. The word-parallel path (Simulator.EvaluateWords)
 // simulates 64 clocks per machine word — SNG words, the carry-save
 // weight tree, received-power table lookups and block Gaussian noise
 // (stochastic.Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits

@@ -40,31 +40,14 @@ func NewSimulator(u *core.Unit, seed uint64) *Simulator {
 	}
 }
 
-// Step runs one noisy clock cycle at input probability x.
-func (s *Simulator) Step(x float64) core.StepResult {
-	return s.Unit.Step(x, s.noise.NextScaled(s.SigmaMW))
-}
-
-// Evaluate runs `length` noisy cycles bit-serially and de-randomizes
-// the output. It is the oracle for EvaluateWords; a non-positive
-// length is an error (an empty bitstream has no defined value).
-func (s *Simulator) Evaluate(x float64, length int) (float64, *stochastic.Bitstream, error) {
-	if length <= 0 {
-		return 0, nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
-	}
-	out := stochastic.NewBitstream(length)
-	for t := 0; t < length; t++ {
-		out.Set(t, s.Step(x).Bit)
-	}
-	return out.Value(), out, nil
-}
-
-// EvaluateWords is Evaluate through the word-parallel noisy datapath:
-// SNG words, the carry-save weight tree, power-table lookups and
-// block Gaussian noise (stochastic.Gaussian.FillScaled), 64 cycles per inner
-// iteration. It advances the unit's generators and the simulator's
-// noise stream exactly as Evaluate does and emits an identical
-// bitstream.
+// EvaluateWords runs `length` noisy cycles through the word-parallel
+// noisy datapath and de-randomizes the output: SNG words, the
+// carry-save weight tree, power-table lookups and block Gaussian noise
+// (stochastic.Gaussian.FillScaled), 64 cycles per inner iteration. It
+// advances the unit's generators and the simulator's noise stream
+// exactly as the bit-serial oracle in serial_test.go (Step, one
+// deviate per cycle) does and emits an identical bitstream; a
+// non-positive length is an error.
 func (s *Simulator) EvaluateWords(x float64, length int) (float64, *stochastic.Bitstream, error) {
 	if length <= 0 {
 		return 0, nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
