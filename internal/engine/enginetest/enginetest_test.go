@@ -120,6 +120,79 @@ func TestSuiteCatchesLossyEngine(t *testing.T) {
 	}
 }
 
+// shardLegs runs, in turn, the round-robin slice of each listed leg of
+// an n-way split (leg k owns the indices i with i%n == k, the rule of
+// dse.Checkpointer.RunShard) on one worker: the in-process stand-in for
+// folding shard legs back into one sweep. A list missing a leg or
+// repeating one is the gapped or overlapping family that a merge must
+// never accept.
+type shardLegs struct {
+	name string
+	n    int
+	legs []int
+}
+
+func (s shardLegs) Name() string    { return s.name }
+func (s shardLegs) Workers(int) int { return 1 }
+
+func (s shardLegs) ForWorkerCtx(_ context.Context, n, _ int, fn func(worker, i int)) error {
+	for _, k := range s.legs {
+		for i := k; i < n; i += s.n {
+			fn(0, i)
+		}
+	}
+	return nil
+}
+
+// TestSuiteCatchesGappedShards: a shard family with a missing member
+// leaves its indices, interior ones included, zero-valued and must
+// diverge from the serial reference — the suite-side proof that a
+// gapped distributed run (or a merge that accepted one) cannot pass
+// silently.
+func TestSuiteCatchesGappedShards(t *testing.T) {
+	complete := shardLegs{name: "complete-shards", n: 3, legs: []int{0, 1, 2}}
+	control := &recorder{}
+	Run(control, []engine.Engine{complete}, suiteCases())
+	if len(control.failures) != 0 {
+		t.Fatalf("suite rejected a complete shard family, so the fixture is broken: %v", control.failures)
+	}
+	gapped := shardLegs{name: "gapped-shards", n: 3, legs: []int{0, 2}}
+	rec := &recorder{}
+	Run(rec, []engine.Engine{gapped}, suiteCases())
+	if len(rec.failures) == 0 {
+		t.Fatal("suite accepted a gapped shard family; it has no teeth")
+	}
+	found := false
+	for _, f := range rec.failures {
+		if strings.Contains(f, `"gapped-shards"`) && strings.Contains(f, "diverges") {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Errorf("gapped shard family not flagged; failures: %v", rec.failures)
+	}
+}
+
+// TestSuiteCatchesOverlappingShards: a family with a duplicated member
+// runs its indices twice; the accumulating worker-scratch case must
+// diverge, proving overlap cannot reassemble silently either.
+func TestSuiteCatchesOverlappingShards(t *testing.T) {
+	overlap := shardLegs{name: "overlap-shards", n: 3, legs: []int{0, 0, 1, 2}}
+	rec := &recorder{}
+	Run(rec, []engine.Engine{overlap}, suiteCases())
+	found := false
+	for _, f := range rec.failures {
+		if strings.Contains(f, `"overlap-shards"`) && strings.Contains(f, "worker-scratch-sum") {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatalf("overlapping shard family not flagged; failures: %v", rec.failures)
+	}
+}
+
 // TestRegisteredEnginesPassChaosSuite: every engine of Engines()
 // recovers bit-identically from drop/delay faults and fails typed
 // under injected panics.
