@@ -68,14 +68,19 @@
 // engine.ForCtx, RunCtx and Chunked are built on it.
 //
 // The noise-aware transient path is word-parallel too: the received
-// power is a pure function of (weight, z-mask), so
-// core.Unit.EvaluateNoisy resolves 64 noisy threshold decisions per
-// word from a power table plus block Gaussian noise
-// (stochastic.Gaussian.Fill, Box–Muller over a
-// stochastic.SplitMix64), in the same packed kernel as the noiseless
-// EvaluateWords. transient.Simulator.EvaluateWords emits
-// streams bit-identical to the serial Simulator.Step loop its tests
-// keep as the oracle;
+// power is a pure function of (weight, z-mask), so the packed kernel
+// behind the noiseless EvaluateWords also resolves 64 noisy threshold
+// decisions per word from the power table. transient.Simulator's
+// EvaluateWords hands core.Unit.EvaluateNoisy block Gaussian noise
+// (stochastic.Gaussian.FillScaled, Box–Muller over a
+// stochastic.SplitMix64) and emits streams bit-identical to the serial
+// Simulator.Step loop its tests keep as the oracle. Its batch paths
+// (EvaluateBatch, AccuracyVsLengthCtx) need only decisions: each call
+// builds the unit's core.NoiseScreens, one stochastic.Screen per
+// power-table cell bound to the simulator's sigma, and every trial's
+// core.Unit.EvaluateNoisySeeded decides its words through
+// stochastic.Gaussian.ThresholdWord (below), bit-identical to adding
+// that trial's FillScaled noise.
 // transient.Simulator.EvaluateBatch dispatches per-trial seeds on the
 // caller's engine, and the dse.NoiseStudy Monte-Carlo harness
 // (oscbench -fig noise) runs it on engine.Serial inside each of its
@@ -95,7 +100,7 @@
 //	ber, err := sim.MeasureWorstCaseBER(200_000)       // batched Eq. (8) patterns
 //
 // MeasureWorstCaseBER, behind /v1/ber and the waterfall figure, needs
-// only decisions: stochastic.Gaussian.ThresholdWord decides 64 slots
+// only decisions too: stochastic.Gaussian.ThresholdWord decides 64 slots
 // per word, bit-identical to adding FillScaled noise. A radius screen
 // decides a Box–Muller pair that cannot cross the threshold with one
 // integer compare; a certified bracket of r² and of the angle, read

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/stochastic"
@@ -13,10 +14,10 @@ import (
 // datapath's received power is a pure function of the data weight and
 // the coefficient bit-vector, so 64 clock cycles collapse to: SNG
 // words, a carry-save adder tree for the weight, a lookup in the
-// circuit's (weight, z-mask) power table and one add-and-compare per
-// bit against the calibrated OOK decision level. One kernel,
-// evalPacked, serves the noiseless and the noisy evaluators; it emits
-// bitstreams identical to the serial Step/Evaluate path.
+// circuit's (weight, z-mask) power table and one threshold decision
+// per bit against the calibrated OOK level. One kernel, evalPacked,
+// serves the noiseless and the noisy evaluators; it emits bitstreams
+// identical to the serial Step/Evaluate path.
 
 // isMuxForm reports whether the power table pow, thresholded at thr,
 // is in mux form: pow[w][z] > thr exactly when bit w of z is set, for
@@ -60,21 +61,25 @@ func (u *Unit) drawWord(data, coef []*stochastic.SNG, x float64, nbits int, plan
 	return planes
 }
 
-// decodeCycles transposes the packed word state back to per-cycle
-// integers: weights[t] the data-bit sum and zmasks[t] the coefficient
-// bit-vector of cycle t — the shared decode between the packed kernel
-// and Cycles.
-func decodeCycles(planes, coefWords []uint64, nbits int, weights, zmasks *[64]int) {
-	for t := 0; t < nbits; t++ {
-		weight := 0
-		for k, pl := range planes {
-			weight |= int(pl>>uint(t)&1) << uint(k)
+// decodeCycles transposes the packed word state back to one
+// power-table cell per cycle: cells[t] = weight<<(n+1) | zmask, with
+// weight the data-bit sum and zmask the coefficient bit-vector of cycle
+// t — the shared decode between the packed kernel and Cycles. It visits
+// only the set bits of each word, so its cost follows the ones drawn,
+// not 64 cycles times every word. Callers read the cells of the word's
+// valid cycles only.
+func decodeCycles(planes, coefWords []uint64, cells *[64]int) {
+	*cells = [64]int{}
+	for i, cw := range coefWords {
+		for ; cw != 0; cw &= cw - 1 {
+			cells[bits.TrailingZeros64(cw)] |= 1 << uint(i)
 		}
-		zmask := 0
-		for i, cw := range coefWords {
-			zmask |= int(cw>>uint(t)&1) << uint(i)
+	}
+	n1 := uint(len(coefWords))
+	for k, pl := range planes {
+		for ; pl != 0; pl &= pl - 1 {
+			cells[bits.TrailingZeros64(pl)] |= 1 << (n1 + uint(k))
 		}
-		weights[t], zmasks[t] = weight, zmask
 	}
 }
 
@@ -82,38 +87,71 @@ func decodeCycles(planes, coefWords []uint64, nbits int, weights, zmasks *[64]in
 // noise filler: one 64-bit output word per fill.
 const noiseBlock = 64
 
+// packedNoise is the packed kernel's received-power noise. The zero
+// value is a noiseless channel; fill adds a block filler's samples;
+// screens with g decides Gaussian noise through
+// stochastic.Gaussian.ThresholdWord.
+type packedNoise struct {
+	fill    func(noiseMW []float64)
+	screens *NoiseScreens
+	g       *stochastic.Gaussian
+}
+
 // evalPacked runs `length` cycles of the word-parallel datapath with
-// the given generators, 64 cycles per iteration: draw and decode one
-// packed word, fill one word of noise samples, then threshold
-// power-table lookups plus noise against the calibrated decision
-// level. A nil fill is a noiseless channel: the noise block stays
-// zero, and pow+0 > thr decides exactly as pow > thr (x+0 == x for
-// every finite x, −0 and +0 compare equal, NaN compares false either
-// way).
-func (u *Unit) evalPacked(data, coef []*stochastic.SNG, x float64, length int, fill func(noiseMW []float64)) *stochastic.Bitstream {
-	pow := u.Circuit.PowerTable()
-	n := u.Circuit.P.Order
-	out := stochastic.NewBitstream(length)
-	var planes []uint64
-	coefWords := make([]uint64, n+1)
-	var weights, zmasks [64]int
-	var noise [noiseBlock]float64
-	for w := 0; w < out.WordCount(); w++ {
-		nbits := out.WordBits(w)
+// the given generators, 64 cycles per iteration: draw one packed word,
+// decode each cycle's power-table cell and threshold its level against
+// the calibrated decision level. A noiseless channel compares
+// level > thr; a filler's channel fills one word of noise samples and
+// compares level + noise > thr; a Gaussian channel gathers the cells'
+// screens and lets ThresholdWord decide the same sums, consuming the
+// Gaussian exactly as FillScaled would. It returns the number of ones
+// and writes the stream into out unless out is nil, which the seeded
+// evaluators pass because they need only the count. Only a filler's
+// noise block is allocated.
+func (u *Unit) evalPacked(data, coef []*stochastic.SNG, x float64, length int, noise packedNoise, out *stochastic.Bitstream) (ones int) {
+	pow := u.Circuit.powerCells()
+	thr := u.thresholdMW
+	var planeBuf [8]uint64 // a weight of at most MaxOrder needs 5 planes
+	var coefBuf [MaxOrder + 1]uint64
+	planes, coefWords := planeBuf[:0], coefBuf[:u.Circuit.P.Order+1]
+	var cells [64]int
+	var levels [64]float64
+	var screens [64]stochastic.Screen
+	var samples []float64 // a filler may keep its block, so only a filler's run allocates one
+	if noise.fill != nil {
+		samples = make([]float64, noiseBlock)
+	}
+	for w := 0; w*64 < length; w++ {
+		nbits := min(64, length-w*64)
 		planes = u.drawWord(data, coef, x, nbits, planes, coefWords)
-		decodeCycles(planes, coefWords, nbits, &weights, &zmasks)
-		if fill != nil {
-			fill(noise[:nbits])
-		}
+		decodeCycles(planes, coefWords, &cells)
 		var word uint64
-		for t := 0; t < nbits; t++ {
-			if pow[weights[t]][zmasks[t]]+noise[t] > u.thresholdMW {
-				word |= 1 << uint(t)
+		switch {
+		case noise.screens != nil:
+			for t := 0; t < nbits; t++ {
+				levels[t], screens[t] = pow[cells[t]], noise.screens.cells[cells[t]]
+			}
+			word = noise.g.ThresholdWord(levels[:nbits], screens[:nbits], thr, noise.screens.sigmaMW)
+		case noise.fill != nil:
+			noise.fill(samples[:nbits])
+			for t := 0; t < nbits; t++ {
+				if pow[cells[t]]+samples[t] > thr {
+					word |= 1 << uint(t)
+				}
+			}
+		default:
+			for t := 0; t < nbits; t++ {
+				if pow[cells[t]] > thr {
+					word |= 1 << uint(t)
+				}
 			}
 		}
-		out.SetWord(w, word)
+		ones += bits.OnesCount64(word)
+		if out != nil {
+			out.SetWord(w, word)
+		}
 	}
-	return out
+	return ones
 }
 
 // EvaluateWords runs `length` noiseless cycles at input x through the
@@ -121,7 +159,8 @@ func (u *Unit) evalPacked(data, coef []*stochastic.SNG, x float64, length int, f
 // B(x) with the raw output stream. It advances the unit's generators
 // exactly as Evaluate does and emits an identical bitstream.
 func (u *Unit) EvaluateWords(x float64, length int) (float64, *stochastic.Bitstream) {
-	out := u.evalPacked(u.dataSNG, u.coefSNG, x, length, nil)
+	out := stochastic.NewBitstream(length)
+	u.evalPacked(u.dataSNG, u.coefSNG, x, length, packedNoise{}, out)
 	return out.Value(), out
 }
 
@@ -140,18 +179,20 @@ func (u *Unit) Cycles(x float64, length int, visit func(t, weight, zmask int, re
 	if visit == nil {
 		return fmt.Errorf("core: Cycles needs a visitor")
 	}
-	pow := u.Circuit.PowerTable()
+	pow := u.Circuit.powerCells()
 	n := u.Circuit.P.Order
 	words := (length + 63) / 64
-	var planes []uint64
-	coefWords := make([]uint64, n+1)
-	var weights, zmasks [64]int
+	var planeBuf [8]uint64
+	var coefBuf [MaxOrder + 1]uint64
+	planes, coefWords := planeBuf[:0], coefBuf[:n+1]
+	var cells [64]int
 	for w := 0; w < words; w++ {
 		nbits := min(64, length-w*64)
 		planes = u.drawWord(u.dataSNG, u.coefSNG, x, nbits, planes, coefWords)
-		decodeCycles(planes, coefWords, nbits, &weights, &zmasks)
+		decodeCycles(planes, coefWords, &cells)
 		for t := 0; t < nbits; t++ {
-			visit(w*64+t, weights[t], zmasks[t], pow[weights[t]][zmasks[t]])
+			c := cells[t]
+			visit(w*64+t, c>>(n+1), c&(1<<(n+1)-1), pow[c])
 		}
 	}
 	return nil
@@ -169,7 +210,7 @@ func (u *Unit) evalSeeded(seed uint64, x float64, length int) float64 {
 		return float64(stochastic.ReSCOnesSplitMix(u.Poly.Coef, x, data, coef, length)) / float64(length)
 	}
 	data, coef := seededSNGs(n, seed)
-	return u.evalPacked(data, coef, x, length, nil).Value()
+	return float64(u.evalPacked(data, coef, x, length, packedNoise{}, nil)) / float64(length)
 }
 
 // EvaluateBatch computes B(x) for every input with fresh `length`-bit

@@ -17,6 +17,18 @@ func gammaUnit(t *testing.T, seed uint64) *Unit {
 	return designUnit(t, 6, 0.3, seed)
 }
 
+// evalPackedValue runs the noiseless packed kernel into a bitstream
+// and returns the stream's value, after checking the count the kernel
+// returns against the stream's ones.
+func evalPackedValue(t *testing.T, u *Unit, data, coef []*stochastic.SNG, x float64, length int) float64 {
+	t.Helper()
+	out := stochastic.NewBitstream(length)
+	if ones := u.evalPacked(data, coef, x, length, packedNoise{}, out); ones != out.Ones() {
+		t.Fatalf("evalPacked counted %d ones, wrote %d", ones, out.Ones())
+	}
+	return out.Value()
+}
+
 // designUnit builds an MRR-first unit of the given order and channel
 // spacing running that order's gamma-correction polynomial.
 func designUnit(t *testing.T, order int, spacingNM float64, seed uint64) *Unit {
@@ -128,7 +140,7 @@ func TestUnitEvaluateBatchMatchesEvalPacked(t *testing.T) {
 			}
 			for i, x := range xs {
 				data, coef := seededSNGs(c.u.Circuit.P.Order, stochastic.DeriveSeed(c.u.seed, i))
-				if want := c.u.evalPacked(data, coef, x, length, nil).Value(); got[i] != want {
+				if want := evalPackedValue(t, c.u, data, coef, x, length); got[i] != want {
 					t.Errorf("%s len %d x=%g: batch %g vs evalPacked %g", c.name, length, x, got[i], want)
 				}
 			}
@@ -175,7 +187,7 @@ func TestDecisionTableMuxForm(t *testing.T) {
 	for i, x := range xs {
 		seed := stochastic.DeriveSeed(u.seed, i)
 		data, coef := seededSNGs(n, seed)
-		if want := u.evalPacked(data, coef, x, length, nil).Value(); got[i] != want {
+		if want := evalPackedValue(t, u, data, coef, x, length); got[i] != want {
 			t.Errorf("x=%g: batch %g vs evalPacked %g on the miscalibrated table", x, got[i], want)
 		}
 		dataSeeds, coefSeeds := unitSeeds(n, seed)
@@ -196,7 +208,7 @@ func TestUnitEvalSeededFallbackMatchesPacked(t *testing.T) {
 	for i, x := range []float64{0, 0.4, 1} {
 		seed := stochastic.DeriveSeed(99, i)
 		data, coef := seededSNGs(n, seed)
-		packed := u.evalPacked(data, coef, x, 257, nil).Value()
+		packed := evalPackedValue(t, u, data, coef, x, 257)
 
 		data, coef = seededSNGs(n, seed)
 		serial := walkSeeded(u, data, coef, x, 257, nil)

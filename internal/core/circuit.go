@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/optics"
 )
@@ -30,18 +31,20 @@ type Circuit struct {
 	// Bank is the pump adder: n identical MZIs.
 	Bank *optics.MZIBank
 
-	factOnce sync.Once
-	fact     *circuitFactors
+	// fact is the factor cache the power table builds, published so
+	// the Eq. (8) margin can read it when it exists.
+	fact atomic.Pointer[circuitFactors]
 
-	powOnce sync.Once
-	powers  [][]float64
+	powOnce  sync.Once
+	powers   [][]float64
+	powCells []float64 // the rows of powers, back to back
 
 	bandsOnce sync.Once
 	bands     [4]float64
 
 	deltaOnce sync.Once
+	deltaCh   int32 // packs beside deltaOnce: the circuit keeps its allocation size
 	delta     float64
-	deltaCh   int
 }
 
 // NewCircuit validates p and instantiates the devices.
@@ -137,50 +140,51 @@ func (c *Circuit) ReceivedPowerMW(weight int, z []int) float64 {
 }
 
 // circuitFactors caches the per-device transmission factors every
-// end-to-end transmission is a product of. ProbeTransmission evaluates
-// one ring Lorentzian per (probe, modulator) pair and one filter drop
-// per probe — each a cosine — yet probe i only ever sees two resonance
-// states per modulator (coefficient bit 0/1) and n+1 filter states
-// (one per data weight). Tabulating those (n+1)²·3 factors once turns
-// every later transmission into pure table products, in the exact
-// multiplication order of the direct path, so cached consumers return
-// bit-identical values.
+// received power is a product of. ProbeTransmission evaluates one ring
+// Lorentzian per (probe, modulator) pair and one filter drop per probe
+// — each a cosine — yet probe i only ever sees two resonance states per
+// modulator (coefficient bit 0/1) and n+1 filter states (one per data
+// weight). Tabulating those (n+1)²·3 factors once turns every power
+// table cell into pure table products, in the exact multiplication
+// order of the direct path, so the table is bit-identical to
+// ReceivedPowerMW. The power table builds it; the Eq. (8) margin reads
+// it when it exists and otherwise evaluates only the one-hot factors
+// it needs (channelDeltas).
 type circuitFactors struct {
-	// thru[i][w] holds ring w's through factor at probe λ_i for
+	n1 int // probes, modulators and data weights: n+1 each
+	// thru[i*n1+w] holds ring w's through factor at probe λ_i for
 	// coefficient bit 0 and 1.
-	thru [][][2]float64
-	// drop[i][weight] is the filter drop factor at probe λ_i with the
+	thru [][2]float64
+	// drop[i*n1+weight] is the filter drop factor at probe λ_i with the
 	// filter shifted for the given data weight.
-	drop [][]float64
+	drop []float64
 }
 
-// factors returns the lazily built per-device factor cache.
+// factors builds the per-device factor cache and publishes it. The
+// power table calls it once, under powOnce.
 func (c *Circuit) factors() *circuitFactors {
-	c.factOnce.Do(func() {
-		n1 := len(c.Modulators)
-		f := &circuitFactors{
-			thru: make([][][2]float64, n1),
-			drop: make([][]float64, n1),
+	n1 := len(c.Modulators)
+	f := &circuitFactors{
+		n1:   n1,
+		thru: make([][2]float64, n1*n1),
+		drop: make([]float64, n1*n1),
+	}
+	var ref [MaxOrder + 1]float64
+	for weight := 0; weight < n1; weight++ {
+		ref[weight] = c.P.LambdaRefNM() - c.FilterShiftNM(weight)
+	}
+	for i := 0; i < n1; i++ {
+		lam := c.P.Lambda(i)
+		for w, ring := range c.Modulators {
+			f.thru[i*n1+w][0] = ring.Through(lam, c.modResonance(w, 0))
+			f.thru[i*n1+w][1] = ring.Through(lam, c.modResonance(w, 1))
 		}
-		shift := make([]float64, n1)
-		for weight := range shift {
-			shift[weight] = c.FilterShiftNM(weight)
+		for weight := 0; weight < n1; weight++ {
+			f.drop[i*n1+weight] = c.Filter.Drop(lam, ref[weight])
 		}
-		for i := 0; i < n1; i++ {
-			lam := c.P.Lambda(i)
-			f.thru[i] = make([][2]float64, n1)
-			for w, ring := range c.Modulators {
-				f.thru[i][w][0] = ring.Through(lam, c.modResonance(w, 0))
-				f.thru[i][w][1] = ring.Through(lam, c.modResonance(w, 1))
-			}
-			f.drop[i] = make([]float64, n1)
-			for weight := range f.drop[i] {
-				f.drop[i][weight] = c.Filter.Drop(lam, c.P.LambdaRefNM()-shift[weight])
-			}
-		}
-		c.fact = f
-	})
-	return c.fact
+	}
+	c.fact.Store(f)
+	return f
 }
 
 // transmissionByMask is ProbeTransmission for probe i with the
@@ -190,17 +194,17 @@ func (c *Circuit) factors() *circuitFactors {
 // to ProbeTransmission(i, bits(zmask), FilterShiftNM(weight)).
 func (c *Circuit) transmissionByMask(f *circuitFactors, i, weight, zmask int) float64 {
 	t := 1.0
-	for w := range f.thru[i] {
-		t *= f.thru[i][w][zmask>>w&1]
+	for w, th := range f.thru[i*f.n1 : (i+1)*f.n1] {
+		t *= th[zmask>>w&1]
 	}
-	return t * f.drop[i][weight]
+	return t * f.drop[i*f.n1+weight]
 }
 
 // receivedByMask is ReceivedPowerMW resolved from the factor cache,
 // summing probes in the same order as the direct path.
 func (c *Circuit) receivedByMask(f *circuitFactors, weight, zmask int) float64 {
 	sum := 0.0
-	for i := range f.thru {
+	for i := 0; i < f.n1; i++ {
 		sum += c.P.ProbePowerMW * c.transmissionByMask(f, i, weight, zmask)
 	}
 	return sum
@@ -221,17 +225,25 @@ func (c *Circuit) PowerTable() [][]float64 {
 		f := c.factors()
 		n1 := len(c.Modulators)
 		masks := 1 << n1
+		cells := make([]float64, n1*masks)
 		rows := make([][]float64, n1)
 		for w := range rows {
-			row := make([]float64, masks)
-			for zmask := 0; zmask < masks; zmask++ {
+			row := cells[w*masks : (w+1)*masks : (w+1)*masks]
+			for zmask := range row {
 				row[zmask] = c.receivedByMask(f, w, zmask)
 			}
 			rows[w] = row
 		}
-		c.powers = rows
+		c.powers, c.powCells = rows, cells
 	})
 	return c.powers
+}
+
+// powerCells returns the power table as one slice indexed by cell,
+// weight<<(n+1) | zmask: the packed kernels' per-cycle lookup.
+func (c *Circuit) powerCells() []float64 {
+	c.PowerTable()
+	return c.powCells
 }
 
 // ChannelTotals returns the per-channel total transmissions for a

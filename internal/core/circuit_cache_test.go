@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/stochastic"
 )
 
 // TestPowerTableMatchesReceivedPower: every cached entry equals the
@@ -78,15 +80,95 @@ func TestPowerBandsMatchesDirectScan(t *testing.T) {
 	}
 }
 
-// TestChannelDeltaMatchesDirect pins the factor-cached Eq. (8) bracket
-// to the retained direct enumeration, per channel.
+// TestChannelDeltaMatchesDirect pins the one-hot Eq. (8) brackets to
+// the direct enumeration, per channel, on the paper circuit, the
+// order-6 gamma design, the Fig. 7(b) order-16 wide-FSR design at 1 nm
+// and at 0.165 nm, and a yield-perturbed die (whose devices differ
+// from the ones NewCircuit placed). Each design is checked on a fresh
+// circuit, where the margin evaluates its own one-hot factors, and on
+// one whose factor cache is already built, where it reads the cache;
+// PowerTable builds that cache, which the cheap designs check through
+// PowerTable itself. WorstCaseDelta must then report the smallest
+// bracket and its channel.
 func TestChannelDeltaMatchesDirect(t *testing.T) {
-	c := paperCircuit(t)
-	for i := 0; i <= c.P.Order; i++ {
-		if got, want := c.ChannelDelta(i), c.channelDeltaDirect(i); got != want {
-			t.Errorf("channel %d: cached %g vs direct %g", i, got, want)
+	wide := func(spacingNM float64) func(*testing.T) *Circuit {
+		return func(t *testing.T) *Circuit {
+			spec := NewWideCombEnergyModel(16).Spec
+			spec.WLSpacingNM = spacingNM
+			return mrrCircuit(t, spec)
 		}
 	}
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *Circuit
+		table bool // cheap enough to prime through PowerTable
+	}{
+		{"paper order 2", paperCircuit, true},
+		{"gamma order 6 at 0.3 nm", func(t *testing.T) *Circuit {
+			return mrrCircuit(t, MRRFirstSpec{Order: 6, WLSpacingNM: 0.3})
+		}, true},
+		{"Fig. 7(b) order 16 at 1 nm", wide(1), false},
+		{"Fig. 7(b) order 16 at 0.165 nm", wide(0.165), false},
+		{"yield-perturbed paper die", perturbedDie, true},
+	} {
+		for _, cached := range []bool{false, true} {
+			c := tc.build(t)
+			switch {
+			case cached && tc.table:
+				c.PowerTable()
+			case cached:
+				c.factors()
+			}
+			if got := c.fact.Load() != nil; got != cached {
+				t.Fatalf("%s: factor cache built = %v, want %v", tc.name, got, cached)
+			}
+			d := c.channelDeltas()
+			for i := 0; i <= c.P.Order; i++ {
+				if want := c.channelDeltaDirect(i); d[i] != want {
+					t.Errorf("%s (cached %v) channel %d: %g vs direct %g", tc.name, cached, i, d[i], want)
+				}
+			}
+			delta, ch := c.WorstCaseDelta()
+			for i := 0; i <= c.P.Order; i++ {
+				if d[i] < delta || (d[i] == delta && i < ch) {
+					t.Errorf("%s: WorstCaseDelta = %g at channel %d, channel %d has %g", tc.name, delta, ch, i, d[i])
+				}
+			}
+			if delta != d[ch] {
+				t.Errorf("%s: WorstCaseDelta = %g, channel %d bracket %g", tc.name, delta, ch, d[ch])
+			}
+		}
+	}
+}
+
+// mrrCircuit instantiates an MRR-first design without building any of
+// its caches.
+func mrrCircuit(t *testing.T, spec MRRFirstSpec) *Circuit {
+	t.Helper()
+	p, err := MRRFirst(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCircuit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// perturbedDie is the paper circuit with every ring detuned and
+// recoupled as the yield sweep perturbs a die after NewCircuit.
+func perturbedDie(t *testing.T) *Circuit {
+	c := paperCircuit(t)
+	g := stochastic.NewGaussian(stochastic.NewSplitMix64(11))
+	for i := range c.Modulators {
+		c.Modulators[i].ResonanceNM += 0.02 * g.Next()
+		c.Modulators[i].SelfCoupling1 = clamp01open(c.Modulators[i].SelfCoupling1 * (1 + 0.01*g.Next()))
+		c.Modulators[i].SelfCoupling2 = clamp01open(c.Modulators[i].SelfCoupling2 * (1 + 0.01*g.Next()))
+	}
+	c.Filter.SelfCoupling1 = clamp01open(c.Filter.SelfCoupling1 * (1 + 0.01*g.Next()))
+	c.Filter.SelfCoupling2 = clamp01open(c.Filter.SelfCoupling2 * (1 + 0.01*g.Next()))
+	return c
 }
 
 // TestWorstCaseDeltaOverZMatchesDirect pins the table-backed
@@ -131,8 +213,8 @@ func TestCircuitCachesConcurrent(t *testing.T) {
 	}
 }
 
-// channelDeltaDirect is the cache-free Eq. (8) bracket: the oracle for
-// the factor-cached ChannelDelta.
+// channelDeltaDirect is the cache-free Eq. (8) bracket of channel i:
+// the oracle for channelDeltas.
 func (c *Circuit) channelDeltaDirect(i int) float64 {
 	n := c.P.Order
 	d := c.FilterShiftNM(i) // weight i selects channel i

@@ -31,13 +31,19 @@
 // # Evaluation paths
 //
 // Unit.Step/Evaluate is the bit-serial oracle. EvaluateWords, Cycles
-// and EvaluateNoisy simulate 64 clocks per word: SNG words, a
-// carry-save adder tree for the data weight, and a lookup in the
-// circuit's (weight, z-mask) received-power table. Params.Validate caps
-// the order at MaxOrder (16), so every circuit has that table. One
-// packed kernel thresholds the lookups plus noise against the
-// calibrated level for EvaluateWords, EvaluateNoisy(Seeded) and the
-// batch; a nil noise filler is a noiseless channel. A calibrated
+// and the noisy evaluators simulate 64 clocks per word: SNG words, a
+// carry-save adder tree for the data weight, and a lookup of each
+// cycle's cell in the circuit's (weight, z-mask) received-power table.
+// Params.Validate caps the order at MaxOrder (16), so every circuit has
+// that table. One packed kernel thresholds the looked-up levels against
+// the calibrated level for EvaluateWords, EvaluateNoisy,
+// EvaluateNoisySeeded and the non-mux batch. Noiseless, it compares
+// each level with the threshold. EvaluateNoisy adds a caller's block
+// noise samples first. EvaluateNoisySeeded takes a Gaussian and the
+// unit's NoiseScreens (one stochastic.Screen per table cell, bound to
+// one sigma) and lets stochastic.Gaussian.ThresholdWord return the
+// decisions that Gaussian's FillScaled noise would give, skipping the
+// Box–Muller arithmetic wherever a screen settles a pair. A calibrated
 // circuit with an open eye, whose filter routes weight w to probe
 // channel w, is in mux form: pow[w][z] > threshold exactly when bit w
 // of z is set, so a noiseless cycle outputs the coefficient bit its
@@ -46,9 +52,16 @@
 // each input's SplitMix64 seeds to stochastic.ReSCOnesSplitMix, which
 // computes counter-indexed draws and so draws only the selected
 // coefficient at each clock; otherwise it runs the packed kernel. Both
-// count the same ones from the same seeds. The noisy path draws every
+// count the same ones from the same seeds. The noisy paths draw every
 // coefficient, because under noise every coefficient bit moves the
 // received power.
+//
+// The Eq. (8) margin (WorstCaseDelta) reads only the one-hot
+// transmissions: each probe's ring product under its own one-hot
+// pattern, times the filter drops. It takes them from the per-device
+// factor cache when the power table has built it, and otherwise
+// evaluates just those factors, so a design solve that only sizes
+// probes never builds the cache.
 //
 // # Calibration
 //

@@ -137,11 +137,10 @@ func (m EnergyModel) SweepCtx(ctx context.Context, e engine.Engine, loNM, hiNM f
 // golden-section tolerance of the spacing search; optimalChunkPts is
 // the minimum number of bracketing-grid points per dispatched chunk.
 // One grid solve is a few microseconds — comparable to per-item
-// dispatch overhead, which is why the point-per-item fan-out used to
-// lose to the serial walk (ROADMAP item 4) — so points are dispatched
-// in contiguous chunks of at least 16: the 61-point scan costs at most
-// four dispatches, and on a one-worker engine engine.Chunked degrades
-// to the pure inline walk.
+// dispatch overhead, which is why a point-per-item fan-out loses to the
+// serial walk — so points are dispatched in contiguous chunks of at
+// least 16: the 61-point scan costs at most four dispatches, and on a
+// one-worker engine engine.Chunked degrades to the pure inline walk.
 const (
 	optimalGridN    = 60
 	optimalTolNM    = 1e-4

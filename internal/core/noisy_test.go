@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stochastic"
@@ -48,26 +49,60 @@ func TestUnitEvaluateNoisyZeroNoiseMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestUnitEvaluateNoisySeededFallbackMatchesPacked pins the packed
-// noisy path to the cache-free serial walk (walkSeeded) on fresh
-// generators and an equal noise source, so the two implementations
-// cannot drift.
+// TestUnitEvaluateNoisySeededFallbackMatchesPacked pins the screened
+// Gaussian path to the cache-free serial walk (walkSeeded) fed
+// FillScaled blocks from an equal Gaussian: same decisions, and the
+// Gaussian left in the same state. It covers the paper design sized
+// for BER 1e-1 and 1e-4, the non-mux order-2 design at 0.1 nm and the
+// order-6 gamma design; σ = 0 (no screen), the detector's own σ, and a
+// σ twice the widest level-to-threshold distance, at which most
+// Box–Muller pairs miss the screens; and lengths around word edges.
 func TestUnitEvaluateNoisySeededFallbackMatchesPacked(t *testing.T) {
-	u := paperUnit(t, 17)
-	// Uniform noise up to ±ThresholdMW: wide enough to push levels of
-	// both bands across the threshold, so the noise add is exercised.
-	sigma := 2 * u.ThresholdMW()
-	for i, x := range []float64{0, 0.4, 1} {
-		seed := stochastic.DeriveSeed(99, i)
-		packed, err := u.EvaluateNoisySeeded(seed, x, 257, splitmixFill(seed+1, sigma))
+	paperAt := func(ber float64) *Unit {
+		p := PaperParams()
+		p.ProbePowerMW = MustCircuit(p).MinProbePowerMW(ber)
+		u, err := NewUnit(MustCircuit(p), stochastic.NewBernstein([]float64{0.25, 0.625, 0.75}), 31)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		data, coef := seededSNGs(u.Circuit.P.Order, seed)
-		serial := walkSeeded(u, data, coef, x, 257, splitmixFill(seed+1, sigma))
-		if packed != serial {
-			t.Errorf("x=%g: packed %g vs serial walk %g", x, packed, serial)
+		return u
+	}
+	for _, tc := range []struct {
+		name string
+		u    *Unit
+	}{
+		{"paper at BER 1e-1", paperAt(1e-1)},
+		{"paper at BER 1e-4", paperAt(1e-4)},
+		{"non-mux order 2 at 0.1 nm", designUnit(t, 2, 0.1, 32)},
+		{"gamma order 6", gammaUnit(t, 33)},
+	} {
+		u := tc.u
+		det := u.Circuit.P.Detector
+		wide := 0.0
+		for _, level := range u.Circuit.powerCells() {
+			wide = max(wide, 2*math.Abs(level-u.ThresholdMW()))
+		}
+		for _, sigma := range []float64{0, det.NoiseCurrentA / det.ResponsivityAPerW * 1e3, wide} {
+			screens := u.Screens(sigma)
+			for _, length := range []int{1, 63, 64, 65, 257} {
+				for i, x := range []float64{0, 0.4, 1} {
+					seed := stochastic.DeriveSeed(99, i)
+					g := stochastic.NewGaussian(stochastic.NewSplitMix64(seed + 1))
+					packed, err := u.EvaluateNoisySeeded(seed, x, length, screens, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data, coef := seededSNGs(u.Circuit.P.Order, seed)
+					ref := stochastic.NewGaussian(stochastic.NewSplitMix64(seed + 1))
+					serial := walkSeeded(u, data, coef, x, length, func(dst []float64) { ref.FillScaled(dst, sigma) })
+					if packed != serial {
+						t.Errorf("%s σ=%g len %d x=%g: packed %g vs serial walk %g", tc.name, sigma, length, x, packed, serial)
+					}
+					if a, b := g.Next(), ref.Next(); a != b {
+						t.Errorf("%s σ=%g len %d x=%g: Gaussian left at %g vs %g", tc.name, sigma, length, x, a, b)
+					}
+				}
+			}
 		}
 	}
 }
@@ -108,10 +143,17 @@ func TestUnitEvaluateNoisyValidation(t *testing.T) {
 	if _, err := u.EvaluateNoisy(0.5, 16, nil); err == nil {
 		t.Error("nil filler accepted")
 	}
-	if _, err := u.EvaluateNoisySeeded(1, 0.5, 0, zeroFill); err == nil {
+	g := stochastic.NewGaussian(stochastic.NewSplitMix64(1))
+	if _, err := u.EvaluateNoisySeeded(1, 0.5, 0, u.Screens(0.1), g); err == nil {
 		t.Error("seeded length 0 accepted")
 	}
-	if _, err := u.EvaluateNoisySeeded(1, 0.5, 16, nil); err == nil {
-		t.Error("seeded nil filler accepted")
+	if _, err := u.EvaluateNoisySeeded(1, 0.5, 16, nil, g); err == nil {
+		t.Error("seeded nil screens accepted")
+	}
+	if _, err := u.EvaluateNoisySeeded(1, 0.5, 16, paperUnit(t, 4).Screens(0.1), g); err == nil {
+		t.Error("another unit's screens accepted")
+	}
+	if _, err := u.EvaluateNoisySeeded(1, 0.5, 16, u.Screens(0.1), nil); err == nil {
+		t.Error("seeded nil Gaussian accepted")
 	}
 }

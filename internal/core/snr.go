@@ -7,43 +7,92 @@ import (
 	"repro/internal/optics"
 )
 
-// ChannelDelta returns the inner bracket of the paper's Eq. (8) for
-// channel i: the transmission of probe i sent as '1' (all other
-// coefficients '0') minus the summed crosstalk of every other probe w
-// sent as '1' (with z_i = 0), all evaluated with the filter tuned to
-// select channel i. The one-hot transmissions resolve from the shared
-// per-device factor cache, bit-identical to the direct enumeration
-// (channelDeltaDirect in the tests).
-func (c *Circuit) ChannelDelta(i int) float64 {
-	f := c.factors()
-	sig := c.transmissionByMask(f, i, i, 1<<i)
-	xtalk := 0.0
-	for w := 0; w <= c.P.Order; w++ {
-		if w == i {
-			continue
+// channelDeltas returns the inner bracket of the paper's Eq. (8) for
+// every channel i ≤ n: the transmission of probe i sent as '1' (all
+// other coefficients '0') minus the summed crosstalk of every other
+// probe w sent as '1' (with z_i = 0), all evaluated with the filter
+// tuned to select channel i.
+//
+// Probe w's one-hot pattern 1<<w reads every modulator's bit-0 through
+// factor except ring w's bit-1 one, and that ring product does not
+// depend on the filter state, so it is formed once per probe, left to
+// right as ProbeTransmission forms it, and then multiplied by each
+// filter drop. When the power table has already built the factor cache
+// the factors come from it; otherwise only the (n+1)² one-hot through
+// factors and (n+1)² drops are evaluated, from the circuit's own
+// devices, into stack arrays. Both give the floats of the direct
+// enumeration (channelDeltaDirect in the tests).
+func (c *Circuit) channelDeltas() (d [MaxOrder + 1]float64) {
+	n1 := len(c.Modulators)
+	var prod [MaxOrder + 1]float64               // prod[w]: probe w's ring product under 1<<w
+	var drop [MaxOrder + 1][MaxOrder + 1]float64 // drop[w][i]: probe w's drop, filter at weight i
+	if f := c.fact.Load(); f != nil {
+		for w := 0; w < n1; w++ {
+			t := 1.0
+			for u := 0; u < n1; u++ {
+				t *= f.thru[w*n1+u][oneHot(u, w)]
+			}
+			prod[w] = t
+			copy(drop[w][:n1], f.drop[w*n1:])
 		}
-		xtalk += c.transmissionByMask(f, w, i, 1<<w)
+	} else {
+		var ref [MaxOrder + 1]float64
+		for i := 0; i < n1; i++ {
+			ref[i] = c.P.LambdaRefNM() - c.FilterShiftNM(i)
+		}
+		for w := 0; w < n1; w++ {
+			lam := c.P.Lambda(w)
+			t := 1.0
+			for u, ring := range c.Modulators {
+				t *= ring.Through(lam, c.modResonance(u, oneHot(u, w)))
+			}
+			prod[w] = t
+			for i := 0; i < n1; i++ {
+				drop[w][i] = c.Filter.Drop(lam, ref[i])
+			}
+		}
 	}
-	return sig - xtalk
+	// The conversions keep each product rounded before its add, as the
+	// direct path rounds it.
+	for i := 0; i < n1; i++ {
+		xtalk := 0.0
+		for w := 0; w < n1; w++ {
+			if w != i {
+				xtalk += float64(prod[w] * drop[w][i])
+			}
+		}
+		d[i] = float64(prod[i]*drop[i][i]) - xtalk
+	}
+	return d
 }
 
-// WorstCaseDelta returns min_i ChannelDelta(i) and the index
-// achieving it — the worst-case transmission margin of Eq. (8). The
-// scan is cached: SNR, BER, probe sizing and the transient worst-case
-// patterns all share one computation per circuit.
+// oneHot is bit u of the one-hot pattern 1<<w.
+func oneHot(u, w int) int {
+	if u == w {
+		return 1
+	}
+	return 0
+}
+
+// WorstCaseDelta returns the smallest inner bracket of Eq. (8) over
+// the channels and the channel achieving it — the worst-case
+// transmission margin. The scan is cached: SNR, BER, probe sizing and
+// the transient worst-case patterns all share one computation per
+// circuit.
 func (c *Circuit) WorstCaseDelta() (delta float64, channel int) {
 	c.deltaOnce.Do(func() {
+		d := c.channelDeltas()
 		c.delta = math.Inf(1)
 		for i := 0; i <= c.P.Order; i++ {
-			if d := c.ChannelDelta(i); d < c.delta {
-				c.delta, c.deltaCh = d, i
+			if d[i] < c.delta {
+				c.delta, c.deltaCh = d[i], int32(i)
 			}
 		}
 	})
-	return c.delta, c.deltaCh
+	return c.delta, int(c.deltaCh)
 }
 
-// SNR evaluates Eq. (8): (R/i_n) · OPprobe · min_i ChannelDelta(i),
+// SNR evaluates Eq. (8): (R/i_n) · OPprobe · WorstCaseDelta,
 // the worst-case electrical signal-to-noise ratio. A non-positive
 // margin returns 0 (the eye is closed).
 func (c *Circuit) SNR() float64 {
@@ -75,8 +124,8 @@ func (c *Circuit) MinProbePowerMW(targetBER float64) float64 {
 // of its fixed one-hot crosstalk pattern it searches all 2^(n+1)
 // coefficient patterns for the smallest separation between the
 // selected channel's '1' and '0' received powers, per filter state,
-// normalized by the probe power. It lower-bounds ChannelDelta and is
-// the margin the end-to-end unit actually sees.
+// normalized by the probe power. It lower-bounds every channel's
+// Eq. (8) bracket and is the margin the end-to-end unit actually sees.
 //
 //osclint:ignore testonly tests in core and the root ablation benchmark share it: the exhaustive margin reported beside Eq. 8's
 func (c *Circuit) WorstCaseDeltaOverZ() float64 {

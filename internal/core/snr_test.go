@@ -43,7 +43,7 @@ func TestDefaultDetectorStable(t *testing.T) {
 func TestChannelDeltaAllPositiveForPaperDesign(t *testing.T) {
 	c := paperCircuit(t)
 	for i := 0; i <= c.P.Order; i++ {
-		if d := c.ChannelDelta(i); d <= 0 {
+		if d := c.channelDeltaDirect(i); d <= 0 {
 			t.Errorf("channel %d margin %g <= 0", i, d)
 		}
 	}
@@ -53,7 +53,7 @@ func TestChannelDeltaAllPositiveForPaperDesign(t *testing.T) {
 	}
 	// Worst case is the min.
 	for i := 0; i <= c.P.Order; i++ {
-		if c.ChannelDelta(i) < delta-1e-15 {
+		if c.channelDeltaDirect(i) < delta-1e-15 {
 			t.Errorf("WorstCaseDelta missed channel %d", i)
 		}
 	}

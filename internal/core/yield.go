@@ -83,7 +83,11 @@ func fabricateDie(p Params, v VariationSpec, g *stochastic.Gaussian) DieOutcome 
 	c.Filter.SelfCoupling1 = clamp01open(c.Filter.SelfCoupling1 * (1 + g.Next()*v.CouplingSigma))
 	c.Filter.SelfCoupling2 = clamp01open(c.Filter.SelfCoupling2 * (1 + g.Next()*v.CouplingSigma))
 
-	return DieOutcome{BER: c.BER(), EyeMW: c.EyeOpeningMW()}
+	// The eye builds the power table and its factor cache first, so
+	// the BER's Eq. (8) margin reads those factors instead of
+	// evaluating its one-hot ones again.
+	eye := c.EyeOpeningMW()
+	return DieOutcome{BER: c.BER(), EyeMW: eye}
 }
 
 // MeasureDie fabricates and measures virtual die s of design p under

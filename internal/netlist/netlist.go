@@ -214,30 +214,41 @@ func (d *Deck) apply(fields []string) error {
 	return nil
 }
 
+// parseFloat reads one finite number: strconv accepts "NaN" and "Inf",
+// which no deck field can use.
 func parseFloat(s string, dst *float64) error {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return fmt.Errorf("bad number %q: %w", s, err)
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("bad number %q: not finite", s)
+	}
 	*dst = v
 	return nil
 }
+
+// MaxBits caps a deck's stream length at 2²⁸ bits, a 32 MB output
+// stream: past it a deck would ask for more memory than a simulation
+// can sensibly allocate, up to a length the runtime rejects with a
+// panic.
+const MaxBits = 1 << 28
 
 // Validate checks cross-field consistency.
 func (d Deck) Validate() error {
 	switch {
 	case d.Order < 1:
 		return fmt.Errorf("netlist: order %d < 1", d.Order)
-	case d.SpacingNM <= 0:
+	case !(d.SpacingNM > 0):
 		return fmt.Errorf("netlist: spacing %g not positive", d.SpacingNM)
-	case d.InputX < 0 || d.InputX > 1:
+	case !(d.InputX >= 0 && d.InputX <= 1):
 		return fmt.Errorf("netlist: input %g outside [0,1]", d.InputX)
 	case d.Bits < 1:
 		return fmt.Errorf("netlist: bits %d < 1", d.Bits)
-	case d.TargetBER <= 0 || d.TargetBER >= 0.5:
+	case d.Bits > MaxBits:
+		return fmt.Errorf("netlist: bits %d > MaxBits %d", d.Bits, MaxBits)
+	case !(d.TargetBER > 0 && d.TargetBER < 0.5):
 		return fmt.Errorf("netlist: BER target %g outside (0, 0.5)", d.TargetBER)
-	case math.IsNaN(d.InputX):
-		return fmt.Errorf("netlist: input is NaN")
 	}
 	if d.Poly != nil && len(d.Poly) != d.Order+1 {
 		return fmt.Errorf("netlist: poly has %d coefficients for order %d", len(d.Poly), d.Order)

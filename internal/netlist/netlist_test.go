@@ -70,12 +70,72 @@ func TestParseErrors(t *testing.T) {
 		"bits 0",          // invalid
 		"ber 0.7",         // invalid
 		"seed -1",         // bad uint
+		// Non-finite numbers and an unbounded stream length.
+		"spacing NaN",
+		"ber NaN",
+		"mzi il=NaN",
+		"method mzi-first\npump NaN",
+		"poly NaN 0.5 0.5",
+		"probe Inf",
+		"fit gamma -Inf",
+		"input NaN",
+		"bits 4611686018427387904",
+		"noise off\nbits 4611686018427387904",
 	}
 	for _, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("deck %q accepted", src)
 		}
 	}
+}
+
+// defaultDeckText spells out every DefaultDeck field as a deck.
+const defaultDeckText = `order 2
+spacing 1.0
+rings fig5
+method mrr-first
+mzi il=4.5 er=7.5
+pump 600
+ber 1e-6
+input 0.5
+bits 4096
+seed 1
+noise on
+`
+
+// FuzzParse: Parse never panics, and a deck it accepts has only finite
+// numbers and a stream length in [1, MaxBits].
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		defaultDeckText,
+		"order 3\npoly 0.25 0.625 0.375 0.75\nbits 8192\nnoise off\n",
+		"fit gamma 0.45\n",
+		"spacing NaN",
+		"ber NaN",
+		"mzi il=NaN",
+		"method mzi-first\npump NaN",
+		"poly NaN 0.5 0.5",
+		"bits 4611686018427387904",
+		"bits 268435456",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		nums := append([]float64{d.SpacingNM, d.MZIILdB, d.MZIERdB, d.PumpMW, d.ProbeMW,
+			d.TargetBER, d.FitGamma, d.InputX}, d.Poly...)
+		for i, v := range nums {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("deck %q accepted with number %d = %g", src, i, v)
+			}
+		}
+		if d.Bits < 1 || d.Bits > MaxBits {
+			t.Fatalf("deck %q accepted with bits %d", src, d.Bits)
+		}
+	})
 }
 
 func TestParsePolyArityChecked(t *testing.T) {

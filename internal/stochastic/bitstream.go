@@ -25,19 +25,6 @@ func NewBitstream(n int) *Bitstream {
 // Len returns the stream length in bits.
 func (b *Bitstream) Len() int { return b.n }
 
-// WordCount returns the number of 64-bit words backing the stream.
-func (b *Bitstream) WordCount() int { return len(b.words) }
-
-// WordBits returns how many bits of word i are in range: 64 for every
-// word but possibly the last.
-func (b *Bitstream) WordBits(i int) int {
-	b.checkWord(i)
-	if rem := b.n - i*64; rem < 64 {
-		return rem
-	}
-	return 64
-}
-
 // SetWord assigns the i-th 64-bit word. Bits past Len() are cleared,
 // so whole-word writers need not mask the tail themselves.
 func (b *Bitstream) SetWord(i int, w uint64) {

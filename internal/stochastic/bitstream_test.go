@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// WordCount returns the number of 64-bit words backing the stream.
+func (b *Bitstream) WordCount() int { return len(b.words) }
+
+// WordBits returns how many bits of word i are in range: 64 for every
+// word but possibly the last.
+func (b *Bitstream) WordBits(i int) int {
+	b.checkWord(i)
+	if rem := b.n - i*64; rem < 64 {
+		return rem
+	}
+	return 64
+}
+
 func TestBitstreamBasics(t *testing.T) {
 	b := NewBitstream(100)
 	if b.Len() != 100 || b.Ones() != 0 || b.Value() != 0 {

@@ -33,6 +33,38 @@ func TestProbThreshold(t *testing.T) {
 	if probThreshold(0.5) != 1<<52 {
 		t.Errorf("threshold(0.5) = %d", probThreshold(0.5))
 	}
+
+	// The threshold's contract at its boundary: a draw k = NextUint64()>>11
+	// passes Next() < p, i.e. k/2⁵³ < p, exactly when k < probThreshold(p).
+	// So k = threshold−1 must pass and k = threshold must not.
+	ps := []float64{
+		0x1p-53, 0.5, 1 - 0x1p-53, // the edges of (0, 1)
+		0.375, 12345 * 0x1p-53, // p·2⁵³ an integer
+		1e-300, math.SmallestNonzeroFloat64, math.Nextafter(0.5, 1), math.Nextafter(0.5, 0),
+	}
+	src := NewSplitMix64(7)
+	for i := 0; i < 20000; i++ {
+		// Uniform p and p spread over 40 binades below 1/2.
+		p := src.Next()
+		if i%2 == 1 {
+			p = math.Ldexp(p, -int(src.NextUint64()%40))
+		}
+		if p > 0 {
+			ps = append(ps, p)
+		}
+	}
+	for _, p := range ps {
+		thr := probThreshold(p)
+		if thr == 0 || thr > 1<<53 {
+			t.Fatalf("p=%g: threshold %d outside [1, 2⁵³]", p, thr)
+		}
+		if k := thr - 1; !(float64(k)/(1<<53) < p) {
+			t.Fatalf("p=%g: draw k=%d below the threshold fails Next() < p", p, k)
+		}
+		if k := thr; k < 1<<53 && float64(k)/(1<<53) < p {
+			t.Fatalf("p=%g: draw k=%d at the threshold passes Next() < p", p, k)
+		}
+	}
 }
 
 // TestFillPlaneMatchesGenerate: the plane fill is SNG.Generate without

@@ -2,6 +2,7 @@ package transient
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -15,8 +16,15 @@ import (
 // tests on a quiet link would never exercise the noisy compare.
 func hotSim(t testing.TB, seed uint64) *Simulator {
 	t.Helper()
+	return linkSim(t, 1e-2, seed)
+}
+
+// linkSim builds a simulator on the paper circuit with its probes
+// sized for the given worst-case BER.
+func linkSim(t testing.TB, ber float64, seed uint64) *Simulator {
+	t.Helper()
 	p := core.PaperParams()
-	p.ProbePowerMW = core.MustCircuit(p).MinProbePowerMW(1e-2)
+	p.ProbePowerMW = core.MustCircuit(p).MinProbePowerMW(ber)
 	c, err := core.NewCircuit(p)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +97,47 @@ func TestSimulatorEvaluateBatchMatchesSerialDerivation(t *testing.T) {
 		want := float64(ones) / float64(length)
 		if got[i] != want {
 			t.Errorf("x[%d]=%g: batch %g vs serial derivation %g", i, x, got[i], want)
+		}
+	}
+}
+
+// TestAccuracyVsLengthMatchesSerialDerivation: every point's RMSE must
+// equal the RMSE of bit-serial Step walks of fresh units seeded from
+// trialSeeds(seed^accuracySalt, i), each fed its trial's own Gaussian
+// stream, with trial i counted against the lengths that remain after
+// the non-positive one is skipped. The link is sized for BER 1e-1, so
+// many Box–Muller pairs miss the noise screens, and the lengths are odd.
+func TestAccuracyVsLengthMatchesSerialDerivation(t *testing.T) {
+	s := linkSim(t, 1e-1, 61)
+	const x, trials = 0.4, 5
+	points, err := s.AccuracyVsLengthCtx(context.Background(), engine.WordParallel, x, []int{1, 0, 63, 65}, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := []int{1, 63, 65}
+	if len(points) != len(valid) {
+		t.Fatalf("%d points for %d valid lengths", len(points), len(valid))
+	}
+	want := s.Unit.Poly.Eval(x)
+	for li, length := range valid {
+		sum := 0.0
+		for tr := 0; tr < trials; tr++ {
+			unitSeed, noiseSeed := trialSeeds(s.seed^accuracySalt, li*trials+tr)
+			u, err := core.NewUnit(s.Unit.Circuit, s.Unit.Poly, unitSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
+			ones := 0
+			for tt := 0; tt < length; tt++ {
+				ones += u.Step(x, g.NextScaled(s.SigmaMW)).Bit
+			}
+			d := float64(ones)/float64(length) - want
+			sum += d * d
+		}
+		p := points[li]
+		if rmse := math.Sqrt(sum / trials); p.StreamLen != length || p.RMSE != rmse {
+			t.Errorf("length %d: point (L=%d, RMSE %g) vs serial derivation RMSE %g", length, p.StreamLen, p.RMSE, rmse)
 		}
 	}
 }

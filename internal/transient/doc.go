@@ -20,12 +20,18 @@
 // oracle. The word-parallel path (Simulator.EvaluateWords)
 // simulates 64 clocks per machine word — SNG words, the carry-save
 // weight tree, received-power table lookups and block Gaussian noise
-// (stochastic.Gaussian.Fill/FillScaled, a Box–Muller pair at a time) — and emits
-// bit-identical streams. Monte-Carlo studies go through
+// (stochastic.Gaussian.FillScaled, a Box–Muller pair at a time) — and
+// emits bit-identical streams. Monte-Carlo studies go through
 // Simulator.EvaluateBatch, which dispatches independent trials on the
 // caller's engine under the caller's context with per-trial seeds
 // derived by stochastic.DeriveSeed, so results are reproducible on any
-// engine and core count. Quickstart:
+// engine and core count. A trial needs only its decisions, so
+// EvaluateBatch and AccuracyVsLengthCtx build the unit's
+// core.NoiseScreens once per call, before the fan-out and from the
+// SigmaMW of that moment, and each trial decides its words with
+// stochastic.Gaussian.ThresholdWord (core.Unit.EvaluateNoisySeeded):
+// the same bits as adding the trial's FillScaled noise, without the
+// Box–Muller arithmetic for pairs a per-cell screen settles. Quickstart:
 //
 //	u, _ := core.NewUnit(circuit, poly, 1)
 //	sim := transient.NewSimulator(u, 2)

@@ -79,7 +79,10 @@ func trialSeeds(base uint64, i int) (unitSeed, noiseSeed uint64) {
 // simulator's seed and i only (trialSeeds), so the result is
 // bit-identical on every conforming engine and any core count — it
 // matches a serial walk of core.NewUnit(..., unitSeed) steps fed with
-// the trial's own noise stream. The simulator's shared state (unit
+// the trial's own noise stream. Trials need only their decisions, so
+// the unit's noise screens for the current SigmaMW are built once,
+// before the fan-out, and each trial decides through them
+// (core.Unit.EvaluateNoisySeeded). The simulator's shared state (unit
 // tables, SigmaMW, seed) is only read: EvaluateBatch does not advance
 // the serial noise stream and may itself be called concurrently. A
 // non-positive length or a nil engine is an error, and a fired ctx (or
@@ -88,15 +91,13 @@ func (s *Simulator) EvaluateBatch(ctx context.Context, e engine.Engine, xs []flo
 	if length <= 0 {
 		return nil, fmt.Errorf("transient: stream length %d, need >= 1", length)
 	}
-	sigma := s.SigmaMW
+	screens := s.Unit.Screens(s.SigmaMW)
 	out := make([]float64, len(xs))
 	errs := make([]error, len(xs))
 	if err := engine.RunCtx(ctx, e, len(xs), nil, func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed, i)
 		g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
-		v, err := s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, func(dst []float64) {
-			g.FillScaled(dst, sigma)
-		})
+		v, err := s.Unit.EvaluateNoisySeeded(unitSeed, xs[i], length, screens, g)
 		if err != nil {
 			errs[i] = err
 			return
@@ -250,8 +251,9 @@ func (s *Simulator) accuracyReduce(valid []int, trials int, sq []float64) []Accu
 //
 // The (length, trial) pairs are independent work items dispatched on
 // the given engine like NoiseStudy's combinations: trial i runs the
-// word-parallel noisy path with SNG and noise seeds derived from the
-// simulator's seed and i alone (trialSeeds over a salted stream), so
+// word-parallel noisy path, deciding through noise screens built once
+// per call as EvaluateBatch does, with SNG and noise seeds derived from
+// the simulator's seed and i alone (trialSeeds over a salted stream), so
 // the study is bit-identical on every conforming engine, deterministic
 // on any core count, and identical across repeated calls — it does not
 // advance the simulator's generators or its serial noise stream. A nil
@@ -269,15 +271,13 @@ func (s *Simulator) AccuracyVsLengthCtx(ctx context.Context, e engine.Engine, x 
 	}
 	valid := accuracyLengths(lengths)
 	want := s.Unit.Poly.Eval(x)
-	sigma := s.SigmaMW
+	screens := s.Unit.Screens(s.SigmaMW)
 	sq := make([]float64, len(valid)*trials)
 	errs := make([]error, len(sq))
 	if err := engine.RunCtx(ctx, e, len(sq), nil, func(i int) {
 		unitSeed, noiseSeed := trialSeeds(s.seed^accuracySalt, i)
 		g := stochastic.NewGaussian(stochastic.NewSplitMix64(noiseSeed))
-		got, err := s.Unit.EvaluateNoisySeeded(unitSeed, x, valid[i/trials], func(dst []float64) {
-			g.FillScaled(dst, sigma)
-		})
+		got, err := s.Unit.EvaluateNoisySeeded(unitSeed, x, valid[i/trials], screens, g)
 		if err != nil {
 			errs[i] = err
 			return
