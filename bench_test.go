@@ -389,50 +389,6 @@ func BenchmarkAblationPulseVsCW(b *testing.B) {
 	b.ReportMetric(cw.TotalPJ(), "cw_pJ")
 }
 
-// BenchmarkAblationSNG compares randomizer implementations (LFSR vs
-// chaotic vs SplitMix64) by ReSC accuracy at equal stream length —
-// the paper's future-work item iii considers chaotic lasers as
-// optical randomizers.
-func BenchmarkAblationSNG(b *testing.B) {
-	poly := stochastic.PaperF1()
-	build := func(mk func(i int) stochastic.NumberSource) *stochastic.ReSC {
-		data := make([]stochastic.NumberSource, 3)
-		for i := range data {
-			data[i] = mk(i)
-		}
-		coef := make([]stochastic.NumberSource, 4)
-		for i := range coef {
-			coef[i] = mk(10 + i)
-		}
-		r, err := stochastic.NewReSC(poly, data, coef)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return r
-	}
-	sources := map[string]func(i int) stochastic.NumberSource{
-		"lfsr": func(i int) stochastic.NumberSource {
-			return stochastic.MustLFSR(16, uint64(0xACE1+i*7919))
-		},
-		"chaotic": func(i int) stochastic.NumberSource {
-			return stochastic.NewChaoticSource(0.1 + 0.05*float64(i))
-		},
-		"splitmix": func(i int) stochastic.NumberSource {
-			return stochastic.NewSplitMix64(uint64(1 + i))
-		},
-	}
-	want := poly.Eval(0.5)
-	for name, mk := range sources {
-		var errAbs float64
-		for i := 0; i < b.N; i++ {
-			r := build(mk)
-			got, _ := r.Evaluate(0.5, 4096)
-			errAbs = math.Abs(got - want)
-		}
-		b.ReportMetric(errAbs, "abs_err_"+name)
-	}
-}
-
 // BenchmarkAblationAPD compares the calibrated pin detector against
 // the future-work APD [21] at the same BER target.
 func BenchmarkAblationAPD(b *testing.B) {

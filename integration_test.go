@@ -190,34 +190,3 @@ func TestAPDEndToEnd(t *testing.T) {
 		t.Error("APD probe energy not reduced")
 	}
 }
-
-// TestChaoticRandomizerOnOpticalUnit drives the optical unit's SNGs
-// from the chaotic-laser model — the all-optical randomizer vision.
-func TestChaoticRandomizerOnOpticalUnit(t *testing.T) {
-	// The Unit seeds SplitMix internally; emulate an all-optical
-	// datapath by Monte-Carlo-ing the ReSC semantics with every
-	// stream produced by a chaotic-laser SNG.
-	poly := stochastic.NewBernstein([]float64{0.25, 0.625, 0.75})
-	// Monte-Carlo the Bernstein identity with chaotic data streams.
-	const bits = 1 << 15
-	x := 0.5
-	acc := 0.0
-	zs := make([]*stochastic.ChaoticLaserSNG, 3)
-	for i := range zs {
-		zi, err := stochastic.NewChaoticLaserSNG(0.51+0.11*float64(i), 2+i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zs[i] = zi
-	}
-	dataA, _ := stochastic.NewChaoticLaserSNG(0.67, 4)
-	dataB, _ := stochastic.NewChaoticLaserSNG(0.83, 5)
-	for k := 0; k < bits; k++ {
-		w := dataA.NextBit(x) + dataB.NextBit(x)
-		acc += float64(zs[w].NextBit(poly.Coef[w]))
-	}
-	got := acc / bits
-	if want := poly.Eval(x); math.Abs(got-want) > 0.03 {
-		t.Errorf("chaotic optical ReSC = %g, want %g", got, want)
-	}
-}

@@ -22,7 +22,7 @@ type ThermalEnvironment struct {
 	// JitterK is the standard deviation of fast fluctuations.
 	JitterK float64
 
-	noise stochastic.NumberSource
+	noise *stochastic.SplitMix64
 }
 
 // NewThermalEnvironment seeds the jitter source.

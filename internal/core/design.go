@@ -86,15 +86,18 @@ func MRRFirst(spec MRRFirstSpec) (Params, error) {
 	if spec.Order < 1 {
 		return Params{}, fmt.Errorf("core: MRRFirst order %d < 1", spec.Order)
 	}
-	if spec.WLSpacingNM <= 0 {
-		return Params{}, fmt.Errorf("core: MRRFirst spacing %g nm not positive", spec.WLSpacingNM)
+	if !(spec.WLSpacingNM > 0) || math.IsInf(spec.WLSpacingNM, 1) {
+		return Params{}, fmt.Errorf("core: MRRFirst spacing %g nm not positive and finite", spec.WLSpacingNM)
+	}
+	if err := checkTargetBER("MRRFirst", spec.TargetBER); err != nil {
+		return Params{}, err
 	}
 
 	il := optics.LossToLinear(spec.MZIILdB)
 	fullShift := spec.FilterOffsetNM + float64(spec.Order)*spec.WLSpacingNM
 	pump := spec.OTE.PowerForShiftMW(fullShift) / il
 	erFrac := spec.FilterOffsetNM / (pump * spec.OTE.OTENMPerMW * il)
-	if erFrac <= 0 || erFrac >= 1 {
+	if !(erFrac > 0 && erFrac < 1) {
 		return Params{}, fmt.Errorf("core: MRRFirst derived ER%% = %g outside (0,1)", erFrac)
 	}
 	erDB := -numeric.LinearToDB(erFrac)
@@ -196,10 +199,13 @@ func MZIFirst(spec MZIFirstSpec) (Params, error) {
 	if spec.Order < 1 {
 		return Params{}, fmt.Errorf("core: MZIFirst order %d < 1", spec.Order)
 	}
-	if spec.PumpPowerMW <= 0 {
-		return Params{}, fmt.Errorf("core: MZIFirst pump power %g mW not positive", spec.PumpPowerMW)
+	if !(spec.PumpPowerMW > 0) || math.IsInf(spec.PumpPowerMW, 1) {
+		return Params{}, fmt.Errorf("core: MZIFirst pump power %g mW not positive and finite", spec.PumpPowerMW)
 	}
 	if err := spec.MZI.Validate(); err != nil {
+		return Params{}, err
+	}
+	if err := checkTargetBER("MZIFirst", spec.TargetBER); err != nil {
 		return Params{}, err
 	}
 
@@ -208,7 +214,7 @@ func MZIFirst(spec MZIFirstSpec) (Params, error) {
 	n := float64(spec.Order)
 	spacing := spec.PumpPowerMW * spec.OTE.OTENMPerMW * il * (1 - er) / n
 	offset := spec.PumpPowerMW * spec.OTE.OTENMPerMW * il * er
-	if spacing <= 0 {
+	if !(spacing > 0) {
 		return Params{}, fmt.Errorf("core: MZIFirst derived spacing %g nm not positive", spacing)
 	}
 
@@ -239,6 +245,16 @@ func MZIFirst(spec MZIFirstSpec) (Params, error) {
 	}
 	p.ProbePowerMW = probe
 	return p, nil
+}
+
+// checkTargetBER rejects a BER target outside (0, 0.5): at 0.5 a
+// detector decides no better than a coin, and Eq. (9) has no SNR to
+// size the probes for.
+func checkTargetBER(method string, ber float64) error {
+	if !(ber > 0 && ber < 0.5) {
+		return fmt.Errorf("core: %s BER target %g outside (0, 0.5)", method, ber)
+	}
+	return nil
 }
 
 // AlignmentErrorNM returns the largest distance between the filter

@@ -60,6 +60,24 @@ func TestMRRFirstErrors(t *testing.T) {
 	if _, err := MRRFirst(MRRFirstSpec{Order: 2, WLSpacingNM: -1}); err == nil {
 		t.Error("negative spacing accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, spec := range []MRRFirstSpec{
+		{Order: 2, WLSpacingNM: nan},
+		{Order: 2, WLSpacingNM: inf},
+		{Order: 2, WLSpacingNM: 1, TargetBER: nan},
+		{Order: 2, WLSpacingNM: 1, TargetBER: 0.5},
+		{Order: 2, WLSpacingNM: 1, TargetBER: 0.7},
+		{Order: 2, WLSpacingNM: 1, TargetBER: -1},
+		{Order: 2, WLSpacingNM: 1, MZIILdB: nan},
+		{Order: 2, WLSpacingNM: 1, MZIILdB: inf},
+		{Order: 2, WLSpacingNM: 1, FilterOffsetNM: nan},
+		{Order: 2, WLSpacingNM: 1, DeltaLambdaNM: nan},
+	} {
+		if p, err := MRRFirst(spec); err == nil {
+			t.Errorf("spacing %g, BER %g, IL %g, offset %g, Δλ %g: design accepted, probe %g mW",
+				spec.WLSpacingNM, spec.TargetBER, spec.MZIILdB, spec.FilterOffsetNM, spec.DeltaLambdaNM, p.ProbePowerMW)
+		}
+	}
 	// A spacing far below the ring linewidth closes the eye.
 	if _, err := MRRFirst(MRRFirstSpec{Order: 2, WLSpacingNM: 0.02}); err == nil {
 		t.Error("collapsed comb accepted")
@@ -123,6 +141,20 @@ func TestMZIFirstErrors(t *testing.T) {
 	}
 	if _, err := MZIFirst(MZIFirstSpec{Order: 2, MZI: optics.MZI{ILdB: -1}, PumpPowerMW: 600}); err == nil {
 		t.Error("invalid MZI accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, spec := range []MZIFirstSpec{
+		{Order: 2, MZI: optics.MZI{ILdB: 5, ERdB: nan}, PumpPowerMW: 600},
+		{Order: 2, MZI: optics.MZI{ILdB: inf, ERdB: 6}, PumpPowerMW: 600},
+		{Order: 2, MZI: dev, PumpPowerMW: nan},
+		{Order: 2, MZI: dev, PumpPowerMW: inf},
+		{Order: 2, MZI: dev, PumpPowerMW: 600, TargetBER: nan},
+		{Order: 2, MZI: dev, PumpPowerMW: 600, TargetBER: 0.7},
+		{Order: 2, MZI: dev, PumpPowerMW: 600, TargetBER: -1},
+	} {
+		if p, err := MZIFirst(spec); err == nil {
+			t.Errorf("%v, pump %g mW, BER %g: design accepted, probe %g mW", spec.MZI, spec.PumpPowerMW, spec.TargetBER, p.ProbePowerMW)
+		}
 	}
 	// Tiny pump power → comb tighter than the ring linewidth → eye
 	// closed.

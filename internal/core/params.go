@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/optics"
 )
@@ -138,23 +139,25 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: order %d < 1", p.Order)
 	case p.Order > MaxOrder:
 		return fmt.Errorf("core: order %d > MaxOrder %d", p.Order, MaxOrder)
-	case p.WLSpacingNM <= 0:
-		return fmt.Errorf("core: wavelength spacing %g nm not positive", p.WLSpacingNM)
-	case p.LambdaMaxNM <= 0:
-		return fmt.Errorf("core: λ_n = %g nm not positive", p.LambdaMaxNM)
-	case p.FilterOffsetNM < 0:
-		return fmt.Errorf("core: filter offset %g nm negative", p.FilterOffsetNM)
-	case p.DeltaLambdaNM <= 0:
-		return fmt.Errorf("core: Δλ = %g nm not positive", p.DeltaLambdaNM)
-	case p.OTE.OTENMPerMW <= 0:
-		return fmt.Errorf("core: OTE %g nm/mW not positive", p.OTE.OTENMPerMW)
-	case p.PumpPowerMW < 0:
-		return fmt.Errorf("core: pump power %g mW negative", p.PumpPowerMW)
-	case p.ProbePowerMW < 0:
-		return fmt.Errorf("core: probe power %g mW negative", p.ProbePowerMW)
-	case p.BitRateGbps <= 0:
-		return fmt.Errorf("core: bit rate %g Gb/s not positive", p.BitRateGbps)
-	case p.LasingEfficiency <= 0 || p.LasingEfficiency > 1:
+	case !(p.WLSpacingNM > 0) || math.IsInf(p.WLSpacingNM, 1):
+		return fmt.Errorf("core: wavelength spacing %g nm not positive and finite", p.WLSpacingNM)
+	case !(p.LambdaMaxNM > 0) || math.IsInf(p.LambdaMaxNM, 1):
+		return fmt.Errorf("core: λ_n = %g nm not positive and finite", p.LambdaMaxNM)
+	case !(p.FilterOffsetNM >= 0) || math.IsInf(p.FilterOffsetNM, 1):
+		return fmt.Errorf("core: filter offset %g nm negative or not finite", p.FilterOffsetNM)
+	case !(p.DeltaLambdaNM > 0) || math.IsInf(p.DeltaLambdaNM, 1):
+		return fmt.Errorf("core: Δλ = %g nm not positive and finite", p.DeltaLambdaNM)
+	case !(p.OTE.OTENMPerMW > 0) || math.IsInf(p.OTE.OTENMPerMW, 1):
+		return fmt.Errorf("core: OTE %g nm/mW not positive and finite", p.OTE.OTENMPerMW)
+	case !(p.PumpPowerMW >= 0) || math.IsInf(p.PumpPowerMW, 1):
+		return fmt.Errorf("core: pump power %g mW negative or not finite", p.PumpPowerMW)
+	case !(p.ProbePowerMW >= 0) || math.IsInf(p.ProbePowerMW, 1):
+		return fmt.Errorf("core: probe power %g mW negative or not finite", p.ProbePowerMW)
+	case !(p.BitRateGbps > 0) || math.IsInf(p.BitRateGbps, 1):
+		return fmt.Errorf("core: bit rate %g Gb/s not positive and finite", p.BitRateGbps)
+	case !(p.PulseWidthS >= 0) || math.IsInf(p.PulseWidthS, 1):
+		return fmt.Errorf("core: pulse width %g s negative or not finite", p.PulseWidthS)
+	case !(p.LasingEfficiency > 0 && p.LasingEfficiency <= 1):
 		return fmt.Errorf("core: lasing efficiency %g outside (0,1]", p.LasingEfficiency)
 	}
 	if err := p.MZI.Validate(); err != nil {

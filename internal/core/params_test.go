@@ -52,6 +52,24 @@ func TestParamsValidateErrors(t *testing.T) {
 		{"filtershape", func(p *Params) { p.FilterShape.R1 = 2 }},
 		{"detector", func(p *Params) { p.Detector.ResponsivityAPerW = 0 }},
 		{"fsr", func(p *Params) { p.Order = 8; p.WLSpacingNM = 1 }},
+		{"spacing NaN", func(p *Params) { p.WLSpacingNM = math.NaN() }},
+		{"spacing Inf", func(p *Params) { p.WLSpacingNM = math.Inf(1) }},
+		{"lambda NaN", func(p *Params) { p.LambdaMaxNM = math.NaN() }},
+		{"lambda Inf", func(p *Params) { p.LambdaMaxNM = math.Inf(1) }},
+		{"offset NaN", func(p *Params) { p.FilterOffsetNM = math.NaN() }},
+		{"delta NaN", func(p *Params) { p.DeltaLambdaNM = math.NaN() }},
+		{"ote Inf", func(p *Params) { p.OTE.OTENMPerMW = math.Inf(1) }},
+		{"pump NaN", func(p *Params) { p.PumpPowerMW = math.NaN() }},
+		{"pump Inf", func(p *Params) { p.PumpPowerMW = math.Inf(1) }},
+		{"probe NaN", func(p *Params) { p.ProbePowerMW = math.NaN() }},
+		{"probe Inf", func(p *Params) { p.ProbePowerMW = math.Inf(1) }},
+		{"bitrate NaN", func(p *Params) { p.BitRateGbps = math.NaN() }},
+		{"pulse negative", func(p *Params) { p.PulseWidthS = -1e-12 }},
+		{"pulse NaN", func(p *Params) { p.PulseWidthS = math.NaN() }},
+		{"efficiency NaN", func(p *Params) { p.LasingEfficiency = math.NaN() }},
+		{"mzi NaN", func(p *Params) { p.MZI.ERdB = math.NaN() }},
+		{"modshape NaN", func(p *Params) { p.ModShape.R2 = math.NaN() }},
+		{"detector Inf", func(p *Params) { p.Detector.NoiseCurrentA = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		p := base

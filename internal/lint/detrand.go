@@ -26,11 +26,8 @@ var DetRand = &Analyzer{
 // internal/stochastic: constructing one inside a worker closure is
 // only deterministic when the seed argument is index-derived.
 var rngConstructors = map[string]bool{
-	"NewSplitMix64":      true,
-	"NewLFSR":            true,
-	"NewChaoticSource":   true,
-	"NewChaoticLaserSNG": true,
-	"NewReSCWithSeeds":   true,
+	"NewSplitMix64":    true,
+	"NewReSCWithSeeds": true,
 }
 
 // pkgSuffixIs reports whether obj's package import path is path or

@@ -33,11 +33,10 @@
 // passed to a worker dispatcher — an Engine's ForWorkerCtx,
 // engine.ForCtx, engine.RunCtx and engine.Chunked; internal/engine is
 // the only code that starts worker goroutines — that constructs an RNG
-// (stochastic.NewSplitMix64, NewLFSR, NewChaoticSource,
-// NewChaoticLaserSNG, NewReSCWithSeeds, or a math/rand constructor)
-// must reference stochastic.DeriveSeed — directly in the body, or
-// inside a same-package seed helper it calls (the trialSeeds /
-// waterfallSeeds pattern) — so every item's randomness is a function
+// (stochastic.NewSplitMix64, NewReSCWithSeeds, or a math/rand
+// constructor) must reference stochastic.DeriveSeed — directly in the
+// body, or inside a same-package seed helper it calls (the trialSeeds
+// / waterfallSeeds pattern) — so every item's randomness is a function
 // of its index alone and results are identical at any GOMAXPROCS.
 //
 // mapiter — ordered output from map iteration. A `range` over a map
@@ -93,9 +92,9 @@
 //     an outside interface calls, like the Loader's Import for
 //     go/types, is annotated with the interface it implements.
 //   - Matching is by name only, so it undercounts: a test-only name
-//     that collides with a used one — a Next method beside the
-//     NumberSource interface's, a Check beside engine.Check — passes.
-//     A CI gate needs no false positives, not completeness.
+//     that collides with a used one — a Next method beside
+//     SplitMix64's, a Check beside engine.Check — passes. A CI gate
+//     needs no false positives, not completeness.
 //
 // # Suppressions
 //

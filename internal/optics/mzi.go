@@ -2,6 +2,7 @@ package optics
 
 import (
 	"fmt"
+	"math"
 )
 
 // MZI models a 1x1 Mach–Zehnder interferometer modulator (paper
@@ -31,11 +32,11 @@ type MZI struct {
 
 // Validate reports whether the MZI parameters are physical.
 func (m MZI) Validate() error {
-	if m.ILdB < 0 {
-		return fmt.Errorf("optics: MZI insertion loss must be >= 0 dB, got %g", m.ILdB)
+	if !(m.ILdB >= 0) || math.IsInf(m.ILdB, 1) {
+		return fmt.Errorf("optics: MZI insertion loss must be finite and >= 0 dB, got %g", m.ILdB)
 	}
-	if m.ERdB < 0 {
-		return fmt.Errorf("optics: MZI extinction ratio must be >= 0 dB, got %g", m.ERdB)
+	if !(m.ERdB >= 0) || math.IsInf(m.ERdB, 1) {
+		return fmt.Errorf("optics: MZI extinction ratio must be finite and >= 0 dB, got %g", m.ERdB)
 	}
 	return nil
 }

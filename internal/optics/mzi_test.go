@@ -28,6 +28,16 @@ func TestMZIValidate(t *testing.T) {
 	if err := (MZI{ILdB: 1, ERdB: -2}).Validate(); err == nil {
 		t.Error("negative ER accepted")
 	}
+	for _, m := range []MZI{
+		{ILdB: math.NaN(), ERdB: 3},
+		{ILdB: math.Inf(1), ERdB: 3},
+		{ILdB: 1, ERdB: math.NaN()},
+		{ILdB: 1, ERdB: math.Inf(1)},
+	} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("IL %g dB, ER %g dB accepted", m.ILdB, m.ERdB)
+		}
+	}
 }
 
 func TestMZIString(t *testing.T) {

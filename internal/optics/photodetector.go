@@ -20,11 +20,11 @@ type Photodetector struct {
 
 // Validate reports whether the detector parameters are physical.
 func (p Photodetector) Validate() error {
-	if p.ResponsivityAPerW <= 0 {
-		return fmt.Errorf("optics: detector responsivity %g A/W not positive", p.ResponsivityAPerW)
+	if !(p.ResponsivityAPerW > 0) || math.IsInf(p.ResponsivityAPerW, 1) {
+		return fmt.Errorf("optics: detector responsivity %g A/W not positive and finite", p.ResponsivityAPerW)
 	}
-	if p.NoiseCurrentA <= 0 {
-		return fmt.Errorf("optics: detector noise current %g A not positive", p.NoiseCurrentA)
+	if !(p.NoiseCurrentA > 0) || math.IsInf(p.NoiseCurrentA, 1) {
+		return fmt.Errorf("optics: detector noise current %g A not positive and finite", p.NoiseCurrentA)
 	}
 	return nil
 }

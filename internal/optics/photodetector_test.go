@@ -35,6 +35,16 @@ func TestPhotodetectorValidate(t *testing.T) {
 	if err := (Photodetector{ResponsivityAPerW: 1, NoiseCurrentA: 0}).Validate(); err == nil {
 		t.Error("zero noise accepted")
 	}
+	for _, d := range []Photodetector{
+		{ResponsivityAPerW: math.NaN(), NoiseCurrentA: 1e-6},
+		{ResponsivityAPerW: math.Inf(1), NoiseCurrentA: 1e-6},
+		{ResponsivityAPerW: 1, NoiseCurrentA: math.NaN()},
+		{ResponsivityAPerW: 1, NoiseCurrentA: math.Inf(1)},
+	} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("responsivity %g A/W, noise %g A accepted", d.ResponsivityAPerW, d.NoiseCurrentA)
+		}
+	}
 }
 
 func TestBERFromSNRKnownPoints(t *testing.T) {

@@ -40,15 +40,15 @@ type Ring struct {
 // Validate reports whether the ring parameters are physical.
 func (r Ring) Validate() error {
 	switch {
-	case r.SelfCoupling1 <= 0 || r.SelfCoupling1 > 1:
+	case !(r.SelfCoupling1 > 0 && r.SelfCoupling1 <= 1):
 		return fmt.Errorf("optics: ring r1 = %g outside (0,1]", r.SelfCoupling1)
-	case r.SelfCoupling2 <= 0 || r.SelfCoupling2 > 1:
+	case !(r.SelfCoupling2 > 0 && r.SelfCoupling2 <= 1):
 		return fmt.Errorf("optics: ring r2 = %g outside (0,1]", r.SelfCoupling2)
-	case r.Amplitude <= 0 || r.Amplitude > 1:
+	case !(r.Amplitude > 0 && r.Amplitude <= 1):
 		return fmt.Errorf("optics: ring a = %g outside (0,1]", r.Amplitude)
-	case r.ResonanceNM <= 0:
-		return fmt.Errorf("optics: ring resonance %g nm not positive", r.ResonanceNM)
-	case r.FSRNM <= 0 || r.FSRNM >= r.ResonanceNM:
+	case !(r.ResonanceNM > 0) || math.IsInf(r.ResonanceNM, 1):
+		return fmt.Errorf("optics: ring resonance %g nm not positive and finite", r.ResonanceNM)
+	case !(r.FSRNM > 0 && r.FSRNM < r.ResonanceNM):
 		return fmt.Errorf("optics: ring FSR %g nm not in (0, resonance)", r.FSRNM)
 	}
 	return nil

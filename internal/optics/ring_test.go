@@ -28,6 +28,12 @@ func TestRingValidate(t *testing.T) {
 		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0, ResonanceNM: 1550, FSRNM: 10},
 		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: -1, FSRNM: 10},
 		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: 1550, FSRNM: 0},
+		{SelfCoupling1: math.NaN(), SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: 1550, FSRNM: 10},
+		{SelfCoupling1: 0.9, SelfCoupling2: math.NaN(), Amplitude: 0.9, ResonanceNM: 1550, FSRNM: 10},
+		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: math.NaN(), ResonanceNM: 1550, FSRNM: 10},
+		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: math.NaN(), FSRNM: 10},
+		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: math.Inf(1), FSRNM: 10},
+		{SelfCoupling1: 0.9, SelfCoupling2: 0.9, Amplitude: 0.9, ResonanceNM: 1550, FSRNM: math.NaN()},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {

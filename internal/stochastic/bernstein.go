@@ -48,10 +48,11 @@ func (b BernsteinPoly) Eval(x float64) float64 {
 	return numeric.BernsteinEval(b.Coef, x)
 }
 
-// Representable reports whether every coefficient is a probability.
+// Representable reports whether every coefficient is a probability;
+// a NaN coefficient is not one.
 func (b BernsteinPoly) Representable() bool {
 	for _, c := range b.Coef {
-		if c < 0 || c > 1 {
+		if !(c >= 0 && c <= 1) {
 			return false
 		}
 	}
@@ -79,10 +80,11 @@ func PaperF1() BernsteinPoly {
 // GammaCorrection returns the degree-n Bernstein approximation of the
 // gamma-correction transfer function x^gamma, the paper's motivating
 // 6th-order image-processing application (§V.C). Coefficients are
-// clamped to [0, 1].
+// clamped to [0, 1]. A gamma that is not positive and finite is an
+// error.
 func GammaCorrection(gamma float64, degree int) (BernsteinPoly, float64, error) {
-	if gamma <= 0 {
-		return BernsteinPoly{}, 0, fmt.Errorf("stochastic: gamma %g not positive", gamma)
+	if !(gamma > 0) || math.IsInf(gamma, 1) {
+		return BernsteinPoly{}, 0, fmt.Errorf("stochastic: gamma %g not positive and finite", gamma)
 	}
 	return Fit(func(x float64) float64 {
 		if x <= 0 {

@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -50,6 +51,11 @@ type gammaCoefEntry struct {
 // returned to the callers waiting on it and then dropped, so the next
 // call fits again.
 func (c *GammaCoefCache) GammaCorrection(gamma float64, degree int) (BernsteinPoly, float64, error) {
+	if math.IsNaN(gamma) {
+		// A NaN key equals no key, itself included, so its entry could
+		// never be found or deleted again; the direct fit rejects it.
+		return GammaCorrection(gamma, degree)
+	}
 	e := c.entry(gammaCoefKey{gamma: gamma, degree: degree})
 	e.once.Do(func() {
 		e.poly, e.maxErr, e.err = GammaCorrection(gamma, degree)

@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -73,7 +74,8 @@ func TestGammaCoefCacheConcurrent(t *testing.T) {
 
 // TestGammaCoefCacheBounded: more distinct gammas than the bound leave
 // at most the bound cached, evicting the oldest first; an evicted fit
-// rebuilds identical to the first; a failed fit leaves no entry.
+// rebuilds identical to the first; a failed fit leaves no entry, a NaN
+// gamma's included.
 func TestGammaCoefCacheBounded(t *testing.T) {
 	var c GammaCoefCache
 	first, _, err := c.GammaCorrection(0.45, 2)
@@ -100,8 +102,10 @@ func TestGammaCoefCacheBounded(t *testing.T) {
 	}
 
 	var failed GammaCoefCache
-	if _, _, err := failed.GammaCorrection(-1, 6); err == nil {
-		t.Fatal("invalid gamma accepted")
+	for _, gamma := range []float64{-1, math.NaN(), math.NaN()} {
+		if _, _, err := failed.GammaCorrection(gamma, 6); err == nil {
+			t.Fatalf("invalid gamma %g accepted", gamma)
+		}
 	}
 	if len(failed.m) != 0 || len(failed.fifo) != 0 {
 		t.Errorf("failed fit left %d entries, %d queued", len(failed.m), len(failed.fifo))

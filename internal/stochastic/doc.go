@@ -14,11 +14,15 @@
 //
 // # Generators
 //
-// SNGs compare a pseudo-random number against the target probability.
-// The package provides SplitMix64 (the source every production path
-// draws from), a maximal-length Galois LFSR (the classic hardware
-// SNG) and a chaotic-map source inspired by the chaotic-laser
-// random-bit generation the paper cites as future work [20].
+// SNGs compare a pseudo-random number against the target probability
+// (the comparator of the paper's Fig. 1a). SplitMix64 is the only
+// source: SNG, the plane kernels, ReSC and every other production path
+// take a *SplitMix64, whose draws behave as the i.i.d. uniforms the
+// binomial error analysis of a stream assumes. A maximal-length Galois
+// LFSR (the classic hardware SNG) and a chaotic-map source modelled on
+// the chaotic-laser random-bit generation the paper cites as future
+// work [20] live in the package's tests, where a one-draw-per-bit
+// comparator over any source drives their accuracy tests.
 //
 // # Gaussian noise
 //
@@ -79,6 +83,5 @@
 // then, for each weight k, computes coefficient k's draws only at the
 // clocks in PlaneEquals(planes, k). It returns the same ones count
 // from n+1 draws per clock instead of 2n+1. EvaluateBatch and the
-// optical unit's mux-form batch path (internal/core) run on it; any
-// other source runs the bit-serial Evaluate.
+// optical unit's mux-form batch path (internal/core) run on it.
 package stochastic

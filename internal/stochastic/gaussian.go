@@ -13,8 +13,8 @@ import (
 // from equal sources produce identical sequences — the cached spare
 // deviate included — so the two interfaces can be interleaved freely.
 //
-// The source is the concrete *SplitMix64 rather than a NumberSource
-// interface, so the uniform draws inline into the transform.
+// The source is the concrete *SplitMix64, so the uniform draws inline
+// into the transform.
 //
 // ThresholdWord is the decision-domain form of FillScaled: when the
 // noise only feeds `level+noise > thr` decisions, it returns the 64

@@ -23,13 +23,16 @@ import (
 func WordsFor(n int) int { return (n + 63) / 64 }
 
 // probThreshold maps a probability to the integer comparator threshold
-// used by the devirtualized SplitMix64 paths: Next() < p compares
-// k/2^53 against p with k = NextUint64()>>11; both k/2^53 and p·2^53
-// are exact (power-of-two scaling), so k < ceil(p·2^53) is the same
-// predicate with the per-sample int→float conversion dropped. The
-// degenerate probabilities clamp to the never/always thresholds.
+// of the SplitMix64 word kernels: Next() < p compares k/2^53 against p
+// with k = NextUint64()>>11; both k/2^53 and p·2^53 are exact
+// (power-of-two scaling), so k < ceil(p·2^53) is the same predicate
+// with the per-sample int→float conversion dropped. The degenerate
+// probabilities clamp to the never/always thresholds, and a NaN, which
+// no draw falls below, maps to never, so no NaN reaches the
+// float-to-integer conversion, whose result the Go spec leaves to the
+// platform.
 func probThreshold(p float64) uint64 {
-	if p <= 0 {
+	if !(p > 0) {
 		return 0
 	}
 	if p >= 1 {
@@ -56,7 +59,7 @@ func planeWordBits(n, w int) int {
 // FillPlane fills dst with an n-bit Bernoulli(p) stream drawn from
 // src, consuming the source exactly as SNG.Generate would — the two
 // produce identical bits from equal sources.
-func FillPlane(src NumberSource, p float64, n int, dst []uint64) {
+func FillPlane(src *SplitMix64, p float64, n int, dst []uint64) {
 	words := WordsFor(n)
 	checkPlane("dst", dst, words)
 	for w := 0; w < words; w++ {
@@ -72,51 +75,36 @@ func FillPlane(src NumberSource, p float64, n int, dst []uint64) {
 // (FillCorrelatedPlanes) as its oracle. Tiled engines use this for the
 // XOR-as-absolute-difference gate. One sample is consumed per bit even
 // for degenerate probabilities, since the draw is shared.
-func FillAbsDiffPlane(src NumberSource, a, b float64, n int, dst []uint64) {
+func FillAbsDiffPlane(src *SplitMix64, a, b float64, n int, dst []uint64) {
 	words := WordsFor(n)
 	checkPlane("dst", dst, words)
-	if sm, ok := src.(*SplitMix64); ok {
-		// Devirtualized integer-domain fast path (see probThreshold)
-		// with a branchless band test: k and thr both sit far below
-		// 2^63, so k < thr iff k−thr wraps, i.e. bit 63 of the
-		// difference, and the XOR of the two wrap indicators is 1 iff
-		// k lands between the thresholds. Stochastic bits are
-		// maximally unpredictable, so a branch per comparator would
-		// mispredict half the time. Bits shift in at the top and the
-		// partial-word tail is realigned after the loop. The
-		// generator advances in a local copy that is stored back
-		// once: a store through sm on every draw would bounce sm's
-		// cache line between cores whenever two workers' generators
-		// share one, as the 8-byte generators of RobertsCrossSCOn's
-		// per-worker scratch often do.
-		g := *sm
-		thrA, thrB := probThreshold(a), probThreshold(b)
-		for w := 0; w < words; w++ {
-			nbits := planeWordBits(n, w)
-			var wd uint64
-			for t := 0; t < nbits; t++ {
-				k := g.NextUint64() >> 11
-				wd = wd>>1 | ((k-thrA)^(k-thrB))&(1<<63)
-			}
-			if nbits < 64 {
-				wd >>= 64 - uint(nbits)
-			}
-			dst[w] = wd
-		}
-		*sm = g
-		return
-	}
+	// Integer-domain compare (see probThreshold) with a branchless
+	// band test: k and thr both sit far below 2^63, so k < thr iff
+	// k−thr wraps, i.e. bit 63 of the difference, and the XOR of the
+	// two wrap indicators is 1 iff k lands between the thresholds.
+	// Stochastic bits are maximally unpredictable, so a branch per
+	// comparator would mispredict half the time. Bits shift in at the
+	// top and the partial-word tail is realigned after the loop. The
+	// generator advances in a local copy that is stored back once: a
+	// store through src on every draw would bounce src's cache line
+	// between cores whenever two workers' generators share one, as the
+	// 8-byte generators of RobertsCrossSCOn's per-worker scratch often
+	// do.
+	g := *src
+	thrA, thrB := probThreshold(a), probThreshold(b)
 	for w := 0; w < words; w++ {
 		nbits := planeWordBits(n, w)
 		var wd uint64
 		for t := 0; t < nbits; t++ {
-			r := src.Next()
-			if (r < a) != (r < b) {
-				wd |= 1 << uint(t)
-			}
+			k := g.NextUint64() >> 11
+			wd = wd>>1 | ((k-thrA)^(k-thrB))&(1<<63)
+		}
+		if nbits < 64 {
+			wd >>= 64 - uint(nbits)
 		}
 		dst[w] = wd
 	}
+	*src = g
 }
 
 // MuxPlanes stores the 2:1 multiplex of a and b under sel into dst:

@@ -68,25 +68,17 @@ func TestProbThreshold(t *testing.T) {
 }
 
 // TestFillPlaneMatchesGenerate: the plane fill is SNG.Generate without
-// the Bitstream — identical bits from equal sources, for both the
-// devirtualized SplitMix64 path and a generic source.
+// the Bitstream — the integer word kernel gives the float comparator's
+// bits from equal sources, a NaN probability included.
 func TestFillPlaneMatchesGenerate(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 1000} {
-		for _, p := range []float64{0, 0.25, 0.5, 0.9, 1} {
+		for _, p := range []float64{0, 0.25, 0.5, 0.9, 1, math.NaN()} {
 			want := NewSNG(NewSplitMix64(42)).Generate(p, n)
 			plane := make([]uint64, WordsFor(n))
 			FillPlane(NewSplitMix64(42), p, n, plane)
 			for w := 0; w < want.WordCount(); w++ {
 				if plane[w] != want.words[w] {
 					t.Fatalf("n=%d p=%g word %d: %x vs %x", n, p, w, plane[w], want.words[w])
-				}
-			}
-
-			wantL := NewSNG(MustLFSR(16, 5)).Generate(p, n)
-			FillPlane(MustLFSR(16, 5), p, n, plane)
-			for w := 0; w < wantL.WordCount(); w++ {
-				if plane[w] != wantL.words[w] {
-					t.Fatalf("LFSR n=%d p=%g word %d differs", n, p, w)
 				}
 			}
 		}
@@ -134,12 +126,12 @@ func TestCorrelatedXorIsAbsDiff(t *testing.T) {
 	}
 }
 
-// TestFillAbsDiffPlaneMatchesPairXor: the fused gate equals the
-// correlated pair followed by XOR, on both source paths, and leaves
-// its generator where the pair leaves it.
+// TestFillAbsDiffPlaneMatchesPairXor: the fused integer gate equals the
+// float-compared correlated pair followed by XOR, a NaN value included,
+// and leaves its generator where the pair leaves it.
 func TestFillAbsDiffPlaneMatchesPairXor(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 777} {
-		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0.9, 0.9}} {
+		for _, pair := range [][2]float64{{0.3, 0.7}, {0, 1}, {0.5, 0.5}, {1, 0.2}, {0.9, 0.9}, {math.NaN(), 0.5}} {
 			a, b := pair[0], pair[1]
 			words := WordsFor(n)
 			pa := make([]uint64, words)
@@ -159,17 +151,54 @@ func TestFillAbsDiffPlaneMatchesPairXor(t *testing.T) {
 			if g, r := src.NextUint64(), ref.NextUint64(); g != r {
 				t.Fatalf("n=%d (%g,%g): next draw after the gate %x, after the pair %x", n, a, b, g, r)
 			}
-
-			FillCorrelatedPlanes(NewChaoticSource(0.2), a, b, n, pa, pb)
-			XorPlanes(want, pa, pb)
-			FillAbsDiffPlane(NewChaoticSource(0.2), a, b, n, got)
-			for w := range want {
-				if got[w] != want[w] {
-					t.Fatalf("chaotic n=%d (%g,%g) word %d differs", n, a, b, w)
-				}
-			}
 		}
 	}
+}
+
+// FuzzWordKernelsMatchComparator pins the integer word kernels to the
+// one-draw float comparator on inputs nobody listed: any seed, any
+// float64 p, a and b (NaN, ±Inf, subnormals and 1−2⁻⁵³ included) and
+// lengths 1–4096. FillPlane must give SNG.Generate's bits and
+// FillAbsDiffPlane the XOR of FillCorrelatedPlanes, and each pair must
+// leave its generators at the same next draw. The stream is n%4096+1
+// bits long, so the seeds below run 64, 1, 65, 4096 and 777 bits.
+func FuzzWordKernelsMatchComparator(f *testing.F) {
+	f.Add(uint64(1), math.NaN(), math.NaN(), 0.5, uint16(63))
+	f.Add(uint64(5), 0.3, 0.5, math.NaN(), uint16(0))
+	f.Add(uint64(7), 1-0x1p-53, math.Inf(1), math.Inf(-1), uint16(64))
+	f.Add(uint64(9), math.SmallestNonzeroFloat64, 0x1p-53, 1.0, uint16(4095))
+	f.Add(uint64(11), math.Inf(-1), -0.0, 1-0x1p-53, uint16(776))
+	f.Fuzz(func(t *testing.T, seed uint64, p, a, b float64, n uint16) {
+		length := int(n)%4096 + 1
+		words := WordsFor(length)
+		got := make([]uint64, words)
+
+		ref, src := NewSplitMix64(seed), NewSplitMix64(seed)
+		want := NewSNG(ref).Generate(p, length)
+		FillPlane(src, p, length, got)
+		for w := range got {
+			if got[w] != want.words[w] {
+				t.Fatalf("FillPlane p=%g n=%d word %d: %x, Generate %x", p, length, w, got[w], want.words[w])
+			}
+		}
+		if g, r := src.NextUint64(), ref.NextUint64(); g != r {
+			t.Fatalf("FillPlane p=%g n=%d: next draw %x, after Generate %x", p, length, g, r)
+		}
+
+		pa, pb, xor := make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		ref, src = NewSplitMix64(seed), NewSplitMix64(seed)
+		FillCorrelatedPlanes(ref, a, b, length, pa, pb)
+		XorPlanes(xor, pa, pb)
+		FillAbsDiffPlane(src, a, b, length, got)
+		for w := range got {
+			if got[w] != xor[w] {
+				t.Fatalf("FillAbsDiffPlane (%g,%g) n=%d word %d: %x, pair XOR %x", a, b, length, w, got[w], xor[w])
+			}
+		}
+		if g, r := src.NextUint64(), ref.NextUint64(); g != r {
+			t.Fatalf("FillAbsDiffPlane (%g,%g) n=%d: next draw %x, after the pair %x", a, b, length, g, r)
+		}
+	})
 }
 
 func TestFillAbsDiffPlaneValue(t *testing.T) {
@@ -264,7 +293,7 @@ func TestSplitMix64Reseed(t *testing.T) {
 // Unlike FillPlane, one sample is consumed per bit even for degenerate
 // probabilities — the draw is shared, so it cannot be skipped for one
 // threshold only.
-func FillCorrelatedPlanes(src NumberSource, a, b float64, n int, pa, pb []uint64) {
+func FillCorrelatedPlanes(src numberSource, a, b float64, n int, pa, pb []uint64) {
 	words := WordsFor(n)
 	checkPlane("pa", pa, words)
 	checkPlane("pb", pb, words)

@@ -18,14 +18,14 @@ type ReSC struct {
 	// DataSources drive the n data SNGs; CoefSources the n+1
 	// coefficient SNGs. All must be mutually independent for the
 	// Bernstein identity to hold.
-	DataSources []NumberSource
-	CoefSources []NumberSource
+	DataSources []*SplitMix64
+	CoefSources []*SplitMix64
 }
 
 // NewReSC wires a ReSC unit for the polynomial with independent
 // sources. It returns an error if the polynomial is not
 // SC-representable or the source counts do not match the degree.
-func NewReSC(poly BernsteinPoly, data, coef []NumberSource) (*ReSC, error) {
+func NewReSC(poly BernsteinPoly, data, coef []*SplitMix64) (*ReSC, error) {
 	n := poly.Degree()
 	if n < 0 {
 		return nil, fmt.Errorf("stochastic: empty polynomial")
@@ -47,11 +47,11 @@ func NewReSC(poly BernsteinPoly, data, coef []NumberSource) (*ReSC, error) {
 // for simulations.
 func NewReSCWithSeeds(poly BernsteinPoly, seed uint64) (*ReSC, error) {
 	dataSeeds, coefSeeds := rescSeeds(poly.Degree(), seed)
-	data := make([]NumberSource, len(dataSeeds))
+	data := make([]*SplitMix64, len(dataSeeds))
 	for i, s := range dataSeeds {
 		data[i] = NewSplitMix64(s)
 	}
-	coef := make([]NumberSource, len(coefSeeds))
+	coef := make([]*SplitMix64, len(coefSeeds))
 	for i, s := range coefSeeds {
 		coef[i] = NewSplitMix64(s)
 	}
@@ -88,30 +88,17 @@ func (r *ReSC) Step(x float64) (bit, sel int) {
 	n := r.Degree()
 	sum := 0
 	for i := 0; i < n; i++ {
-		if sngBit(r.DataSources[i], x) == 1 {
+		if comparatorBit(r.DataSources[i], x) == 1 {
 			sum++
 		}
 	}
 	for i := 0; i <= n; i++ {
-		zi := sngBit(r.CoefSources[i], r.Poly.Coef[i])
+		zi := comparatorBit(r.CoefSources[i], r.Poly.Coef[i])
 		if i == sum {
 			bit = zi
 		}
 	}
 	return bit, sum
-}
-
-func sngBit(src NumberSource, p float64) int {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	if src.Next() < p {
-		return 1
-	}
-	return 0
 }
 
 // Evaluate runs `length` clock cycles at input x and returns the

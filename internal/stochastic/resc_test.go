@@ -85,13 +85,20 @@ func TestNewReSCValidation(t *testing.T) {
 		t.Error("empty polynomial accepted")
 	}
 	bad := NewBernstein([]float64{0.5, 1.5})
-	if _, err := NewReSC(bad, make([]NumberSource, 1), make([]NumberSource, 2)); err == nil {
+	if _, err := NewReSC(bad, make([]*SplitMix64, 1), make([]*SplitMix64, 2)); err == nil {
 		t.Error("unrepresentable polynomial accepted")
 	}
-	if _, err := NewReSC(poly, make([]NumberSource, 2), make([]NumberSource, 4)); err == nil {
+	nan := NewBernstein([]float64{0.5, math.NaN()})
+	if nan.Representable() {
+		t.Error("NaN coefficient reported representable")
+	}
+	if _, err := NewReSC(nan, make([]*SplitMix64, 1), make([]*SplitMix64, 2)); err == nil {
+		t.Error("NaN coefficient accepted")
+	}
+	if _, err := NewReSC(poly, make([]*SplitMix64, 2), make([]*SplitMix64, 4)); err == nil {
 		t.Error("wrong data source count accepted")
 	}
-	if _, err := NewReSC(poly, make([]NumberSource, 3), make([]NumberSource, 3)); err == nil {
+	if _, err := NewReSC(poly, make([]*SplitMix64, 3), make([]*SplitMix64, 3)); err == nil {
 		t.Error("wrong coef source count accepted")
 	}
 }
@@ -176,8 +183,10 @@ func TestGammaCorrectionPoly(t *testing.T) {
 	if maxErr > 0.1 {
 		t.Errorf("gamma maxErr = %g", maxErr)
 	}
-	if _, _, err := GammaCorrection(-1, 6); err == nil {
-		t.Error("negative gamma accepted")
+	for _, gamma := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if _, _, err := GammaCorrection(gamma, 6); err == nil {
+			t.Errorf("gamma %g accepted", gamma)
+		}
 	}
 }
 

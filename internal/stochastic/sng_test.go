@@ -1,9 +1,36 @@
 package stochastic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// numberSource is any source of uniform samples on [0, 1): SplitMix64
+// and the test oracles below (the hardware LFSR, the chaotic map and
+// the unary ramp), which production code never holds.
+type numberSource interface {
+	Next() float64
+}
+
+// generateFrom is the one-draw-per-bit comparator of the paper's
+// Fig. 1(a) over any numberSource: no draw for p <= 0 or p >= 1, and
+// otherwise bit i is Next() < p, the predicate of ReSC.Step. On a
+// SplitMix64 it is SNG.Generate, which pins the integer word kernels
+// to the float compare.
+func generateFrom(src numberSource, p float64, n int) *Bitstream {
+	b := NewBitstream(n)
+	for i := 0; i < n; i++ {
+		switch {
+		case p <= 0:
+		case p >= 1:
+			b.Set(i, 1)
+		case src.Next() < p:
+			b.Set(i, 1)
+		}
+	}
+	return b
+}
 
 func TestSNGConvergence(t *testing.T) {
 	g := NewSNG(NewSplitMix64(99))
@@ -130,8 +157,7 @@ func TestLFSRUniformity(t *testing.T) {
 }
 
 func TestLFSRSNGAccuracy(t *testing.T) {
-	g := NewSNG(MustLFSR(16, 0xACE1))
-	b := g.Generate(0.3, 1<<16)
+	b := generateFrom(MustLFSR(16, 0xACE1), 0.3, 1<<16)
 	if math.Abs(b.Value()-0.3) > 0.01 {
 		t.Errorf("LFSR SNG estimate = %g", b.Value())
 	}
@@ -146,8 +172,7 @@ func TestCounterSourceRamp(t *testing.T) {
 		}
 	}
 	// Unary generation is exact for p = k/m.
-	g := NewSNG(NewCounterSource(8))
-	b := g.Generate(0.5, 8)
+	b := generateFrom(NewCounterSource(8), 0.5, 8)
 	if b.Ones() != 4 {
 		t.Errorf("unary 0.5 over 8 bits = %d ones", b.Ones())
 	}
@@ -196,8 +221,7 @@ func TestChaoticSourceSeedFolding(t *testing.T) {
 }
 
 func TestChaoticSNGAccuracy(t *testing.T) {
-	g := NewSNG(NewChaoticSource(0.31))
-	b := g.Generate(0.7, 1<<16)
+	b := generateFrom(NewChaoticSource(0.31), 0.7, 1<<16)
 	if math.Abs(b.Value()-0.7) > 0.02 {
 		t.Errorf("chaotic SNG estimate = %g", b.Value())
 	}
@@ -272,9 +296,143 @@ func NewCounterSource(m uint64) *CounterSource {
 	return &CounterSource{m: m}
 }
 
-// Next implements NumberSource.
+// Next implements numberSource.
 func (c *CounterSource) Next() float64 {
 	v := float64(c.i) / float64(c.m)
 	c.i = (c.i + 1) % c.m
 	return v
+}
+
+// lfsrTaps maps register width to a maximal-length Galois feedback
+// mask: bit e-1 is set for each exponent e of the primitive feedback
+// polynomial (constant term excluded). Masks for widths 4-25 were
+// verified exhaustively to have period 2^w - 1 under the Step update
+// rule; the larger widths use the same published tap sets
+// ([w, ...] exponent lists from the standard LFSR tap tables).
+var lfsrTaps = map[uint]uint64{
+	4:  0xC,        // x^4 + x^3 + 1
+	5:  0x14,       // x^5 + x^3 + 1
+	6:  0x30,       // x^6 + x^5 + 1
+	7:  0x60,       // x^7 + x^6 + 1
+	8:  0xB8,       // x^8 + x^6 + x^5 + x^4 + 1
+	9:  0x110,      // x^9 + x^5 + 1
+	10: 0x240,      // x^10 + x^7 + 1
+	11: 0x500,      // x^11 + x^9 + 1
+	12: 0xE08,      // x^12 + x^11 + x^10 + x^4 + 1
+	13: 0x1C80,     // x^13 + x^12 + x^11 + x^8 + 1
+	14: 0x3802,     // x^14 + x^13 + x^12 + x^2 + 1
+	15: 0x6000,     // x^15 + x^14 + 1
+	16: 0xD008,     // x^16 + x^15 + x^13 + x^4 + 1
+	17: 0x12000,    // x^17 + x^14 + 1
+	18: 0x20400,    // x^18 + x^11 + 1
+	19: 0x72000,    // x^19 + x^18 + x^17 + x^14 + 1
+	20: 0x90000,    // x^20 + x^17 + 1
+	21: 0x140000,   // x^21 + x^19 + 1
+	22: 0x300000,   // x^22 + x^21 + 1
+	23: 0x420000,   // x^23 + x^18 + 1
+	24: 0xE10000,   // x^24 + x^23 + x^22 + x^17 + 1
+	25: 0x1200000,  // x^25 + x^22 + 1
+	28: 0x9000000,  // x^28 + x^25 + 1
+	31: 0x48000000, // x^31 + x^28 + 1
+	32: 0x80200003, // x^32 + x^22 + x^2 + x + 1
+}
+
+// LFSR is a Galois (one's-complement) linear-feedback shift register,
+// the standard hardware stochastic number generator. A width-w
+// register cycles through 2^w - 1 non-zero states; Next() normalizes
+// the state to [0, 1).
+type LFSR struct {
+	state uint64
+	taps  uint64
+	width uint
+}
+
+// NewLFSR returns a maximal-length LFSR of the given width seeded
+// with seed (zero seeds are mapped to 1, as the all-zero state is
+// absorbing). Supported widths are those with known maximal tap sets;
+// unsupported widths return an error.
+func NewLFSR(width uint, seed uint64) (*LFSR, error) {
+	taps, ok := lfsrTaps[width]
+	if !ok {
+		return nil, fmt.Errorf("stochastic: no maximal-length taps for LFSR width %d", width)
+	}
+	mask := uint64(1)<<width - 1
+	seed &= mask
+	if seed == 0 {
+		seed = 1
+	}
+	return &LFSR{state: seed, taps: taps, width: width}, nil
+}
+
+// MustLFSR is NewLFSR that panics on error; for use with the
+// compile-time-known widths in tests.
+func MustLFSR(width uint, seed uint64) *LFSR {
+	l, err := NewLFSR(width, seed)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}
+
+// Step advances the register one clock (Galois right shift) and
+// returns the new state.
+func (l *LFSR) Step() uint64 {
+	lsb := l.state & 1
+	l.state >>= 1
+	if lsb != 0 {
+		l.state ^= l.taps
+	}
+	return l.state
+}
+
+// Next implements numberSource: the state normalized to [0, 1).
+func (l *LFSR) Next() float64 {
+	s := l.Step()
+	return float64(s-1) / float64(uint64(1)<<l.width-1)
+}
+
+// Period returns the sequence period 2^width - 1.
+func (l *LFSR) Period() uint64 { return uint64(1)<<l.width - 1 }
+
+// ChaoticSource generates uniform samples from the logistic map at
+// full chaos (r = 4), x_{k+1} = 4 x_k (1 - x_k), through the
+// measure-preserving transform u = (2/π) asin(√x) that flattens the
+// map's arcsine-shaped invariant density. It is a deterministic
+// software stand-in for the chaotic-laser random bit generators the
+// paper proposes for the optical randomizer (future work, ref [20]).
+type ChaoticSource struct {
+	x float64
+}
+
+// NewChaoticSource seeds the map; seeds are folded into (0, 1) and
+// the first 64 iterations are discarded to decorrelate from the seed.
+func NewChaoticSource(seed float64) *ChaoticSource {
+	x := math.Abs(seed)
+	x -= math.Floor(x)
+	if x == 0 || x == 1 {
+		x = 0.379414
+	}
+	// Avoid the fixed points 0 and 0.75.
+	if x == 0.75 {
+		x = 0.7379
+	}
+	c := &ChaoticSource{x: x}
+	for i := 0; i < 64; i++ {
+		c.step()
+	}
+	return c
+}
+
+func (c *ChaoticSource) step() {
+	c.x = 4 * c.x * (1 - c.x)
+	// Reinject if the orbit collapses numerically.
+	if c.x <= 0 || c.x >= 1 || math.IsNaN(c.x) {
+		c.x = 0.379414
+	}
+}
+
+// Next implements numberSource.
+func (c *ChaoticSource) Next() float64 {
+	c.step()
+	return 2 / math.Pi * math.Asin(math.Sqrt(c.x))
 }
